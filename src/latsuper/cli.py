@@ -64,9 +64,13 @@ def _load_group(path: str, seed: int) -> GroupTable:
 
 
 def _load_lattice(G: GroupTable, sublattice_path: Optional[str]) -> NormalLattice:
-    if sublattice_path is None:
+    return _lattice_of(G, None if sublattice_path is None else _load_json(sublattice_path))
+
+
+def _lattice_of(G: GroupTable, data) -> NormalLattice:
+    """The full lattice (data None), a closed generator list, or strict nodes."""
+    if data is None:
         return normal_lattice(G)
-    data = _load_json(sublattice_path)
     if isinstance(data, list):
         data = {"generators": data}
     if "nodes" in data:
@@ -238,8 +242,9 @@ def cmd_verify(args) -> int:
         _emit_json(report, args.out)
         return EXIT_VERIFY
 
+    spec = GroupSpec.from_json(_load_json(args.group))  # input errors: exit 1
     try:
-        G = _load_group(args.group, args.seed)
+        G = make_group(spec, seed=args.seed)
     except LatsuperError as exc:
         return fail("group_invariants", exc)
     report["checks"].append({"name": "group_invariants", "passed": True,
@@ -333,13 +338,7 @@ def cmd_restrict(args) -> int:
     L = _load_lattice(G, args.sublattice)
     emb_data = _load_json(args.embedding)
     H = make_group(GroupSpec.from_json(emb_data["source"]), seed=args.seed)
-    sub_h = emb_data.get("source_sublattice")
-    if sub_h is None:
-        LH = normal_lattice(H)
-    elif "nodes" in sub_h:
-        LH = NormalLattice(H, [Subgroup(mask_of(e)) for e in sub_h["nodes"]])
-    else:
-        LH = closed_sublattice(H, [Subgroup(mask_of(e)) for e in sub_h.get("generators", [])])
+    LH = _lattice_of(H, emb_data.get("source_sublattice"))
     embedding = GroupEmbedding(H, G, tuple(emb_data["map"]))
     ctx = build_restriction_context(embedding, L, LH)
     if not ctx.favorable:

@@ -207,14 +207,26 @@ class GroupSpec:
         if not isinstance(data, dict) or "kind" not in data:
             raise ArgumentError("group spec JSON must be an object with a 'kind' field")
         kind = data["kind"]
+
+        def field_of(name: str, kind_of: type):
+            value = data.get(name)
+            if isinstance(value, kind_of) and not isinstance(value, bool):
+                return value
+            raise ArgumentError(f"{kind} spec field {name!r} must be of type {kind_of.__name__}",
+                                check="spec", witness={"field": name, "value": value})
+
         if kind == "cyclic":
-            return cls.cyclic(int(data["n"]))
+            return cls.cyclic(field_of("n", int))
         if kind == "vector_space":
-            return cls.vector_space(int(data["q"]), int(data["dim"]))
+            return cls.vector_space(field_of("q", int), field_of("dim", int))
         if kind == "table":
-            return cls.table(data["mul"])
+            try:
+                return cls.table(field_of("mul", list))
+            except (TypeError, ValueError):
+                raise ArgumentError("table rows must be lists of integers", check="spec",
+                                    witness={"field": "mul"})
         if kind == "product":
-            return cls.product([cls.from_json(f) for f in data["factors"]])
+            return cls.product([cls.from_json(f) for f in field_of("factors", list)])
         raise ArgumentError(f"unknown spec kind {kind!r}")
 
 
@@ -558,23 +570,6 @@ def subgroup_generated(G: GroupTable, gens: Iterable[int], label: Optional[str] 
         if not (0 <= g < G.order):
             raise ArgumentError(f"generator {g} out of range for order {G.order}")
     return Subgroup(closure_mask(G, mask_of(gens)), label)
-
-
-def subgroup_from_elements(G: GroupTable, elements: Iterable[int], label: Optional[str] = None) -> Subgroup:
-    """Wrap an explicit element set as a Subgroup, verifying closure."""
-    mask = mask_of(elements)
-    sub = Subgroup(mask, label)
-    if not (mask >> 0) & 1:
-        raise ArgumentError("subgroup must contain the identity", witness=sub.to_json())
-    for a in sub.elements():
-        if not (mask >> G.inv[a]) & 1:
-            raise ArgumentError(f"set not closed under inverse at {a}", witness=sub.to_json())
-        for b in sub.elements():
-            if not (mask >> G.mul[a][b]) & 1:
-                raise ArgumentError(
-                    f"set not closed under product at ({a},{b})", witness=sub.to_json()
-                )
-    return sub
 
 
 def is_normal(G: GroupTable, H: Subgroup) -> bool:

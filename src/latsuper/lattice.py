@@ -4,12 +4,15 @@ distributivity and the Birkhoff antichain machinery.
 A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
 group, closed under join (subgroup product) and meet (intersection), always
 containing the trivial subgroup and the whole group.  Nodes are referenced by
-their index in ``nodes``.
+their index in ``nodes``, sorted by size.  Group elements are multiplied only
+to enumerate nodes; meets and joins are order theory on bitmasks, and a join
+is certified by the product formula |NM| |N & M| = |N| |M|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -24,12 +27,9 @@ from .groups import (
     Subgroup,
     closure_mask,
     conjugacy_classes,
-    is_normal,
     mask_of,
-    subgroup_from_elements,
 )
 
-CLASS_SUBSET_CAP = 20
 SUBGROUP_ENUM_CAP = 20000
 
 
@@ -41,13 +41,16 @@ def _bits(mask: int):
 
 
 class NormalLattice:
-    """A sublattice of the normal subgroups of a finite group."""
+    """A sublattice of the normal subgroups of a finite group.  With
+    check_normal=False the caller vouches that every node is normal, which the
+    product formula certifying joins needs."""
 
     def __init__(self, group: GroupTable, nodes: Sequence[Subgroup], *, check_normal: bool = True):
         self.group = group
         by_mask: dict[int, Subgroup] = {}
         for sub in nodes:
             by_mask.setdefault(sub.mask, sub)
+        _check_cap(len(by_mask))
         self.nodes: list[Subgroup] = sorted(by_mask.values(), key=lambda s: (s.size, s.mask))
         self._index = {s.mask: i for i, s in enumerate(self.nodes)}
         self._validate(check_normal)
@@ -61,48 +64,33 @@ class NormalLattice:
 
     def _validate(self, check_normal: bool) -> None:
         G = self.group
-        full = (1 << G.order) - 1
         if 1 not in self._index:
             raise ConstructionError(
                 "lattice must contain the trivial subgroup", check="lattice_bounds"
             )
-        if full not in self._index:
+        if (1 << G.order) - 1 not in self._index:
             raise ConstructionError("lattice must contain the whole group", check="lattice_bounds")
         if check_normal:
-            for sub in self.nodes:
-                subgroup_from_elements(G, sub.elements())
-                if not is_normal(G, sub):
-                    raise ConstructionError(
-                        f"node {sub.to_json()} is not normal", check="normality",
-                        witness=sub.to_json(),
-                    )
-        # (L2): closure under meet and join.
-        m = len(self.nodes)
-        for i in range(m):
-            for j in range(i + 1, m):
-                meet = self.nodes[i].mask & self.nodes[j].mask
-                if meet not in self._index:
-                    raise ConstructionError(
-                        "lattice not closed under intersection",
-                        check="meet_closure",
-                        witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
-                    )
-                join = closure_mask(G, self.nodes[i].mask | self.nodes[j].mask)
-                if join not in self._index:
-                    raise ConstructionError(
-                        "lattice not closed under product",
-                        check="join_closure",
-                        witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
-                    )
+            bad = _first_non_normal(G, self.nodes)
+            if bad is not None:
+                raise ConstructionError(
+                    f"node {bad.to_json()} is not normal", check="normality",
+                    witness=bad.to_json(),
+                )
 
     def _build_order(self) -> None:
+        # Nodes are sorted by size: N_i <= N_j needs j >= i, and the join is the
+        # lowest common upper bound, which (L2) requires to have the size of the
+        # product N_i N_j; the meet must be the node N_i & N_j.
         m = len(self.nodes)
         masks = [s.mask for s in self.nodes]
+        sizes = [s.size for s in self.nodes]
         self.up_mask = [0] * m    # up_mask[i]: bitmask of j with nodes[i] <= nodes[j]
         self.down_mask = [0] * m
         for i in range(m):
-            for j in range(m):
-                if masks[i] & ~masks[j] == 0:
+            mi = masks[i]
+            for j in range(i, m):
+                if mi & masks[j] == mi:
                     self.up_mask[i] |= 1 << j
                     self.down_mask[j] |= 1 << i
         self.bottom = self._index[1]
@@ -110,9 +98,25 @@ class NormalLattice:
         self.meet_table = [[0] * m for _ in range(m)]
         self.join_table = [[0] * m for _ in range(m)]
         for i in range(m):
-            for j in range(m):
-                self.meet_table[i][j] = self._index[masks[i] & masks[j]]
-                self.join_table[i][j] = self._index[closure_mask(self.group, masks[i] | masks[j])]
+            up_i, meet_row, join_row = self.up_mask[i], self.meet_table[i], self.join_table[i]
+            for j in range(i, m):
+                meet = self._index.get(masks[i] & masks[j])
+                if meet is None:
+                    raise ConstructionError(
+                        "lattice not closed under intersection",
+                        check="meet_closure",
+                        witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
+                    )
+                upper = up_i & self.up_mask[j]
+                join = (upper & -upper).bit_length() - 1
+                if sizes[join] * sizes[meet] != sizes[i] * sizes[j]:
+                    raise ConstructionError(
+                        "lattice not closed under product",
+                        check="join_closure",
+                        witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
+                    )
+                meet_row[j] = self.meet_table[j][i] = meet
+                join_row[j] = self.join_table[j][i] = join
         # covers via transitive reduction of the order matrix
         self.covers_up: list[list[int]] = [[] for _ in range(m)]
         self.covers_down: list[list[int]] = [[] for _ in range(m)]
@@ -210,120 +214,122 @@ class NormalLattice:
 # Construction.
 
 
-def _abelian_subgroups(G: GroupTable) -> list[int]:
-    # every subgroup of an abelian group is normal; breadth-first closure over
-    # one-generator extensions reaches all of them
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        mask = frontier.pop()
-        for g in range(1, G.order):
-            if (mask >> g) & 1:
-                continue
-            bigger = closure_mask(G, mask | (1 << g))
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
-                if len(seen) > SUBGROUP_ENUM_CAP:
-                    raise CapacityError(
-                        f"more than {SUBGROUP_ENUM_CAP} subgroups; pass an explicit sublattice",
-                        check="subgroup_cap",
-                    )
-    return sorted(seen)
-
-
-def _class_subset_normals(G: GroupTable) -> list[int]:
-    classes = conjugacy_classes(G)
-    k = len(classes)
-    if k > CLASS_SUBSET_CAP:
+def _check_cap(count: int) -> None:
+    if count > SUBGROUP_ENUM_CAP:
         raise CapacityError(
-            f"{k} conjugacy classes exceeds the cap of {CLASS_SUBSET_CAP}; "
-            "pass an explicit sublattice",
-            check="class_cap",
+            f"more than {SUBGROUP_ENUM_CAP} lattice nodes; pass an explicit sublattice",
+            check="subgroup_cap", witness=count,
         )
-    # class products: which classes appear in C_i * C_j
-    prod = [[0] * k for _ in range(k)]
-    class_of = [0] * G.order
-    for ci, cmask in enumerate(classes):
-        for g in _bits(cmask):
-            class_of[g] = ci
-    for i in range(k):
-        for j in range(i, k):
-            hit = 0
-            for a in _bits(classes[i]):
-                for b in _bits(classes[j]):
-                    hit |= 1 << class_of[G.mul[a][b]]
-            prod[i][j] = hit
-            prod[j][i] = hit
-    found = []
-    for subset in range(0, 1 << (k - 1)):
-        cmask = (subset << 1) | 1
-        ok = True
-        rest = cmask
-        while rest and ok:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            m = cmask
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if prod[i][j] & ~cmask:
-                    ok = False
-                    break
-        if ok:
-            emask = 0
-            for ci in _bits(cmask):
-                emask |= classes[ci]
-            found.append(emask)
-    return sorted(set(found))
+
+
+def _first_non_normal(G: GroupTable, subs: Iterable[Subgroup]) -> Optional[Subgroup]:
+    """Raise ArgumentError at the first of subs that is not its own closure (not
+    a subgroup); return the first that is not a union of conjugacy classes (not
+    normal, never when G is abelian), or None."""
+    classes = () if G.is_abelian else conjugacy_classes(G)
+    for sub in subs:
+        mask = sub.mask
+        if mask >> G.order or closure_mask(G, mask) != mask:
+            raise ArgumentError(f"{sub.to_json()} is not a subgroup", witness=sub.to_json())
+        if any(c & mask and c & ~mask for c in classes):
+            return sub
+    return None
+
+
+def _cyclic_subgroups(G: GroupTable) -> set[int]:
+    """The cyclic subgroups <g>, each walked once: the powers g^k with k prime
+    to the order of g generate the same subgroup and are skipped."""
+    out = set()
+    walked = bytearray(G.order)
+    for g in range(1, G.order):
+        if walked[g]:
+            continue
+        powers = [g]
+        while powers[-1] != 0:
+            powers.append(G.mul[powers[-1]][g])
+        for k, x in enumerate(powers, 1):
+            if gcd(k, len(powers)) == 1:
+                walked[x] = 1
+        out.add(mask_of(powers))
+    return out
+
+
+def _join_closure(G: GroupTable, gens: Iterable[int]) -> list[int]:
+    """The trivial subgroup and every join of the normal subgroups in gens,
+    reached one generator at a time by joining each node with each generator
+    it does not contain."""
+    gens = sorted(set(gens))
+    nodes = [1]
+    seen = {1}
+    for node in nodes:
+        for gen in gens:
+            if gen & node == gen:
+                continue
+            join = closure_mask(G, node | gen)
+            if join not in seen:
+                seen.add(join)
+                nodes.append(join)
+                _check_cap(len(nodes))
+    return nodes
 
 
 def normal_lattice(G: GroupTable) -> NormalLattice:
     """The full lattice of normal subgroups of G.
 
-    Nonabelian groups are enumerated by subsets of conjugacy classes (a union
-    of classes containing the identity and closed under products is exactly a
-    normal subgroup); the cap of 20 classes keeps that exhaustive scan honest.
-    Abelian groups, where classes are singletons, use one-generator subgroup
-    closure instead.
+    A normal subgroup is the join of the normal closures of the conjugacy
+    classes in it, and a subgroup of an abelian group is the join of its cyclic
+    subgroups, so the nodes are the join closure of the class closures (or of
+    the <g>, found by walking powers).  Only the node count is capped, not the
+    number of classes.  The constructor certifies each node with one closure
+    and a class test, and each join by the product formula.
     """
     if G.is_abelian:
-        masks = _abelian_subgroups(G)
+        gens = _cyclic_subgroups(G)
     else:
-        masks = _class_subset_normals(G)
-    nodes = [Subgroup(m) for m in masks]
+        gens = [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
+    nodes = [Subgroup(m) for m in _join_closure(G, gens)]
     if G.spec.kind == "cyclic":
         nodes = [s.relabel(f"C{s.size}") for s in nodes]
     return NormalLattice(G, nodes, check_normal=True)
 
 
 def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
-    """Smallest lattice containing gens plus the trivial subgroup and G."""
-    for sub in gens:
-        subgroup_from_elements(G, sub.elements())
-        if not is_normal(G, sub):
-            raise ArgumentError(
-                f"generator {sub.to_json()} is not a normal subgroup", witness=sub.to_json()
-            )
-    masks = {1, (1 << G.order) - 1}
-    masks.update(s.mask for s in gens)
+    """Smallest lattice containing gens plus the trivial subgroup and G.
+
+    A worklist visits each unordered pair of nodes once.  The join of normal
+    subgroups a and b is the known node z containing a | b with
+    |z| = |a||b|/|a & b| when there is one; closure_mask runs only otherwise.
+    """
+    bad = _first_non_normal(G, gens)
+    if bad is not None:
+        raise ArgumentError(
+            f"generator {bad.to_json()} is not a normal subgroup", witness=bad.to_json()
+        )
+    nodes: list[int] = []
+    by_size: dict[int, list[int]] = {}
+
+    def add(mask: int) -> None:
+        same = by_size.setdefault(mask.bit_count(), [])
+        if mask not in same:
+            same.append(mask)
+            nodes.append(mask)
+            _check_cap(len(nodes))
+
+    for mask in (1, (1 << G.order) - 1, *(s.mask for s in gens)):
+        add(mask)
+    for j, b in enumerate(nodes):
+        for a in nodes[:j]:
+            meet = a & b
+            add(meet)
+            union = a | b
+            size = a.bit_count() * b.bit_count() // meet.bit_count()
+            if not any(union & z == union for z in by_size.get(size, ())):
+                add(closure_mask(G, union))
     labels = {s.mask: s.label for s in gens if s.label}
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(masks)
-        for a in current:
-            for b in current:
-                if a >= b:
-                    continue
-                for new in (a & b, closure_mask(G, a | b)):
-                    if new not in masks:
-                        masks.add(new)
-                        changed = True
-    nodes = [Subgroup(m, labels.get(m)) for m in sorted(masks)]
+    subs = [Subgroup(m, labels.get(m)) for m in nodes]
     if G.spec.kind == "cyclic":
-        nodes = [s.relabel(s.label or f"C{s.size}") for s in nodes]
-    return NormalLattice(G, nodes, check_normal=False)
+        subs = [s.relabel(s.label or f"C{s.size}") for s in subs]
+    return NormalLattice(G, subs, check_normal=False)
 
 
 def sublattice_closure(L: NormalLattice, gens: Iterable[int]) -> NormalLattice:
@@ -332,17 +338,15 @@ def sublattice_closure(L: NormalLattice, gens: Iterable[int]) -> NormalLattice:
     for i in idxs:
         if not (0 <= i < len(L.nodes)):
             raise ArgumentError(f"node index {i} out of range")
-    idxs.update((L.bottom, L.top))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(idxs):
-            for b in list(idxs):
-                for c in (L.meet(a, b), L.join(a, b)):
-                    if c not in idxs:
-                        idxs.add(c)
-                        changed = True
-    return NormalLattice(L.group, [L.nodes[i] for i in sorted(idxs)], check_normal=False)
+    nodes = list(dict.fromkeys([L.bottom, L.top, *sorted(idxs)]))
+    seen = set(nodes)
+    for j, b in enumerate(nodes):
+        for a in nodes[:j]:
+            for c in (L.meet(a, b), L.join(a, b)):
+                if c not in seen:  # a subset of L's nodes: within the cap
+                    seen.add(c)
+                    nodes.append(c)
+    return NormalLattice(L.group, [L.nodes[i] for i in sorted(seen)], check_normal=False)
 
 
 def bounds(L: NormalLattice, nodes: Sequence[int]) -> tuple[int, int]:
@@ -360,36 +364,31 @@ def moebius(L: NormalLattice, n: int, o: int) -> int:
 # Vector-space sublattices.
 
 
+def _subspace_count(q: int, dim: int) -> int:
+    """Subspaces of F_q^dim, by the Galois-number recurrence
+    G(n+1) = 2 G(n) + (q^n - 1) G(n-1)."""
+    before, count = 1, 2
+    for n in range(1, dim):
+        before, count = count, 2 * count + (q**n - 1) * before
+    return count
+
+
 def subspace_lattice(G: GroupTable) -> NormalLattice:
-    """All F_q-submodules of a vector-space group."""
+    """All F_q-submodules of a vector-space group: the join closure of the lines
+    (the subgroup generated by two subspaces is their sum, again a subspace)."""
     vs = G.vs
     if vs is None:
         raise ArgumentError("subspace_lattice requires a vector_space group")
-    zero = 1
-    lines = {}
+    _check_cap(_subspace_count(vs.q, vs.dim))
+    lines = set()
     for v in range(1, G.order):
         span = 0
         for c in vs.field.elements():
             span |= 1 << vs.scale(c, v)
-        lines[span] = None
-    spaces = {zero}
-    frontier = list(lines)
-    spaces.update(lines)
-    while frontier:
-        umask = frontier.pop()
-        for line in lines:
-            if line & ~umask == 0:
-                continue
-            bigger = 0
-            for a in _bits(umask):
-                for b in _bits(line):
-                    bigger |= 1 << G.mul[a][b]
-            if bigger not in spaces:
-                spaces.add(bigger)
-                frontier.append(bigger)
+        lines.add(span)
     q = vs.q
     nodes = []
-    for m in sorted(spaces):
+    for m in _join_closure(G, lines):
         dim = 0
         size = m.bit_count()
         while q**dim < size:
@@ -403,6 +402,7 @@ def basis_subspace_lattice(G: GroupTable) -> NormalLattice:
     vs = G.vs
     if vs is None:
         raise ArgumentError("basis_subspace_lattice requires a vector_space group")
+    _check_cap(1 << vs.dim)
     nodes = []
     for subset in range(1 << vs.dim):
         mask = 0

@@ -323,7 +323,9 @@ def schur_closure_check(theory: "SCTheory") -> dict:
 
 def brute_force_normal_subgroups(G: GroupTable) -> list[Subgroup]:
     """Re-derive the normal subgroups by enumerating all subgroups (breadth-first
-    one-generator extensions) and filtering by normality."""
+    one-generator extensions) and filtering by normality.  Only closure_mask is
+    shared with lattice.normal_lattice, which joins cyclic subgroups or normal
+    closures of conjugacy classes and never scans the other subgroups."""
     if G.order > 256:
         raise CapacityError("brute-force subgroup scan capped at order 256")
     seen = {1}

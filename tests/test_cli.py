@@ -247,3 +247,36 @@ def test_missing_file_exit1(files, capsys):
     code, out = run(["sct", "--group", "/nonexistent/g.json"], capsys)
     assert code == 1
     assert "not found" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "cyclic"}, "n"),
+        ({"kind": "cyclic", "n": "x"}, "n"),
+        ({"kind": "vector_space", "dim": 2}, "q"),
+        ({"kind": "vector_space", "q": 3, "dim": 1.5}, "dim"),
+        ({"kind": "table", "mul": 5}, "mul"),
+        ({"kind": "table", "mul": [0]}, "mul"),
+        ({"kind": "product", "factors": {"kind": "cyclic", "n": 2}}, "factors"),
+    ],
+)
+@pytest.mark.parametrize("command", ["sct", "verify"])
+def test_malformed_group_spec_exit1_with_witness(files, capsys, spec, field, command):
+    tmp, write = files
+    code, out = run([command, "--group", write("g.json", spec)], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ArgumentError"
+    assert error["witness"]["field"] == field
+
+
+def test_verify_missing_or_unparseable_group_exit1(files, capsys):
+    tmp, write = files
+    code, out = run(["verify", "--group", str(tmp / "absent.json")], capsys)
+    assert code == 1
+    assert "not found" in json.loads(out)["error"]["message"]
+    (tmp / "broken.json").write_text("{not json")
+    code, out = run(["verify", "--group", str(tmp / "broken.json")], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["category"] == "InputError"

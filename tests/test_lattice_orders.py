@@ -1,0 +1,241 @@
+"""Property tests of the order-theoretic lattice constructions.
+
+The lattice layer multiplies group elements only to enumerate nodes; joins are
+certified by the product formula |NM| |N & M| = |N| |M|.  These tests compare
+it with routes that multiply: closure_mask on every pair, the brute-force
+normal-subgroup oracle, and closed forms of the normal subgroups of D_n and S_5.
+"""
+
+import json
+from functools import lru_cache
+from itertools import permutations
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import latsuper.lattice as lattice_mod
+from latsuper import (
+    ArgumentError,
+    CapacityError,
+    ConstructionError,
+    GroupSpec,
+    NormalLattice,
+    Subgroup,
+    make_group,
+    normal_lattice,
+    sublattice_closure,
+)
+from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
+from latsuper.cli import main
+from latsuper.groups import PrimePowerField, VectorSpaceData, closure_mask, mask_of
+from latsuper.lattice import basis_subspace_lattice, closed_sublattice, subspace_lattice
+from latsuper.oracle import brute_force_normal_subgroups
+
+from corpus import cyclic_group, vector_space_group
+
+# Derandomized so that the suite draws the same examples on every run.
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _product(*factors):
+    return make_group(GroupSpec.product([f.spec for f in factors]))
+
+
+SMALL_GROUPS = (
+    lambda: cyclic_group(12),
+    lambda: cyclic_group(30),
+    lambda: cyclic_group(36),
+    lambda: _product(cyclic_group(2), cyclic_group(2), cyclic_group(3)),
+    lambda: vector_space_group(3, 2),
+    lambda: symmetric_group(3),
+    lambda: symmetric_group(4),
+    lambda: dihedral_group(6),
+    lambda: quaternion_group(),
+    lambda: _product(symmetric_group(3), cyclic_group(3)),
+)
+
+
+@lru_cache(maxsize=None)
+def full_lattice(i):
+    return normal_lattice(SMALL_GROUPS[i]())
+
+
+def naive_closure(G, masks):
+    """Fixed point of pairwise intersections and closure_mask joins."""
+    out = {1, (1 << G.order) - 1, *masks}
+    while True:
+        new = {f(a, b) for a in out for b in out
+               for f in (lambda x, y: x & y, lambda x, y: closure_mask(G, x | y))}
+        if new <= out:
+            return out
+        out |= new
+
+
+def first_unclosed_pair(G, masks):
+    """(check, witness) of the first pair, in node order, whose meet or join
+    is missing; None for a closed set."""
+    nodes = sorted(masks, key=lambda m: (m.bit_count(), m))
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            witness = [Subgroup(a).to_json(), Subgroup(b).to_json()]
+            if a & b not in masks:
+                return "meet_closure", witness
+            if closure_mask(G, a | b) not in masks:
+                return "join_closure", witness
+    return None
+
+
+node_subsets = st.integers(0, len(SMALL_GROUPS) - 1).flatmap(
+    lambda i: st.tuples(st.just(i), st.sets(st.integers(0, len(full_lattice(i)) - 1)))
+)
+
+
+@PROPERTY
+@given(node_subsets)
+def test_closed_sublattice_joins_and_meets_multiply_out(case):
+    i, picked = case
+    L = full_lattice(i)
+    G = L.group
+    gens = [L.nodes[k] for k in sorted(picked)]
+    S = closed_sublattice(G, gens)
+    masks = [s.mask for s in S.nodes]
+    assert set(masks) == naive_closure(G, [s.mask for s in gens])
+    for a in range(len(S)):
+        for b in range(len(S)):
+            assert masks[S.join(a, b)] == closure_mask(G, masks[a] | masks[b])
+            assert masks[S.meet(a, b)] == masks[a] & masks[b]
+    assert [s.mask for s in sublattice_closure(L, picked).nodes] == masks
+
+
+@PROPERTY
+@given(node_subsets)
+def test_strict_nodes_fail_on_the_first_unclosed_pair(case):
+    i, picked = case
+    L = full_lattice(i)
+    masks = {1, (1 << L.group.order) - 1} | {L.nodes[k].mask for k in picked}
+    expected = first_unclosed_pair(L.group, masks)
+    nodes = [Subgroup(m) for m in masks]
+    if expected is None:
+        assert {s.mask for s in NormalLattice(L.group, nodes).nodes} == masks
+        return
+    with pytest.raises(ConstructionError) as info:
+        NormalLattice(L.group, nodes)
+    assert (info.value.check, info.value.witness) == expected
+
+
+@settings(PROPERTY, max_examples=8)
+@given(st.integers(1, 200))
+def test_cyclic_normal_lattice_matches_the_oracle(n):
+    G = cyclic_group(n)
+    assert ([s.mask for s in normal_lattice(G).nodes]
+            == sorted((s.mask for s in brute_force_normal_subgroups(G)),
+                      key=lambda m: (m.bit_count(), m)))
+
+
+@pytest.mark.parametrize("name", ["Q8xC4", "S4", "D12"])
+def test_nonabelian_normal_lattice_matches_the_oracle(name):
+    groups = {
+        "Q8xC4": lambda: _product(quaternion_group(), cyclic_group(4)),
+        "S4": lambda: symmetric_group(4),
+        "D12": lambda: dihedral_group(12),
+    }
+    G = groups[name]()
+    expected = {s.mask for s in brute_force_normal_subgroups(G)}
+    assert {s.mask for s in normal_lattice(G).nodes} == expected
+
+
+def dihedral_normals(n):
+    """Normal subgroups of D_n (n even) in catalog order (rotations r^i are
+    0..n-1, reflections s r^i are n..2n-1): <r^d> for d | n, the two dihedral
+    subgroups of index 2, and D_n itself."""
+    rotations = [mask_of(range(0, n, d)) for d in range(1, n + 1) if n % d == 0]
+    even = mask_of(range(0, n, 2))
+    return set(rotations) | {
+        even | (even << n), even | (mask_of(range(1, n, 2)) << n), (1 << 2 * n) - 1,
+    }
+
+
+def test_d60_and_s5_normal_lattices_match_closed_forms():
+    # The brute-force oracle needs over a minute for each of these groups.
+    D60 = dihedral_group(60)
+    L = normal_lattice(D60)
+    assert len(L) == 15
+    assert {s.mask for s in L.nodes} == dihedral_normals(60)
+    S5 = symmetric_group(5)
+    perms = sorted(permutations(range(5)))
+
+    def even(p):
+        return sum(p[a] > p[b] for a in range(5) for b in range(a + 1, 5)) % 2 == 0
+
+    alternating = mask_of(i for i, p in enumerate(perms) if even(p))
+    assert [s.mask for s in normal_lattice(S5).nodes] == [1, alternating, (1 << 120) - 1]
+
+
+def test_dihedral_closed_form_matches_the_oracle():
+    D6 = dihedral_group(6)
+    assert dihedral_normals(6) == {s.mask for s in brute_force_normal_subgroups(D6)}
+
+
+# ---------------------------------------------------------------------------
+# One node cap, checked before the quadratic work.
+
+
+def test_f2_8_subspace_lattice_hits_the_cap_before_enumerating():
+    # F2^8 has 417,199 subspaces.  The stand-in group has no multiplication
+    # table, so only a count made before any enumeration can reject it.
+    F2_8 = SimpleNamespace(vs=VectorSpaceData(field=PrimePowerField(2), dim=8))
+    with pytest.raises(CapacityError) as info:
+        subspace_lattice(F2_8)
+    assert info.value.check == "subgroup_cap"
+    assert info.value.witness == 417199
+
+
+def test_every_constructor_checks_the_node_cap(monkeypatch):
+    L = normal_lattice(cyclic_group(12))
+    monkeypatch.setattr(lattice_mod, "SUBGROUP_ENUM_CAP", 4)
+    for build in (
+        lambda: normal_lattice(cyclic_group(12)),
+        lambda: closed_sublattice(L.group, L.nodes),
+        lambda: sublattice_closure(L, range(len(L))),
+        lambda: basis_subspace_lattice(vector_space_group(2, 3)),
+        lambda: subspace_lattice(vector_space_group(2, 2)),
+        lambda: NormalLattice(L.group, L.nodes),
+    ):
+        with pytest.raises(CapacityError):
+            build()
+
+
+# ---------------------------------------------------------------------------
+# Strict `nodes` input through the CLI: exit 1, category and check unchanged.
+
+
+@pytest.mark.parametrize(
+    "group, nodes, category, check",
+    [
+        ({"kind": "cyclic", "n": 12}, [[0], [0, 6], [0, 4, 8], list(range(12))],
+         "ConstructionError", "join_closure"),
+        ({"kind": "cyclic", "n": 12}, [[0], [0, 2, 4, 6, 8, 10], [0, 3, 6, 9], list(range(12))],
+         "ConstructionError", "meet_closure"),
+        ({"kind": "table", "mul": [list(r) for r in symmetric_group(3).mul]},
+         [[0], [0, 1], list(range(6))], "ConstructionError", "normality"),
+        ({"kind": "cyclic", "n": 12}, [[0], [0, 5], list(range(12))], "ArgumentError", None),
+        ({"kind": "cyclic", "n": 12}, [[0], [0, 99], list(range(12))], "ArgumentError", None),
+    ],
+)
+def test_strict_nodes_errors_exit1(tmp_path, capsys, group, nodes, category, check):
+    (tmp_path / "g.json").write_text(json.dumps(group))
+    (tmp_path / "s.json").write_text(json.dumps({"nodes": nodes}))
+    code = main(["sct", "--group", str(tmp_path / "g.json"),
+                 "--sublattice", str(tmp_path / "s.json")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1
+    assert error["category"] == category
+    assert error.get("check") == check
+    assert "witness" in error
+
+
+def test_non_subgroup_generator_is_an_argument_error():
+    with pytest.raises(ArgumentError):
+        closed_sublattice(cyclic_group(12), [Subgroup(mask_of([0, 5]))])
