@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import oracle
-from .errors import ArgumentError, InputError, LatsuperError
+from .errors import ArgumentError, ConstructionError, InputError, LatsuperError
 from .groups import GroupSpec, GroupTable, Subgroup, make_group, mask_of
 from .lattice import (
     NormalLattice,
@@ -59,12 +59,22 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
-def _load_group(path: str, seed: int) -> GroupTable:
-    return make_group(GroupSpec.from_json(_load_json(path)), seed=seed)
+def _load_group(path: str) -> GroupTable:
+    return make_group(GroupSpec.from_json(_load_json(path)))
 
 
 def _load_lattice(G: GroupTable, sublattice_path: Optional[str]) -> NormalLattice:
     return _lattice_of(G, None if sublattice_path is None else _load_json(sublattice_path))
+
+
+def _mask_of_elements(G: GroupTable, elements) -> int:
+    """Bitmask of a JSON list of elements of G; ArgumentError unless every
+    element is a plain int in 0..order-1."""
+    if (not isinstance(elements, list) or not set(map(type, elements)) <= {int}
+            or min(elements, default=0) < 0 or max(elements, default=0) >= G.order):
+        raise ArgumentError(f"{elements!r} is not a list of elements of {G.name}",
+                            witness=elements)
+    return mask_of(elements)
 
 
 def _lattice_of(G: GroupTable, data) -> NormalLattice:
@@ -75,15 +85,16 @@ def _lattice_of(G: GroupTable, data) -> NormalLattice:
         data = {"generators": data}
     if "nodes" in data:
         # strict mode: the listed nodes must already be a closed sublattice
-        nodes = [Subgroup(mask_of(e)) for e in data["nodes"]]
+        nodes = [Subgroup(_mask_of_elements(G, e)) for e in data["nodes"]]
         return NormalLattice(G, nodes, check_normal=True)
-    gens = [Subgroup(mask_of(e)) for e in data.get("generators", [])]
+    gens = [Subgroup(_mask_of_elements(G, e)) for e in data.get("generators", [])]
     return closed_sublattice(G, gens)
 
 
 def _node_from_elements(L: NormalLattice, elements: Sequence[int]) -> int:
+    mask = _mask_of_elements(L.group, elements)
     try:
-        return L.index_of(mask_of(elements))
+        return L.index_of(mask)
     except ArgumentError:
         raise InputError(
             f"subgroup {sorted(elements)} is not a lattice node",
@@ -244,14 +255,14 @@ def cmd_verify(args) -> int:
 
     spec = GroupSpec.from_json(_load_json(args.group))  # input errors: exit 1
     try:
-        G = make_group(spec, seed=args.seed)
+        G = make_group(spec)
     except LatsuperError as exc:
         return fail("group_invariants", exc)
     report["checks"].append({"name": "group_invariants", "passed": True,
                              "detail": {"order": G.order, "name": G.name}})
     try:
-        L = _load_lattice(G, args.sublattice)
-    except LatsuperError as exc:
+        L = _load_lattice(G, args.sublattice)  # other input errors: exit 1
+    except ConstructionError as exc:  # not closed under meet or join, or not normal
         return fail("lattice_closure", exc)
     report["checks"].append({"name": "lattice_closure", "passed": True,
                              "detail": {"nodes": len(L.nodes)}})
@@ -281,7 +292,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sct(args) -> int:
-    G = _load_group(args.group, args.seed)
+    G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     if args.format == "csv":
         _write_output(table_csv(L), args.out)
@@ -293,7 +304,7 @@ def cmd_sct(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    G = _load_group(args.group, args.seed)
+    G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     payload = lattice_to_json(L)
     analysis = distributive_analysis(L)
@@ -303,7 +314,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_export(args) -> int:
-    G = _load_group(args.group, args.seed)
+    G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     if args.format in (None, "dot"):
         _write_output(lattice_to_dot(L), args.out)
@@ -319,7 +330,7 @@ def cmd_export(args) -> int:
 def cmd_product(args) -> int:
     if len(args.subgroup or []) != 2:
         raise InputError("product needs exactly two --subgroup files")
-    G = _load_group(args.group, args.seed)
+    G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     nodes = []
     for path in args.subgroup:
@@ -334,10 +345,10 @@ def cmd_product(args) -> int:
 def cmd_restrict(args) -> int:
     if not args.embedding or not args.anchor:
         raise InputError("restrict needs --embedding and --anchor")
-    G = _load_group(args.group, args.seed)
+    G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     emb_data = _load_json(args.embedding)
-    H = make_group(GroupSpec.from_json(emb_data["source"]), seed=args.seed)
+    H = make_group(GroupSpec.from_json(emb_data["source"]))
     LH = _lattice_of(H, emb_data.get("source_sublattice"))
     embedding = GroupEmbedding(H, G, tuple(emb_data["map"]))
     ctx = build_restriction_context(embedding, L, LH)
@@ -373,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sublattice", help="sublattice JSON (generators or nodes)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", help="output format where applicable")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of verify's tensor-product and degree-sum spot pairs")
         p.add_argument("--jobs", type=int, default=1, help="worker threads for verify")
 
     p_sct = sub.add_parser("sct", help="emit the supercharacter table")

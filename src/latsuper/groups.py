@@ -2,23 +2,25 @@
 
 Elements are indices 0..order-1 with the identity pinned at 0; subgroups are
 int bitmasks over those indices.  Groups come from structured specs (cyclic,
-vector space over F_q, direct product) or raw tables, and every constructor
-re-checks the table axioms.
+vector space over F_q, direct product) or raw tables.  Structured tables are
+built by index arithmetic on whole rows, and every constructor re-checks the
+table axioms at C speed; associativity is checked exhaustively at every order
+by Light's test over a generating set.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, compress, count
+from operator import eq, itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, ConstructionError
 
 DEFAULT_MAX_ORDER = 4096
-EXHAUSTIVE_ASSOC_LIMIT = 512
-SPOT_CHECK_TRIPLES_PER_ELEMENT = 10
 
 
 def max_order() -> int:
@@ -120,13 +122,6 @@ class PrimePowerField:
             val = val * self.p + (d % self.p)
         return val
 
-    def add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([x + y for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        return self._encode([-x for x in self._digits(a)])
-
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
@@ -173,7 +168,19 @@ class GroupSpec:
 
     @classmethod
     def table(cls, mul: Sequence[Sequence[int]]) -> "GroupSpec":
-        return cls(kind="table", mul=tuple(tuple(int(x) for x in row) for row in mul))
+        """Raw table; ArgumentError unless every row is a list of plain ints
+        (bools, floats and strings are refused, not converted)."""
+        for r, row in enumerate(mul):
+            if not isinstance(row, (list, tuple)):
+                raise ArgumentError(f"table row {r} is not a list", check="spec",
+                                    witness={"field": "mul", "row": r, "value": row})
+            if not set(map(type, row)) <= {int}:
+                c = next(c for c, x in enumerate(row) if type(x) is not int)
+                raise ArgumentError(
+                    f"table entry ({r}, {c}) is not an integer", check="spec",
+                    witness={"field": "mul", "row": r, "column": c, "value": row[c]},
+                )
+        return cls(kind="table", mul=tuple(map(tuple, mul)))
 
     @classmethod
     def product(cls, factors: Sequence["GroupSpec"]) -> "GroupSpec":
@@ -220,11 +227,7 @@ class GroupSpec:
         if kind == "vector_space":
             return cls.vector_space(field_of("q", int), field_of("dim", int))
         if kind == "table":
-            try:
-                return cls.table(field_of("mul", list))
-            except (TypeError, ValueError):
-                raise ArgumentError("table rows must be lists of integers", check="spec",
-                                    witness={"field": "mul"})
+            return cls.table(field_of("mul", list))
         if kind == "product":
             return cls.product([cls.from_json(f) for f in field_of("factors", list)])
         raise ArgumentError(f"unknown spec kind {kind!r}")
@@ -268,7 +271,12 @@ class VectorSpaceData:
 
 
 class GroupTable:
-    """Immutable finite group: order, mul table, inverse table, identity = 0."""
+    """Immutable finite group: order, mul table, inverse table, identity = 0.
+
+    Construction checks that the table is a Latin square with two-sided
+    identity 0 and, by Light's test, that it is associative: exhaustively, at
+    every order.
+    """
 
     def __init__(
         self,
@@ -277,15 +285,14 @@ class GroupTable:
         *,
         name: Optional[str] = None,
         vs: Optional[VectorSpaceData] = None,
-        seed: int = 0,
     ):
-        self.mul = tuple(tuple(int(x) for x in row) for row in mul)
+        self.mul = tuple(map(tuple, mul))
         self.order = len(self.mul)
         self.spec = spec
         self.name = name or spec.name
         self.vs = vs
-        self._validate(seed)
-        self.inv = tuple(self.mul[g].index(0) for g in range(self.order))
+        self._validate()
+        self.inv = tuple(row.index(0) for row in self.mul)
         for g in range(self.order):
             if self.mul[self.inv[g]][g] != 0:
                 raise ConstructionError(
@@ -296,83 +303,80 @@ class GroupTable:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, seed: int) -> None:
-        n = self.order
+    def _validate(self) -> None:
+        n, mul = self.order, self.mul
         if n < 1:
             raise ConstructionError("empty multiplication table", check="order")
         cap = max_order()
         if n > cap:
             raise CapacityError(f"order {n} exceeds cap {cap}", check="order_cap", witness=n)
-        ident = list(range(n))
-        for g, row in enumerate(self.mul):
+        ident = tuple(range(n))
+        for g, row in enumerate(mul):
             if len(row) != n:
                 raise ConstructionError(
                     f"row {g} has length {len(row)}, expected {n}",
                     check="latin_square", witness=g,
                 )
-            if sorted(row) != ident:
+            if tuple(sorted(row)) != ident:
                 raise ConstructionError(
                     f"row {g} is not a permutation of 0..{n - 1}",
                     check="latin_square", witness=g,
                 )
-        for c in range(n):
-            if sorted(self.mul[g][c] for g in range(n)) != ident:
+        for c, column in enumerate(zip(*mul)):
+            if tuple(sorted(column)) != ident:
                 raise ConstructionError(
                     f"column {c} is not a permutation of 0..{n - 1}",
                     check="latin_square", witness=c,
                 )
-        for g in range(n):
-            if self.mul[0][g] != g or self.mul[g][0] != g:
-                raise ConstructionError(
-                    f"element 0 is not a two-sided identity at {g}",
-                    check="identity", witness=g,
-                )
-        if n <= EXHAUSTIVE_ASSOC_LIMIT:
-            self._check_associativity_light()
-        else:
-            self._check_associativity_spot(seed)
+        if mul[0] != ident or tuple(map(itemgetter(0), mul)) != ident:
+            g = next(g for g in ident if mul[0][g] != g or mul[g][0] != g)
+            raise ConstructionError(
+                f"element 0 is not a two-sided identity at {g}",
+                check="identity", witness=g,
+            )
+        self._check_associativity()
 
-    def _check_associativity_light(self) -> None:
-        # Light's test: checking (a*g)*c == a*(g*c) over a generating set g is
-        # equivalent to exhaustive associativity.
-        n, mul = self.order, self.mul
+    def _generators(self) -> list[int]:
+        """A set S such that every element is 0 or a product s1*s2*...*sk of
+        elements of S, multiplied left to right; found by right-multiplication
+        reachability from 0."""
+        mul = self.mul
+        reached = bytearray(self.order)
+        reached[0] = 1
+        members = [0]
         gens: list[int] = []
-        closed = {0}
-        for g in range(n):
-            if g in closed:
+        for g in range(self.order):
+            if reached[g]:
                 continue
             gens.append(g)
-            frontier = [g]
-            closed.add(g)
-            while frontier:
-                x = frontier.pop()
-                for y in tuple(closed):
-                    for z in (mul[x][y], mul[y][x]):
-                        if z not in closed:
-                            closed.add(z)
-                            frontier.append(z)
-        for g in gens:
-            col_g = [mul[a][g] for a in range(n)]
-            row_g = mul[g]
-            for a in range(n):
-                row_a = mul[a]
-                if mul[col_g[a]] != tuple(row_a[x] for x in row_g):
-                    for c in range(n):
-                        if mul[col_g[a]][c] != row_a[row_g[c]]:
-                            raise ConstructionError(
-                                f"associativity fails at ({a},{g},{c})",
-                                check="associativity", witness=[a, g, c],
-                            )
+            # members reached before g need multiplying by g only
+            old, i = len(members), 0
+            while i < len(members):
+                row = mul[members[i]]
+                for s in gens[-1:] if i < old else gens:
+                    y = row[s]
+                    if not reached[y]:
+                        reached[y] = 1
+                        members.append(y)
+                i += 1
+        return gens
 
-    def _check_associativity_spot(self, seed: int) -> None:
-        rng = random.Random(seed)
+    def _check_associativity(self) -> None:
+        # Light's test.  The g with (a*g)*c == a*(g*c) for all a, c contain 0
+        # and are closed under products, so checking g over a generating set
+        # checks every triple.  For one g, row a*g of the table is compared with
+        # row a composed with row g, both built at C speed.
         n, mul = self.order, self.mul
-        for _ in range(SPOT_CHECK_TRIPLES_PER_ELEMENT * n):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+        for g in self._generators():
+            lhs = map(mul.__getitem__, map(itemgetter(g), mul))
+            rhs = map(itemgetter(*mul[g]), mul)
+            a = next(compress(count(), map(ne, lhs, rhs)), None)
+            if a is not None:
+                row_ag, row_a, row_g = mul[mul[a][g]], mul[a], mul[g]
+                c = next(c for c in range(n) if row_ag[c] != row_a[row_g[c]])
                 raise ConstructionError(
-                    f"associativity fails at ({a},{b},{c})",
-                    check="associativity", witness=[a, b, c],
+                    f"associativity fails at ({a},{g},{c})",
+                    check="associativity", witness=[a, g, c],
                 )
 
     # -- basic queries -------------------------------------------------------
@@ -389,11 +393,8 @@ class GroupTable:
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
-            self._abelian = all(
-                self.mul[a][b] == self.mul[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
+            # the table equals its transpose
+            self._abelian = all(map(eq, self.mul, zip(*self.mul)))
         return self._abelian
 
     def element_order(self, g: int) -> int:
@@ -407,62 +408,46 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+def _cyclic_table(n: int) -> list[tuple[int, ...]]:
+    base = tuple(range(n))
+    return [base[i:] + base[:i] for i in range(n)]
 
 
-def _vector_space_table(q: int, dim: int) -> tuple[list[list[int]], VectorSpaceData]:
-    fld = PrimePowerField(q)
-    vs = VectorSpaceData(field=fld, dim=dim)
-    order = q**dim
-    table = [[0] * order for _ in range(order)]
-    coords = [vs.decode(i) for i in range(order)]
-    for i in range(order):
-        ci = coords[i]
-        for j in range(order):
-            cj = coords[j]
-            table[i][j] = vs.encode([fld.add(a, b) for a, b in zip(ci, cj)])
-    return table, vs
+def _pair_table(
+    A: Sequence[tuple[int, ...]], B: Sequence[tuple[int, ...]]
+) -> Sequence[tuple[int, ...]]:
+    """Table of A x B with (i1, i2) at index i1*|B| + i2: row (i1, i2) is row i1
+    of A scaled by |B| plus row i2 of B.  It is built as row (i1, 0) composed
+    with row (0, i2), so every entry is taken from one range tuple."""
+    a, b = len(A), len(B)
+    if a == 1 or b == 1:
+        return B if a == 1 else A
+    base = tuple(range(a * b))
+    blocks = [base[k * b:(k + 1) * b] for k in range(a)]
+    # row (0, i2) sends (j1, j2) to (j1, B[i2][j2]); row (i1, 0) sends it to (A[i1][j1], j2)
+    then_b = [itemgetter(*chain.from_iterable(map(itemgetter(*row), blocks))) for row in B]
+    rows_a = (tuple(chain.from_iterable(map(blocks.__getitem__, row))) for row in A)
+    return [compose(row) for row in rows_a for compose in then_b]
 
 
-def _product_table(tables: Sequence[GroupTable]) -> list[list[int]]:
-    orders = [g.order for g in tables]
+def _product_table(tables: Sequence[GroupTable]) -> Sequence[tuple[int, ...]]:
+    """Mixed-radix product table, the first factor most significant."""
     total = 1
-    for o in orders:
-        total *= o
+    for g in tables:
+        total *= g.order
     if total > max_order():
         raise CapacityError(f"product order {total} exceeds cap {max_order()}", check="order_cap")
-
-    def decode(x: int) -> list[int]:
-        out = []
-        for o in reversed(orders):
-            out.append(x % o)
-            x //= o
-        return list(reversed(out))
-
-    def encode(parts: Sequence[int]) -> int:
-        x = 0
-        for p, o in zip(parts, orders):
-            x = x * o + p
-        return x
-
-    table = [[0] * total for _ in range(total)]
-    for i in range(total):
-        pi = decode(i)
-        for j in range(total):
-            pj = decode(j)
-            table[i][j] = encode([g.mul[a][b] for g, a, b in zip(tables, pi, pj)])
-    return table
+    return reduce(_pair_table, (g.mul for g in tables))
 
 
-def make_group(spec: GroupSpec, *, seed: int = 0) -> GroupTable:
+def make_group(spec: GroupSpec) -> GroupTable:
     """Build a GroupTable from a spec, validating every table invariant."""
     if spec.kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise ConstructionError(f"cyclic order must be >= 1, got {spec.n}", check="spec")
         if spec.n > max_order():
             raise CapacityError(f"order {spec.n} exceeds cap {max_order()}", check="order_cap")
-        return GroupTable(_cyclic_table(spec.n), spec, seed=seed)
+        return GroupTable(_cyclic_table(spec.n), spec)
     if spec.kind == "vector_space":
         if spec.q is None or spec.dim is None or spec.dim < 1:
             raise ConstructionError("vector_space needs q and dim >= 1", check="spec")
@@ -471,17 +456,19 @@ def make_group(spec: GroupSpec, *, seed: int = 0) -> GroupTable:
             raise CapacityError(
                 f"order {spec.q**spec.dim} exceeds cap {max_order()}", check="order_cap"
             )
-        table, vs = _vector_space_table(spec.q, spec.dim)
-        return GroupTable(table, spec, vs=vs, seed=seed)
+        # F_q^dim under addition is C_p^(k*dim): the base-p digits of an index
+        # are the coefficient digits of its coordinates, added digit by digit
+        table = reduce(_pair_table, [_cyclic_table(p)] * (k * spec.dim))
+        vs = VectorSpaceData(field=PrimePowerField(spec.q), dim=spec.dim)
+        return GroupTable(table, spec, vs=vs)
     if spec.kind == "table":
         if not spec.mul:
             raise ConstructionError("table spec has no rows", check="spec")
-        return GroupTable(spec.mul, spec, seed=seed)
+        return GroupTable(spec.mul, spec)
     if spec.kind == "product":
         if not spec.factors:
             raise ConstructionError("product spec has no factors", check="spec")
-        tables = [make_group(f, seed=seed) for f in spec.factors]
-        return GroupTable(_product_table(tables), spec, seed=seed)
+        return GroupTable(_product_table([make_group(f) for f in spec.factors]), spec)
     raise ConstructionError(f"unknown spec kind {spec.kind!r}", check="spec")
 
 
@@ -608,7 +595,7 @@ def group_to_json(G: GroupTable) -> dict:
     return G.spec.to_json()
 
 
-def group_from_json(data: dict | str, *, seed: int = 0) -> GroupTable:
+def group_from_json(data: dict | str) -> GroupTable:
     if isinstance(data, str):
         data = json.loads(data)
-    return make_group(GroupSpec.from_json(data), seed=seed)
+    return make_group(GroupSpec.from_json(data))

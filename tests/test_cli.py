@@ -280,3 +280,60 @@ def test_verify_missing_or_unparseable_group_exit1(files, capsys):
     code, out = run(["verify", "--group", str(tmp / "broken.json")], capsys)
     assert code == 1
     assert json.loads(out)["error"]["category"] == "InputError"
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, "1", True, False, None, [1]])
+@pytest.mark.parametrize("command", ["sct", "verify"])
+def test_table_entries_must_be_plain_integers(files, capsys, command, value):
+    tmp, write = files
+    group = write("g.json", {"kind": "table", "mul": [[0, 1], [1, value]]})
+    code, out = run([command, "--group", group], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ArgumentError"
+    assert error["check"] == "spec"
+    assert error["witness"] == {"field": "mul", "row": 1, "column": 1, "value": value}
+
+
+@pytest.mark.parametrize("element", [-1, 1.5, "6", True, None, 12])
+@pytest.mark.parametrize("command, where", [
+    ("sct", "generators"), ("verify", "generators"), ("sct", "nodes"), ("verify", "nodes"),
+    ("product", "subgroup"), ("restrict", "source_sublattice"), ("restrict", "anchor"),
+])
+def test_bad_sublattice_element_is_an_argument_error(files, capsys, command, where, element):
+    # C12 has elements 0..11; the restriction source C6 has 0..5
+    tmp, write = files
+    bad = [0, element]
+    args = [command, "--group", write("c12.json", {"kind": "cyclic", "n": 12})]
+    if where == "generators":
+        args += ["--sublattice", write("s.json", {"generators": [bad]})]
+    elif where == "nodes":
+        args += ["--sublattice", write("s.json", {"nodes": [[0], bad, list(range(12))]})]
+    elif where == "subgroup":
+        args += ["--subgroup", write("a.json", bad), "--subgroup", write("b.json", [0, 6])]
+    else:
+        emb = {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]}
+        anchor = {"node": [0, 6]}
+        if where == "anchor":
+            anchor = {"node": bad}
+        else:
+            emb["source_sublattice"] = {"generators": [[0, 6 if element == 12 else element]]}
+        args += ["--embedding", write("e.json", emb), "--anchor", write("a.json", anchor)]
+    code, out = run(args, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ArgumentError"
+    assert "witness" in error
+
+
+def test_non_subgroup_generator_verify_exit1(files, capsys):
+    tmp, write = files
+    args = ["--group", write("c12.json", {"kind": "cyclic", "n": 12}),
+            "--sublattice", write("s.json", {"generators": [[0, 5]]})]
+    outputs = []
+    for command in ("sct", "verify"):
+        code, out = run([command] + args, capsys)
+        assert code == 1
+        outputs.append(json.loads(out))
+    assert outputs[0] == outputs[1]
+    assert outputs[1]["error"]["category"] == "ArgumentError"

@@ -1,0 +1,173 @@
+"""Property tests of the table constructors and the table checks against
+entry-by-entry references defined here."""
+
+import json
+from functools import lru_cache
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from latsuper import ConstructionError, GroupSpec, make_group
+from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
+from latsuper.cli import main
+
+from test_groups import intercalated_cyclic
+
+# (q, dim) with q in {2, 3, 4, 5, 8, 9, 25}, dim <= 3 and q^dim under the order cap
+VECTOR_SPACES = [(q, d) for q in (2, 3, 4, 5, 8, 9, 25) for d in (1, 2, 3) if q**d <= 4096]
+RAW_FACTORS = {"S3": symmetric_group(3), "Q8": quaternion_group(), "D4": dihedral_group(4)}
+
+
+def digits(x: int, base: int, count: int) -> list[int]:
+    """The count base-`base` digits of x, least significant first."""
+    out = []
+    for _ in range(count):
+        x, d = divmod(x, base)
+        out.append(d)
+    return out
+
+
+def vector_sum(q: int, dim: int, x: int, y: int) -> int:
+    """x + y in F_q^dim: coordinates are base-q digits, the first coordinate
+    most significant; an F_q element's base-p digits are its polynomial
+    coefficients, added digit by digit mod p."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = next(k for k in range(1, q) if p**k == q)
+    coords = []
+    for cx, cy in zip(digits(x, q, dim), digits(y, q, dim)):
+        coeffs = [(a + b) % p for a, b in zip(digits(cx, p, k), digits(cy, p, k))]
+        coords.append(sum(c * p**i for i, c in enumerate(coeffs)))
+    return sum(c * q**i for i, c in enumerate(coords))
+
+
+@lru_cache(maxsize=None)
+def vector_space(q: int, dim: int):
+    return make_group(GroupSpec.vector_space(q, dim))
+
+
+def is_group(mul) -> bool:
+    """Latin square, two-sided identity 0 and associativity over all triples."""
+    n = len(mul)
+    ident = list(range(n))
+    return (
+        all(sorted(row) == ident for row in mul)
+        and all(sorted(row[c] for row in mul) == ident for c in range(n))
+        and all(mul[0][g] == g and mul[g][0] == g for g in range(n))
+        and all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                for a in range(n) for b in range(n) for c in range(n))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 64))
+def test_cyclic_table_is_addition_mod_n(n):
+    G = make_group(GroupSpec.cyclic(n))
+    assert G.mul == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    assert G.inv == tuple(-i % n for i in range(n))
+    assert G.is_abelian
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(VECTOR_SPACES), st.data())
+def test_vector_space_rows_are_digitwise_field_sums(qd, data):
+    q, dim = qd
+    G = vector_space(q, dim)
+    n = q**dim
+    assert G.order == n
+    for x in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+        assert G.mul[x] == tuple(vector_sum(q, dim, x, y) for y in range(n))
+        assert vector_sum(q, dim, x, G.inv[x]) == 0
+
+
+def test_vector_sum_reference_spot_values():
+    # F4 = F2[x]/(x^2+x+1) encodes a + b*x as a + 2b; its addition is XOR
+    assert [vector_sum(4, 1, 3, y) for y in range(4)] == [3, 2, 1, 0]
+    # F3^2: (1, 2) + (2, 2) = (0, 1), the first coordinate most significant
+    assert vector_sum(3, 2, 1 * 3 + 2, 2 * 3 + 2) == 0 * 3 + 1
+
+
+FACTORS = st.one_of(
+    st.integers(1, 6).map(lambda n: ("cyclic", n)),
+    st.sampled_from(sorted(RAW_FACTORS)).map(lambda name: ("raw", name)),
+    st.just(("vector_space", 4)),
+)
+
+
+def factor_spec(kind, value):
+    if kind == "cyclic":
+        return GroupSpec.cyclic(value)
+    if kind == "raw":
+        return GroupSpec.table(RAW_FACTORS[value].mul)
+    return GroupSpec.vector_space(value, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(FACTORS, min_size=1, max_size=3))
+def test_product_table_is_mixed_radix(factors):
+    tables = [make_group(factor_spec(*f)) for f in factors]
+    orders = [t.order for t in tables]
+    n = 1
+    for o in orders:
+        n *= o
+    assume(n <= 144)
+
+    def decode(x):
+        parts = []
+        for o in reversed(orders):
+            x, r = divmod(x, o)
+            parts.append(r)
+        return parts[::-1]
+
+    def encode(parts):
+        x = 0
+        for part, o in zip(parts, orders):
+            x = x * o + part
+        return x
+
+    G = make_group(GroupSpec.product([factor_spec(*f) for f in factors]))
+    expected = tuple(
+        tuple(encode([t.mul[a][b] for t, a, b in zip(tables, decode(i), decode(j))])
+              for j in range(n))
+        for i in range(n)
+    )
+    assert G.mul == expected
+    assert G.inv == tuple(encode([t.inv[a] for t, a in zip(tables, decode(i))])
+                          for i in range(n))
+    assert G.is_abelian == all(expected[a][b] == expected[b][a]
+                               for a in range(n) for b in range(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8).map(lambda h: 2 * h), st.data())
+def test_intercalate_swaps_are_rejected_unless_a_group(n, data):
+    # the swapped table is a group only for C4 at rows 1, 3 and columns 1, 3,
+    # where it is the Klein four-group
+    r = data.draw(st.integers(0, n // 2 - 1))
+    c = data.draw(st.integers(0, n // 2 - 1))
+    table = intercalated_cyclic(n, r, c)
+    try:
+        make_group(GroupSpec.table(table))
+    except ConstructionError as exc:
+        assert not is_group(table)
+        if exc.check == "associativity":
+            a, g, x = exc.witness
+            assert table[table[a][g]][x] != table[a][table[g][x]]
+    else:
+        assert is_group(table)
+
+
+@pytest.mark.parametrize("command, code", [("sct", 1), ("verify", 2)])
+def test_cli_rejects_intercalated_c600(tmp_path, capsys, command, code):
+    table = intercalated_cyclic(600, 1, 2)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "table", "mul": table}))
+    assert main([command, "--group", str(path)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    if command == "sct":
+        error = payload["error"]
+    else:
+        assert payload["checks"][0]["name"] == "group_invariants"
+        error = payload["checks"][0]["error"]
+    assert error["check"] == "associativity"
+    a, g, c = error["witness"]
+    assert table[table[a][g]][c] != table[a][table[g][c]]

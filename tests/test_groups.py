@@ -162,12 +162,20 @@ def test_order_cap_and_override(monkeypatch):
     assert make_group(GroupSpec.cyclic(12)).order == 12
 
 
-def test_spot_check_associativity_above_exhaustive_limit(monkeypatch):
-    import latsuper.groups as groups_mod
+def intercalated_cyclic(n: int, r: int, c: int) -> list[list[int]]:
+    """C_n (n even) with the 2x2 subsquare at rows r, r + n/2 and columns
+    c, c + n/2 swapped: still a Latin square with identity 0 when r, c > 0."""
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    r2, c2 = r + n // 2, c + n // 2
+    mul[r][c], mul[r][c2] = mul[r][c2], mul[r][c]
+    mul[r2][c], mul[r2][c2] = mul[r2][c2], mul[r2][c]
+    return mul
 
-    monkeypatch.setattr(groups_mod, "EXHAUSTIVE_ASSOC_LIMIT", 4)
-    G = make_group(GroupSpec.cyclic(30))
-    assert G.order == 30
+
+def test_rejects_nonassociative_table_above_order_512():
+    # every order gets Light's test; a check sampling 10 triples per element
+    # accepted this table
+    table = intercalated_cyclic(600, 1, 2)
     loop = [
         [0, 1, 2, 3, 4],
         [1, 0, 3, 4, 2],
@@ -175,5 +183,9 @@ def test_spot_check_associativity_above_exhaustive_limit(monkeypatch):
         [3, 4, 1, 2, 0],
         [4, 2, 0, 1, 3],
     ]
-    with pytest.raises(ConstructionError):
-        make_group(GroupSpec.table(loop))
+    for bad in (table, loop):
+        with pytest.raises(ConstructionError) as info:
+            make_group(GroupSpec.table(bad))
+        assert info.value.check == "associativity"
+        a, g, c = info.value.witness
+        assert bad[bad[a][g]][c] != bad[a][bad[g][c]]
