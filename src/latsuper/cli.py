@@ -13,7 +13,6 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -77,18 +76,29 @@ def _mask_of_elements(G: GroupTable, elements) -> int:
     return mask_of(elements)
 
 
+def _field(data, name: str, what: str, default=None) -> list:
+    """The list data[name] of the JSON object data (default when the field is
+    absent and a default is given); ArgumentError, check "shape", naming the
+    field and its value, for a file of any other shape."""
+    value = data.get(name, default) if isinstance(data, dict) else data
+    if not isinstance(data, dict) or not isinstance(value, list):
+        raise ArgumentError(f"{what} must be a JSON object with a list {name!r}",
+                            check="shape", witness={"field": name, "value": value})
+    return value
+
+
 def _lattice_of(G: GroupTable, data) -> NormalLattice:
     """The full lattice (data None), a closed generator list, or strict nodes."""
     if data is None:
         return normal_lattice(G)
     if isinstance(data, list):
         data = {"generators": data}
-    if "nodes" in data:
+    if isinstance(data, dict) and "nodes" in data:
         # strict mode: the listed nodes must already be a closed sublattice
-        nodes = [Subgroup(_mask_of_elements(G, e)) for e in data["nodes"]]
+        nodes = [Subgroup(_mask_of_elements(G, e)) for e in _field(data, "nodes", "a sublattice")]
         return NormalLattice(G, nodes, check_normal=True)
-    gens = [Subgroup(_mask_of_elements(G, e)) for e in data.get("generators", [])]
-    return closed_sublattice(G, gens)
+    gens = _field(data, "generators", "a sublattice", default=[])
+    return closed_sublattice(G, [Subgroup(_mask_of_elements(G, e)) for e in gens])
 
 
 def _node_from_elements(L: NormalLattice, elements: Sequence[int]) -> int:
@@ -267,21 +277,11 @@ def cmd_verify(args) -> int:
     report["checks"].append({"name": "lattice_closure", "passed": True,
                              "detail": {"nodes": len(L.nodes)}})
 
-    def run_one(item) -> dict:
-        name, fn = item
+    for name, fn in _verification_checks(L, args.seed):
         try:
-            return {"name": name, "passed": True, "detail": fn()}
+            report["checks"].append({"name": name, "passed": True, "detail": fn()})
         except LatsuperError as exc:
-            return {"name": name, "passed": False, "error": exc.payload()}
-
-    checks = _verification_checks(L, args.seed)
-    if args.jobs > 1:
-        # every check is pure over immutable inputs; assembly is the join point
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
-    report["checks"].extend(results)
+            report["checks"].append({"name": name, "passed": False, "error": exc.payload()})
     report["passed"] = all(c["passed"] for c in report["checks"])
     _emit_json(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
@@ -335,7 +335,7 @@ def cmd_product(args) -> int:
     nodes = []
     for path in args.subgroup:
         data = _load_json(path)
-        elements = data["elements"] if isinstance(data, dict) else data
+        elements = data if isinstance(data, list) else _field(data, "elements", "a subgroup")
         nodes.append(_node_from_elements(L, elements))
     report = tensor_product(L, nodes[0], nodes[1])
     _emit_json(product_report_to_json(L, report), args.out)
@@ -348,20 +348,31 @@ def cmd_restrict(args) -> int:
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     emb_data = _load_json(args.embedding)
+    phi = _field(emb_data, "map", "an embedding")
+    if not set(map(type, phi)) <= {int}:
+        raise ArgumentError("embedding 'map' must list integers", check="shape",
+                            witness={"field": "map", "value": phi})
+    if "source" not in emb_data:
+        raise ArgumentError("an embedding must be a JSON object with a 'source' group spec",
+                            check="shape", witness={"field": "source", "value": None})
     H = make_group(GroupSpec.from_json(emb_data["source"]))
     LH = _lattice_of(H, emb_data.get("source_sublattice"))
-    embedding = GroupEmbedding(H, G, tuple(emb_data["map"]))
+    embedding = GroupEmbedding(H, G, tuple(phi))
     ctx = build_restriction_context(embedding, L, LH)
     if not ctx.favorable:
         _emit_json({"favorable": False, "witnesses": ctx.witnesses_json()}, args.out)
         return EXIT_INPUT
     anchor_data = _load_json(args.anchor)
-    if "antichain" in anchor_data:
-        anchor: object = [ _node_from_elements(L, e) for e in anchor_data["antichain"] ]
+    if isinstance(anchor_data, list):
+        anchor: object = _node_from_elements(L, anchor_data)
+    elif not isinstance(anchor_data, dict):
+        raise ArgumentError("an anchor must be a list of elements or a JSON object",
+                            check="shape", witness={"field": "node", "value": anchor_data})
+    elif "antichain" in anchor_data:
+        antichain = _field(anchor_data, "antichain", "an anchor")
+        anchor = [_node_from_elements(L, e) for e in antichain]
     elif "node" in anchor_data:
         anchor = _node_from_elements(L, anchor_data["node"])
-    elif isinstance(anchor_data, list):
-        anchor = _node_from_elements(L, anchor_data)
     else:
         raise InputError("anchor file needs a 'node' or 'antichain' field")
     report = restrict_decompose(ctx, anchor)
@@ -386,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", help="output format where applicable")
         p.add_argument("--seed", type=int, default=0,
                        help="seed of verify's tensor-product and degree-sum spot pairs")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for verify")
 
     p_sct = sub.add_parser("sct", help="emit the supercharacter table")
     common(p_sct)

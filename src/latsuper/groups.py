@@ -513,41 +513,49 @@ def mask_of(elements: Iterable[int]) -> int:
     return mask
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def closure_mask(G: GroupTable, mask: int) -> int:
-    """Bitmask of the subgroup generated by the elements of mask."""
-    mask |= 1
-    if G.is_abelian:
-        # Extend by one generator at a time; <H,g> is the union of cosets H*g^j.
-        result = 1
-        rest = mask & ~result
-        while rest:
-            g = (rest & -rest).bit_length() - 1
-            base = result
-            x = g
-            while not (result >> x) & 1:
-                shifted = 0
-                m = base
-                while m:
-                    h = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    shifted |= 1 << G.mul[h][x]
-                result |= shifted
-                x = G.mul[x][g]
-            rest = mask & ~result
-        return result
-    result = mask
-    frontier = [g for g in range(G.order) if (mask >> g) & 1]
-    while frontier:
-        x = frontier.pop()
-        m = result
-        while m:
-            h = (m & -m).bit_length() - 1
-            m &= m - 1
-            for z in (G.mul[x][h], G.mul[h][x]):
-                if not (result >> z) & 1:
-                    result |= 1 << z
-                    frontier.append(z)
-    return result
+    """Bitmask of the subgroup generated by the elements of mask, by Dimino's
+    algorithm.  The result H is grown one generator g at a time, skipping
+    elements already in H; <H, g> is the union of the cosets x*H of the old H,
+    and every new coset representative is multiplied on the left by every
+    generator so far, so the work is about |<mask>| times the number of
+    generators."""
+    mul = G.mul
+    flags = bytearray(G.order)
+    flags[0] = 1
+    elements = [0]
+    gens: list[int] = []
+    # the elements of mask in ascending order, read off its binary digits
+    for g in compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)):
+        if flags[g]:
+            continue
+        gens.append(g)
+        size = len(elements)
+        if size == 1:
+            # the first generator: H = <g>, walked by powers
+            while not flags[g]:
+                flags[g] = 1
+                elements.append(g)
+                g = mul[g][gens[0]]
+            continue
+        # row x of the table at the elements of H is the coset x*H, x first
+        coset_of = itemgetter(*elements)
+        rep = 0  # the identity: only g itself leaves H
+        while rep < len(elements):
+            r = elements[rep]
+            for s in gens:
+                x = mul[s][r]
+                if not flags[x]:
+                    coset = coset_of(mul[x])
+                    elements.extend(coset)
+                    for y in coset:
+                        flags[y] = 1
+            rep += size
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
 def subgroup_generated(G: GroupTable, gens: Iterable[int], label: Optional[str] = None) -> Subgroup:

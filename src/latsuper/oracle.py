@@ -2,16 +2,19 @@
 
 Nothing here reuses the lattice/character formula paths: dual groups are
 enumerated as homomorphisms into Z_e, character sums are compared in exact
-cyclotomic arithmetic (divisibility by the e-th cyclotomic polynomial), Schur
-closure works on raw convolution counts, and normal subgroups are re-derived
-by scanning all subgroups.
+cyclotomic arithmetic (remainders modulo the e-th cyclotomic polynomial),
+Schur closure works on raw convolution counts, and normal subgroups are
+re-derived from all subgroups, which are enumerated by joining cyclic
+subgroups one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import TYPE_CHECKING, Optional
+from itertools import chain, cycle, repeat
+from math import gcd, lcm
+from operator import add, itemgetter, mod
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArgumentError, CapacityError, VerificationError
 from .groups import GroupTable, Subgroup, closure_mask, is_normal
@@ -72,26 +75,27 @@ def ramanujan_sum(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact cyclotomic arithmetic: integer polynomials modulo x^e - 1, with
-# equality decided modulo the e-th cyclotomic polynomial.
+# Exact cyclotomic arithmetic: a sum of e-th roots of unity is an integer
+# polynomial in x = zeta_e, and two sums are equal exactly when their
+# remainders modulo the e-th cyclotomic polynomial are equal.
 
 _cyclotomic_cache: dict[int, tuple[int, ...]] = {}
 
 
-def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    # den is monic; exact integer division
+def _poly_divmod(num: Sequence[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den, in exact integers; the
+    remainder has exactly deg(den) coefficients, so it is canonical."""
     num = list(num)
     dd = len(den) - 1
+    terms = [(j, dj) for j, dj in enumerate(den) if dj]
     quot = [0] * max(1, len(num) - dd)
     for i in range(len(num) - dd - 1, -1, -1):
         c = num[i + dd]
         if c:
             quot[i] = c
-            for j, dj in enumerate(den):
+            for j, dj in terms:
                 num[i + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+    return quot, (num + [0] * dd)[:dd]
 
 
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
@@ -109,41 +113,14 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return result
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
-    """Sum of e-th roots of unity, stored as exponent counts modulo x^e - 1."""
-
-    exponent: int
-    coefficients: tuple[int, ...]
-
-    @classmethod
-    def zero(cls, e: int) -> "CyclotomicElement":
-        return cls(e, (0,) * e)
-
-    def bump(self, k: int) -> "CyclotomicElement":
-        coeffs = list(self.coefficients)
-        coeffs[k % self.exponent] += 1
-        return CyclotomicElement(self.exponent, tuple(coeffs))
-
-    def minus_integer(self, c: int) -> list[int]:
-        coeffs = list(self.coefficients)
-        coeffs[0] -= c
-        return coeffs
-
-    def equals_integer(self, c: int) -> bool:
-        _, rem = _poly_divmod(self.minus_integer(c), cyclotomic_polynomial(self.exponent))
-        return not any(rem)
-
-    def equals(self, other: "CyclotomicElement") -> bool:
-        diff = [a - b for a, b in zip(self.coefficients, other.coefficients)]
-        _, rem = _poly_divmod(diff, cyclotomic_polynomial(self.exponent))
-        return not any(rem)
-
-    def approx(self) -> complex:
-        import cmath
-
-        e = self.exponent
-        return sum(c * cmath.exp(2j * cmath.pi * k / e) for k, c in enumerate(self.coefficients))
+def cyclotomic_residue(e: int, exponents: Iterable[int]) -> tuple[int, ...]:
+    """The sum of zeta_e^k over the multiset of exponents k, as its remainder
+    modulo Phi_e: phi(e) integers, low degree first.  The integer c is
+    (c, 0, ..., 0)."""
+    counts = [0] * e
+    for k in exponents:
+        counts[k % e] += 1
+    return tuple(_poly_divmod(counts, cyclotomic_polynomial(e))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -163,56 +140,63 @@ class DualCharacter:
         return self.exponents[g]
 
 
-def group_exponent(G: GroupTable) -> int:
-    e = 1
-    for g in range(G.order):
-        o = G.element_order(g)
-        e = e * o // gcd(e, o)
-    return e
-
-
 def dual_characters(G: GroupTable) -> list[DualCharacter]:
     """All |G| homomorphisms G -> Z_e, built by extending along a generating
-    sequence (each extension solves d*x = v mod e)."""
+    sequence (each extension solves d*x = v mod e).
+
+    Each partial character is a tuple of exponents over the span S of the
+    generators so far, in ascending element order.  Adding g walks the cosets
+    S*g^j, 0 < j < d, and the exponent of h*g^j is that of h plus j times the
+    value chosen for g; the relative order d and the walk depend on S alone,
+    so they are computed once per generator."""
     if not G.is_abelian:
         raise ArgumentError("dual_characters requires an abelian group")
-    e = group_exponent(G)
     # generating sequence: grow the span one generator at a time
     gens: list[int] = []
-    span = 1
+    span_mask = 1
     for g in range(G.order):
-        if not (span >> g) & 1:
+        if not (span_mask >> g) & 1:
             gens.append(g)
-            span = closure_mask(G, span | (1 << g))
-    partial: list[dict[int, int]] = [{0: 0}]
+            span_mask = closure_mask(G, span_mask | (1 << g))
+    # the exponent of an abelian group is the lcm of the orders of its generators
+    e = lcm(*map(G.element_order, gens))
+    # (a + b) % e == residues[a + b] for 0 <= a, b < e, one int object per value
+    residues = tuple(range(e)) * 2
+    span: Sequence[int] = (0,)
+    partial: list[tuple[int, ...]] = [(0,)]
     for g in gens:
-        extended: list[dict[int, int]] = []
-        for table in partial:
-            # relative order d: least d >= 1 with g^d in the current span
-            d = 1
-            x = g
-            while x not in table:
-                x = G.mul[x][g]
-                d += 1
-            v = table[x]
-            gg = gcd(d, e)
+        # relative order d: least d >= 1 with g^d in the span, at position `at`
+        position = {x: i for i, x in enumerate(span)}
+        d, x = 1, g
+        while x not in position:
+            x = G.mul[x][g]
+            d += 1
+        at = position[x]
+        cosets = [span]
+        for _ in range(d - 1):
+            cosets.append(list(map(G.mul[g].__getitem__, cosets[-1])))
+        # the new span in ascending order, each element h*g^j with the
+        # position of h in the old span and j
+        span, bases, powers = zip(*sorted(zip(
+            chain.from_iterable(cosets), cycle(range(len(span))),
+            chain.from_iterable(repeat(j, len(span)) for j in range(d)))))
+        base_of, power_of = itemgetter(*bases), itemgetter(*powers)
+        gg = gcd(d, e)
+        step = e // gg
+        inverse = pow(d // gg, -1, step)
+        extended: list[tuple[int, ...]] = []
+        for values in partial:
+            v = values[at]
             if v % gg != 0:
                 raise VerificationError(
                     "no character extension exists (group is not abelian?)",
                     check="dual_group", witness={"generator": g},
                 )
-            step = e // gg
-            x0 = (v // gg) * pow(d // gg, -1, step) % step
+            x0 = (v // gg) * inverse % step
             for t in range(gg):
                 val = (x0 + t * step) % e
-                new_table = dict(table)
-                for h, kh in table.items():
-                    acc_elem, acc_val = h, kh
-                    for _ in range(d - 1):
-                        acc_elem = G.mul[acc_elem][g]
-                        acc_val = (acc_val + val) % e
-                        new_table[acc_elem] = acc_val
-                extended.append(new_table)
+                shifts = list(map(mod, range(0, d * val, val), repeat(e))) if val else [0] * d
+                extended.append(itemgetter(*map(add, base_of(values), power_of(shifts)))(residues))
         partial = extended
     if len(partial) != G.order:
         raise VerificationError(
@@ -220,13 +204,13 @@ def dual_characters(G: GroupTable) -> list[DualCharacter]:
             check="dual_group",
         )
     out = []
-    for table in partial:
-        exps = tuple(table[g] for g in range(G.order))
-        kernel_mask = 0
-        for g, k in enumerate(exps):
-            if k == 0:
-                kernel_mask |= 1 << g
-        out.append(DualCharacter(G, e, exps, Subgroup(kernel_mask)))
+    while partial:  # the span is now 0..order-1
+        exps = partial.pop()
+        kernel, g = 0, -1
+        for _ in range(exps.count(0)):
+            g = exps.index(0, g + 1)
+            kernel |= 1 << g
+        out.append(DualCharacter(G, e, exps, Subgroup(kernel)))
     out.sort(key=lambda c: c.exponents)
     return out
 
@@ -238,7 +222,11 @@ def dual_characters(G: GroupTable) -> list[DualCharacter]:
 def verify_sc3_abelian(theory: "SCTheory") -> dict:
     """SC3 from first principles on abelian groups: partition the dual by the
     maximal lattice node inside each kernel, form the exact cyclotomic sums,
-    and compare with the computed integer supercharacter values."""
+    and compare with the computed integer supercharacter values.
+
+    Each sum is the residue modulo Phi_e of the multiset of exponents psi(g)
+    over psi in the X-block; equal multisets are reduced once per block, and
+    every element of every superclass is compared."""
     L = theory.lattice
     G = L.group
     psis = dual_characters(G)
@@ -264,25 +252,24 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
         )
     if sum(len(v) for v in blocks_of_dual.values()) != G.order:
         raise VerificationError("X-blocks do not partition the dual", check="SC3")
+    zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
     for n, block in blocks_of_dual.items():
         char = theory.char_by_node[n]
-        sums: dict[int, CyclotomicElement] = {}
-        for g in range(G.order):
-            acc = CyclotomicElement.zero(e)
-            for psi in block:
-                acc = acc.bump(psi.value(g))
-            sums[g] = acc
+        # the exponent multiset of the block at each element, sorted
+        multisets = list(map(tuple, map(sorted, zip(*(psi.exponents for psi in block)))))
+        residue_of = {m: cyclotomic_residue(e, m) for m in set(multisets)}
+        sums = list(map(residue_of.__getitem__, multisets))
         for bnode, bmask in theory.partition.blocks.items():
             rep = (bmask & -bmask).bit_length() - 1
             expected = char.values[bnode]
             assert expected.denominator == 1
             for g in _bits(bmask):
-                if not sums[g].equals(sums[rep]):
+                if sums[g] != sums[rep]:
                     raise VerificationError(
                         "SC3 sum not constant on a superclass", check="SC3",
                         witness={"node": n, "elements": [rep, g]},
                     )
-            if not sums[rep].equals_integer(int(expected)):
+            if sums[rep] != (int(expected),) + zeros:
                 raise VerificationError(
                     "SC3 sum disagrees with the supercharacter value", check="SC3",
                     witness={"node": n, "block": bnode, "expected": str(expected)},
@@ -297,19 +284,21 @@ def schur_closure_check(theory: "SCTheory") -> dict:
     G = L.group
     part = theory.partition
     nodes = part.block_nodes()
+    members = {k: list(_bits(part.blocks[k])) for k in nodes}
     constants: dict[str, int] = {}
     for i in nodes:
         for j in nodes:
             counts = [0] * G.order
-            for a in _bits(part.blocks[i]):
+            right = members[j]
+            for a in members[i]:
                 row = G.mul[a]
-                for b in _bits(part.blocks[j]):
+                for b in right:
                     counts[row[b]] += 1
             for k in nodes:
                 bmask = part.blocks[k]
                 rep = (bmask & -bmask).bit_length() - 1
                 c = counts[rep]
-                for g in _bits(bmask):
+                for g in members[k]:
                     if counts[g] != c:
                         raise VerificationError(
                             "superclass convolution is not constant on a block",
@@ -322,22 +311,31 @@ def schur_closure_check(theory: "SCTheory") -> dict:
 
 
 def brute_force_normal_subgroups(G: GroupTable) -> list[Subgroup]:
-    """Re-derive the normal subgroups by enumerating all subgroups (breadth-first
-    one-generator extensions) and filtering by normality.  Only closure_mask is
-    shared with lattice.normal_lattice, which joins cyclic subgroups or normal
-    closures of conjugacy classes and never scans the other subgroups."""
+    """Re-derive the normal subgroups by enumerating all subgroups and
+    filtering by normality.  The enumeration starts from the trivial subgroup
+    and joins each subgroup found with every distinct cyclic subgroup <g> it
+    does not contain; every subgroup is such a chain of joins, so none is
+    missed.  Only closure_mask is shared with lattice.normal_lattice, which
+    joins cyclic subgroups or normal closures of conjugacy classes and never
+    scans the other subgroups."""
     if G.order > 256:
         raise CapacityError("brute-force subgroup scan capped at order 256")
-    seen = {1}
+    # each distinct cyclic subgroup with its least generator
+    cyclic: dict[int, int] = {}
+    for g in range(1, G.order):
+        cyclic.setdefault(closure_mask(G, 1 << g), g)
+    # each subgroup found with a generating set, as a mask
+    seen = {1: 1}
     frontier = [1]
     while frontier:
         mask = frontier.pop()
-        for g in range(1, G.order):
-            if (mask >> g) & 1:
+        gens = seen[mask]
+        for c, g in cyclic.items():
+            if c & ~mask == 0:
                 continue
-            bigger = closure_mask(G, mask | (1 << g))
+            bigger = closure_mask(G, gens | (1 << g))
             if bigger not in seen:
-                seen.add(bigger)
+                seen[bigger] = gens | (1 << g)
                 frontier.append(bigger)
     return [Subgroup(m) for m in sorted(seen) if is_normal(G, Subgroup(m))]
 

@@ -235,10 +235,15 @@ def test_lattice_and_export(files, capsys):
     assert '"12:C12"' in out
 
 
-def test_verify_jobs_parallel(files, capsys):
+def test_verify_rejects_jobs(files, capsys):
+    # verify runs its checks one after another; the thread pool is gone
     tmp, write = files
     group = write("c12.json", {"kind": "cyclic", "n": 12})
-    code, out = run(["verify", "--group", group, "--jobs", "4"], capsys)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--group", group, "--jobs", "4"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    code, out = run(["verify", "--group", group], capsys)
     assert code == 0
     assert json.loads(out)["passed"]
 
@@ -337,3 +342,48 @@ def test_non_subgroup_generator_verify_exit1(files, capsys):
         outputs.append(json.loads(out))
     assert outputs[0] == outputs[1]
     assert outputs[1]["error"]["category"] == "ArgumentError"
+
+
+C12_EMBEDDING = {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]}
+
+
+@pytest.mark.parametrize("command, where, payload, witness", [
+    ("sct", "sublattice", 5, {"field": "generators", "value": 5}),
+    ("verify", "sublattice", 5, {"field": "generators", "value": 5}),
+    ("sct", "sublattice", "C12", {"field": "generators", "value": "C12"}),
+    ("sct", "sublattice", {"nodes": 5}, {"field": "nodes", "value": 5}),
+    ("verify", "sublattice", {"nodes": 5}, {"field": "nodes", "value": 5}),
+    ("sct", "sublattice", {"generators": {"a": [0, 6]}},
+     {"field": "generators", "value": {"a": [0, 6]}}),
+    ("product", "subgroup", {"members": [0, 6]}, {"field": "elements", "value": None}),
+    ("product", "subgroup", 6, {"field": "elements", "value": 6}),
+    ("restrict", "embedding", 5, {"field": "map", "value": 5}),
+    ("restrict", "embedding", {"source": {"kind": "cyclic", "n": 6}},
+     {"field": "map", "value": None}),
+    ("restrict", "embedding", {"map": [0, 2, 4, 6, 8, 10]}, {"field": "source", "value": None}),
+    ("restrict", "embedding", {"source": {"kind": "cyclic", "n": 6}, "map": [0, "2", 4, 6, 8, 10]},
+     {"field": "map", "value": [0, "2", 4, 6, 8, 10]}),
+    ("restrict", "embedding", dict(C12_EMBEDDING, source_sublattice={"nodes": 5}),
+     {"field": "nodes", "value": 5}),
+    ("restrict", "anchor", 6, {"field": "node", "value": 6}),
+    ("restrict", "anchor", {"antichain": 5}, {"field": "antichain", "value": 5}),
+])
+def test_misshapen_json_file_is_an_argument_error(files, capsys, command, where, payload,
+                                                  witness):
+    tmp, write = files
+    args = [command, "--group", write("c12.json", {"kind": "cyclic", "n": 12})]
+    bad = write("bad.json", payload)
+    if where == "sublattice":
+        args += ["--sublattice", bad]
+    elif where == "subgroup":
+        args += ["--subgroup", bad, "--subgroup", write("b.json", [0, 6])]
+    elif where == "embedding":
+        args += ["--embedding", bad, "--anchor", write("a.json", {"node": [0, 6]})]
+    else:
+        args += ["--embedding", write("e.json", C12_EMBEDDING), "--anchor", bad]
+    code, out = run(args, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ArgumentError"
+    assert error.get("check") == "shape"
+    assert error["witness"] == witness

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from latsuper import ConstructionError, GroupSpec, make_group
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
+from latsuper.groups import closure_mask, mask_of
 
 from test_groups import intercalated_cyclic
 
@@ -171,3 +172,53 @@ def test_cli_rejects_intercalated_c600(tmp_path, capsys, command, code):
     assert error["check"] == "associativity"
     a, g, c = error["witness"]
     assert table[table[a][g]][c] != table[a][table[g][c]]
+
+
+# ---------------------------------------------------------------------------
+# closure_mask against a naive fixed point, on abelian and nonabelian groups
+# and on raw tables of the same groups with the elements relabelled.
+
+CLOSURE_GROUPS = {
+    "C12": lambda: make_group(GroupSpec.cyclic(12)),
+    "C2xC6": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(6)])),
+    "F3^2": lambda: make_group(GroupSpec.vector_space(3, 2)),
+    "S4": lambda: symmetric_group(4),
+    "D12": lambda: dihedral_group(12),
+    "Q8xC4": lambda: make_group(GroupSpec.product([quaternion_group().spec, GroupSpec.cyclic(4)])),
+}
+
+
+@lru_cache(maxsize=None)
+def closure_group(name):
+    return CLOSURE_GROUPS[name]()
+
+
+def relabelled(G, perm):
+    """The raw table of G with element x renamed perm[x] (perm[0] == 0)."""
+    mul = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            mul[perm[a]][perm[b]] = perm[G.mul[a][b]]
+    return make_group(GroupSpec.table(mul))
+
+
+def naive_closure(G, elements):
+    """Add all pairwise products until none is new."""
+    members = {0, *elements}
+    while True:
+        products = {G.mul[a][b] for a in members for b in members}
+        if products <= members:
+            return mask_of(members)
+        members |= products
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(CLOSURE_GROUPS)), st.data())
+def test_closure_mask_is_the_naive_fixed_point(name, data):
+    G = closure_group(name)
+    if data.draw(st.booleans(), label="relabel"):
+        G = relabelled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    elements = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    expected = naive_closure(G, elements)
+    assert closure_mask(G, mask_of(elements)) == expected
+    assert closure_mask(G, expected) == expected

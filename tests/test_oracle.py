@@ -1,15 +1,16 @@
+import cmath
 import random
 
 import pytest
 
-from latsuper import ArgumentError, build_theory, normal_lattice, verify_sct
+from latsuper import ArgumentError, VerificationError, build_theory, normal_lattice, verify_sct
 from latsuper.catalog import quaternion_group, symmetric_group
-from latsuper.lattice import _bits
+from latsuper.lattice import _bits, basis_subspace_lattice
 from latsuper.oracle import (
-    CyclotomicElement,
     brute_force_normal_subgroups,
     cross_check_normal_lattice,
     cyclotomic_polynomial,
+    cyclotomic_residue,
     dual_characters,
     euler_phi,
     moebius_mu,
@@ -45,31 +46,31 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def integer_residue(e, c):
+    return (c,) + (0,) * (len(cyclotomic_polynomial(e)) - 2)
+
+
 def test_cyclotomic_element_equalities():
     # 1 + zeta_3 + zeta_3^2 = 0
-    acc = CyclotomicElement.zero(3).bump(0).bump(1).bump(2)
-    assert acc.equals_integer(0)
+    assert cyclotomic_residue(3, [0, 1, 2]) == integer_residue(3, 0)
     # zeta_6 + zeta_6^5 = 1
-    acc = CyclotomicElement.zero(6).bump(1).bump(5)
-    assert acc.equals_integer(1)
-    assert not acc.equals_integer(0)
+    acc = cyclotomic_residue(6, [1, 5])
+    assert acc == integer_residue(6, 1)
+    assert acc != integer_residue(6, 0)
     # zeta_4 + zeta_4^3 = 0 and equals zeta_2 + 1
-    a = CyclotomicElement.zero(4).bump(1).bump(3)
-    b = CyclotomicElement.zero(4).bump(2).bump(0)
-    assert a.equals(b)
+    assert cyclotomic_residue(4, [1, 3]) == cyclotomic_residue(4, [2, 0])
 
 
 def test_cyclotomic_float_spot_check():
     rng = random.Random(7)
     for _ in range(50):
         e = rng.randrange(1, 30)
-        acc = CyclotomicElement.zero(e)
-        for _ in range(rng.randrange(0, 12)):
-            acc = acc.bump(rng.randrange(e))
-        approx = acc.approx()
+        exponents = [rng.randrange(e) for _ in range(rng.randrange(0, 12))]
+        acc = cyclotomic_residue(e, exponents)
+        approx = sum(cmath.exp(2j * cmath.pi * k / e) for k in exponents)
         # exact integer-equality agrees with floating evaluation
         for c in range(-12, 13):
-            if acc.equals_integer(c):
+            if acc == integer_residue(e, c):
                 assert abs(approx - c) < 1e-9
             else:
                 assert abs(approx - c) > 1e-9 or abs(approx.imag) > 1e-9
@@ -181,3 +182,66 @@ def test_verify_sct_delegates_to_oracle():
     assert theory.verification_report["SC3_abelian"] == "pass"
     theory = verify_sct(s3_lattice())
     assert "skipped" in theory.verification_report["SC3_abelian"]
+
+
+# ---------------------------------------------------------------------------
+# Tampered theories fail with a fixed check, message and first witness.  The
+# lattices are built afresh, because tampering changes the cached theory.
+
+
+def tamper_value(theory):
+    """Add 1 to the last nonzero character at the last block."""
+    theory.chars[-1].values[theory.partition.block_nodes()[-1]] += 1
+
+
+def move_element(theory):
+    """Move the largest element of the largest block to the second block."""
+    blocks = theory.partition.blocks
+    nodes = theory.partition.block_nodes()
+    source = max(nodes, key=lambda n: (blocks[n].bit_count(), n))
+    g = blocks[source].bit_length() - 1
+    target = nodes[1] if nodes[1] != source else nodes[2]
+    blocks[source] &= ~(1 << g)
+    blocks[target] |= 1 << g
+
+
+FRESH = {
+    "C12": lambda: normal_lattice(cyclic_group(12)),
+    "F3^2 basis": lambda: basis_subspace_lattice(vector_space_group(3, 2)),
+    "S4": lambda: normal_lattice(symmetric_group(4)),
+    "Q8": lambda: normal_lattice(quaternion_group()),
+}
+
+
+@pytest.mark.parametrize("name, tamper, message, witness", [
+    ("C12", tamper_value, "SC3 sum disagrees with the supercharacter value",
+     {"node": 5, "block": 5, "expected": "2"}),
+    ("C12", move_element, "SC3 sum not constant on a superclass",
+     {"node": 0, "elements": [6, 11]}),
+    ("F3^2 basis", tamper_value, "SC3 sum disagrees with the supercharacter value",
+     {"node": 3, "block": 3, "expected": "2"}),
+    ("F3^2 basis", move_element, "SC3 sum not constant on a superclass",
+     {"node": 1, "elements": [1, 8]}),
+])
+def test_sc3_rejects_a_tampered_theory(name, tamper, message, witness):
+    theory = build_theory(FRESH[name]())
+    tamper(theory)
+    with pytest.raises(VerificationError) as info:
+        verify_sc3_abelian(theory)
+    assert (info.value.check, str(info.value), info.value.witness) == ("SC3", message, witness)
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("C12", {"blocks": [1, 1, 4], "elements": [2, 10]}),
+    ("F3^2 basis", {"blocks": [1, 1, 1], "elements": [1, 8]}),
+    ("S4", {"blocks": [1, 1, 1], "elements": [7, 16]}),
+    ("Q8", {"blocks": [1, 1, 1], "elements": [1, 7]}),
+])
+def test_schur_closure_rejects_a_moved_element(name, witness):
+    theory = build_theory(FRESH[name]())
+    move_element(theory)
+    with pytest.raises(VerificationError) as info:
+        schur_closure_check(theory)
+    assert info.value.check == "schur_closure"
+    assert str(info.value) == "superclass convolution is not constant on a block"
+    assert info.value.witness == witness
