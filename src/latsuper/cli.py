@@ -37,7 +37,6 @@ from .restriction import (
 )
 from .sct import (
     build_theory,
-    chi_bullet_moebius,
     chi_bullet_multiplicative,
     degree_sum,
     verify_sct,
@@ -130,7 +129,7 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
 def table_payload(L: NormalLattice) -> dict:
     theory = build_theory(L)
     part = theory.partition
-    block_nodes = part.block_nodes()
+    block_nodes, sizes, rows = theory.table()
     return {
         "group": L.group.spec.to_json(),
         "order": L.group.order,
@@ -147,18 +146,18 @@ def table_payload(L: NormalLattice) -> dict:
             {
                 "node": n,
                 "label": L.node_label(n),
-                "size": part.block_size(n),
+                "size": size,
                 "representative": part.representative(n),
                 "elements": sorted(_bits(part.blocks[n])),
             }
-            for n in block_nodes
+            for n, size in zip(block_nodes, sizes)
         ],
         "characters": [
             {
                 "node": chi.label,
                 "label": L.node_label(chi.label),
-                "degree": int(chi.degree),
-                "values": [int(chi.values[n]) for n in block_nodes],
+                "degree": chi.degree,
+                "values": rows[chi.label],
             }
             for chi in theory.chars
         ],

@@ -211,9 +211,10 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
+        kind = data.get("kind") if isinstance(data, dict) else data
         if not isinstance(data, dict) or "kind" not in data:
-            raise ArgumentError("group spec JSON must be an object with a 'kind' field")
-        kind = data["kind"]
+            raise ArgumentError("group spec JSON must be an object with a 'kind' field",
+                                check="spec", witness={"field": "kind", "value": kind})
 
         def field_of(name: str, kind_of: type):
             value = data.get(name)
@@ -230,7 +231,8 @@ class GroupSpec:
             return cls.table(field_of("mul", list))
         if kind == "product":
             return cls.product([cls.from_json(f) for f in field_of("factors", list)])
-        raise ArgumentError(f"unknown spec kind {kind!r}")
+        raise ArgumentError(f"unknown spec kind {kind!r}", check="spec",
+                            witness={"field": "kind", "value": kind})
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class NormalLattice:
         self._index = {s.mask: i for i, s in enumerate(self.nodes)}
         self._validate(check_normal)
         self._build_order()
-        self._moebius: dict[tuple[int, int], int] = {}
         self._distributive: Optional["DistributiveAnalysis"] = None
         self._partition = None
         self._theory = None
@@ -189,22 +188,21 @@ class NormalLattice:
 
     # -- Moebius function -------------------------------------------------------
 
+    def moebius_row(self, n: int) -> dict[int, int]:
+        """mu(n, o) for every node o >= n: mu(n, n) = 1 and mu(n, .) sums to 0 on
+        every interval [n, o] with o > n.  Index order is a linear extension
+        (nodes are sorted by size), so each o comes after the nodes below it."""
+        up = self.up_mask[n]
+        row = {n: 1}
+        for o in _bits(up & ~(1 << n)):
+            row[o] = -sum(map(row.__getitem__, _bits(up & self.down_mask[o] & ~(1 << o))))
+        return row
+
     def moebius(self, n: int, o: int) -> int:
         """Moebius function of the lattice order: mu(n,n)=1, sums to 0 on intervals."""
         if not self.leq(n, o):
             raise ArgumentError("moebius requires N <= O")
-        key = (n, o)
-        cached = self._moebius.get(key)
-        if cached is not None:
-            return cached
-        if n == o:
-            value = 1
-        else:
-            value = -sum(
-                self.moebius(n, p) for p in _bits(self.up_mask[n] & self.down_mask[o] & ~(1 << o))
-            )
-        self._moebius[key] = value
-        return value
+        return self.moebius_row(n)[o]
 
     def __repr__(self) -> str:
         return f"NormalLattice({self.group.name}, {len(self.nodes)} nodes)"
@@ -283,6 +281,9 @@ def normal_lattice(G: GroupTable) -> NormalLattice:
     number of classes.  The constructor certifies each node with one closure
     and a class test, and each join by the product formula.
     """
+    if G.vs is not None:
+        # the subgroups of F_q^dim, q = p^k, are its F_p-subspaces: count first
+        _check_cap(_subspace_count(G.vs.field.p, G.vs.field.k * G.vs.dim))
     if G.is_abelian:
         gens = _cyclic_subgroups(G)
     else:
@@ -621,12 +622,6 @@ def lattice_to_json(L: NormalLattice) -> dict:
         "labels": [L.node_label(i) for i in range(len(L.nodes))],
         "hasse": sorted([i, j] for i in range(len(L.nodes)) for j in L.covers_up[i]),
     }
-
-
-def lattice_from_json(G: GroupTable, data: dict) -> NormalLattice:
-    """Rebuild the lattice from its JSON node list (strict: must be closed)."""
-    nodes = [Subgroup(mask_of(e)) for e in data["nodes"]]
-    return NormalLattice(G, nodes, check_normal=True)
 
 
 def lattice_to_dot(L: NormalLattice) -> str:

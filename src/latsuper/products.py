@@ -10,58 +10,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Union
 
 from .errors import ArgumentError, InternalConsistencyError
 from .lattice import NormalLattice, is_general_position
-from .sct import SCTheory, Supercharacter, build_theory, inner_product
-
-
-def _projection_cache(theory: SCTheory):
-    # per-theory integer views: block sizes, char value vectors, norms |G|<chi,chi>
-    cache = getattr(theory, "_projection_cache", None)
-    if cache is None:
-        part = theory.partition
-        block_nodes = part.block_nodes()
-        sizes = [part.block_size(b) for b in block_nodes]
-        vectors = []
-        norms = []
-        for chi in theory.chars:
-            vec = [int(chi.values[b]) for b in block_nodes]
-            vectors.append(vec)
-            norms.append(sum(s * v * v for s, v in zip(sizes, vec)))
-        cache = (block_nodes, sizes, vectors, norms)
-        theory._projection_cache = cache
-    return cache
+from .sct import SCTheory, Supercharacter, build_theory
 
 
 def decompose_class_function(
     theory: SCTheory, f: Union[Supercharacter, Mapping[int, Fraction]]
 ) -> dict[int, Fraction]:
-    """Coefficients c_N with f = sum of c_N chi^{N.}, by orthogonal projection;
-    the reconstruction is re-checked exactly."""
-    part = theory.partition
-    if isinstance(f, Supercharacter):
-        values = f.values
-    else:
-        values = {b: Fraction(v) for b, v in f.items()}
-    if set(values) != set(part.blocks):
+    """Coefficients c_N with f = sum of c_N chi^{N.}, by orthogonal projection
+    onto the theory's integer rows; the reconstruction is re-checked exactly."""
+    values = f.values if isinstance(f, Supercharacter) else f
+    if set(values) != set(theory.partition.blocks):
         raise ArgumentError("class function must assign a value to every superclass")
-    block_nodes, sizes, vectors, norms = _projection_cache(theory)
-    # integer fast path: most class functions here are integer valued
-    fvec = [int(v) if v.denominator == 1 else v for v in (values[b] for b in block_nodes)]
+    block_nodes, sizes, rows = theory.table()
+    # integer dot products while f is integer valued, as most class functions here are
+    fvec = list(map(values.__getitem__, block_nodes))
+    weighted = list(map(mul, sizes, fvec))
     coeffs: dict[int, Fraction] = {}
-    for chi, vec, norm in zip(theory.chars, vectors, norms):
-        dot = sum(s * fv * v for s, fv, v in zip(sizes, fvec, vec) if v)
+    for chi in theory.chars:
+        row = rows[chi.label]
+        dot = sum(map(mul, weighted, row))
         if dot:
-            coeffs[chi.label] = Fraction(dot, norm) if isinstance(dot, int) else dot / norm
-    recon = [Fraction(0)] * len(block_nodes)
-    for chi, vec in zip(theory.chars, vectors):
-        c = coeffs.get(chi.label)
-        if c:
-            for k, v in enumerate(vec):
-                if v:
-                    recon[k] += c * v
+            coeffs[chi.label] = Fraction(dot, sum(map(mul, sizes, map(mul, row, row))))
+    recon = [0] * len(block_nodes)
+    for label, c in coeffs.items():
+        recon = [r + c * v if v else r for r, v in zip(recon, rows[label])]
     if recon != fvec:
         raise InternalConsistencyError(
             "projection coefficients failed to reconstruct the function",
@@ -105,7 +82,7 @@ def tensor_product(L: NormalLattice, m: int, n: int) -> ProductReport:
             raise InternalConsistencyError(
                 "general position should force positive degrees", check="tensor_product"
             )
-        scale = chi_m.degree * chi_n.degree / chi_meet.degree
+        scale = Fraction(chi_m.degree * chi_n.degree, chi_meet.degree)
         for b in product:
             if product[b] != scale * chi_meet.values[b]:
                 raise InternalConsistencyError(

@@ -7,15 +7,17 @@ a total Moebius-inversion formula
     chi^{N.}(g) = sum over nodes O >= N with g in O of mu(N,O) * |G|/|O|,
 
 and, when the covers of N are in general position, the multiplicative closed
-form with degree |G/join(C(N))| * prod(|O/N| - 1).  All values are exact
-rationals and every supercharacter is integer valued.
+form with degree |G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is
+integer valued, so the Moebius values are ints; Fractions appear only where a
+formula divides (the multiplicative form and the degree-sum closed form).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from operator import mul
+from typing import Optional
 
 from .errors import (
     AmbiguityError,
@@ -84,51 +86,49 @@ class Supercharacter:
     """Class function constant on superclasses, stored per block node."""
 
     label: int                         # lattice node the character is attached to
-    kind: str                          # chi_bullet | chi_subgroup | derived
-    values: dict[int, Fraction]        # block node -> value
+    kind: str                          # chi_bullet | chi_subgroup
+    values: dict[int, int]             # block node -> value (multiplicative form: Fractions)
     partition: SuperclassPartition
 
     @property
-    def degree(self) -> Fraction:
+    def degree(self) -> int:
         return self.values[self.partition.bottom_block]
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not any(self.values.values())
 
-    def value_at_element(self, g: int) -> Fraction:
+    def value_at_element(self, g: int) -> int:
         return self.values[self.partition.block_of[g]]
-
-    def scaled(self, c: Fraction) -> "Supercharacter":
-        return Supercharacter(self.label, "derived",
-                              {b: v * c for b, v in self.values.items()}, self.partition)
 
 
 def chi_subgroup(L: NormalLattice, n: int) -> Supercharacter:
     """chi^N: |G/N| inside N, zero outside (the G/N permutation character)."""
     part = build_superclasses(L)
-    size = Fraction(L.group.order, L.size(n))
-    values = {b: (size if L.leq(b, n) else Fraction(0)) for b in part.blocks}
+    size = L.group.order // L.size(n)
+    values = {b: (size if L.leq(b, n) else 0) for b in part.blocks}
     return Supercharacter(n, "chi_subgroup", values, part)
 
 
 def chi_bullet_moebius(L: NormalLattice, n: int) -> Supercharacter:
-    """chi^{N.} by Moebius inversion of chi^N = sum over O >= N of chi^{O.}."""
+    """chi^{N.} by Moebius inversion of chi^N = sum over O >= N of chi^{O.}.
+
+    The block of node B lies in O exactly when B <= O, so its value is the sum
+    of mu(N,O) |G/O| over the O >= N above B; the mu(N,.) row is computed once."""
     part = build_superclasses(L)
     order = L.group.order
-    values: dict[int, Fraction] = {}
+    terms = [(1 << o, mu * (order // L.size(o))) for o, mu in L.moebius_row(n).items() if mu]
+    values: dict[int, int] = {}
     for b in part.blocks:
-        # the block of node B lies in O exactly when B <= O
-        total = 0
-        for o in _bits(L.up_mask[n] & L.up_mask[b]):
-            total += L.moebius(n, o) * (order // L.size(o))
-        values[b] = Fraction(total)
+        up = L.up_mask[b]
+        values[b] = sum([w for bit, w in terms if up & bit])
     return Supercharacter(n, "chi_bullet", values, part)
 
 
 def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
     """chi^{M.} by the multiplicative formula; requires C(M) nonempty and in
-    general position over M.  Checked against the Moebius values exactly."""
+    general position over M.  Checked exactly against the Moebius values of
+    the lattice's theory."""
     covers = L.covers(m)
     if not covers:
         raise FormulaInapplicableError(
@@ -158,8 +158,7 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
             val *= Fraction(1, 1 - Fraction(L.size(o), L.size(m)))
         values[b] = val
     char = Supercharacter(m, "chi_bullet", values, part)
-    reference = chi_bullet_moebius(L, m)
-    if char.values != reference.values:
+    if char.values != build_theory(L).char_by_node[m].values:
         raise InternalConsistencyError(
             "multiplicative and Moebius character values disagree",
             check="dual_path", witness={"node": m},
@@ -182,6 +181,16 @@ class SCTheory:
     def lattice(self) -> NormalLattice:
         return self.partition.lattice
 
+    def table(self) -> tuple[list[int], list[int], dict[int, list[int]]]:
+        """The integer character table: the block nodes, their sizes, and the
+        value row of every node's chi^{N.} aligned with them (zero characters
+        included).  Read from the characters on each call, in O(nodes *
+        blocks), so it cannot drift from them."""
+        part = self.partition
+        nodes = part.block_nodes()
+        rows = {n: list(map(chi.values.__getitem__, nodes)) for n, chi in self.char_by_node.items()}
+        return nodes, [part.block_size(b) for b in nodes], rows
+
 
 def build_theory(L: NormalLattice) -> SCTheory:
     """Superclasses plus all chi^{N.}; zero characters are kept separately."""
@@ -189,7 +198,7 @@ def build_theory(L: NormalLattice) -> SCTheory:
         return L._theory
     part = build_superclasses(L)
     char_by_node = {n: chi_bullet_moebius(L, n) for n in range(len(L.nodes))}
-    chars = [char_by_node[n] for n in sorted(char_by_node) if not char_by_node[n].is_zero]
+    chars = [chi for chi in char_by_node.values() if not chi.is_zero]
     theory = SCTheory(part, chars, char_by_node)
     L._theory = theory
     return theory
@@ -203,15 +212,13 @@ def inner_product(f: Supercharacter, h: Supercharacter) -> Fraction:
     if f.partition is not h.partition and f.partition.blocks != h.partition.blocks:
         raise ArgumentError("inner product requires characters on the same partition")
     part = f.partition
-    total = Fraction(0)
-    for b, bmask in part.blocks.items():
-        total += bmask.bit_count() * f.values[b] * h.values[b]
-    return total / part.lattice.group.order
+    total = sum(bmask.bit_count() * f.values[b] * h.values[b] for b, bmask in part.blocks.items())
+    return Fraction(total, part.lattice.group.order)
 
 
 @dataclass
 class DegreeSumResult:
-    value: Fraction                    # brute-force sum of qualifying degrees
+    value: int                         # brute-force sum of qualifying degrees
     closed_form: Optional[Fraction]    # None when general position fails
     closed_form_applicable: bool
     case: str                          # "disjoint" | "no_covers" | "product"
@@ -222,10 +229,7 @@ def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
     closed form, cross-checked against the node-by-node sum."""
     theory = build_theory(L)
     km = L.join(k, m)
-    brute = Fraction(0)
-    for n in _bits(L.up_mask[m]):
-        if L.meet(n, lnode) == k:
-            brute += theory.char_by_node[n].degree
+    brute = sum(theory.char_by_node[n].degree for n in _bits(L.up_mask[m]) if L.meet(n, lnode) == k)
     perp = [o for o in L.covers(km) if L.meet(o, lnode) != k]
     applicable = is_general_position(L, perp, km)
     if L.meet(km, lnode) != k:
@@ -289,13 +293,17 @@ def verify_sct(L: NormalLattice) -> SCTheory:
             )
     report["integrality"] = "pass"
 
+    # |G| <chi_i, chi_j> as one size-weighted integer Gram
+    nodes, sizes, rows = theory.table()
     for i, f in enumerate(theory.chars):
+        weighted = list(map(mul, sizes, rows[f.label]))
         for h in theory.chars[i:]:
-            ip = inner_product(f, h)
-            if f is h and ip == 0:
+            dot = sum(map(mul, weighted, rows[h.label]))
+            if f is h and dot == 0:
                 raise VerificationError("supercharacter orthogonal to itself",
                                         check="orthogonality", witness={"node": f.label})
-            if f is not h and ip != 0:
+            if f is not h and dot != 0:
+                ip = Fraction(dot, L.group.order)
                 raise VerificationError(
                     f"<chi^{f.label}, chi^{h.label}> = {ip} != 0",
                     check="orthogonality",
@@ -303,14 +311,11 @@ def verify_sct(L: NormalLattice) -> SCTheory:
                 )
     report["orthogonality"] = "pass"
 
-    # partition of unity: chi^N = sum of chi^{O.} over O >= N
+    # partition of unity: chi^N = sum of chi^{O.} over O >= N, as integer rows
     for n in range(len(L.nodes)):
-        expected = chi_subgroup(L, n)
-        acc = {b: Fraction(0) for b in part.blocks}
-        for o in _bits(L.up_mask[n]):
-            for b, v in theory.char_by_node[o].values.items():
-                acc[b] += v
-        if acc != expected.values:
+        expected = chi_subgroup(L, n).values
+        total = list(map(sum, zip(*(rows[o] for o in _bits(L.up_mask[n])))))
+        if total != list(map(expected.__getitem__, nodes)):
             raise VerificationError(
                 f"sum of chi^{{O.}} over O >= {n} does not give chi^N",
                 check="subgroup_decomposition", witness={"node": n},

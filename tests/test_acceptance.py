@@ -14,6 +14,7 @@ from latsuper import (
     build_theory,
     chi_bullet_moebius,
     chi_bullet_multiplicative,
+    chi_subgroup,
     degree_sum,
     distributive_analysis,
     is_general_position,
@@ -42,6 +43,7 @@ from corpus import (
     full_corpus,
     node_of_size,
     s3_lattice,
+    small_corpus,
     subsp_lattice,
 )
 from test_restriction import blocksum_embedding, identity_embedding
@@ -230,10 +232,40 @@ def test_c09_restriction():
         assert ctx.favorable, name
         for n in range(len(ctx.latticeG.nodes)):
             report = restrict_decompose(ctx, n)
-            assert report.part_a_verified, (name, n)
+            # part (a): Res(chi)/chi(1) = chi^{meet(A_H).}/deg * chi^{C cap H}/deg
+            theory_h = build_theory(ctx.latticeH)
+            degree = build_theory(ctx.latticeG).char_by_node[report.anchor].degree
+            chi_mh = theory_h.char_by_node[report.meet_A_H]
+            chi_c = chi_subgroup(ctx.latticeH, report.cover_join_cap_H)
+            for b, value in report.restricted_values.items():
+                assert Fraction(value, degree) == (
+                    Fraction(chi_mh.values[b], chi_mh.degree)
+                    * Fraction(chi_c.values[b], chi_c.degree)), (name, n, b)
             assert report.terms and all(t.coefficient != 0 for t in report.terms)
             total_terms += len(report.terms)
     print(f"PASS criterion 9: restriction decompositions ({total_terms} terms checked)")
+
+
+def test_exact_results_hold_no_float():
+    # the table is integer, so every division must make a Fraction, not a float
+    exact = (int, Fraction)
+    for name, ctx in _favorable_pairs():
+        for n in range(len(ctx.latticeG.nodes)):
+            report = restrict_decompose(ctx, n)
+            assert {type(v) for v in report.restricted_values.values()} == {int}, (name, n)
+            for t in report.terms:
+                assert type(t.coefficient) is Fraction, (name, n)
+                assert type(t.normalized_coefficient) is Fraction, (name, n)
+    for name, L in small_corpus():
+        m = min(len(L.nodes), 8)
+        for a in range(m):
+            for b in range(m):
+                report = tensor_product(L, a, b)
+                assert {type(c) for c in report.coefficients.values()} <= {Fraction}, (name, a, b)
+                for c in range(m):
+                    result = degree_sum(L, a, b, c)
+                    assert type(result.value) in exact, (name, a, b, c)
+                    assert result.closed_form is None or type(result.closed_form) in exact
 
 
 def _prime_sets_with_product_up_to(bound):

@@ -276,6 +276,32 @@ def test_malformed_group_spec_exit1_with_witness(files, capsys, spec, field, com
     assert error["witness"]["field"] == field
 
 
+@pytest.mark.parametrize("spec, value", [
+    ([1, 2], [1, 2]),
+    (5, 5),
+    ({"n": 12}, None),
+    ({"kind": "dihedral", "n": 12}, "dihedral"),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, 7]}, 7),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"n": 3}]}, None),
+])
+@pytest.mark.parametrize("command", ["sct", "verify", "restrict"])
+def test_spec_without_a_known_kind_names_the_kind(files, capsys, spec, value, command):
+    # restrict reads the spec as the embedding's source; the target is C12
+    tmp, write = files
+    if command == "restrict":
+        args = ["--group", write("c12.json", {"kind": "cyclic", "n": 12}),
+                "--embedding", write("e.json", {"source": spec, "map": [0, 6]}),
+                "--anchor", write("a.json", {"node": [0, 6]})]
+    else:
+        args = ["--group", write("g.json", spec)]
+    code, out = run([command] + args, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ArgumentError"
+    assert error["check"] == "spec"
+    assert error["witness"] == {"field": "kind", "value": value}
+
+
 def test_verify_missing_or_unparseable_group_exit1(files, capsys):
     tmp, write = files
     code, out = run(["verify", "--group", str(tmp / "absent.json")], capsys)

@@ -16,11 +16,11 @@ from latsuper import (
     product_to_cover_map,
     sublattice_closure,
 )
+from latsuper.cli import _lattice_of
 from latsuper.groups import mask_of
 from latsuper.lattice import (
     basis_node,
     closed_sublattice,
-    lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
 )
@@ -304,7 +304,7 @@ def test_closed_sublattice_rejects_non_normal():
 def test_lattice_json_roundtrip():
     L = cyclic_lattice(12)
     data = lattice_to_json(L)
-    again = lattice_from_json(L.group, data)
+    again = _lattice_of(L.group, {"nodes": data["nodes"]})
     assert [s.mask for s in again.nodes] == [s.mask for s in L.nodes]
     assert data["hasse"] == lattice_to_json(again)["hasse"]
 

@@ -194,6 +194,18 @@ def test_f2_8_subspace_lattice_hits_the_cap_before_enumerating():
     assert info.value.witness == 417199
 
 
+@pytest.mark.parametrize("q, dim, count", [(2, 7, 29212), (4, 4, 417199), (9, 3, 56632)])
+def test_vector_space_normal_lattice_hits_the_cap_before_enumerating(q, dim, count):
+    # The subgroups of F_q^dim, q = p^k, are the subspaces of F_p^(k dim): F4^4
+    # has as many as F2^8.  The stand-in group has no multiplication table, so
+    # only a count made before any enumeration can reject it.
+    G = SimpleNamespace(vs=VectorSpaceData(field=PrimePowerField(q), dim=dim))
+    with pytest.raises(CapacityError) as info:
+        normal_lattice(G)
+    assert info.value.check == "subgroup_cap"
+    assert info.value.witness == count
+
+
 def test_every_constructor_checks_the_node_cap(monkeypatch):
     L = normal_lattice(cyclic_group(12))
     monkeypatch.setattr(lattice_mod, "SUBGROUP_ENUM_CAP", 4)

@@ -1,11 +1,16 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsuper import (
     ArgumentError,
     FormulaInapplicableError,
+    InternalConsistencyError,
+    VerificationError,
     build_superclasses,
     build_theory,
     chi_bullet_moebius,
@@ -14,13 +19,16 @@ from latsuper import (
     degree_sum,
     distributive_analysis,
     inner_product,
+    normal_lattice,
     sublattice_closure,
     verify_sct,
 )
-from latsuper.lattice import _bits
+from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
+from latsuper.lattice import _bits, basis_subspace_lattice, closed_sublattice
 from latsuper.oracle import prime_factors, ramanujan_sum
 
 from corpus import (
+    cyclic_group,
     cyclic_lattice,
     d4_lattice,
     node_of_size,
@@ -28,6 +36,7 @@ from corpus import (
     s3_lattice,
     small_corpus,
     subsp_lattice,
+    vector_space_group,
 )
 
 
@@ -306,3 +315,123 @@ def test_cyclic_closed_form_identity():
                 for p in p_b:
                     value *= Fraction(-1, p) if p in chosen else (1 - Fraction(1, p))
                 assert actual == value, (n, b, a)
+
+
+# ---------------------------------------------------------------------------
+# The integer character table against a Fraction reference built by naive
+# recursive Moebius inversion, on random closed sublattices.
+
+SMALL_GROUPS = {
+    "C12": lambda: cyclic_group(12),
+    "C30": lambda: cyclic_group(30),
+    "F2^3": lambda: vector_space_group(2, 3),
+    "F3^2": lambda: vector_space_group(3, 2),
+    "S4": lambda: symmetric_group(4),
+    "D6": lambda: dihedral_group(6),
+    "Q8": quaternion_group,
+}
+
+
+@lru_cache(maxsize=None)
+def full_lattice_of(name):
+    return normal_lattice(SMALL_GROUPS[name]())
+
+
+def reference_value(L, n, b):
+    """chi^{N.} at the block of node b: sum of mu(N,O) |G|/|O| over the nodes
+    O above N and b, with mu by the recursion mu(N,O) = -sum_{N <= P < O} mu(N,P)."""
+    m = len(L.nodes)
+
+    @lru_cache(maxsize=None)
+    def mu(o):
+        if o == n:
+            return 1
+        return -sum(mu(p) for p in range(m) if p != o and L.leq(n, p) and L.leq(p, o))
+
+    total = Fraction(0)
+    for o in range(m):
+        if L.leq(n, o) and L.leq(b, o):
+            total += mu(o) * Fraction(L.group.order, L.size(o))
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SMALL_GROUPS)), st.data())
+def test_integer_rows_match_a_fraction_reference(name, data):
+    full = full_lattice_of(name)
+    picks = data.draw(st.sets(st.integers(0, len(full.nodes) - 1), max_size=3))
+    L = closed_sublattice(full.group, [full.nodes[i] for i in sorted(picks)])
+    nodes, sizes, rows = build_theory(L).table()
+    assert sizes == [build_superclasses(L).blocks[b].bit_count() for b in nodes]
+    for n in range(len(L.nodes)):
+        assert rows[n] == [reference_value(L, n, b) for b in nodes], (name, picks, n)
+        assert all(type(v) is int for v in rows[n])
+        assert list(chi_bullet_moebius(L, n).values.values()) == rows[n]
+
+
+# ---------------------------------------------------------------------------
+# Tampered theories fail verify_sct with a fixed check, message and first
+# witness.  The lattices are built afresh, because tampering changes the
+# cached theory.
+
+
+def raise_value(theory):
+    """Add 1 to the last nonzero character at the last block."""
+    theory.chars[-1].values[theory.partition.block_nodes()[-1]] += 1
+
+
+def add_a_half(theory):
+    """Add 1/2 to the last nonzero character at the last block."""
+    theory.chars[-1].values[theory.partition.block_nodes()[-1]] += Fraction(1, 2)
+
+
+def raise_zero_character(theory):
+    """Add 1 to the first zero character at the last block."""
+    zero = next(chi for chi in theory.char_by_node.values() if chi.is_zero)
+    zero.values[theory.partition.block_nodes()[-1]] += 1
+
+
+FRESH = {
+    "C12": lambda: normal_lattice(cyclic_group(12)),
+    "F3^2 basis": lambda: basis_subspace_lattice(vector_space_group(3, 2)),
+    "F2^2": lambda: normal_lattice(vector_space_group(2, 2)),
+    "S4": lambda: normal_lattice(symmetric_group(4)),
+    "Q8": lambda: normal_lattice(quaternion_group()),
+}
+
+
+@pytest.mark.parametrize("name, tamper, check, message, witness", [
+    ("C12", raise_value, "orthogonality", "<chi^1, chi^5> = 1/3 != 0",
+     {"nodes": [1, 5], "value": "1/3"}),
+    ("F3^2 basis", raise_value, "orthogonality", "<chi^0, chi^3> = 4/9 != 0",
+     {"nodes": [0, 3], "value": "4/9"}),
+    ("S4", raise_value, "orthogonality", "<chi^2, chi^3> = -1/2 != 0",
+     {"nodes": [2, 3], "value": "-1/2"}),
+    ("Q8", raise_value, "orthogonality", "<chi^2, chi^5> = -1/4 != 0",
+     {"nodes": [2, 5], "value": "-1/4"}),
+    ("C12", add_a_half, "integrality", "non-integer supercharacter value 3/2 at node 5",
+     {"node": 5, "value": "3/2"}),
+    ("S4", add_a_half, "integrality", "non-integer supercharacter value 3/2 at node 3",
+     {"node": 3, "value": "3/2"}),
+    ("F2^2", add_a_half, "integrality", "non-integer supercharacter value 3/2 at node 4",
+     {"node": 4, "value": "3/2"}),
+    ("Q8", raise_zero_character, "subgroup_decomposition",
+     "sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0}),
+    ("F2^2", raise_zero_character, "subgroup_decomposition",
+     "sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0}),
+])
+def test_verify_sct_rejects_a_tampered_theory(name, tamper, check, message, witness):
+    L = FRESH[name]()
+    tamper(build_theory(L))
+    with pytest.raises(VerificationError) as info:
+        verify_sct(L)
+    assert (info.value.check, str(info.value), info.value.witness) == (check, message, witness)
+
+
+def test_dual_path_compares_with_the_built_theory():
+    L = FRESH["C12"]()
+    chi_bullet_multiplicative(L, L.bottom)
+    build_theory(L).char_by_node[L.bottom].values[L.top] += 1
+    with pytest.raises(InternalConsistencyError) as info:
+        chi_bullet_multiplicative(L, L.bottom)
+    assert (info.value.check, info.value.witness) == ("dual_path", {"node": L.bottom})
