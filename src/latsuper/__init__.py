@@ -21,7 +21,6 @@ from .groups import (
     conjugacy_classes,
     is_normal,
     make_group,
-    subgroup_generated,
 )
 from .lattice import (
     DistributiveAnalysis,

@@ -118,8 +118,39 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _json_chunks(value, indent: str):
+    """The text of json.dumps(value, indent=2, sort_keys=True) nested at
+    `indent`, in pieces.
+
+    Lists of plain ints (table rows, element lists) are written by the C
+    encoder with the indented item separator; dicts with str keys and other
+    non-empty lists are walked here; everything else is json.dumps' own text,
+    shifted right by `indent` (a JSON string holds no raw newline)."""
+    kind = type(value)
+    inner = indent + "  "
+    if kind is dict and value and set(map(type, value)) <= {str}:
+        sep = "{\n"
+        for key in sorted(value):
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value[key], inner)
+            sep = ",\n"
+        yield "\n" + indent + "}"
+    elif kind is list and value and set(map(type, value)) <= {int}:
+        yield "[\n" + inner + json.dumps(value, separators=(",\n" + inner, ":"))[1:-1]
+        yield "\n" + indent + "]"
+    elif kind is list and value:
+        sep = "[\n"
+        for item in value:
+            yield sep + inner
+            yield from _json_chunks(item, inner)
+            sep = ",\n"
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _write_output(json.dumps(payload, indent=2, sort_keys=True), out)
+    _write_output("".join(_json_chunks(payload, "")), out)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +230,17 @@ def _verification_checks(L: NormalLattice, seed: int) -> list[tuple[str, object]
         return {"nodes_with_closed_form": used}
 
     def cover_meet():
-        for m in range(len(L.nodes)):
-            for n in range(len(L.nodes)):
-                lhs = L.meet(L.cover_join(m), L.cover_join(n))
-                if lhs != L.cover_join(L.meet(m, n)):
-                    raise LatsuperError(
-                        "cover-join meet identity fails",
-                        check="cover_meet", witness={"M": m, "N": n},
-                    )
+        # row m compares meet(cj(m), cj(n)) with cj(meet(m, n)) for every n
+        cj = [L.cover_join(i) for i in range(len(L.nodes))]
+        for m, meet_row in enumerate(L.meet_table):
+            lhs = list(map(L.meet_table[cj[m]].__getitem__, cj))
+            rhs = list(map(cj.__getitem__, meet_row))
+            if lhs != rhs:
+                n = next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                raise LatsuperError(
+                    "cover-join meet identity fails",
+                    check="cover_meet", witness={"M": m, "N": n},
+                )
         return {"pairs": len(L.nodes) ** 2}
 
     def tensor_spots():

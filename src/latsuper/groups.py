@@ -3,19 +3,28 @@
 Elements are indices 0..order-1 with the identity pinned at 0; subgroups are
 int bitmasks over those indices.  Groups come from structured specs (cyclic,
 vector space over F_q, direct product) or raw tables.  Structured tables are
-built by index arithmetic on whole rows, and every constructor re-checks the
-table axioms at C speed; associativity is checked exhaustively at every order
-by Light's test over a generating set.
+built by index arithmetic on whole rows.  Every constructor checks the table
+axioms at C speed, exhaustively at every order, once each, in this order:
+
+1. every row is a permutation of 0..n-1;
+2. 0 is a two-sided identity;
+3. Light's test over a generating set finds no non-associative triple.
+
+No column is scanned on success: a finite monoid in which every left
+multiplication x -> a*x is a bijection is a group, so its columns are
+permutations.  When check 2 or 3 fails, the columns are scanned first, so the
+error raised (check, message, witness) is the one of the order rows, columns,
+identity, associativity.  `is_abelian` needs no transpose either: a group is
+abelian iff the generators Light's test used commute pairwise.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, count
-from operator import eq, itemgetter, ne
+from itertools import chain, combinations, compress, count
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, ConstructionError
@@ -169,7 +178,12 @@ class GroupSpec:
     @classmethod
     def table(cls, mul: Sequence[Sequence[int]]) -> "GroupSpec":
         """Raw table; ArgumentError unless every row is a list of plain ints
-        (bools, floats and strings are refused, not converted)."""
+        (bools, floats and strings are refused, not converted).  The types are
+        checked in one pass; the rows are scanned one by one only to name the
+        first bad row or entry."""
+        if (set(map(type, mul)) <= {list, tuple}
+                and set(map(type, chain.from_iterable(mul))) <= {int}):
+            return cls(kind="table", mul=tuple(map(tuple, mul)))
         for r, row in enumerate(mul):
             if not isinstance(row, (list, tuple)):
                 raise ArgumentError(f"table row {r} is not a list", check="spec",
@@ -275,9 +289,14 @@ class VectorSpaceData:
 class GroupTable:
     """Immutable finite group: order, mul table, inverse table, identity = 0.
 
-    Construction checks that the table is a Latin square with two-sided
-    identity 0 and, by Light's test, that it is associative: exhaustively, at
-    every order.
+    Construction validates the table as the module docstring says: rows, then
+    identity, then Light's test over `generators`.  Columns are scanned only
+    when the identity or associativity check fails, and a bad column is then
+    the error raised.  Success proves a group: the rows make every left
+    multiplication a bijection, so a*b = 0 is solvable for every a, and a
+    monoid in which every element has a right inverse is a group, whose columns
+    are permutations.  `is_abelian` is True iff the generators commute
+    pairwise, which is exact because they generate the group.
     """
 
     def __init__(
@@ -293,19 +312,17 @@ class GroupTable:
         self.spec = spec
         self.name = name or spec.name
         self.vs = vs
-        self._validate()
+        self.generators = self._validate()
+        # in a group the right inverse of g (its row's 0) is two-sided
         self.inv = tuple(row.index(0) for row in self.mul)
-        for g in range(self.order):
-            if self.mul[self.inv[g]][g] != 0:
-                raise ConstructionError(
-                    f"{self.name}: inverse of {g} is one-sided", check="inverses", witness=g
-                )
-        self._abelian: Optional[bool] = None
+        self.is_abelian = all(self.mul[a][b] == self.mul[b][a]
+                              for a, b in combinations(self.generators, 2))
         self._classes: Optional[list[int]] = None
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[int]:
+        """Check the group axioms and return the generators Light's test used."""
         n, mul = self.order, self.mul
         if n < 1:
             raise ConstructionError("empty multiplication table", check="order")
@@ -313,30 +330,38 @@ class GroupTable:
         if n > cap:
             raise CapacityError(f"order {n} exceeds cap {cap}", check="order_cap", witness=n)
         ident = tuple(range(n))
+        full = frozenset(ident)  # faster than sorted(row) except on rotations
         for g, row in enumerate(mul):
             if len(row) != n:
                 raise ConstructionError(
                     f"row {g} has length {len(row)}, expected {n}",
                     check="latin_square", witness=g,
                 )
-            if tuple(sorted(row)) != ident:
+            if frozenset(row) != full:
                 raise ConstructionError(
                     f"row {g} is not a permutation of 0..{n - 1}",
                     check="latin_square", witness=g,
                 )
-        for c, column in enumerate(zip(*mul)):
-            if tuple(sorted(column)) != ident:
-                raise ConstructionError(
-                    f"column {c} is not a permutation of 0..{n - 1}",
-                    check="latin_square", witness=c,
-                )
         if mul[0] != ident or tuple(map(itemgetter(0), mul)) != ident:
+            self._check_columns()
             g = next(g for g in ident if mul[0][g] != g or mul[g][0] != g)
             raise ConstructionError(
                 f"element 0 is not a two-sided identity at {g}",
                 check="identity", witness=g,
             )
-        self._check_associativity()
+        gens = self._generators()
+        self._check_associativity(gens)
+        return gens
+
+    def _check_columns(self) -> None:
+        """Raise for the first column that is not a permutation of 0..n-1."""
+        ident = tuple(range(self.order))
+        for c, column in enumerate(zip(*self.mul)):
+            if tuple(sorted(column)) != ident:
+                raise ConstructionError(
+                    f"column {c} is not a permutation of 0..{self.order - 1}",
+                    check="latin_square", witness=c,
+                )
 
     def _generators(self) -> list[int]:
         """A set S such that every element is 0 or a product s1*s2*...*sk of
@@ -363,17 +388,19 @@ class GroupTable:
                 i += 1
         return gens
 
-    def _check_associativity(self) -> None:
-        # Light's test.  The g with (a*g)*c == a*(g*c) for all a, c contain 0
-        # and are closed under products, so checking g over a generating set
-        # checks every triple.  For one g, row a*g of the table is compared with
-        # row a composed with row g, both built at C speed.
+    def _check_associativity(self, gens: list[int]) -> None:
+        # Light's test.  The g with (a*g)*c == a*(g*c) for all a, c contain the
+        # identity 0 and are closed under products (no Latin property is
+        # needed), so checking g over a generating set checks every triple.
+        # For one g, row a*g of the table is compared with row a composed with
+        # row g, both built at C speed.
         n, mul = self.order, self.mul
-        for g in self._generators():
+        for g in gens:
             lhs = map(mul.__getitem__, map(itemgetter(g), mul))
             rhs = map(itemgetter(*mul[g]), mul)
             a = next(compress(count(), map(ne, lhs, rhs)), None)
             if a is not None:
+                self._check_columns()
                 row_ag, row_a, row_g = mul[mul[a][g]], mul[a], mul[g]
                 c = next(c for c in range(n) if row_ag[c] != row_a[row_g[c]])
                 raise ConstructionError(
@@ -391,13 +418,6 @@ class GroupTable:
 
     def elements(self) -> range:
         return range(self.order)
-
-    @property
-    def is_abelian(self) -> bool:
-        if self._abelian is None:
-            # the table equals its transpose
-            self._abelian = all(map(eq, self.mul, zip(*self.mul)))
-        return self._abelian
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -560,15 +580,6 @@ def closure_mask(G: GroupTable, mask: int) -> int:
     return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
-def subgroup_generated(G: GroupTable, gens: Iterable[int], label: Optional[str] = None) -> Subgroup:
-    """Smallest subgroup containing gens; empty gens gives the trivial subgroup."""
-    gens = list(gens)
-    for g in gens:
-        if not (0 <= g < G.order):
-            raise ArgumentError(f"generator {g} out of range for order {G.order}")
-    return Subgroup(closure_mask(G, mask_of(gens)), label)
-
-
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
     """True iff g H g^-1 = H for all g."""
     mask = H.mask
@@ -600,12 +611,3 @@ def conjugacy_classes(G: GroupTable) -> list[int]:
     G._classes = classes
     return list(classes)
 
-
-def group_to_json(G: GroupTable) -> dict:
-    return G.spec.to_json()
-
-
-def group_from_json(data: dict | str) -> GroupTable:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return make_group(GroupSpec.from_json(data))

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latsuper.cli import main
+from latsuper import GroupSpec, LatsuperError, make_group, normal_lattice
+from latsuper.catalog import quaternion_group
+from latsuper.cli import _emit_json, _json_chunks, _verification_checks, main, table_payload
 
 NONASSOCIATIVE_LOOP = [
     [0, 1, 2, 3, 4],
@@ -413,3 +418,83 @@ def test_misshapen_json_file_is_an_argument_error(files, capsys, command, where,
     assert error["category"] == "ArgumentError"
     assert error.get("check") == "shape"
     assert error["witness"] == witness
+
+
+# ---------------------------------------------------------------------------
+# The JSON emitter writes exactly json.dumps(payload, indent=2, sort_keys=True).
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-5, 5), st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.integers(-(2**70), 2**70), max_size=8),
+        st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=6),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=6))
+def test_emit_json_is_json_dumps(payload):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_json(payload, None)
+    assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_json_edge_cases():
+    for payload in ({}, {"a": []}, {"a": {}}, {"b": [True, 1]}, {"c": [[], [0], [[1, -2]]]},
+                    {"d": (1, 2)}, {"é": ["ü", None, 1.5]}, {"k": {1: [2], 0: {}}}):
+        assert "".join(_json_chunks(payload, "")) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["Q8xC4", "C6xC10"])
+def test_sct_json_of_a_relabelled_raw_table_is_json_dumps(files, capsys, name):
+    tmp, write = files
+    factors = ([quaternion_group().spec, GroupSpec.cyclic(4)] if name == "Q8xC4"
+               else [GroupSpec.cyclic(6), GroupSpec.cyclic(10)])
+    G = make_group(GroupSpec.product(factors))
+    perm = [0] + random.Random(name).sample(range(1, G.order), G.order - 1)
+    mul = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            mul[perm[a]][perm[b]] = perm[G.mul[a][b]]
+    group = write("raw.json", {"kind": "table", "mul": mul})
+    code, out = run(["sct", "--group", group, "--format", "json"], capsys)
+    assert code == 0
+    L = normal_lattice(make_group(GroupSpec.table(mul)))
+    assert out == json.dumps(table_payload(L), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", [12, 30, 36])
+def test_cover_meet_reports_the_first_failing_pair(monkeypatch, n):
+    L = normal_lattice(make_group(GroupSpec.cyclic(n)))
+    check = dict(_verification_checks(L, 0))["cover_meet_lemma"]
+    m = len(L.nodes)
+    assert check() == {"pairs": m * m}
+    true_join = L.cover_join
+    for k in range(m):
+        for wrong in range(m):
+            if wrong == true_join(k):
+                continue
+            monkeypatch.setattr(L, "cover_join", lambda i: wrong if i == k else true_join(i))
+            expected = next(({"M": a, "N": b} for a in range(m) for b in range(m)
+                             if L.meet(L.cover_join(a), L.cover_join(b))
+                             != L.cover_join(L.meet(a, b))), None)
+            if expected is None:
+                assert check() == {"pairs": m * m}
+            else:
+                with pytest.raises(LatsuperError) as info:
+                    check()
+                assert (info.value.check, info.value.witness) == ("cover_meet", expected)
+            monkeypatch.undo()

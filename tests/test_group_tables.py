@@ -222,3 +222,169 @@ def test_closure_mask_is_the_naive_fixed_point(name, data):
     expected = naive_closure(G, elements)
     assert closure_mask(G, mask_of(elements)) == expected
     assert closure_mask(G, expected) == expected
+
+
+# ---------------------------------------------------------------------------
+# make_group on tampered tables against a reference validator in the order
+# rows, columns, identity, associativity, and is_abelian against the transpose.
+
+
+def reference_generators(mul):
+    """Ascending greedy generators: g joins when the right-multiplication
+    closure of {0} under the generators so far misses it."""
+    reached, gens = {0}, []
+    for g in range(len(mul)):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            new = {mul[x][s] for x in frontier for s in gens} - reached
+            reached |= new
+            frontier = list(new)
+    return gens
+
+
+def reference_error(mul):
+    """(check, message, witness) of the first failing axiom, or None."""
+    n = len(mul)
+    ident = list(range(n))
+    for g, row in enumerate(mul):
+        if len(row) != n:
+            return "latin_square", f"row {g} has length {len(row)}, expected {n}", g
+        if sorted(row) != ident:
+            return "latin_square", f"row {g} is not a permutation of 0..{n - 1}", g
+    for c in range(n):
+        if sorted(row[c] for row in mul) != ident:
+            return "latin_square", f"column {c} is not a permutation of 0..{n - 1}", c
+    for g in range(n):
+        if mul[0][g] != g or mul[g][0] != g:
+            return "identity", f"element 0 is not a two-sided identity at {g}", g
+    for g in reference_generators(mul):
+        for a in range(n):
+            for c in range(n):
+                if mul[mul[a][g]][c] != mul[a][mul[g][c]]:
+                    return "associativity", f"associativity fails at ({a},{g},{c})", [a, g, c]
+    return None
+
+
+TAMPER_GROUPS = {
+    "C6": lambda: make_group(GroupSpec.cyclic(6)),
+    "C2xC4": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(4)])),
+    "S3": lambda: symmetric_group(3),
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "D6": lambda: dihedral_group(6),
+}
+
+
+def swap_entries(mul, data):
+    """Swap two entries of one row: the row stays a permutation, two columns
+    repeat a value."""
+    n = len(mul)
+    r = data.draw(st.integers(0, n - 1), label="row")
+    c1, c2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                       label="columns")
+    mul[r][c1], mul[r][c2] = mul[r][c2], mul[r][c1]
+
+
+def copy_row(mul, data):
+    """Overwrite one row with another: every column repeats a value."""
+    n = len(mul)
+    r1, r2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                       label="rows")
+    mul[r2] = list(mul[r1])
+
+
+def move_identity(mul, data):
+    """Relabel the group so that a nonzero element is its identity: still a
+    Latin square and associative, but 0 is no identity."""
+    n = len(mul)
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    assume(perm[0] != 0)
+    old = [row[:] for row in mul]
+    for a in range(n):
+        for b in range(n):
+            mul[perm[a]][perm[b]] = perm[old[a][b]]
+
+
+def swap_rows(mul, data):
+    """Exchange two rows, one of them row 0: a Latin square without identity 0."""
+    n = len(mul)
+    r = data.draw(st.integers(1, n - 1), label="row")
+    mul[0], mul[r] = mul[r], mul[0]
+
+
+def intercalate(mul, data):
+    """Swap a 2x2 subsquare mul[r][c] = mul[r2][c2], mul[r][c2] = mul[r2][c]
+    off row and column 0: the Latin property and identity 0 are kept, and the
+    table is usually no longer associative."""
+    n = len(mul)
+    quads = [(r, r2, c, c2) for r in range(1, n) for r2 in range(r + 1, n)
+             for c in range(1, n) for c2 in range(c + 1, n)
+             if mul[r][c] == mul[r2][c2] and mul[r][c2] == mul[r2][c]]
+    assume(quads)
+    r, r2, c, c2 = data.draw(st.sampled_from(quads), label="intercalate")
+    mul[r][c], mul[r][c2] = mul[r][c2], mul[r][c]
+    mul[r2][c], mul[r2][c2] = mul[r2][c2], mul[r2][c]
+
+
+def cycle_entries(mul, data):
+    """Rotate the entries of one row at three columns off column 0: the rows
+    stay permutations and identity 0 survives unless row 0 is hit."""
+    n = len(mul)
+    assume(n >= 4)
+    r = data.draw(st.integers(0, n - 1), label="row")
+    cs = data.draw(st.lists(st.integers(1, n - 1), min_size=3, max_size=3, unique=True),
+                   label="columns")
+    values = [mul[r][c] for c in cs]
+    for c, v in zip(cs, values[1:] + values[:1]):
+        mul[r][c] = v
+
+
+DEFECTS = {f.__name__: f for f in (swap_entries, copy_row, move_identity, swap_rows,
+                                   intercalate, cycle_entries)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(TAMPER_GROUPS)), st.sampled_from(sorted(DEFECTS)), st.data())
+def test_tampered_tables_fail_in_the_reference_order(name, defect, data):
+    G = TAMPER_GROUPS[name]()
+    mul = [list(row) for row in G.mul]
+    DEFECTS[defect](mul, data)
+    expected = reference_error(mul)
+    try:
+        make_group(GroupSpec.table(mul))
+    except ConstructionError as exc:
+        assert (exc.check, str(exc), exc.witness) == expected
+    else:
+        assert expected is None
+
+
+ABELIAN_TEST_GROUPS = {
+    **{f"D{n}": (lambda n=n: dihedral_group(n)) for n in (3, 4, 5, 8)},
+    **{f"S3xC{k}": (lambda k=k: make_group(GroupSpec.product(
+        [symmetric_group(3).spec, GroupSpec.cyclic(k)]))) for k in (1, 2, 5)},
+    "Q8xC4": lambda: make_group(GroupSpec.product([quaternion_group().spec, GroupSpec.cyclic(4)])),
+    "S4": lambda: symmetric_group(4),
+    "C2xC2xC3": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(2)] * 2 + [GroupSpec.cyclic(3)])),
+    "F4^2": lambda: make_group(GroupSpec.vector_space(4, 2)),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(sorted(ABELIAN_TEST_GROUPS)).map(lambda k: ("named", k)),
+                 st.lists(FACTORS, min_size=1, max_size=3).map(lambda f: ("product", f))),
+       st.data())
+def test_is_abelian_is_the_transpose_test(choice, data):
+    kind, value = choice
+    if kind == "named":
+        G = ABELIAN_TEST_GROUPS[value]()
+    else:
+        G = make_group(GroupSpec.product([factor_spec(*f) for f in value]))
+        assume(G.order <= 144)
+    if data.draw(st.booleans(), label="relabel"):
+        G = relabelled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    mul = G.mul
+    assert G.is_abelian == all(mul[a][b] == mul[b][a]
+                               for a in range(G.order) for b in range(G.order))

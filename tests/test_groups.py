@@ -1,16 +1,18 @@
+import json
+
 import pytest
 
 from latsuper import (
     CapacityError,
     ConstructionError,
     GroupSpec,
+    Subgroup,
     conjugacy_classes,
     is_normal,
     make_group,
-    subgroup_generated,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.groups import PrimePowerField, group_from_json, group_to_json
+from latsuper.groups import PrimePowerField, closure_mask, mask_of
 
 from corpus import cyclic_group, vector_space_group
 
@@ -66,6 +68,10 @@ def test_conjugacy_classes_identity_first():
         assert conjugacy_classes(G)[0] == 1
 
 
+def subgroup_generated(G, gens):
+    return Subgroup(closure_mask(G, mask_of(gens)))
+
+
 def test_subgroup_generated_examples():
     G = cyclic_group(12)
     assert subgroup_generated(G, []).to_json() == [0]
@@ -114,7 +120,7 @@ def test_spec_json_roundtrip():
     ]
     for spec in specs:
         G = make_group(spec)
-        again = group_from_json(group_to_json(G))
+        again = make_group(GroupSpec.from_json(json.loads(json.dumps(G.spec.to_json()))))
         assert again.mul == G.mul
 
 
