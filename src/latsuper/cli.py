@@ -269,8 +269,9 @@ def _verification_checks(L: NormalLattice, seed: int) -> list[tuple[str, object]
             return {"status": "skipped (order > 256)"}
         full = normal_lattice(L.group)
         report = oracle.cross_check_normal_lattice(full)
+        normal_masks = {s.mask for s in full.nodes}
         for node in L.nodes:
-            if node.mask not in {s.mask for s in full.nodes}:
+            if node.mask not in normal_masks:
                 raise LatsuperError(
                     "sublattice node not among the normal subgroups",
                     check="normal_subgroups", witness=node.to_json(),

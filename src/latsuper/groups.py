@@ -312,17 +312,17 @@ class GroupTable:
         self.spec = spec
         self.name = name or spec.name
         self.vs = vs
-        self.generators = self._validate()
-        # in a group the right inverse of g (its row's 0) is two-sided
-        self.inv = tuple(row.index(0) for row in self.mul)
+        self.generators, walk = self._validate()
+        self.inv = self._inverses(walk)
         self.is_abelian = all(self.mul[a][b] == self.mul[b][a]
                               for a, b in combinations(self.generators, 2))
         self._classes: Optional[list[int]] = None
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> list[int]:
-        """Check the group axioms and return the generators Light's test used."""
+    def _validate(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Check the group axioms; return the generators Light's test used and
+        the walk of `_generators` that reached every element from them."""
         n, mul = self.order, self.mul
         if n < 1:
             raise ConstructionError("empty multiplication table", check="order")
@@ -349,9 +349,9 @@ class GroupTable:
                 f"element 0 is not a two-sided identity at {g}",
                 check="identity", witness=g,
             )
-        gens = self._generators()
+        gens, walk = self._generators()
         self._check_associativity(gens)
-        return gens
+        return gens, walk
 
     def _check_columns(self) -> None:
         """Raise for the first column that is not a permutation of 0..n-1."""
@@ -363,14 +363,16 @@ class GroupTable:
                     check="latin_square", witness=c,
                 )
 
-    def _generators(self) -> list[int]:
+    def _generators(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """A set S such that every element is 0 or a product s1*s2*...*sk of
         elements of S, multiplied left to right; found by right-multiplication
-        reachability from 0."""
+        reachability from 0.  The walk lists every element y but 0 once, as
+        (y, x, s) with y = x*s, s in S and x listed before y (or 0)."""
         mul = self.mul
         reached = bytearray(self.order)
         reached[0] = 1
         members = [0]
+        walk: list[tuple[int, int, int]] = []
         gens: list[int] = []
         for g in range(self.order):
             if reached[g]:
@@ -379,14 +381,26 @@ class GroupTable:
             # members reached before g need multiplying by g only
             old, i = len(members), 0
             while i < len(members):
-                row = mul[members[i]]
+                x = members[i]
+                row = mul[x]
                 for s in gens[-1:] if i < old else gens:
                     y = row[s]
                     if not reached[y]:
                         reached[y] = 1
                         members.append(y)
+                        walk.append((y, x, s))
                 i += 1
-        return gens
+        return gens, walk
+
+    def _inverses(self, walk: list[tuple[int, int, int]]) -> tuple[int, ...]:
+        """inv(x*s) = inv(s)*inv(x) along the walk, with one row scan per
+        generator for inv(s): O(n) after validation has proved a group."""
+        mul = self.mul
+        inv = [0] * self.order
+        inv_gen = {s: mul[s].index(0) for s in self.generators}
+        for y, x, s in walk:
+            inv[y] = mul[inv_gen[s]][inv[x]]
+        return tuple(inv)
 
     def _check_associativity(self, gens: list[int]) -> None:
         # Light's test.  The g with (a*g)*c == a*(g*c) for all a, c contain the

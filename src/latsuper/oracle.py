@@ -10,6 +10,7 @@ subgroups one at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, repeat
 from math import gcd, lcm
@@ -21,7 +22,7 @@ from .groups import GroupTable, Subgroup, closure_mask, is_normal
 from .lattice import _bits
 
 if TYPE_CHECKING:
-    from .sct import SCTheory
+    from .sct import SCTheory, SuperclassPartition
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +220,63 @@ def dual_characters(G: GroupTable) -> list[DualCharacter]:
 # Checks against a theory.
 
 
+def _representatives(part: "SuperclassPartition") -> tuple[list[int], list[int], list[int], bool]:
+    """The block nodes in order, the least element of each block, rep_of[g]
+    (the least element of the last block holding g, or g when none does), and
+    whether the blocks are nonempty and partition the group: the one-comparison
+    rules of the checks below need that, and build_superclasses ensures it."""
+    nodes = part.block_nodes()
+    order = part.lattice.group.order
+    reps = [(part.blocks[k] & -part.blocks[k]).bit_length() - 1 for k in nodes]
+    rep_of = list(range(order))
+    covered = total = 0
+    for k, rep in zip(nodes, reps):
+        covered |= part.blocks[k]
+        total += part.blocks[k].bit_count()
+        for g in _bits(part.blocks[k]):
+            rep_of[g] = rep
+    is_partition = all(map(part.blocks.__getitem__, nodes)) and total == order
+    return nodes, reps, rep_of, is_partition and covered == (1 << order) - 1
+
+
 def verify_sc3_abelian(theory: "SCTheory") -> dict:
     """SC3 from first principles on abelian groups: partition the dual by the
     maximal lattice node inside each kernel, form the exact cyclotomic sums,
     and compare with the computed integer supercharacter values.
 
     Each sum is the residue modulo Phi_e of the multiset of exponents psi(g)
-    over psi in the X-block; equal multisets are reduced once per block, and
-    every element of every superclass is compared."""
+    over psi in the X-block; equal tuples of exponents are sorted, and equal
+    multisets reduced, once per block.
+
+    Every element of every superclass is compared: for each X-block, the sums
+    must equal the sums at their superclass representatives, and the sums at
+    the representatives must equal (value, 0, ..., 0), each as one list
+    comparison.  Only a failing X-block, or every X-block when the
+    superclasses are not a partition into nonempty sets, is rescanned
+    superclass by superclass for the first witness."""
     L = theory.lattice
     G = L.group
     psis = dual_characters(G)
     e = psis[0].exponent if psis else 1
+    masks = [s.mask for s in L.nodes]
+    n_max_of: dict[int, int] = {}        # kernel mask -> largest node inside
     blocks_of_dual: dict[int, list[DualCharacter]] = {}
     for psi in psis:
-        inside = [n for n in range(len(L.nodes)) if L.nodes[n].mask & ~psi.kernel.mask == 0]
-        n_max = max(inside, key=lambda n: L.size(n))
-        for n in inside:
-            if not L.leq(n, n_max):
+        kernel = psi.kernel.mask
+        if kernel not in n_max_of:
+            inside = 0
+            for n, mask in enumerate(masks):
+                if mask & kernel == mask:
+                    inside |= 1 << n
+            # nodes are sorted by size, so the last one inside is a largest
+            n_max = inside.bit_length() - 1
+            if inside & ~L.down_mask[n_max]:
                 raise VerificationError(
                     "kernel nodes not closed under join", check="SC3",
                     witness={"kernel": psi.kernel.to_json()},
                 )
-        blocks_of_dual.setdefault(n_max, []).append(psi)
+            n_max_of[kernel] = n_max
+        blocks_of_dual.setdefault(n_max_of[kernel], []).append(psi)
     # the X-blocks must exactly mirror the nonzero supercharacters
     nonzero_nodes = {f.label for f in theory.chars}
     if set(blocks_of_dual) != nonzero_nodes:
@@ -253,25 +288,37 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
     if sum(len(v) for v in blocks_of_dual.values()) != G.order:
         raise VerificationError("X-blocks do not partition the dual", check="SC3")
     zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
+    nodes, reps, rep_of, is_partition = _representatives(theory.partition)
     for n, block in blocks_of_dual.items():
         char = theory.char_by_node[n]
-        # the exponent multiset of the block at each element, sorted
-        multisets = list(map(tuple, map(sorted, zip(*(psi.exponents for psi in block)))))
-        residue_of = {m: cyclotomic_residue(e, m) for m in set(multisets)}
-        sums = list(map(residue_of.__getitem__, multisets))
+        # the exponents of the block at each element; each distinct tuple is
+        # sorted once and each distinct multiset reduced once
+        columns = list(zip(*(psi.exponents for psi in block)))
+        residue_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        sum_of = {}
+        for column in set(columns):
+            multiset = tuple(sorted(column))
+            if multiset not in residue_of:
+                residue_of[multiset] = cyclotomic_residue(e, multiset)
+            sum_of[column] = residue_of[multiset]
+        sums = list(map(sum_of.__getitem__, columns))
+        if (is_partition and sums == list(map(sums.__getitem__, rep_of))
+                and list(map(sums.__getitem__, reps))
+                == [(char.values[b],) + zeros for b in nodes]):
+            continue
         for bnode, bmask in theory.partition.blocks.items():
             rep = (bmask & -bmask).bit_length() - 1
-            expected = char.values[bnode]
+            value = char.values[bnode]
             for g in _bits(bmask):
                 if sums[g] != sums[rep]:
                     raise VerificationError(
                         "SC3 sum not constant on a superclass", check="SC3",
                         witness={"node": n, "elements": [rep, g]},
                     )
-            if sums[rep] != (expected,) + zeros:
+            if sums[rep] != (value,) + zeros:
                 raise VerificationError(
                     "SC3 sum disagrees with the supercharacter value", check="SC3",
-                    witness={"node": n, "block": bnode, "expected": str(expected)},
+                    witness={"node": n, "block": bnode, "expected": str(value)},
                 )
     return {"status": "pass", "dual_size": len(psis)}
 
@@ -280,38 +327,69 @@ def schur_closure_check(theory: "SCTheory") -> dict:
     """Convolution of superclass sums must have constant multiplicity on each
     superclass; the structure constants are reported.
 
-    Each block's multiplicity is read at its least element, rep_of[g]; a pair
-    of blocks passes when the counts equal their values at the representatives
-    (one list comparison), and only a failing pair is rescanned block by block
-    for the first witness."""
-    L = theory.lattice
-    G = L.group
+    Each block's multiplicity is read at its least element, rep_of[g].  Every
+    product of every pair of blocks K_i, K_j is counted, in one of two ways:
+
+    - dense (|K_i| |K_j| >= |G|, where a list is faster than a Counter):
+      counts in a |G|-long list, and the pair passes when the counts equal
+      their values at the representatives (one list comparison);
+    - sparse (|K_i| |K_j| < |G|): counts of the elements hit only, and the
+      pair passes when every hit x has the count of rep_of[x] and the hits fill
+      the blocks of the hit representatives exactly (their sizes sum to the
+      number of distinct hits).  Together these say the dense counts are
+      constant on every block.
+
+    Only a failing pair is rescanned densely, block by block, for the first
+    witness.  Blocks that are not a partition into nonempty sets (never those
+    of build_superclasses) are counted densely and scanned block by block for
+    every pair."""
+    G = theory.lattice.group
     part = theory.partition
-    nodes = part.block_nodes()
+    nodes, reps, rep_of, is_partition = _representatives(part)
     members = {k: list(_bits(part.blocks[k])) for k in nodes}
-    reps = [(part.blocks[k] & -part.blocks[k]).bit_length() - 1 for k in nodes]
-    rep_of = list(range(G.order))
-    for k, rep in zip(nodes, reps):
-        for g in members[k]:
-            rep_of[g] = rep
+    # the products a*K_j of one a, as one tuple or (|K_j| = 1) one element
+    right_of = {k: itemgetter(*members[k]) for k in nodes if members[k]}
+    position = {rep: p for p, rep in enumerate(reps)}
+    size_of_rep = {rep: len(members[k]) for k, rep in zip(nodes, reps)}
+
+    def dense_counts(i: int, j: int) -> list[int]:
+        counts = [0] * G.order
+        right = members[j]
+        for a in members[i]:
+            row = G.mul[a]
+            for b in right:
+                counts[row[b]] += 1
+        return counts
+
+    def raise_first_witness(i: int, j: int, counts: list[int]) -> None:
+        for k, rep in zip(nodes, reps):
+            for g in members[k]:
+                if counts[g] != counts[rep]:
+                    raise VerificationError(
+                        "superclass convolution is not constant on a block",
+                        check="schur_closure",
+                        witness={"blocks": [i, j, k], "elements": [rep, g]},
+                    )
+
     constants: dict[str, int] = {}
     for i in nodes:
+        rows_i = list(map(G.mul.__getitem__, members[i]))
         for j in nodes:
-            counts = [0] * G.order
             right = members[j]
-            for a in members[i]:
-                row = G.mul[a]
-                for b in right:
-                    counts[row[b]] += 1
-            if counts != list(map(counts.__getitem__, rep_of)):
-                for k, rep in zip(nodes, reps):
-                    for g in members[k]:
-                        if counts[g] != counts[rep]:
-                            raise VerificationError(
-                                "superclass convolution is not constant on a block",
-                                check="schur_closure",
-                                witness={"blocks": [i, j, k], "elements": [rep, g]},
-                            )
+            if is_partition and len(rows_i) * len(right) < G.order:
+                products = map(right_of[j], rows_i)
+                hits = Counter(products if len(right) == 1 else chain.from_iterable(products))
+                hit_reps = set(map(rep_of.__getitem__, hits))
+                at_rep_of = list(map(hits.__getitem__, map(rep_of.__getitem__, hits)))
+                if (list(hits.values()) != at_rep_of
+                        or sum(map(size_of_rep.__getitem__, hit_reps)) != len(hits)):
+                    raise_first_witness(i, j, dense_counts(i, j))
+                for p in sorted(map(position.__getitem__, hit_reps)):
+                    constants[f"{i},{j}->{nodes[p]}"] = hits[reps[p]]
+                continue
+            counts = dense_counts(i, j)
+            if not is_partition or counts != list(map(counts.__getitem__, rep_of)):
+                raise_first_witness(i, j, counts)
             at_reps = list(map(counts.__getitem__, reps))
             for k, c in zip(compress(nodes, at_reps), filter(None, at_reps)):
                 constants[f"{i},{j}->{k}"] = c

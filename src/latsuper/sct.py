@@ -8,14 +8,17 @@ a total Moebius-inversion formula
 
 and, when the covers of N are in general position, the multiplicative closed
 form with degree |G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is
-integer valued, so the Moebius values are ints; Fractions appear only where a
-formula divides (the multiplicative form and the degree-sum closed form).
+integer valued, so the Moebius values are ints.  The multiplicative form keeps
+each value as an integer numerator and denominator and checks the division
+exactly; Fractions appear only in the degree-sum closed form and in reported
+inner products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Optional
 
@@ -87,7 +90,7 @@ class Supercharacter:
 
     label: int                         # lattice node the character is attached to
     kind: str                          # chi_bullet | chi_subgroup
-    values: dict[int, int]             # block node -> value (multiplicative form: Fractions)
+    values: dict[int, int]             # block node -> integer value
     partition: SuperclassPartition
 
     @property
@@ -114,21 +117,32 @@ def chi_bullet_moebius(L: NormalLattice, n: int) -> Supercharacter:
     """chi^{N.} by Moebius inversion of chi^N = sum over O >= N of chi^{O.}.
 
     The block of node B lies in O exactly when B <= O, so its value is the sum
-    of mu(N,O) |G/O| over the O >= N above B; the mu(N,.) row is computed once."""
+    of mu(N,O) |G/O| over the O >= N above B, that is over the O >= N v B.  The
+    mu(N,.) row is computed once, and the sum once per distinct join N v B."""
     part = build_superclasses(L)
     order = L.group.order
     terms = [(1 << o, mu * (order // L.size(o))) for o, mu in L.moebius_row(n).items() if mu]
+    by_join: dict[int, int] = {}
     values: dict[int, int] = {}
     for b in part.blocks:
-        up = L.up_mask[b]
-        values[b] = sum([w for bit, w in terms if up & bit])
+        j = L.join(n, b)
+        if j not in by_join:
+            up = L.up_mask[j]
+            by_join[j] = sum([w for bit, w in terms if up & bit])
+        values[b] = by_join[j]
     return Supercharacter(n, "chi_bullet", values, part)
 
 
 def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
     """chi^{M.} by the multiplicative formula; requires C(M) nonempty and in
     general position over M.  Checked exactly against the Moebius values of
-    the lattice's theory."""
+    the lattice's theory.
+
+    Each value is an integer numerator and denominator, compared with the
+    Moebius value v as num == v * den.  The join of C(M) minus one cover is
+    computed once per cover, and the value and join of each minimal cover set
+    once per set; b <= join(minimal) is tested for every block.  The first
+    ambiguous block raises even after a mismatch at an earlier block."""
     covers = L.covers(m)
     if not covers:
         raise FormulaInapplicableError(
@@ -139,31 +153,42 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
             "covers are not in general position", witness=m
         )
     part = build_superclasses(L)
+    moebius_values = build_theory(L).char_by_node[m].values
+    size_m = L.size(m)
     top_join = subset_join(L, m, covers)
-    degree = Fraction(L.group.order, L.size(top_join))
-    for o in covers:
-        degree *= Fraction(L.size(o), L.size(m)) - 1
-    values: dict[int, Fraction] = {}
+    # degree |G/top| * prod(|O|/|M| - 1), times prod(1 / (1 - |O|/|M|)) over minimal
+    num = L.group.order * prod(L.size(o) - size_m for o in covers)
+    den = L.size(top_join) * size_m ** len(covers)
+    rests = [(o, subset_join(L, m, [p for p in covers if p != o])) for o in covers]
+    by_minimal: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    values: dict[int, int] = {}
+    agree = True
     for b in part.blocks:
-        if not L.leq(b, top_join):
-            values[b] = Fraction(0)
+        up = L.up_mask[b]
+        if not (up >> top_join) & 1:
+            values[b] = 0
+            agree = agree and moebius_values[b] == 0
             continue
-        minimal = [o for o in covers if not L.leq(b, subset_join(L, m, [p for p in covers if p != o]))]
-        if not L.leq(b, subset_join(L, m, minimal)):
+        minimal = tuple(o for o, rest in rests if not (up >> rest) & 1)
+        if minimal not in by_minimal:
+            by_minimal[minimal] = (
+                subset_join(L, m, minimal),
+                num * size_m ** len(minimal),
+                den * prod(size_m - L.size(o) for o in minimal),
+            )
+        join, b_num, b_den = by_minimal[minimal]
+        if not (up >> join) & 1:
             raise AmbiguityError(
                 "no unique minimal cover subset for a block", witness={"M": m, "block": b}
             )
-        val = degree
-        for o in minimal:
-            val *= Fraction(1, 1 - Fraction(L.size(o), L.size(m)))
-        values[b] = val
-    char = Supercharacter(m, "chi_bullet", values, part)
-    if char.values != build_theory(L).char_by_node[m].values:
+        agree = agree and b_num == moebius_values[b] * b_den
+        values[b] = b_num // b_den
+    if not agree:
         raise InternalConsistencyError(
             "multiplicative and Moebius character values disagree",
             check="dual_path", witness={"node": m},
         )
-    return char
+    return Supercharacter(m, "chi_bullet", values, part)
 
 
 # ---------------------------------------------------------------------------

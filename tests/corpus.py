@@ -6,9 +6,16 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from latsuper import GroupSpec, make_group, normal_lattice, sublattice_closure
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.lattice import NormalLattice, basis_subspace_lattice, subspace_lattice
+from latsuper.lattice import (
+    NormalLattice,
+    basis_subspace_lattice,
+    closed_sublattice,
+    subspace_lattice,
+)
 
 RANDOM_SUBLATTICE_SEED = 20260810
 
@@ -99,3 +106,56 @@ def small_corpus() -> tuple[tuple[str, NormalLattice], ...]:
         if lat.group.order <= 16 or name in ("ker(C30)", "subsp(F5^3)", "ker(C60)"):
             keep.append((name, lat))
     return tuple(keep)
+
+
+# ---------------------------------------------------------------------------
+# Lattices drawn for equivalence and tamper tests: small abelian products,
+# F_p^k (full lattices, F3^2's not distributive, and basis lattices), D_n,
+# S4 and Q8 x C4.
+
+
+def _cyclic_product(*orders: int):
+    return make_group(GroupSpec.product([GroupSpec.cyclic(n) for n in orders]))
+
+
+DRAWN_GROUPS = {
+    "C2xC4": lambda: _cyclic_product(2, 4),
+    "C2xC2xC3": lambda: _cyclic_product(2, 2, 3),
+    "C3xC6": lambda: _cyclic_product(3, 6),
+    "C2xC6xC5": lambda: _cyclic_product(2, 6, 5),
+    "F2^3": lambda: vector_space_group(2, 3),
+    "F3^2": lambda: vector_space_group(3, 2),
+    "D4": lambda: dihedral_group(4),
+    "D5": lambda: dihedral_group(5),
+    "D6": lambda: dihedral_group(6),
+    "S4": lambda: symmetric_group(4),
+    "Q8xC4": lambda: make_group(GroupSpec.product([quaternion_group().spec, GroupSpec.cyclic(4)])),
+}
+
+
+@lru_cache(maxsize=None)
+def drawn_full_lattice(name: str) -> NormalLattice:
+    return normal_lattice(DRAWN_GROUPS[name]())
+
+
+def fresh_lattice(name: str, kind: str, picks: tuple[int, ...] = ()) -> NormalLattice:
+    """A new lattice object, so with its own theory cache: the full normal
+    lattice, the basis lattice of a vector space, or the sublattice closed
+    from the picked nodes of the full lattice."""
+    full = drawn_full_lattice(name)
+    if kind == "full":
+        return NormalLattice(full.group, full.nodes, check_normal=False)
+    if kind == "basis":
+        return basis_subspace_lattice(full.group)
+    return closed_sublattice(full.group, [full.nodes[i] for i in picks])
+
+
+@st.composite
+def drawn_lattices(draw, abelian_only: bool = False) -> NormalLattice:
+    names = [n for n in sorted(DRAWN_GROUPS)
+             if not abelian_only or drawn_full_lattice(n).group.is_abelian]
+    name = draw(st.sampled_from(names))
+    full = drawn_full_lattice(name)
+    kind = draw(st.sampled_from(["full", "closed"] + (["basis"] if full.group.vs else [])))
+    picks = draw(st.sets(st.integers(0, len(full.nodes) - 1), max_size=3))
+    return fresh_lattice(name, kind, tuple(sorted(picks)))

@@ -388,3 +388,29 @@ def test_is_abelian_is_the_transpose_test(choice, data):
     mul = G.mul
     assert G.is_abelian == all(mul[a][b] == mul[b][a]
                                for a in range(G.order) for b in range(G.order))
+
+
+INVERSE_TEST_GROUPS = {
+    **ABELIAN_TEST_GROUPS,
+    "Q8": quaternion_group,
+    "S3": lambda: symmetric_group(3),
+    "F3^3": lambda: vector_space(3, 3),
+    "F8^1": lambda: vector_space(8, 1),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(sorted(INVERSE_TEST_GROUPS)).map(lambda k: ("named", k)),
+                 st.lists(FACTORS, min_size=1, max_size=3).map(lambda f: ("product", f))),
+       st.data())
+def test_inverses_are_the_row_zeros(choice, data):
+    kind, value = choice
+    if kind == "named":
+        G = INVERSE_TEST_GROUPS[value]()
+    else:
+        G = make_group(GroupSpec.product([factor_spec(*f) for f in value]))
+        assume(G.order <= 144)
+    if data.draw(st.booleans(), label="relabel"):
+        G = relabelled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    assert G.inv == tuple(row.index(0) for row in G.mul)
+    assert all(G.mul[G.inv[g]][g] == 0 for g in range(G.order))

@@ -1,9 +1,19 @@
 import cmath
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latsuper import ArgumentError, VerificationError, build_theory, normal_lattice, verify_sct
+from latsuper import (
+    ArgumentError,
+    LatsuperError,
+    VerificationError,
+    build_theory,
+    normal_lattice,
+    verify_sct,
+)
 from latsuper.catalog import quaternion_group, symmetric_group
 from latsuper.lattice import _bits, basis_subspace_lattice
 from latsuper.oracle import (
@@ -23,6 +33,8 @@ from corpus import (
     basis_lattice,
     cyclic_group,
     cyclic_lattice,
+    drawn_lattices,
+    fresh_lattice,
     s3_lattice,
     subsp_lattice,
     vector_space_group,
@@ -245,3 +257,171 @@ def test_schur_closure_rejects_a_moved_element(name, witness):
     assert info.value.check == "schur_closure"
     assert str(info.value) == "superclass convolution is not constant on a block"
     assert info.value.witness == witness
+
+
+# ---------------------------------------------------------------------------
+# The Schur and SC3 checks against in-test references of the straightforward
+# algorithms: a |G|-long count list per pair of blocks, and a per-element scan
+# of every superclass.  Results (the structure constants in order) and every
+# error (check, message, witness) must be the same.
+
+
+def reference_schur(theory):
+    G = theory.lattice.group
+    part = theory.partition
+    nodes = part.block_nodes()
+    members = {k: list(_bits(part.blocks[k])) for k in nodes}
+    reps = [(part.blocks[k] & -part.blocks[k]).bit_length() - 1 for k in nodes]
+    constants = {}
+    for i in nodes:
+        for j in nodes:
+            counts = [0] * G.order
+            for a in members[i]:
+                for b in members[j]:
+                    counts[G.mul[a][b]] += 1
+            for k, rep in zip(nodes, reps):
+                for g in members[k]:
+                    if counts[g] != counts[rep]:
+                        raise VerificationError(
+                            "superclass convolution is not constant on a block",
+                            check="schur_closure",
+                            witness={"blocks": [i, j, k], "elements": [rep, g]},
+                        )
+            for k, rep in zip(nodes, reps):
+                if counts[rep]:
+                    constants[f"{i},{j}->{k}"] = counts[rep]
+    return {"status": "pass", "constants": constants}
+
+
+def reference_sc3(theory):
+    L = theory.lattice
+    G = L.group
+    psis = dual_characters(G)
+    e = psis[0].exponent if psis else 1
+    blocks_of_dual = {}
+    for psi in psis:
+        inside = [n for n in range(len(L.nodes)) if L.nodes[n].mask & ~psi.kernel.mask == 0]
+        n_max = max(inside, key=L.size)
+        if any(not L.leq(n, n_max) for n in inside):
+            raise VerificationError("kernel nodes not closed under join", check="SC3",
+                                    witness={"kernel": psi.kernel.to_json()})
+        blocks_of_dual.setdefault(n_max, []).append(psi)
+    nonzero_nodes = {f.label for f in theory.chars}
+    if set(blocks_of_dual) != nonzero_nodes:
+        raise VerificationError(
+            "dual partition does not match nonzero supercharacters", check="SC3",
+            witness={"dual_blocks": sorted(blocks_of_dual), "chars": sorted(nonzero_nodes)},
+        )
+    zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
+    for n, block in blocks_of_dual.items():
+        char = theory.char_by_node[n]
+        sums = [cyclotomic_residue(e, [psi.exponents[g] for psi in block])
+                for g in range(G.order)]
+        for bnode, bmask in theory.partition.blocks.items():
+            rep = (bmask & -bmask).bit_length() - 1
+            for g in _bits(bmask):
+                if sums[g] != sums[rep]:
+                    raise VerificationError("SC3 sum not constant on a superclass", check="SC3",
+                                            witness={"node": n, "elements": [rep, g]})
+            if sums[rep] != (char.values[bnode],) + zeros:
+                raise VerificationError(
+                    "SC3 sum disagrees with the supercharacter value", check="SC3",
+                    witness={"node": n, "block": bnode, "expected": str(char.values[bnode])},
+                )
+    return {"status": "pass", "dual_size": len(psis)}
+
+
+def outcome(check, theory):
+    """The result as ordered JSON, or the error's class, check, message and witness."""
+    try:
+        return "pass", json.dumps(check(theory))
+    except LatsuperError as exc:
+        return type(exc).__name__, exc.check, str(exc), exc.witness
+
+
+def pair_kinds(theory):
+    """Which sides of the |K_i| |K_j| >= |G| density rule the block pairs fall on."""
+    order = theory.lattice.group.order
+    sizes = [b.bit_count() for b in theory.partition.blocks.values()]
+    return {"dense" if a * b >= order else "sparse" for a in sizes for b in sizes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices())
+def test_schur_constants_equal_the_reference(L):
+    theory = build_theory(L)
+    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory)
+    assert outcome(schur_closure_check, theory)[0] == "pass"
+
+
+@pytest.mark.parametrize("name, kind, picks", [
+    ("C2xC6xC5", "full", ()),
+    ("S4", "full", ()),
+    ("D5", "full", ()),
+    ("Q8xC4", "closed", (6, 21, 23)),
+    ("F2^3", "closed", (3, 5, 6)),
+    ("C3xC6", "closed", (4, 5, 7)),
+])
+def test_schur_constants_on_both_sides_of_the_density_rule(name, kind, picks):
+    theory = build_theory(fresh_lattice(name, kind, picks))
+    assert pair_kinds(theory) == {"dense", "sparse"}
+    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_lattices(abelian_only=True))
+def test_sc3_passes_like_the_reference(L):
+    theory = build_theory(L)
+    assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory)
+    assert outcome(verify_sc3_abelian, theory)[0] == "pass"
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_lattices(), st.data())
+def test_tampered_theories_fail_like_the_references(L, data):
+    """Move one element to another block (possibly emptying its own), copy it
+    there, or change one character value; the result or first witness must
+    be the reference's, which exercises each fast path's rescan and the
+    blocks that are no partition."""
+    theory = build_theory(L)
+    blocks = theory.partition.blocks
+    nodes = theory.partition.block_nodes()
+    tamper = data.draw(st.sampled_from(["move", "copy", "value"] if len(nodes) > 1 else ["value"]))
+    if tamper != "value":
+        source = data.draw(st.sampled_from(nodes), label="source")
+        g = data.draw(st.sampled_from(list(_bits(blocks[source]))), label="element")
+        target = data.draw(st.sampled_from([k for k in nodes if k != source]), label="target")
+        if tamper == "move":
+            blocks[source] &= ~(1 << g)
+        blocks[target] |= 1 << g
+    else:
+        node = data.draw(st.sampled_from(sorted(theory.char_by_node)), label="character")
+        block = data.draw(st.sampled_from(nodes), label="block")
+        theory.char_by_node[node].values[block] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory)
+    if L.group.is_abelian:
+        assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory)
+
+
+def test_overlapping_blocks_are_scanned_block_by_block():
+    """C12 with element 6 (the C2 block) copied into the identity block: the
+    blocks overlap, and only a scan of every block sees that the count of
+    C2 x C2 differs between the two members 0 and 6 of the identity block."""
+    theory = build_theory(FRESH["C12"]())
+    theory.partition.blocks[0] |= 1 << 6
+    expected = ("VerificationError", "schur_closure",
+                "superclass convolution is not constant on a block",
+                {"blocks": [1, 1, 0], "elements": [0, 6]})
+    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory) == expected
+
+
+def test_sc3_rejects_kernel_nodes_not_closed_under_join():
+    """With the relation bottom <= top removed from the order, the nodes inside
+    the kernel G of the trivial character are not all below the largest."""
+    L = FRESH["C12"]()
+    theory = build_theory(L)
+    L.up_mask[L.bottom] &= ~(1 << L.top)
+    L.down_mask[L.top] &= ~(1 << L.bottom)
+    expected = ("VerificationError", "SC3", "kernel nodes not closed under join",
+                {"kernel": list(range(12))})
+    assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory) == expected

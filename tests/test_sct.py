@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latsuper import (
+    AmbiguityError,
     ArgumentError,
     FormulaInapplicableError,
     InternalConsistencyError,
+    LatsuperError,
+    Supercharacter,
     VerificationError,
     build_superclasses,
     build_theory,
@@ -24,13 +27,20 @@ from latsuper import (
     verify_sct,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.lattice import _bits, basis_subspace_lattice, closed_sublattice
+from latsuper.lattice import (
+    _bits,
+    basis_subspace_lattice,
+    closed_sublattice,
+    is_general_position,
+    subset_join,
+)
 from latsuper.oracle import prime_factors, ramanujan_sum
 
 from corpus import (
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
+    drawn_lattices,
     node_of_size,
     q8_lattice,
     s3_lattice,
@@ -435,3 +445,107 @@ def test_dual_path_compares_with_the_built_theory():
     with pytest.raises(InternalConsistencyError) as info:
         chi_bullet_multiplicative(L, L.bottom)
     assert (info.value.check, info.value.witness) == ("dual_path", {"node": L.bottom})
+
+
+# ---------------------------------------------------------------------------
+# The Moebius values and the multiplicative form against in-test references
+# of the straightforward algorithms: the mu(N,.) sum per block, and the
+# multiplicative formula in Fractions with the joins recomputed per block.
+
+
+def reference_moebius_values(L, n):
+    order = L.group.order
+    row = L.moebius_row(n)
+    return {b: sum(mu * (order // L.size(o)) for o, mu in row.items() if L.leq(b, o))
+            for b in build_superclasses(L).blocks}
+
+
+def reference_multiplicative(L, m):
+    covers = L.covers(m)
+    if not covers:
+        raise FormulaInapplicableError("multiplicative formula needs a nonempty cover set",
+                                       witness=m)
+    if not is_general_position(L, covers, m):
+        raise FormulaInapplicableError("covers are not in general position", witness=m)
+    top_join = subset_join(L, m, covers)
+    degree = Fraction(L.group.order, L.size(top_join))
+    for o in covers:
+        degree *= Fraction(L.size(o), L.size(m)) - 1
+    values = {}
+    for b in build_superclasses(L).blocks:
+        if not L.leq(b, top_join):
+            values[b] = Fraction(0)
+            continue
+        minimal = [o for o in covers
+                   if not L.leq(b, subset_join(L, m, [p for p in covers if p != o]))]
+        if not L.leq(b, subset_join(L, m, minimal)):
+            raise AmbiguityError("no unique minimal cover subset for a block",
+                                 witness={"M": m, "block": b})
+        values[b] = degree
+        for o in minimal:
+            values[b] *= Fraction(1, 1 - Fraction(L.size(o), L.size(m)))
+    if values != build_theory(L).char_by_node[m].values:
+        raise InternalConsistencyError("multiplicative and Moebius character values disagree",
+                                       check="dual_path", witness={"node": m})
+    return Supercharacter(m, "chi_bullet", values, build_superclasses(L))
+
+
+def multiplicative_outcome(f, L, m):
+    """The values in block order, or the error's class, check, message and witness."""
+    try:
+        chi = f(L, m)
+    except LatsuperError as exc:
+        return type(exc).__name__, exc.check, str(exc), exc.witness
+    return "pass", list(chi.values.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices())
+def test_join_indexed_moebius_values_equal_the_block_sums(L):
+    for n in range(len(L.nodes)):
+        assert chi_bullet_moebius(L, n).values == reference_moebius_values(L, n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices())
+def test_multiplicative_values_are_the_reference_ints(L):
+    rows = build_theory(L).char_by_node
+    for m in range(len(L.nodes)):
+        got = multiplicative_outcome(chi_bullet_multiplicative, L, m)
+        assert got == multiplicative_outcome(reference_multiplicative, L, m), m
+        if got[0] == "pass":
+            assert all(type(v) is int for _, v in got[1])
+            assert got[1] == list(rows[m].values.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices(), st.data())
+def test_dual_path_fails_like_the_reference_on_a_tampered_value(L, data):
+    theory = build_theory(L)
+    node = data.draw(st.sampled_from(sorted(theory.char_by_node)), label="character")
+    block = data.draw(st.sampled_from(theory.partition.block_nodes()), label="block")
+    theory.char_by_node[node].values[block] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    for m in range(len(L.nodes)):
+        assert (multiplicative_outcome(chi_bullet_multiplicative, L, m)
+                == multiplicative_outcome(reference_multiplicative, L, m)), m
+
+
+def test_an_ambiguous_block_wins_over_an_earlier_mismatch():
+    """C12 at the bottom: covers C2 and C3 in general position.  A wrong value
+    at block C2 alone is a dual_path mismatch; if the order relation also puts
+    the later block C4 under both covers (and their join C6) but not under the
+    bottom, C4 has no minimal cover subset, and that ambiguity is raised
+    first."""
+    L = FRESH["C12"]()
+    theory = build_theory(L)
+    c2, c3, c4, c6 = (node_of_size(L, size) for size in (2, 3, 4, 6))
+    theory.char_by_node[L.bottom].values[c2] += 1
+    for f in (chi_bullet_multiplicative, reference_multiplicative):
+        with pytest.raises(InternalConsistencyError) as info:
+            f(L, L.bottom)
+        assert (info.value.check, info.value.witness) == ("dual_path", {"node": L.bottom})
+    L.up_mask[c4] |= 1 << c2 | 1 << c3 | 1 << c6
+    expected = ("AmbiguityError", None, "no unique minimal cover subset for a block",
+                {"M": L.bottom, "block": c4})
+    assert multiplicative_outcome(chi_bullet_multiplicative, L, L.bottom) == expected
+    assert multiplicative_outcome(reference_multiplicative, L, L.bottom) == expected
