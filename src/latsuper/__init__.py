@@ -26,11 +26,9 @@ from .lattice import (
     DistributiveAnalysis,
     NormalLattice,
     basis_subspace_lattice,
-    bounds,
     cover_to_irreducible_map,
     distributive_analysis,
     is_general_position,
-    moebius,
     normal_lattice,
     product_to_cover_map,
     sublattice_closure,

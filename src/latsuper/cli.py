@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 from . import oracle
 from .errors import ArgumentError, ConstructionError, InputError, LatsuperError
-from .groups import GroupSpec, GroupTable, Subgroup, make_group, mask_of
+from .groups import GroupSpec, GroupTable, Subgroup, _bits, make_group, mask_of
 from .lattice import (
     NormalLattice,
-    _bits,
     closed_sublattice,
     distributive_analysis,
     lattice_to_dot,
@@ -230,13 +229,18 @@ def _verification_checks(L: NormalLattice, seed: int) -> list[tuple[str, object]
         return {"nodes_with_closed_form": used}
 
     def cover_meet():
-        # row m compares meet(cj(m), cj(n)) with cj(meet(m, n)) for every n
+        # row m compares meet(cj(m), cj(n)) with cj(meet(m, n)) for n >= m:
+        # both sides are symmetric, so the first failing pair has n >= m.
+        # Runs of nodes with the same cj(m) (often the top) share the left side.
         cj = [L.cover_join(i) for i in range(len(L.nodes))]
-        for m, meet_row in enumerate(L.meet_table):
-            lhs = list(map(L.meet_table[cj[m]].__getitem__, cj))
-            rhs = list(map(cj.__getitem__, meet_row))
+        lhs_of = lhs_row = None
+        for m in range(len(L.nodes)):
+            if cj[m] != lhs_of:
+                lhs_of, lhs_row = cj[m], list(map(L.meet_row(cj[m]).__getitem__, cj))
+            lhs = lhs_row[m:]
+            rhs = list(map(cj.__getitem__, L.meet_row(m, m)))
             if lhs != rhs:
-                n = next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                n = m + next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
                 raise LatsuperError(
                     "cover-join meet identity fails",
                     check="cover_meet", witness={"M": m, "N": n},

@@ -424,15 +424,6 @@ class GroupTable:
 
     # -- basic queries -------------------------------------------------------
 
-    def mult(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_order(self, g: int) -> int:
         k, x = 1, g
         while x != 0:
@@ -524,13 +515,7 @@ class Subgroup:
         return self.mask.bit_count()
 
     def elements(self) -> Iterator[int]:
-        mask = self.mask
-        i = 0
-        while mask:
-            if mask & 1:
-                yield i
-            mask >>= 1
-            i += 1
+        return _bits(self.mask)
 
     def __contains__(self, g: int) -> bool:
         return bool((self.mask >> g) & 1)
@@ -547,6 +532,15 @@ def mask_of(elements: Iterable[int]) -> int:
     for g in elements:
         mask |= 1 << g
     return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first: the elements of a subgroup mask,
+    the node indices of an order mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
 
 
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")

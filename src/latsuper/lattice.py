@@ -5,14 +5,20 @@ A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
 group, closed under join (subgroup product) and meet (intersection), always
 containing the trivial subgroup and the whole group.  Nodes are referenced by
 their index in ``nodes``, sorted by size.  Group elements are multiplied only
-to enumerate nodes; meets and joins are order theory on bitmasks, and a join
-is certified by the product formula |NM| |N & M| = |N| |M|.
+to enumerate nodes.  The order is one up-set and one down-set bitmask of node
+indices per node, and meet and join have one rule, read off them: the join of
+i and j is the lowest index in up(i) & up(j), the meet the highest index in
+down(i) & down(j).  No m x m table is kept.  The constructor certifies every
+pair once, whoever built the nodes: the meet is the node N & M, and the join
+satisfies the product formula |NM| |N & M| = |N| |M|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from math import gcd
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -25,6 +31,8 @@ from .errors import (
 from .groups import (
     GroupTable,
     Subgroup,
+    VectorSpaceData,
+    _bits,
     closure_mask,
     conjugacy_classes,
     mask_of,
@@ -33,15 +41,9 @@ from .groups import (
 SUBGROUP_ENUM_CAP = 20000
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
 class NormalLattice:
-    """A sublattice of the normal subgroups of a finite group.  With
+    """A sublattice of the normal subgroups of a finite group, its order kept
+    as up_mask/down_mask and certified pair by pair in _build_order.  With
     check_normal=False the caller vouches that every node is normal, which the
     product formula certifying joins needs."""
 
@@ -78,35 +80,34 @@ class NormalLattice:
                 )
 
     def _build_order(self) -> None:
-        # Nodes are sorted by size: N_i <= N_j needs j >= i, and the join is the
-        # lowest common upper bound, which (L2) requires to have the size of the
-        # product N_i N_j; the meet must be the node N_i & N_j.
+        # Nodes are sorted by size: N_i <= N_j needs j >= i.  Each pair is
+        # certified in index order: the meet must be the node N_i & N_j, and
+        # the join, which (L2) requires to have the size of the product
+        # N_i N_j, must satisfy the product formula.
         m = len(self.nodes)
         masks = [s.mask for s in self.nodes]
         sizes = [s.size for s in self.nodes]
-        self.up_mask = [0] * m    # up_mask[i]: bitmask of j with nodes[i] <= nodes[j]
-        self.down_mask = [0] * m
+        up = self.up_mask = [0] * m    # up_mask[i]: bitmask of j with nodes[i] <= nodes[j]
+        down = self.down_mask = [0] * m
         for i in range(m):
             mi = masks[i]
             for j in range(i, m):
                 if mi & masks[j] == mi:
-                    self.up_mask[i] |= 1 << j
-                    self.down_mask[j] |= 1 << i
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
         self.bottom = self._index[1]
         self.top = self._index[(1 << self.group.order) - 1]
-        self.meet_table = [[0] * m for _ in range(m)]
-        self.join_table = [[0] * m for _ in range(m)]
         for i in range(m):
-            up_i, meet_row, join_row = self.up_mask[i], self.meet_table[i], self.join_table[i]
+            mi, up_i, down_i = masks[i], up[i], down[i]
             for j in range(i, m):
-                meet = self._index.get(masks[i] & masks[j])
-                if meet is None:
+                meet = (down_i & down[j]).bit_length() - 1
+                if masks[meet] != mi & masks[j]:
                     raise ConstructionError(
                         "lattice not closed under intersection",
                         check="meet_closure",
                         witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
                     )
-                upper = up_i & self.up_mask[j]
+                upper = up_i & up[j]
                 join = (upper & -upper).bit_length() - 1
                 if sizes[join] * sizes[meet] != sizes[i] * sizes[j]:
                     raise ConstructionError(
@@ -114,8 +115,6 @@ class NormalLattice:
                         check="join_closure",
                         witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
                     )
-                meet_row[j] = self.meet_table[j][i] = meet
-                join_row[j] = self.join_table[j][i] = join
         # covers via transitive reduction of the order matrix
         self.covers_up: list[list[int]] = [[] for _ in range(m)]
         self.covers_down: list[list[int]] = [[] for _ in range(m)]
@@ -141,24 +140,28 @@ class NormalLattice:
         return bool((self.up_mask[i] >> j) & 1)
 
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        """Greatest common lower bound: the highest index in down(i) & down(j)."""
+        return (self.down_mask[i] & self.down_mask[j]).bit_length() - 1
 
     def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        """Least common upper bound: the lowest index in up(i) & up(j)."""
+        upper = self.up_mask[i] & self.up_mask[j]
+        return (upper & -upper).bit_length() - 1
 
     def meet_all(self, idxs: Iterable[int]) -> int:
         """Meet of a node set; empty set gives the top."""
-        out = self.top
-        for i in idxs:
-            out = self.meet_table[out][i]
-        return out
+        lower = reduce(and_, map(self.down_mask.__getitem__, idxs), self.down_mask[self.top])
+        return lower.bit_length() - 1
 
     def join_all(self, idxs: Iterable[int]) -> int:
         """Join of a node set; empty set gives the bottom."""
-        out = self.bottom
-        for i in idxs:
-            out = self.join_table[out][i]
-        return out
+        upper = reduce(and_, map(self.up_mask.__getitem__, idxs), self.up_mask[self.bottom])
+        return (upper & -upper).bit_length() - 1
+
+    def meet_row(self, i: int, start: int = 0) -> list[int]:
+        """meet(i, j) for every node j >= start, in index order, at C speed."""
+        lower = map(self.down_mask[i].__and__, self.down_mask[start:])
+        return list(map((-1).__add__, map(int.bit_length, lower)))
 
     def covers(self, i: int) -> list[int]:
         """C(i): the minimal strict super-elements of node i."""
@@ -166,10 +169,7 @@ class NormalLattice:
 
     def cover_join(self, i: int) -> int:
         """Join of node i with all of its covers (= i itself when i is the top)."""
-        out = i
-        for j in self.covers_up[i]:
-            out = self.join_table[out][j]
-        return out
+        return self.join_all([i, *self.covers_up[i]])
 
     def interval(self, i: int, j: int) -> list[int]:
         """Nodes k with i <= k <= j."""
@@ -350,17 +350,6 @@ def sublattice_closure(L: NormalLattice, gens: Iterable[int]) -> NormalLattice:
     return NormalLattice(L.group, [L.nodes[i] for i in sorted(seen)], check_normal=False)
 
 
-def bounds(L: NormalLattice, nodes: Sequence[int]) -> tuple[int, int]:
-    """(overline, underline): join and meet of a nonempty node set."""
-    if not nodes:
-        raise ArgumentError("bounds of an empty node set")
-    return L.join_all(nodes), L.meet_all(nodes)
-
-
-def moebius(L: NormalLattice, n: int, o: int) -> int:
-    return L.moebius(n, o)
-
-
 # ---------------------------------------------------------------------------
 # Vector-space sublattices.
 
@@ -398,21 +387,27 @@ def subspace_lattice(G: GroupTable) -> NormalLattice:
     return NormalLattice(G, nodes, check_normal=False)
 
 
+def _span_with(vs: VectorSpaceData, span: int, i: int) -> int:
+    """The mask of span(S u {e_i}) from that of span(S), coordinate i being 0
+    on span(S).  Element indices are row-major, so adding c e_i adds
+    c q^(dim-1-i) to an index with no carry, and the span is the union of the
+    q shifts of span(S) by those amounts."""
+    step = vs.q ** (vs.dim - 1 - i)
+    return reduce(or_, (span << c * step for c in range(vs.q)))
+
+
 def basis_subspace_lattice(G: GroupTable) -> NormalLattice:
     """Spans of subsets of the standard basis; isomorphic to the subset lattice."""
     vs = G.vs
     if vs is None:
         raise ArgumentError("basis_subspace_lattice requires a vector_space group")
     _check_cap(1 << vs.dim)
-    nodes = []
-    for subset in range(1 << vs.dim):
-        mask = 0
-        for v in range(G.order):
-            coords = vs.decode(v)
-            if all(c == 0 for i, c in enumerate(coords) if not (subset >> i) & 1):
-                mask |= 1 << v
-        label = "<" + ",".join(f"e{i}" for i in _bits(subset)) + ">"
-        nodes.append(Subgroup(mask, label))
+    spans = [1]  # spans[subset]: the span of e_i for the bits i of subset
+    for subset in range(1, 1 << vs.dim):
+        low = subset & -subset
+        spans.append(_span_with(vs, spans[subset ^ low], low.bit_length() - 1))
+    nodes = [Subgroup(span, "<" + ",".join(f"e{i}" for i in _bits(subset)) + ">")
+             for subset, span in enumerate(spans)]
     return NormalLattice(G, nodes, check_normal=False)
 
 
@@ -421,12 +416,8 @@ def basis_node(L: NormalLattice, subset: Iterable[int]) -> int:
     vs = L.group.vs
     assert vs is not None
     chosen = set(subset)
-    mask = 0
-    for v in range(L.group.order):
-        coords = vs.decode(v)
-        if all(c == 0 for i, c in enumerate(coords) if i not in chosen):
-            mask |= 1 << v
-    return L.index_of(mask)
+    return L.index_of(reduce(partial(_span_with, vs),
+                             (i for i in range(vs.dim) if i in chosen), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +435,24 @@ class DistributiveAnalysis:
 
 
 def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
-    """Check distributivity; on success compute the Birkhoff antichain maps."""
+    """Check distributivity; on success compute the Birkhoff antichain maps.
+
+    With J(x) the product (join-) irreducibles below x, L is distributive iff
+    J(x v p) = J(x) | J(p) for every node x and product irreducible p, in m |J|
+    joins: join-irreducibles of a distributive lattice are join-prime, and the
+    identity makes x -> J(x) an embedding into a Boolean lattice (Birkhoff,
+    "Rings of sets", 1937).  The witness of a failure is _first_violation."""
     if L._distributive is not None:
         return L._distributive
     m = len(L.nodes)
-    violation = None
-    for k in range(m):
-        jk = L.join_table[k]
-        for a in range(m):
-            ja = jk[a]
-            for b in range(a, m):
-                if jk[L.meet_table[a][b]] != L.meet_table[ja][jk[b]]:
-                    violation = (k, a, b)
-                    break
-            if violation:
-                break
-        if violation:
-            break
-    if violation is not None:
-        result = DistributiveAnalysis(is_distributive=False, violation=violation)
-        L._distributive = result
-        return result
     meet_irr = tuple(i for i in range(m) if len(L.covers_up[i]) == 1)
     prod_irr = tuple(i for i in range(m) if len(L.covers_down[i]) == 1)
+    irreducible = mask_of(prod_irr)
+    below = [down & irreducible for down in L.down_mask]
+    if any(below[L.join(x, p)] != below[x] | below[p] for x in range(m) for p in prod_irr):
+        result = DistributiveAnalysis(is_distributive=False, violation=_first_violation(L))
+        L._distributive = result
+        return result
     antichain_of: dict[int, tuple[int, ...]] = {}
     for k in range(m):
         above = [p for p in meet_irr if L.leq(k, p)]
@@ -500,6 +486,27 @@ def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
     return result
 
 
+def _first_violation(L: NormalLattice) -> tuple[int, int, int]:
+    """The first (k, a, b), b >= a, with k v (a ^ b) != (k v a) ^ (k v b); both
+    sides are compared over all b at once, from meet rows.  k = bottom and
+    a <= k are skipped: both sides are then a ^ b, or k."""
+    m = len(L.nodes)
+    for k in range(m):
+        if k == L.bottom:
+            continue
+        jk = [L.join(k, x) for x in range(m)]
+        for a in range(m):
+            if L.leq(a, k):
+                continue
+            lhs = list(map(jk.__getitem__, L.meet_row(a, a)))
+            rhs = list(map(L.meet_row(jk[a]).__getitem__, jk[a:]))
+            if lhs != rhs:
+                return k, a, a + next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    raise InternalConsistencyError(
+        "Birkhoff test fails but no triple violates distributivity", check="distributivity"
+    )
+
+
 def _require_distributive(L: NormalLattice) -> DistributiveAnalysis:
     analysis = distributive_analysis(L)
     if not analysis.is_distributive:
@@ -508,14 +515,6 @@ def _require_distributive(L: NormalLattice) -> DistributiveAnalysis:
             witness=list(analysis.violation or ()),
         )
     return analysis
-
-
-def subset_join(L: NormalLattice, base: int, nodes: Iterable[int]) -> int:
-    """Join of nodes over a base: base itself for the empty set."""
-    out = base
-    for i in nodes:
-        out = L.join_table[out][i]
-    return out
 
 
 def is_general_position(L: NormalLattice, A: Sequence[int], M: int) -> bool:
@@ -527,11 +526,11 @@ def is_general_position(L: NormalLattice, A: Sequence[int], M: int) -> bool:
     aset = list(dict.fromkeys(A))
     if any(o not in cover_set for o in aset):
         raise ArgumentError("general position requires A to be a subset of C(M)")
-    total = subset_join(L, M, aset)
+    total = L.join_all([M, *aset])
     join_cond = True
     meet_cond = True
     for o in aset:
-        rest = subset_join(L, M, [p for p in aset if p != o])
+        rest = L.join_all([M, *(p for p in aset if p != o)])
         if rest == total:
             join_cond = False
         if L.meet(rest, o) != M:
@@ -559,7 +558,10 @@ def _check_antichain(L: NormalLattice, nodes: Sequence[int], pool: Iterable[int]
 
 def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
     """For an antichain B of product irreducibles, the bijection sending each
-    lower cover L' of join(B) to the unique K in B with K meet L' != K."""
+    lower cover L' of join(B) to the unique K in B with K meet L' != K.
+
+    Public API with no caller in the package: the product-irreducible/cover
+    bijection of the paper, dual to cover_to_irreducible_map."""
     analysis = _require_distributive(L)
     bset = _check_antichain(L, B, analysis.product_irreducibles, "product irreducible")
     top = L.join_all(bset)
@@ -577,7 +579,7 @@ def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
     inverse: dict[int, int] = {}
     for k in bset:
         m_k = L.covers_down[k][0]
-        inverse[k] = subset_join(L, m_k, [b for b in bset if b != k])
+        inverse[k] = L.join_all([m_k, *(b for b in bset if b != k)])
     if sorted(mapping.values()) != sorted(bset) or any(
         mapping[inverse[k]] != k for k in bset
     ):

@@ -18,8 +18,7 @@ from operator import add, itemgetter, mod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArgumentError, CapacityError, VerificationError
-from .groups import GroupTable, Subgroup, closure_mask, is_normal
-from .lattice import _bits
+from .groups import GroupTable, Subgroup, _bits, closure_mask, is_normal
 
 if TYPE_CHECKING:
     from .sct import SCTheory, SuperclassPartition

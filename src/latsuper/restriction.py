@@ -28,10 +28,9 @@ from .errors import (
     UnfavorableEmbeddingError,
     VerificationError,
 )
-from .groups import GroupTable, closure_mask
+from .groups import GroupTable, _bits, closure_mask
 from .lattice import (
     NormalLattice,
-    _bits,
     cover_to_irreducible_map,
     distributive_analysis,
     _require_distributive,
@@ -67,13 +66,6 @@ class GroupEmbedding:
                         f"embedding is not a homomorphism at ({a},{b})",
                         check="embedding", witness=[a, b],
                     )
-
-    @property
-    def image_mask(self) -> int:
-        mask = 0
-        for x in self.map:
-            mask |= 1 << x
-        return mask
 
 
 def cyclic_embedding(H: GroupTable, G: GroupTable) -> GroupEmbedding:

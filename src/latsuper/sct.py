@@ -29,7 +29,8 @@ from .errors import (
     InternalConsistencyError,
     VerificationError,
 )
-from .lattice import NormalLattice, _bits, is_general_position, subset_join
+from .groups import _bits
+from .lattice import NormalLattice, is_general_position
 
 
 @dataclass
@@ -118,18 +119,19 @@ def chi_bullet_moebius(L: NormalLattice, n: int) -> Supercharacter:
 
     The block of node B lies in O exactly when B <= O, so its value is the sum
     of mu(N,O) |G/O| over the O >= N above B, that is over the O >= N v B.  The
-    mu(N,.) row is computed once, and the sum once per distinct join N v B."""
+    mu(N,.) row is computed once, and the sum once per distinct join N v B,
+    keyed by its up-set up(N) & up(B)."""
     part = build_superclasses(L)
     order = L.group.order
     terms = [(1 << o, mu * (order // L.size(o))) for o, mu in L.moebius_row(n).items() if mu]
+    up_n = L.up_mask[n]
     by_join: dict[int, int] = {}
     values: dict[int, int] = {}
     for b in part.blocks:
-        j = L.join(n, b)
-        if j not in by_join:
-            up = L.up_mask[j]
-            by_join[j] = sum([w for bit, w in terms if up & bit])
-        values[b] = by_join[j]
+        up = up_n & L.up_mask[b]
+        if up not in by_join:
+            by_join[up] = sum([w for bit, w in terms if up & bit])
+        values[b] = by_join[up]
     return Supercharacter(n, "chi_bullet", values, part)
 
 
@@ -155,11 +157,11 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
     part = build_superclasses(L)
     moebius_values = build_theory(L).char_by_node[m].values
     size_m = L.size(m)
-    top_join = subset_join(L, m, covers)
+    top_join = L.join_all([m, *covers])
     # degree |G/top| * prod(|O|/|M| - 1), times prod(1 / (1 - |O|/|M|)) over minimal
     num = L.group.order * prod(L.size(o) - size_m for o in covers)
     den = L.size(top_join) * size_m ** len(covers)
-    rests = [(o, subset_join(L, m, [p for p in covers if p != o])) for o in covers]
+    rests = [(o, L.join_all([m, *(p for p in covers if p != o)])) for o in covers]
     by_minimal: dict[tuple[int, ...], tuple[int, int, int]] = {}
     values: dict[int, int] = {}
     agree = True
@@ -172,7 +174,7 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
         minimal = tuple(o for o, rest in rests if not (up >> rest) & 1)
         if minimal not in by_minimal:
             by_minimal[minimal] = (
-                subset_join(L, m, minimal),
+                L.join_all([m, *minimal]),
                 num * size_m ** len(minimal),
                 den * prod(size_m - L.size(o) for o in minimal),
             )
@@ -262,7 +264,7 @@ def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
     elif not perp:
         closed, case = Fraction(L.group.order, L.size(km)), "no_covers"
     else:
-        closed = Fraction(L.group.order, L.size(subset_join(L, km, perp)))
+        closed = Fraction(L.group.order, L.size(L.join_all([km, *perp])))
         for o in perp:
             closed *= Fraction(L.size(o), L.size(km)) - 1
         case = "product"

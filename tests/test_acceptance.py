@@ -25,7 +25,8 @@ from latsuper import (
 )
 from latsuper.cli import main as cli_main
 from latsuper.errors import FormulaInapplicableError
-from latsuper.lattice import _bits, basis_node
+from latsuper.groups import _bits
+from latsuper.lattice import basis_node
 from latsuper.oracle import prime_factors, ramanujan_sum
 from latsuper.products import pointwise_product
 from latsuper.restriction import (

@@ -8,7 +8,6 @@ from latsuper import (
     NormalLattice,
     Subgroup,
     UnsupportedStructureError,
-    bounds,
     cover_to_irreducible_map,
     distributive_analysis,
     is_general_position,
@@ -76,16 +75,15 @@ def test_sublattice_closure_examples():
 
 
 def test_bounds():
+    # join and meet of a node set; the empty set gives the bottom and the top
     L = cyclic_lattice(12)
     c4, c6 = node_of_size(L, 4), node_of_size(L, 6)
-    over, under = bounds(L, [c4, c6])
+    over, under = L.join_all([c4, c6]), L.meet_all([c4, c6])
     assert L.size(over) == 12 and L.size(under) == 2
-    over, under = bounds(L, [c4])
-    assert over == under == c4
+    assert L.join_all([c4]) == L.meet_all([c4]) == c4
     LS = s3_lattice()
-    assert bounds(LS, [1, 2]) == (2, 1)
-    with pytest.raises(ArgumentError):
-        bounds(L, [])
+    assert (LS.join_all([1, 2]), LS.meet_all([1, 2])) == (2, 1)
+    assert (L.join_all([]), L.meet_all([])) == (L.bottom, L.top)
 
 
 def test_moebius_examples():

@@ -7,8 +7,9 @@ normal-subgroup oracle, and closed forms of the normal subgroups of D_n and S_5.
 """
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
+from operator import and_, or_
 from types import SimpleNamespace
 
 import pytest
@@ -29,11 +30,19 @@ from latsuper import (
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
+from latsuper.errors import InternalConsistencyError
 from latsuper.groups import PrimePowerField, VectorSpaceData, closure_mask, mask_of
-from latsuper.lattice import basis_subspace_lattice, closed_sublattice, subspace_lattice
+from latsuper.lattice import (
+    _first_violation,
+    basis_node,
+    basis_subspace_lattice,
+    closed_sublattice,
+    distributive_analysis,
+    subspace_lattice,
+)
 from latsuper.oracle import brute_force_normal_subgroups
 
-from corpus import cyclic_group, vector_space_group
+from corpus import cyclic_group, drawn_lattices, fresh_lattice, vector_space_group
 
 # Derandomized so that the suite draws the same examples on every run.
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -253,3 +262,144 @@ def test_strict_nodes_errors_exit1(tmp_path, capsys, group, nodes, category, che
 def test_non_subgroup_generator_is_an_argument_error():
     with pytest.raises(ArgumentError):
         closed_sublattice(cyclic_group(12), [Subgroup(mask_of([0, 5]))])
+
+
+# ---------------------------------------------------------------------------
+# One order rule: meets and joins read off the up- and down-set masks agree
+# with intersections and closure_mask joins, and the Birkhoff distributivity
+# test agrees with the cubic scan it replaced.
+
+
+def reference_order(L):
+    """(meet, join) tables of L from masks: the intersection, and the node of
+    closure_mask of the union."""
+    masks = [s.mask for s in L.nodes]
+    index = {mask: i for i, mask in enumerate(masks)}
+    meet = [[index[a & b] for b in masks] for a in masks]
+    join = [[index[closure_mask(L.group, a | b)] for b in masks] for a in masks]
+    return meet, join
+
+
+def cubic_scan(L):
+    """The first (k, a, b), b >= a, with k v (a ^ b) != (k v a) ^ (k v b),
+    over reference tables, or None: the scan distributivity was once tested by."""
+    meet, join = reference_order(L)
+    m = len(L)
+    for k in range(m):
+        for a in range(m):
+            for b in range(a, m):
+                if join[k][meet[a][b]] != meet[join[k][a]][join[k][b]]:
+                    return k, a, b
+    return None
+
+
+@PROPERTY
+@given(drawn_lattices(), st.data())
+def test_meet_and_join_follow_the_masks(L, data):
+    masks = [s.mask for s in L.nodes]
+    index = {mask: i for i, mask in enumerate(masks)}
+    meet, join = reference_order(L)
+    m = len(L)
+    for a in range(m):
+        assert [L.meet(a, b) for b in range(m)] == L.meet_row(a) == meet[a]
+        assert [L.join(a, b) for b in range(m)] == join[a]
+        cover = reduce(or_, (masks[c] for c in L.covers(a)), masks[a])
+        assert L.cover_join(a) == index[closure_mask(L.group, cover)]
+    for _ in range(5):
+        picked = data.draw(st.lists(st.integers(0, m - 1), max_size=4), label="nodes")
+        chosen = [masks[i] for i in picked]
+        assert L.meet_all(picked) == index[reduce(and_, chosen, masks[L.top])]
+        assert L.join_all(picked) == index[closure_mask(L.group, reduce(or_, chosen, 1))]
+
+
+@PROPERTY
+@given(drawn_lattices())
+def test_birkhoff_test_agrees_with_the_cubic_scan(L):
+    analysis = distributive_analysis(L)
+    expected = cubic_scan(L)
+    assert analysis.is_distributive is (expected is None)
+    assert analysis.violation == expected
+
+
+@pytest.mark.parametrize("name, kind, violation", [
+    ("F3^2", "full", (1, 2, 3)),
+    ("F2^3", "full", (1, 2, 3)),
+    ("Q8xC4", "full", (1, 2, 3)),
+    ("D4", "full", (2, 3, 4)),
+    ("D6", "full", (1, 4, 5)),
+    ("F2^3", "basis", None),
+    ("F3^2", "basis", None),
+    ("S4", "full", None),
+])
+def test_distributivity_verdicts_and_witnesses(name, kind, violation):
+    L = fresh_lattice(name, kind)
+    assert cubic_scan(L) == violation
+    analysis = distributive_analysis(L)
+    assert analysis.is_distributive is (violation is None)
+    assert analysis.violation == violation
+
+
+def test_witness_scan_without_a_violation_is_an_internal_error():
+    with pytest.raises(InternalConsistencyError) as info:
+        _first_violation(fresh_lattice("F2^3", "basis"))
+    assert info.value.check == "distributivity"
+
+
+@PROPERTY
+@given(drawn_lattices(), st.data())
+def test_strict_nodes_missing_a_node_fail_on_the_first_unclosed_pair(L, data):
+    inner = [i for i in range(len(L)) if i not in (L.bottom, L.top)]
+    if not inner:
+        return
+    dropped = data.draw(st.sampled_from(inner), label="dropped")
+    masks = {s.mask for i, s in enumerate(L.nodes) if i != dropped}
+    expected = first_unclosed_pair(L.group, masks)
+    nodes = [Subgroup(mask) for mask in masks]
+    if expected is None:
+        assert {s.mask for s in NormalLattice(L.group, nodes).nodes} == masks
+        return
+    with pytest.raises(ConstructionError) as info:
+        NormalLattice(L.group, nodes)
+    assert (info.value.check, info.value.witness) == expected
+
+
+@pytest.mark.parametrize("group, source, phi, witness", [
+    ("F3^2", {"kind": "cyclic", "n": 3}, [0, 1, 2], [1, 2, 3]),
+    ("D6", {"kind": "cyclic", "n": 2}, [0, 3], [1, 4, 5]),
+])
+def test_restrict_on_a_non_distributive_lattice_exits1_with_the_witness(
+        tmp_path, capsys, group, source, phi, witness):
+    spec = (GroupSpec.vector_space(3, 2) if group == "F3^2" else dihedral_group(6).spec).to_json()
+    files = {"g": spec, "e": {"source": source, "map": phi}, "a": {"node": [0]}}
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    code = main(["restrict", "--group", str(tmp_path / "g.json"),
+                 "--embedding", str(tmp_path / "e.json"), "--anchor", str(tmp_path / "a.json")])
+    assert code == 1
+    assert capsys.readouterr().out == json.dumps({"error": {
+        "category": "UnsupportedStructureError",
+        "message": "operation requires a distributive lattice",
+        "witness": witness,
+    }}, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Basis spans by shifts.
+
+
+@pytest.mark.parametrize("q, dim", [(2, 4), (3, 3), (4, 3), (8, 2), (9, 2)])
+def test_basis_spans_match_decoded_coordinates(q, dim):
+    G = vector_space_group(q, dim)
+    L = basis_subspace_lattice(G)
+
+    def decoded_span(subset):
+        return mask_of(v for v in range(G.order)
+                       if all(c == 0 for i, c in enumerate(G.vs.decode(v)) if i not in subset))
+
+    by_label = {L.node_label(i): s.mask for i, s in enumerate(L.nodes)}
+    assert len(by_label) == 1 << dim
+    for bits in range(1 << dim):
+        subset = {i for i in range(dim) if (bits >> i) & 1}
+        label = "<" + ",".join(f"e{i}" for i in sorted(subset)) + ">"
+        assert by_label[label] == decoded_span(subset)
+        assert L.nodes[basis_node(L, subset)].mask == decoded_span(subset)

@@ -15,7 +15,8 @@ from latsuper import (
     verify_sct,
 )
 from latsuper.catalog import quaternion_group, symmetric_group
-from latsuper.lattice import _bits, basis_subspace_lattice
+from latsuper.groups import _bits
+from latsuper.lattice import basis_subspace_lattice
 from latsuper.oracle import (
     brute_force_normal_subgroups,
     cross_check_normal_lattice,

@@ -158,7 +158,7 @@ def test_convolution_support_matches_schur_constants():
     # the convolution of two superclass sums, read as a class function, lives in
     # the supercharacter span and is supported exactly on the blocks carrying
     # nonzero Schur structure constants
-    from latsuper.lattice import _bits
+    from latsuper.groups import _bits
     from latsuper.oracle import schur_closure_check
 
     for L in (cyclic_lattice(6), s3_lattice(), q8_lattice()):

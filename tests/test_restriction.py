@@ -16,7 +16,8 @@ from latsuper import (
     sublattice_closure,
 )
 from latsuper.errors import UnfavorableEmbeddingError
-from latsuper.lattice import _bits, basis_node
+from latsuper.groups import _bits
+from latsuper.lattice import basis_node
 from latsuper.restriction import cyclic_embedding
 
 from corpus import (

@@ -27,13 +27,8 @@ from latsuper import (
     verify_sct,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.lattice import (
-    _bits,
-    basis_subspace_lattice,
-    closed_sublattice,
-    is_general_position,
-    subset_join,
-)
+from latsuper.groups import _bits
+from latsuper.lattice import basis_subspace_lattice, closed_sublattice, is_general_position
 from latsuper.oracle import prime_factors, ramanujan_sum
 
 from corpus import (
@@ -467,7 +462,7 @@ def reference_multiplicative(L, m):
                                        witness=m)
     if not is_general_position(L, covers, m):
         raise FormulaInapplicableError("covers are not in general position", witness=m)
-    top_join = subset_join(L, m, covers)
+    top_join = L.join_all([m, *covers])
     degree = Fraction(L.group.order, L.size(top_join))
     for o in covers:
         degree *= Fraction(L.size(o), L.size(m)) - 1
@@ -477,8 +472,8 @@ def reference_multiplicative(L, m):
             values[b] = Fraction(0)
             continue
         minimal = [o for o in covers
-                   if not L.leq(b, subset_join(L, m, [p for p in covers if p != o]))]
-        if not L.leq(b, subset_join(L, m, minimal)):
+                   if not L.leq(b, L.join_all([m, *(p for p in covers if p != o)]))]
+        if not L.leq(b, L.join_all([m, *minimal])):
             raise AmbiguityError("no unique minimal cover subset for a block",
                                  witness={"M": m, "block": b})
         values[b] = degree
