@@ -536,7 +536,14 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of mask, lowest first: the elements of a subgroup mask,
-    the node indices of an order mask."""
+    the node indices of an order mask.  A dense mask is read from its binary
+    digits in one pass; a sparse one bit by bit, as each step is a pass."""
+    if mask.bit_count() * 16 > mask.bit_length():
+        return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
+    return _sparse_bits(mask)
+
+
+def _sparse_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -6,6 +6,10 @@ cyclotomic arithmetic (remainders modulo the e-th cyclotomic polynomial),
 Schur closure works on raw convolution counts, and normal subgroups are
 re-derived from all subgroups, which are enumerated by joining cyclic
 subgroups one at a time.
+
+The SC3 check enumerates the dual along a coset walk of a generating
+sequence, as bytes rows when e <= 255 and int tuples above, already in the
+sorted order of dual_characters, and checks one X-block at a time.
 """
 
 from __future__ import annotations
@@ -238,30 +242,108 @@ def _representatives(part: "SuperclassPartition") -> tuple[list[int], list[int],
     return nodes, reps, rep_of, is_partition and covered == (1 << order) - 1
 
 
+def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
+    """The exponent e, the walk and the |G| dual characters as rows of
+    exponents over the walk.  Adding generator g with relative order d to the
+    span S appends the cosets S*g^j, 0 < j < d, so the extended row is the old
+    row shifted by j times the value chosen for g, coset after coset: no sort
+    and no per-element index.
+
+    Each generator is the least element outside the span of the earlier ones,
+    so two characters first differ, in element order, at the first generator
+    where they differ.  Rows are extended in order and with ascending values,
+    so they come sorted by exponents, in the order of dual_characters."""
+    if not G.is_abelian:
+        raise ArgumentError("dual_characters requires an abelian group")
+    walk, inside, levels = [0], {0}, []
+    for g in range(G.order):
+        if g in inside:
+            continue
+        position = {x: i for i, x in enumerate(walk)}
+        d, x = 1, g
+        while x not in position:
+            x = G.mul[x][g]
+            d += 1
+        s = len(walk)
+        levels.append((g, d, position[x], s))
+        for _ in range(d - 1):
+            walk += map(G.mul[g].__getitem__, walk[-s:])
+        inside.update(walk[s:])
+    e = lcm(*(G.element_order(g) for g, *_ in levels))
+    residues = tuple(range(e)) * 2
+    # tables[c] adds c mod e to every byte below e
+    tables = [bytes(residues[c:c + e]) + bytes(256 - e) for c in range(e)] if e <= 255 else None
+    rows: list = [b"\0" if tables else (0,)]
+    for g, d, at, s in levels:
+        gg = gcd(d, e)
+        step = e // gg
+        inverse = pow(d // gg, -1, step)
+        extended = []
+        for row in rows:
+            v = row[at]
+            if v % gg != 0:
+                raise VerificationError(
+                    "no character extension exists (group is not abelian?)",
+                    check="dual_group", witness={"generator": g},
+                )
+            x0 = (v // gg) * inverse % step
+            for t in range(gg):
+                val = (x0 + t * step) % e
+                shifts = map(mod, range(0, d * val, val), repeat(e)) if val else repeat(0, d)
+                if tables:
+                    extended.append(b"".join(map(row.translate, map(tables.__getitem__, shifts))))
+                else:
+                    powers = chain.from_iterable(map(repeat, shifts, repeat(s))) if s > 1 else shifts
+                    extended.append(itemgetter(*map(add, row * d, powers))(residues))
+        rows = extended
+    if len(rows) != G.order:
+        raise VerificationError(
+            f"dual group has {len(rows)} characters, expected {G.order}", check="dual_group",
+        )
+    return e, walk, rows
+
+
+# b"1" at exponent 0 and b"0" elsewhere: a row's kernel as binary digits
+_ZERO_DIGITS = b"1" + b"0" * 255
+
+
 def verify_sc3_abelian(theory: "SCTheory") -> dict:
     """SC3 from first principles on abelian groups: partition the dual by the
     maximal lattice node inside each kernel, form the exact cyclotomic sums,
     and compare with the computed integer supercharacter values.
 
-    Each sum is the residue modulo Phi_e of the multiset of exponents psi(g)
-    over psi in the X-block; equal tuples of exponents are sorted, and equal
-    multisets reduced, once per block.
+    The rows of _dual_walk are bytes when the exponent e fits in a byte, so
+    shifts and zero flags are translates, and int tuples above.  Kernels are
+    read over walk positions, where the node masks are moved once.  For each
+    X-block the exponents at each element form a column of its rows; equal
+    columns are sorted, and equal multisets reduced modulo Phi_e, once.
 
     Every element of every superclass is compared: for each X-block, the sums
     must equal the sums at their superclass representatives, and the sums at
     the representatives must equal (value, 0, ..., 0), each as one list
     comparison.  Only a failing X-block, or every X-block when the
     superclasses are not a partition into nonempty sets, is rescanned
-    superclass by superclass for the first witness."""
+    superclass by superclass for the first witness.  The rows come in the
+    order of dual_characters, so X-blocks and witnesses come in its order too."""
     L = theory.lattice
     G = L.group
-    psis = dual_characters(G)
-    e = psis[0].exponent if psis else 1
-    masks = [s.mask for s in L.nodes]
-    n_max_of: dict[int, int] = {}        # kernel mask -> largest node inside
-    blocks_of_dual: dict[int, list[DualCharacter]] = {}
-    for psi in psis:
-        kernel = psi.kernel.mask
+    order = G.order
+    e, walk, rows = _dual_walk(G)
+    # node masks over walk positions, bit p for position p
+    masks = []
+    for s in L.nodes:
+        digits = bin(s.mask)[:1:-1].ljust(order, "0")
+        masks.append(int("".join(map(digits.__getitem__, reversed(walk))), 2))
+    n_max_of: dict[int, int] = {}        # kernel over positions -> largest node inside
+    blocks_of_dual: dict[int, list] = {}
+    for row in rows:
+        if e <= 255:
+            kernel = int(row.translate(_ZERO_DIGITS)[::-1], 2)
+        else:  # one step per zero: with e > 255 a kernel is a small share of a row
+            kernel, p = 0, -1
+            for _ in range(row.count(0)):
+                p = row.index(0, p + 1)
+                kernel |= 1 << p
         if kernel not in n_max_of:
             inside = 0
             for n, mask in enumerate(masks):
@@ -272,10 +354,10 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
             if inside & ~L.down_mask[n_max]:
                 raise VerificationError(
                     "kernel nodes not closed under join", check="SC3",
-                    witness={"kernel": psi.kernel.to_json()},
+                    witness={"kernel": sorted(map(walk.__getitem__, _bits(kernel)))},
                 )
             n_max_of[kernel] = n_max
-        blocks_of_dual.setdefault(n_max_of[kernel], []).append(psi)
+        blocks_of_dual.setdefault(n_max_of[kernel], []).append(row)
     # the X-blocks must exactly mirror the nonzero supercharacters
     nonzero_nodes = {f.label for f in theory.chars}
     if set(blocks_of_dual) != nonzero_nodes:
@@ -284,15 +366,21 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
             check="SC3",
             witness={"dual_blocks": sorted(blocks_of_dual), "chars": sorted(nonzero_nodes)},
         )
-    if sum(len(v) for v in blocks_of_dual.values()) != G.order:
+    if sum(len(v) for v in blocks_of_dual.values()) != order:
         raise VerificationError("X-blocks do not partition the dual", check="SC3")
     zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
     nodes, reps, rep_of, is_partition = _representatives(theory.partition)
+    position_of = sorted(range(order), key=walk.__getitem__)
+    columns_at = [slice(p, None, order) for p in position_of]
     for n, block in blocks_of_dual.items():
         char = theory.char_by_node[n]
-        # the exponents of the block at each element; each distinct tuple is
-        # sorted once and each distinct multiset reduced once
-        columns = list(zip(*(psi.exponents for psi in block)))
+        # the exponents of the block at each element: strided slices of its
+        # joined bytes rows, or its tuple rows transposed (no joined copy)
+        if e <= 255:
+            columns = list(map(b"".join(block).__getitem__, columns_at))
+        else:
+            columns = list(map(list(zip(*block)).__getitem__, position_of))
+        # each distinct column is sorted once and each distinct multiset reduced once
         residue_of: dict[tuple[int, ...], tuple[int, ...]] = {}
         sum_of = {}
         for column in set(columns):
@@ -319,7 +407,8 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
                     "SC3 sum disagrees with the supercharacter value", check="SC3",
                     witness={"node": n, "block": bnode, "expected": str(value)},
                 )
-    return {"status": "pass", "dual_size": len(psis)}
+    return {"status": "pass", "dual_size": len(rows)}
+
 
 
 def schur_closure_check(theory: "SCTheory") -> dict:

@@ -12,7 +12,7 @@ from latsuper import (
     make_group,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.groups import PrimePowerField, closure_mask, mask_of
+from latsuper.groups import PrimePowerField, _bits, closure_mask, mask_of
 
 from corpus import cyclic_group, vector_space_group
 
@@ -85,6 +85,21 @@ def test_subgroup_generated_idempotent():
         H = subgroup_generated(G, gens)
         again = subgroup_generated(G, list(H.elements()))
         assert again.mask == H.mask
+
+
+@pytest.mark.parametrize("elements", [
+    [],
+    [0],
+    [4095],
+    [3, 700, 2048, 4095],              # sparse: read bit by bit
+    list(range(0, 4096, 2)),           # dense: read from the binary digits
+    list(range(4096)),
+    [g for g in range(4096) if g % 16 != 5],
+])
+def test_bits_round_trips_mask_of(elements):
+    mask = mask_of(elements)
+    assert list(_bits(mask)) == sorted(elements)
+    assert mask_of(_bits(mask)) == mask
 
 
 def test_is_normal():

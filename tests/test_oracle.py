@@ -1,6 +1,8 @@
 import cmath
 import json
 import random
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,20 @@ from hypothesis import strategies as st
 
 from latsuper import (
     ArgumentError,
+    GroupSpec,
     LatsuperError,
     VerificationError,
     build_theory,
+    make_group,
     normal_lattice,
     verify_sct,
 )
+from latsuper import oracle
 from latsuper.catalog import quaternion_group, symmetric_group
-from latsuper.groups import _bits
-from latsuper.lattice import basis_subspace_lattice
+from latsuper.groups import Subgroup, _bits, closure_mask
+from latsuper.lattice import NormalLattice, basis_subspace_lattice, closed_sublattice
 from latsuper.oracle import (
+    _dual_walk,
     brute_force_normal_subgroups,
     cross_check_normal_lattice,
     cyclotomic_polynomial,
@@ -128,6 +134,8 @@ def test_dual_characters_are_homomorphisms():
 def test_dual_characters_reject_nonabelian():
     with pytest.raises(ArgumentError):
         dual_characters(symmetric_group(3))
+    with pytest.raises(ArgumentError, match="requires an abelian group"):
+        verify_sc3_abelian(build_theory(s3_lattice()))
 
 
 def test_sc3_abelian_examples():
@@ -426,3 +434,158 @@ def test_sc3_rejects_kernel_nodes_not_closed_under_join():
     expected = ("VerificationError", "SC3", "kernel nodes not closed under join",
                 {"kernel": list(range(12))})
     assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory) == expected
+
+
+# ---------------------------------------------------------------------------
+# verify_sc3_abelian stores the dual as bytes rows when the exponent e is at
+# most 255 and as int tuples above.  Groups on both sides of that boundary,
+# beyond the order-256 cap of the drawn lattices: the result or first witness
+# must still be the reference's.
+
+
+def relabelled(G, seed):
+    """A raw table of G under a random relabelling that fixes the identity,
+    so the walk of the dual differs from the element order."""
+    rng = random.Random(seed)
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    mul = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            mul[perm[a]][perm[b]] = perm[G.mul[a][b]]
+    return make_group(GroupSpec.table(mul))
+
+
+BOUNDARY_GROUPS = {
+    "C255": lambda: cyclic_group(255),                 # e = 255, bytes
+    "C256": lambda: cyclic_group(256),                 # e = 256, tuples
+    "C260": lambda: cyclic_group(260),                 # e = 260, tuples
+    "C260 relabelled": lambda: relabelled(cyclic_group(260), 7),
+    "C2xC130": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(130)])),
+    "C2xC130 relabelled": lambda: relabelled(
+        make_group(GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(130)])), 5),
+}
+
+
+@lru_cache(maxsize=None)
+def boundary_full_lattice(name):
+    return normal_lattice(BOUNDARY_GROUPS[name]())
+
+
+def boundary_lattice(name, kind):
+    """A new lattice object: the full lattice, or the one closed from its
+    second and third nodes."""
+    full = boundary_full_lattice(name)
+    if kind == "full":
+        return NormalLattice(full.group, full.nodes, check_normal=False)
+    return closed_sublattice(full.group, [full.nodes[1], full.nodes[2]])
+
+
+def tamper_at_random(theory, tamper, rng):
+    """The tampers of test_tampered_theories_fail_like_the_references, drawn
+    from rng; a value tamper changes a nonzero character, which SC3 sees."""
+    blocks = theory.partition.blocks
+    nodes = theory.partition.block_nodes()
+    if tamper != "value":
+        source = rng.choice(nodes)
+        g = rng.choice(list(_bits(blocks[source])))
+        target = rng.choice([k for k in nodes if k != source])
+        if tamper == "move":
+            blocks[source] &= ~(1 << g)
+        blocks[target] |= 1 << g
+    else:
+        node = rng.choice(sorted(f.label for f in theory.chars))
+        theory.char_by_node[node].values[rng.choice(nodes)] += rng.choice([-2, -1, 1, 2])
+
+
+WALKED_GROUPS = {
+    **BOUNDARY_GROUPS,
+    # element 1 generates the C2, so the C260 generator extends a span of two
+    "C260xC2": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(260), GroupSpec.cyclic(2)])),
+    "C2xC2xC3": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(n) for n in (2, 2, 3)])),
+    "F3^2": lambda: vector_space_group(3, 2),
+    "F4^2": lambda: vector_space_group(4, 2),
+    "C12 relabelled": lambda: relabelled(cyclic_group(12), 1),
+    "C1": lambda: cyclic_group(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED_GROUPS))
+def test_dual_walk_rows_are_the_sorted_dual(name):
+    """The rows of the walk, read in element order, are dual_characters in
+    its order, so verify_sc3_abelian meets X-blocks and witnesses in that
+    order without sorting."""
+    G = WALKED_GROUPS[name]()
+    e, walk, rows = _dual_walk(G)
+    assert sorted(walk) == list(range(G.order))
+    assert {type(row) for row in rows} == {bytes if e <= 255 else tuple}
+    position_of = sorted(range(G.order), key=walk.__getitem__)
+    psis = dual_characters(G)
+    assert [tuple(map(row.__getitem__, position_of)) for row in rows] == [
+        psi.exponents for psi in psis]
+    assert e == psis[0].exponent
+
+
+@pytest.mark.parametrize("kind", ["full", "closed"])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_GROUPS))
+def test_sc3_at_the_encoding_boundary(name, kind):
+    L = boundary_lattice(name, kind)
+    theory = build_theory(L)
+    assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory)
+    assert outcome(verify_sc3_abelian, theory)[0] == "pass"
+    for tamper in ("move", "copy", "value"):
+        theory = build_theory(boundary_lattice(name, kind))
+        tamper_at_random(theory, tamper, random.Random(f"{name}/{kind}/{tamper}"))
+        failure = outcome(verify_sc3_abelian, theory)
+        assert failure == outcome(reference_sc3, theory)
+        assert failure[0] == "VerificationError"
+    # the kernel-closure tamper of test_sc3_rejects_kernel_nodes_not_closed_under_join,
+    # at the top (the kernel of the first character) and at the least node
+    # above the bottom (a proper kernel, read through the walk)
+    for node in ("top", 1):
+        L = boundary_lattice(name, kind)
+        theory = build_theory(L)
+        n = L.top if node == "top" else node
+        L.up_mask[L.bottom] &= ~(1 << n)
+        L.down_mask[n] &= ~(1 << L.bottom)
+        failure = outcome(verify_sc3_abelian, theory)
+        assert failure == outcome(reference_sc3, theory)
+        assert failure[2] == "kernel nodes not closed under join"
+        if node == "top":
+            assert failure[3] == {"kernel": list(range(L.group.order))}
+
+
+def c20xc30_sublattice():
+    """C20 x C30 on the 5-node sublattice closed from C2 in each factor, as
+    the large-table benchmark verifies it: elements (a, b) at 30a + b.  A new
+    lattice each call, as tampering changes its cached theory."""
+    G = make_group(GroupSpec.product([GroupSpec.cyclic(20), GroupSpec.cyclic(30)]))
+    return closed_sublattice(G, [Subgroup(closure_mask(G, 1 << 300)),
+                                 Subgroup(closure_mask(G, 1 << 15))])
+
+
+def test_sc3_never_builds_the_sorted_dual(monkeypatch):
+    theory = build_theory(c20xc30_sublattice())
+    assert len(theory.lattice.nodes) == 5
+
+    def sorted_dual(G):
+        raise AssertionError("verify_sc3_abelian walks the dual in sorted order")
+
+    monkeypatch.setattr(oracle, "dual_characters", sorted_dual)
+    assert verify_sc3_abelian(theory) == {"status": "pass", "dual_size": 600}
+    tamper_value(theory)
+    with pytest.raises(VerificationError, match="disagrees with the supercharacter value"):
+        verify_sc3_abelian(theory)
+
+
+def test_sc3_memory_peak_on_a_large_table():
+    """The dual of C20 x C30 as 600 rows of 600 bytes is 0.36 MB; as sorted
+    int tuples (dual_characters) it needs 4.4 MB."""
+    theory = build_theory(c20xc30_sublattice())
+    verify_sc3_abelian(theory)     # the cyclotomic polynomials are cached
+    tracemalloc.start()
+    try:
+        verify_sc3_abelian(theory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
