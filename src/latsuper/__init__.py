@@ -31,7 +31,6 @@ from .lattice import (
     is_general_position,
     normal_lattice,
     product_to_cover_map,
-    sublattice_closure,
     subspace_lattice,
 )
 from .products import ProductReport, decompose_class_function, tensor_product

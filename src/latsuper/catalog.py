@@ -1,4 +1,5 @@
-"""Small named groups built as raw tables (test corpus and CLI fixtures)."""
+"""Small named groups built as raw tables (test corpus and CLI fixtures), kept
+as a module: no package code imports it, and latbench counts lines by module."""
 
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 Subcommands: sct, verify, product, restrict, lattice, export.  All numeric
 output is exact: integers as integers, rationals as "p/q" strings.  Exit codes:
-0 success, 1 input/precondition error, 2 verification failure.
+0 success, 1 input/precondition error (usage errors included), 2 verification
+failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -421,8 +423,19 @@ def cmd_restrict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 with a payload, not argparse's 2."""
+
+    def error(self, message: str):
+        raise InputError(message, check="usage")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Each subcommand accepts only the flags it reads: --format for sct and
+    export, --seed for verify.  Built once: an argparse action points back at
+    its parser, so a parser per call would be cyclic garbage."""
+    parser = _Parser(
         prog="latsuper",
         description="Supercharacter theories of normal subgroup lattices (exact).",
     )
@@ -432,16 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, help="group spec JSON file")
         p.add_argument("--sublattice", help="sublattice JSON (generators or nodes)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", help="output format where applicable")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed of verify's tensor-product and degree-sum spot pairs")
 
     p_sct = sub.add_parser("sct", help="emit the supercharacter table")
     common(p_sct)
-    p_sct.set_defaults(fn=cmd_sct, format="csv")
+    p_sct.add_argument("--format", default="csv", help="csv (default) or json")
+    p_sct.set_defaults(fn=cmd_sct)
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed of the tensor-product and degree-sum spot pairs")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_product = sub.add_parser("product", help="tensor-product report for two nodes")
@@ -461,15 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export the Hasse diagram (DOT)")
     common(p_export)
+    p_export.add_argument("--format", help="dot (default), json or csv")
     p_export.set_defaults(fn=cmd_export)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         _emit_json({"error": exc.payload()}, getattr(args, "out", None))

@@ -20,7 +20,6 @@ abelian iff the generators Light's test used commute pairwise.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, compress, count
@@ -29,21 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, ConstructionError
 
-DEFAULT_MAX_ORDER = 4096
-
-
-def max_order() -> int:
-    """Desk-scale order cap; LATSUPER_MAX_ORDER overrides it."""
-    raw = os.environ.get("LATSUPER_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CapacityError(f"LATSUPER_MAX_ORDER={raw!r} is not an integer")
-    if value < 1:
-        raise CapacityError(f"LATSUPER_MAX_ORDER={value} must be positive")
-    return value
+MAX_ORDER = 4096  # desk-scale order cap: no table has more than MAX_ORDER rows
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +261,6 @@ class VectorSpaceData:
     def scale(self, c: int, idx: int) -> int:
         return self.encode([self.field.mul(c, x) for x in self.decode(idx)])
 
-    def basis_vector(self, i: int) -> int:
-        coords = [0] * self.dim
-        coords[i] = 1
-        return self.encode(coords)
-
 
 # ---------------------------------------------------------------------------
 # Group tables.
@@ -304,13 +284,12 @@ class GroupTable:
         mul: Sequence[Sequence[int]],
         spec: GroupSpec,
         *,
-        name: Optional[str] = None,
         vs: Optional[VectorSpaceData] = None,
     ):
         self.mul = tuple(map(tuple, mul))
         self.order = len(self.mul)
         self.spec = spec
-        self.name = name or spec.name
+        self.name = spec.name
         self.vs = vs
         self.generators, walk = self._validate()
         self.inv = self._inverses(walk)
@@ -326,9 +305,8 @@ class GroupTable:
         n, mul = self.order, self.mul
         if n < 1:
             raise ConstructionError("empty multiplication table", check="order")
-        cap = max_order()
-        if n > cap:
-            raise CapacityError(f"order {n} exceeds cap {cap}", check="order_cap", witness=n)
+        if n > MAX_ORDER:
+            raise CapacityError(f"order {n} exceeds cap {MAX_ORDER}", check="order_cap", witness=n)
         ident = tuple(range(n))
         full = frozenset(ident)  # faster than sorted(row) except on rotations
         for g, row in enumerate(mul):
@@ -462,8 +440,8 @@ def _product_table(tables: Sequence[GroupTable]) -> Sequence[tuple[int, ...]]:
     total = 1
     for g in tables:
         total *= g.order
-    if total > max_order():
-        raise CapacityError(f"product order {total} exceeds cap {max_order()}", check="order_cap")
+    if total > MAX_ORDER:
+        raise CapacityError(f"product order {total} exceeds cap {MAX_ORDER}", check="order_cap")
     return reduce(_pair_table, (g.mul for g in tables))
 
 
@@ -472,16 +450,16 @@ def make_group(spec: GroupSpec) -> GroupTable:
     if spec.kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise ConstructionError(f"cyclic order must be >= 1, got {spec.n}", check="spec")
-        if spec.n > max_order():
-            raise CapacityError(f"order {spec.n} exceeds cap {max_order()}", check="order_cap")
+        if spec.n > MAX_ORDER:
+            raise CapacityError(f"order {spec.n} exceeds cap {MAX_ORDER}", check="order_cap")
         return GroupTable(_cyclic_table(spec.n), spec)
     if spec.kind == "vector_space":
         if spec.q is None or spec.dim is None or spec.dim < 1:
             raise ConstructionError("vector_space needs q and dim >= 1", check="spec")
         p, k = factor_prime_power(spec.q)
-        if spec.q**spec.dim > max_order():
+        if spec.q**spec.dim > MAX_ORDER:
             raise CapacityError(
-                f"order {spec.q**spec.dim} exceeds cap {max_order()}", check="order_cap"
+                f"order {spec.q**spec.dim} exceeds cap {MAX_ORDER}", check="order_cap"
             )
         # F_q^dim under addition is C_p^(k*dim): the base-p digits of an index
         # are the coefficient digits of its coordinates, added digit by digit
@@ -517,14 +495,8 @@ class Subgroup:
     def elements(self) -> Iterator[int]:
         return _bits(self.mask)
 
-    def __contains__(self, g: int) -> bool:
-        return bool((self.mask >> g) & 1)
-
     def to_json(self) -> list[int]:
         return list(self.elements())
-
-    def relabel(self, label: Optional[str]) -> "Subgroup":
-        return Subgroup(self.mask, label)
 
 
 def mask_of(elements: Iterable[int]) -> int:

@@ -16,7 +16,7 @@ satisfies the product formula |NM| |N & M| = |N| |M|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from math import gcd
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -130,8 +130,7 @@ class NormalLattice:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def index_of(self, sub: Subgroup | int) -> int:
-        mask = sub.mask if isinstance(sub, Subgroup) else sub
+    def index_of(self, mask: int) -> int:
         if mask not in self._index:
             raise ArgumentError("subgroup is not a lattice node")
         return self._index[mask]
@@ -197,12 +196,6 @@ class NormalLattice:
         for o in _bits(up & ~(1 << n)):
             row[o] = -sum(map(row.__getitem__, _bits(up & self.down_mask[o] & ~(1 << o))))
         return row
-
-    def moebius(self, n: int, o: int) -> int:
-        """Moebius function of the lattice order: mu(n,n)=1, sums to 0 on intervals."""
-        if not self.leq(n, o):
-            raise ArgumentError("moebius requires N <= O")
-        return self.moebius_row(n)[o]
 
     def __repr__(self) -> str:
         return f"NormalLattice({self.group.name}, {len(self.nodes)} nodes)"
@@ -288,10 +281,7 @@ def normal_lattice(G: GroupTable) -> NormalLattice:
         gens = _cyclic_subgroups(G)
     else:
         gens = [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
-    nodes = [Subgroup(m) for m in _join_closure(G, gens)]
-    if G.spec.kind == "cyclic":
-        nodes = [s.relabel(f"C{s.size}") for s in nodes]
-    return NormalLattice(G, nodes, check_normal=True)
+    return NormalLattice(G, [Subgroup(m) for m in _join_closure(G, gens)], check_normal=True)
 
 
 def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
@@ -327,27 +317,7 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
             if not any(union & z == union for z in by_size.get(size, ())):
                 add(closure_mask(G, union))
     labels = {s.mask: s.label for s in gens if s.label}
-    subs = [Subgroup(m, labels.get(m)) for m in nodes]
-    if G.spec.kind == "cyclic":
-        subs = [s.relabel(s.label or f"C{s.size}") for s in subs]
-    return NormalLattice(G, subs, check_normal=False)
-
-
-def sublattice_closure(L: NormalLattice, gens: Iterable[int]) -> NormalLattice:
-    """Close a set of node indices of L under meet/join; repackage as a lattice."""
-    idxs = set(gens)
-    for i in idxs:
-        if not (0 <= i < len(L.nodes)):
-            raise ArgumentError(f"node index {i} out of range")
-    nodes = list(dict.fromkeys([L.bottom, L.top, *sorted(idxs)]))
-    seen = set(nodes)
-    for j, b in enumerate(nodes):
-        for a in nodes[:j]:
-            for c in (L.meet(a, b), L.join(a, b)):
-                if c not in seen:  # a subset of L's nodes: within the cap
-                    seen.add(c)
-                    nodes.append(c)
-    return NormalLattice(L.group, [L.nodes[i] for i in sorted(seen)], check_normal=False)
+    return NormalLattice(G, [Subgroup(m, labels.get(m)) for m in nodes], check_normal=False)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +335,8 @@ def _subspace_count(q: int, dim: int) -> int:
 
 def subspace_lattice(G: GroupTable) -> NormalLattice:
     """All F_q-submodules of a vector-space group: the join closure of the lines
-    (the subgroup generated by two subspaces is their sum, again a subspace)."""
+    (the subgroup generated by two subspaces is their sum, again a subspace).
+    Public API with no caller in the package."""
     vs = G.vs
     if vs is None:
         raise ArgumentError("subspace_lattice requires a vector_space group")
@@ -397,7 +368,9 @@ def _span_with(vs: VectorSpaceData, span: int, i: int) -> int:
 
 
 def basis_subspace_lattice(G: GroupTable) -> NormalLattice:
-    """Spans of subsets of the standard basis; isomorphic to the subset lattice."""
+    """Spans of subsets of the standard basis, each labelled by its subset as
+    "<e0,e2>"; isomorphic to the subset lattice.  Public API with no caller in
+    the package."""
     vs = G.vs
     if vs is None:
         raise ArgumentError("basis_subspace_lattice requires a vector_space group")
@@ -411,15 +384,6 @@ def basis_subspace_lattice(G: GroupTable) -> NormalLattice:
     return NormalLattice(G, nodes, check_normal=False)
 
 
-def basis_node(L: NormalLattice, subset: Iterable[int]) -> int:
-    """Node index of span{e_i : i in subset} in a basis lattice."""
-    vs = L.group.vs
-    assert vs is not None
-    chosen = set(subset)
-    return L.index_of(reduce(partial(_span_with, vs),
-                             (i for i in range(vs.dim) if i in chosen), 1))
-
-
 # ---------------------------------------------------------------------------
 # Distributivity and Birkhoff structure.
 
@@ -430,7 +394,6 @@ class DistributiveAnalysis:
     meet_irreducibles: tuple[int, ...] = ()
     product_irreducibles: tuple[int, ...] = ()
     antichain_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    join_antichain_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     violation: Optional[tuple[int, int, int]] = None
 
 
@@ -464,23 +427,11 @@ def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
                 f"antichain meet mismatch at node {k}", check="birkhoff"
             )
         antichain_of[k] = minimal
-    join_antichain_of: dict[int, tuple[int, ...]] = {}
-    for k in range(m):
-        below = [p for p in prod_irr if L.leq(p, k)]
-        maximal = tuple(
-            p for p in below if not any(q != p and L.leq(p, q) for q in below)
-        )
-        if L.join_all(maximal) != k:
-            raise InternalConsistencyError(
-                f"antichain join mismatch at node {k}", check="birkhoff"
-            )
-        join_antichain_of[k] = maximal
     result = DistributiveAnalysis(
         is_distributive=True,
         meet_irreducibles=meet_irr,
         product_irreducibles=prod_irr,
         antichain_of=antichain_of,
-        join_antichain_of=join_antichain_of,
     )
     L._distributive = result
     return result

@@ -25,6 +25,7 @@ from .errors import ArgumentError, CapacityError, VerificationError
 from .groups import GroupTable, Subgroup, _bits, closure_mask, is_normal
 
 if TYPE_CHECKING:
+    from .lattice import NormalLattice
     from .sct import SCTheory, SuperclassPartition
 
 
@@ -72,7 +73,8 @@ def divisors(n: int) -> list[int]:
 
 
 def ramanujan_sum(n: int, k: int) -> int:
-    """c_n(k) = mu(n/g) phi(n) / phi(n/g) with g = gcd(n, k)."""
+    """c_n(k) = mu(n/g) phi(n) / phi(n/g) with g = gcd(n, k).  Reference code
+    with no caller in the package: tests compare the cyclic characters with it."""
     g = gcd(n, k) if k else n
     m = n // g
     return moebius_mu(m) * euler_phi(n) // euler_phi(m)
@@ -140,9 +142,6 @@ class DualCharacter:
     exponents: tuple[int, ...]
     kernel: Subgroup
 
-    def value(self, g: int) -> int:
-        return self.exponents[g]
-
 
 def dual_characters(G: GroupTable) -> list[DualCharacter]:
     """All |G| homomorphisms G -> Z_e, built by extending along a generating
@@ -152,7 +151,8 @@ def dual_characters(G: GroupTable) -> list[DualCharacter]:
     generators so far, in ascending element order.  Adding g walks the cosets
     S*g^j, 0 < j < d, and the exponent of h*g^j is that of h plus j times the
     value chosen for g; the relative order d and the walk depend on S alone,
-    so they are computed once per generator."""
+    so they are computed once per generator.  Reference code with no caller in
+    the package: tests compare _dual_walk and the SC3 witnesses with it."""
     if not G.is_abelian:
         raise ArgumentError("dual_characters requires an abelian group")
     # generating sequence: grow the span one generator at a time
@@ -229,7 +229,7 @@ def _representatives(part: "SuperclassPartition") -> tuple[list[int], list[int],
     whether the blocks are nonempty and partition the group: the one-comparison
     rules of the checks below need that, and build_superclasses ensures it."""
     nodes = part.block_nodes()
-    order = part.lattice.group.order
+    order = len(part.block_of)
     reps = [(part.blocks[k] & -part.blocks[k]).bit_length() - 1 for k in nodes]
     rep_of = list(range(order))
     covered = total = 0
@@ -307,10 +307,11 @@ def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
 _ZERO_DIGITS = b"1" + b"0" * 255
 
 
-def verify_sc3_abelian(theory: "SCTheory") -> dict:
+def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     """SC3 from first principles on abelian groups: partition the dual by the
-    maximal lattice node inside each kernel, form the exact cyclotomic sums,
-    and compare with the computed integer supercharacter values.
+    maximal node of L inside each kernel, form the exact cyclotomic sums, and
+    compare with the integer values of theory, built on L (the theory holds no
+    lattice, so L is passed with it; tests pass tampered theories).
 
     The rows of _dual_walk are bytes when the exponent e fits in a byte, so
     shifts and zero flags are translates, and int tuples above.  Kernels are
@@ -325,7 +326,6 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
     superclasses are not a partition into nonempty sets, is rescanned
     superclass by superclass for the first witness.  The rows come in the
     order of dual_characters, so X-blocks and witnesses come in its order too."""
-    L = theory.lattice
     G = L.group
     order = G.order
     e, walk, rows = _dual_walk(G)
@@ -411,9 +411,10 @@ def verify_sc3_abelian(theory: "SCTheory") -> dict:
 
 
 
-def schur_closure_check(theory: "SCTheory") -> dict:
+def schur_closure_check(L: "NormalLattice", theory: "SCTheory") -> dict:
     """Convolution of superclass sums must have constant multiplicity on each
-    superclass; the structure constants are reported.
+    superclass of theory, a theory on the nodes of L; the structure constants
+    are reported.  Only the group of L is read: the theory holds no lattice.
 
     Each block's multiplicity is read at its least element, rep_of[g].  Every
     product of every pair of blocks K_i, K_j is counted, in one of two ways:
@@ -431,7 +432,7 @@ def schur_closure_check(theory: "SCTheory") -> dict:
     witness.  Blocks that are not a partition into nonempty sets (never those
     of build_superclasses) are counted densely and scanned block by block for
     every pair."""
-    G = theory.lattice.group
+    G = L.group
     part = theory.partition
     nodes, reps, rep_of, is_partition = _representatives(part)
     members = {k: list(_bits(part.blocks[k])) for k in nodes}

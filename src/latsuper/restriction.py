@@ -68,14 +68,6 @@ class GroupEmbedding:
                     )
 
 
-def cyclic_embedding(H: GroupTable, G: GroupTable) -> GroupEmbedding:
-    """C_m into C_n (m | n) via x -> x^(n/m)."""
-    if H.spec.kind != "cyclic" or G.spec.kind != "cyclic" or G.order % H.order:
-        raise ArgumentError("cyclic_embedding needs cyclic groups with m | n")
-    step = G.order // H.order
-    return GroupEmbedding(H, G, tuple((h * step) % G.order for h in range(H.order)))
-
-
 @dataclass
 class RestrictionContext:
     embedding: GroupEmbedding

@@ -35,19 +35,12 @@ from .lattice import NormalLattice, is_general_position
 
 @dataclass
 class SuperclassPartition:
-    """Blocks N_o indexed by lattice node; only nonempty blocks are retained."""
+    """Blocks N_o indexed by lattice node; only nonempty blocks are retained.
+    No reference to the lattice, which caches it: no cycle keeps both alive."""
 
-    lattice: NormalLattice
+    bottom: int                       # node index of the trivial subgroup, block {1}
     blocks: dict[int, int]            # node index -> element bitmask
     block_of: list[int]               # element index -> node index
-    degenerate_nodes: list[int]       # nodes with empty N_o
-
-    @property
-    def bottom_block(self) -> int:
-        return self.lattice.bottom
-
-    def block_size(self, node: int) -> int:
-        return self.blocks[node].bit_count()
 
     def block_nodes(self) -> list[int]:
         return sorted(self.blocks)
@@ -61,7 +54,6 @@ def build_superclasses(L: NormalLattice) -> SuperclassPartition:
     if L._partition is not None:
         return L._partition
     blocks: dict[int, int] = {}
-    degenerate: list[int] = []
     for i in range(len(L.nodes)):
         below = 0
         for j in _bits(L.down_mask[i] & ~(1 << i)):
@@ -69,8 +61,6 @@ def build_superclasses(L: NormalLattice) -> SuperclassPartition:
         block = L.nodes[i].mask & ~below
         if block:
             blocks[i] = block
-        else:
-            degenerate.append(i)
     block_of = [-1] * L.group.order
     total = 0
     for node, bmask in blocks.items():
@@ -80,7 +70,7 @@ def build_superclasses(L: NormalLattice) -> SuperclassPartition:
     if total != (1 << L.group.order) - 1:
         raise InternalConsistencyError("superclasses do not cover the group",
                                        check="superclass_partition")
-    part = SuperclassPartition(L, blocks, block_of, degenerate)
+    part = SuperclassPartition(L.bottom, blocks, block_of)
     L._partition = part
     return part
 
@@ -90,13 +80,12 @@ class Supercharacter:
     """Class function constant on superclasses, stored per block node."""
 
     label: int                         # lattice node the character is attached to
-    kind: str                          # chi_bullet | chi_subgroup
     values: dict[int, int]             # block node -> integer value
     partition: SuperclassPartition
 
     @property
     def degree(self) -> int:
-        return self.values[self.partition.bottom_block]
+        return self.values[self.partition.bottom]
 
     @property
     def is_zero(self) -> bool:
@@ -111,7 +100,7 @@ def chi_subgroup(L: NormalLattice, n: int) -> Supercharacter:
     part = build_superclasses(L)
     size = L.group.order // L.size(n)
     values = {b: (size if L.leq(b, n) else 0) for b in part.blocks}
-    return Supercharacter(n, "chi_subgroup", values, part)
+    return Supercharacter(n, values, part)
 
 
 def chi_bullet_moebius(L: NormalLattice, n: int) -> Supercharacter:
@@ -132,7 +121,7 @@ def chi_bullet_moebius(L: NormalLattice, n: int) -> Supercharacter:
         if up not in by_join:
             by_join[up] = sum([w for bit, w in terms if up & bit])
         values[b] = by_join[up]
-    return Supercharacter(n, "chi_bullet", values, part)
+    return Supercharacter(n, values, part)
 
 
 def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
@@ -190,7 +179,7 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
             "multiplicative and Moebius character values disagree",
             check="dual_path", witness={"node": m},
         )
-    return Supercharacter(m, "chi_bullet", values, part)
+    return Supercharacter(m, values, part)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +193,6 @@ class SCTheory:
     char_by_node: dict[int, Supercharacter]     # all nodes, including zero chars
     verification_report: dict = field(default_factory=dict)
 
-    @property
-    def lattice(self) -> NormalLattice:
-        return self.partition.lattice
-
     def table(self) -> tuple[list[int], list[int], dict[int, list[int]]]:
         """The integer character table: the block nodes, their sizes, and the
         value row of every node's chi^{N.} aligned with them (zero characters
@@ -216,7 +201,7 @@ class SCTheory:
         part = self.partition
         nodes = part.block_nodes()
         rows = {n: list(map(chi.values.__getitem__, nodes)) for n, chi in self.char_by_node.items()}
-        return nodes, [part.block_size(b) for b in nodes], rows
+        return nodes, [part.blocks[b].bit_count() for b in nodes], rows
 
 
 def build_theory(L: NormalLattice) -> SCTheory:
@@ -234,13 +219,14 @@ def build_theory(L: NormalLattice) -> SCTheory:
 def inner_product(f: Supercharacter, h: Supercharacter) -> Fraction:
     """<f,h> = (1/|G|) sum over blocks of |block| f(block) conj(h(block)).
 
-    Supercharacter values are rational, so conjugation is the identity.
+    Supercharacter values are rational, so conjugation is the identity.  No
+    package caller: kept because latbench counts its calls by name.
     """
     if f.partition is not h.partition and f.partition.blocks != h.partition.blocks:
         raise ArgumentError("inner product requires characters on the same partition")
     part = f.partition
     total = sum(bmask.bit_count() * f.values[b] * h.values[b] for b, bmask in part.blocks.items())
-    return Fraction(total, part.lattice.group.order)
+    return Fraction(total, len(part.block_of))
 
 
 @dataclass
@@ -349,9 +335,9 @@ def verify_sct(L: NormalLattice) -> SCTheory:
             )
     report["subgroup_decomposition"] = "pass"
 
-    report["schur_closure"] = oracle.schur_closure_check(theory)["status"]
+    report["schur_closure"] = oracle.schur_closure_check(L, theory)["status"]
     if L.group.is_abelian:
-        report["SC3_abelian"] = oracle.verify_sc3_abelian(theory)["status"]
+        report["SC3_abelian"] = oracle.verify_sc3_abelian(L, theory)["status"]
     else:
         report["SC3_abelian"] = "skipped (nonabelian group; certified via Schur closure)"
     theory.verification_report = report

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from latsuper import GroupSpec, make_group, normal_lattice, sublattice_closure
+from latsuper import GroupSpec, make_group, normal_lattice
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.lattice import (
     NormalLattice,
@@ -66,6 +66,21 @@ def node_of_size(L: NormalLattice, size: int) -> int:
     return hits[0]
 
 
+def basis_node(L: NormalLattice, subset) -> int:
+    """Node index of span{e_i : i in subset} in a basis lattice, found by the
+    "<e0,e2>" label basis_subspace_lattice gives it."""
+    label = "<" + ",".join(f"e{i}" for i in sorted(set(subset))) + ">"
+    hits = [i for i, s in enumerate(L.nodes) if s.label == label]
+    assert len(hits) == 1, f"{len(hits)} nodes labelled {label}"
+    return hits[0]
+
+
+def basis_vector(vs, i: int) -> int:
+    """Element index of e_i in F_q^dim: indices are row-major, coordinate 0
+    most significant."""
+    return vs.q ** (vs.dim - 1 - i)
+
+
 @lru_cache(maxsize=None)
 def random_cyclic_sublattices(n: int, count: int = 2) -> tuple[NormalLattice, ...]:
     rng = random.Random(RANDOM_SUBLATTICE_SEED + n)
@@ -74,7 +89,7 @@ def random_cyclic_sublattices(n: int, count: int = 2) -> tuple[NormalLattice, ..
     for _ in range(count):
         k = rng.randrange(0, len(L.nodes))
         gens = rng.sample(range(len(L.nodes)), k) if k else []
-        out.append(sublattice_closure(L, gens))
+        out.append(closed_sublattice(L.group, [L.nodes[i] for i in gens]))
     return tuple(out)
 
 

@@ -19,25 +19,24 @@ from latsuper import (
     distributive_analysis,
     is_general_position,
     normal_lattice,
-    sublattice_closure,
     tensor_product,
     verify_sct,
 )
 from latsuper.cli import main as cli_main
 from latsuper.errors import FormulaInapplicableError
 from latsuper.groups import _bits
-from latsuper.lattice import basis_node
 from latsuper.oracle import prime_factors, ramanujan_sum
 from latsuper.products import pointwise_product
 from latsuper.restriction import (
     GroupEmbedding,
     build_restriction_context,
-    cyclic_embedding,
     restrict_decompose,
 )
 
 from corpus import (
     basis_lattice,
+    basis_node,
+    basis_vector,
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
@@ -47,7 +46,7 @@ from corpus import (
     small_corpus,
     subsp_lattice,
 )
-from test_restriction import blocksum_embedding, identity_embedding
+from test_restriction import blocksum_embedding, cyclic_embedding, identity_embedding
 
 
 def _divisor_count(n):
@@ -108,7 +107,7 @@ def test_c04_vector_space_character_values():
                     g = 0
                     for i in range(dim):
                         if (d_set >> i) & 1:
-                            g = L.group.mul[g][vs.basis_vector(i)]
+                            g = L.group.mul[g][basis_vector(vs, i)]
                     expected = (q - 1) ** (dim - bin(a_set | d_set).count("1")) * (
                         -1
                     ) ** bin(d_set & ~a_set).count("1")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import random
@@ -241,16 +242,81 @@ def test_lattice_and_export(files, capsys):
 
 
 def test_verify_rejects_jobs(files, capsys):
-    # verify runs its checks one after another; the thread pool is gone
+    # verify runs its checks one after another; the thread pool is gone, and
+    # an unknown flag is a usage error: exit 1, not the 2 of a failed check
     tmp, write = files
     group = write("c12.json", {"kind": "cyclic", "n": 12})
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--group", group, "--jobs", "4"])
-    assert info.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    code, out = run(["verify", "--group", group, "--jobs", "4"], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert (error["category"], error["check"]) == ("InputError", "usage")
+    assert "--jobs" in error["message"]
     code, out = run(["verify", "--group", group], capsys)
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("args", [
+    ["lattice", "--seed", "3"],
+    ["verify", "--format", "csv"],
+    ["sct", "--seed", "1"],
+    ["verify", "--jobs", "4"],
+    ["product", "--format", "json"],
+    ["restrict", "--seed", "0"],
+    ["export", "--seed", "2"],
+    ["verify", "--seed", "x"],
+    ["sct"],
+    ["nosuch"],
+])
+def test_usage_errors_exit1_with_a_payload(files, capsys, args):
+    # --format is read by sct and export only, --seed by verify only
+    tmp, write = files
+    group = write("c12.json", {"kind": "cyclic", "n": 12})
+    argv = args if args in (["sct"], ["nosuch"]) else [args[0], "--group", group, *args[1:]]
+    code, out = run(argv, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert (error["category"], error["check"]) == ("InputError", "usage")
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: latsuper" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["sct"], ["sct", "--format", "json"], ["lattice"], ["verify"], ["product"], ["restrict"],
+    ["export"], ["export", "--format", "json"],
+])
+def test_commands_leave_no_latsuper_cycles(files, capsys, command):
+    """Every object a command builds is freed by reference counting: with
+    DEBUG_SAVEALL, a collection after the command finds no latsuper object
+    among the unreachable ones."""
+    tmp, write = files
+    group = write("c12.json", {"kind": "cyclic", "n": 12})
+    extra = {
+        "product": ["--subgroup", write("a.json", [0, 6]), "--subgroup", write("b.json", [0, 4, 8])],
+        "restrict": ["--embedding", write("emb.json", {"source": {"kind": "cyclic", "n": 6},
+                                                       "map": [0, 2, 4, 6, 8, 10]}),
+                     "--anchor", write("anchor.json", {"node": [0, 6]})],
+    }.get(command[0], [])
+    argv = [command[0], "--group", group, *command[1:], *extra]
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _ = run(argv, capsys)
+        gc.collect()
+        leaked = sorted({type(x).__qualname__ for x in gc.garbage
+                         if type(x).__module__.startswith("latsuper")})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert code == 0
+    assert leaked == []
 
 
 def test_missing_file_exit1(files, capsys):

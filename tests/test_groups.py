@@ -12,7 +12,8 @@ from latsuper import (
     make_group,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.groups import PrimePowerField, _bits, closure_mask, mask_of
+from latsuper import groups
+from latsuper.groups import MAX_ORDER, PrimePowerField, _bits, closure_mask, mask_of
 
 from corpus import cyclic_group, vector_space_group
 
@@ -173,14 +174,34 @@ def test_rejects_non_prime_power_q():
         make_group(GroupSpec.vector_space(6, 1))
 
 
-def test_order_cap_and_override(monkeypatch):
+def test_order_cap_is_a_constant(monkeypatch):
+    # the cap bounds the work, so no environment variable moves it
     with pytest.raises(CapacityError):
         make_group(GroupSpec.cyclic(5000))
     monkeypatch.setenv("LATSUPER_MAX_ORDER", "8")
-    with pytest.raises(CapacityError):
-        make_group(GroupSpec.cyclic(12))
-    monkeypatch.setenv("LATSUPER_MAX_ORDER", "16")
     assert make_group(GroupSpec.cyclic(12)).order == 12
+    monkeypatch.setenv("LATSUPER_MAX_ORDER", "100000")
+    with pytest.raises(CapacityError):
+        make_group(GroupSpec.cyclic(5000))
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.cyclic(MAX_ORDER + 1),
+    GroupSpec.product([GroupSpec.cyclic(17), GroupSpec.cyclic(241)]),  # 4097
+    GroupSpec.vector_space(2, 13),
+], ids=["C4097", "C17xC241", "F2^13"])
+def test_order_cap_refuses_before_building_a_table(monkeypatch, spec):
+    built = []
+    for name in ("_cyclic_table", "_pair_table"):
+        def record(*args, build=getattr(groups, name)):
+            table = build(*args)
+            built.append(len(table))
+            return table
+        monkeypatch.setattr(groups, name, record)
+    with pytest.raises(CapacityError) as info:
+        make_group(spec)
+    assert info.value.check == "order_cap"
+    assert max(built, default=0) <= MAX_ORDER
 
 
 def intercalated_cyclic(n: int, r: int, c: int) -> list[list[int]]:

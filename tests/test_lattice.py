@@ -13,12 +13,10 @@ from latsuper import (
     is_general_position,
     normal_lattice,
     product_to_cover_map,
-    sublattice_closure,
 )
 from latsuper.cli import _lattice_of
 from latsuper.groups import mask_of
 from latsuper.lattice import (
-    basis_node,
     closed_sublattice,
     lattice_to_dot,
     lattice_to_json,
@@ -26,6 +24,7 @@ from latsuper.lattice import (
 
 from corpus import (
     basis_lattice,
+    basis_node,
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
@@ -65,12 +64,12 @@ def test_s3_lattice_is_chain():
 
 def test_sublattice_closure_examples():
     L = cyclic_lattice(12)
-    trivial = sublattice_closure(L, [])
+    trivial = closed_sublattice(L.group, [])
     assert sorted(trivial.size(i) for i in range(len(trivial))) == [1, 12]
     gens = [node_of_size(L, 2), node_of_size(L, 3)]
-    closed = sublattice_closure(L, gens)
+    closed = closed_sublattice(L.group, [L.nodes[i] for i in gens])
     assert sorted(closed.size(i) for i in range(len(closed))) == [1, 2, 3, 6, 12]
-    again = sublattice_closure(L, list(range(len(L))))
+    again = closed_sublattice(L.group, L.nodes)
     assert len(again) == len(L)
 
 
@@ -89,11 +88,11 @@ def test_bounds():
 def test_moebius_examples():
     L = cyclic_lattice(12)
     for i in range(len(L)):
-        assert L.moebius(i, i) == 1
-    assert L.moebius(L.bottom, node_of_size(L, 4)) == 0
-    assert L.moebius(node_of_size(L, 2), L.top) == 1
-    with pytest.raises(ArgumentError):
-        L.moebius(L.top, L.bottom)
+        assert L.moebius_row(i)[i] == 1
+    assert L.moebius_row(L.bottom)[node_of_size(L, 4)] == 0
+    assert L.moebius_row(node_of_size(L, 2))[L.top] == 1
+    # mu(N, O) is defined for N <= O only: the row of N holds no other node
+    assert set(L.moebius_row(node_of_size(L, 4))) == {node_of_size(L, 4), node_of_size(L, 12)}
 
 
 def test_moebius_sum_identity():
@@ -102,7 +101,8 @@ def test_moebius_sum_identity():
         for n in range(len(L)):
             for o in range(len(L)):
                 if L.leq(n, o) and n != o:
-                    assert sum(L.moebius(n, p) for p in L.interval(n, o)) == 0
+                    row = L.moebius_row(n)
+                    assert sum(row[p] for p in L.interval(n, o)) == 0
 
 
 def test_modularity_on_corpus():
@@ -135,8 +135,6 @@ def test_distributive_analysis_cyclic12():
     for k in range(len(L)):
         ac = an.antichain_of[k]
         assert L.meet_all(ac) == k
-        jc = an.join_antichain_of[k]
-        assert L.join_all(jc) == k
 
 
 def _is_prime_power(n):

@@ -26,7 +26,6 @@ from latsuper import (
     Subgroup,
     make_group,
     normal_lattice,
-    sublattice_closure,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
@@ -34,7 +33,6 @@ from latsuper.errors import InternalConsistencyError
 from latsuper.groups import PrimePowerField, VectorSpaceData, closure_mask, mask_of
 from latsuper.lattice import (
     _first_violation,
-    basis_node,
     basis_subspace_lattice,
     closed_sublattice,
     distributive_analysis,
@@ -42,7 +40,7 @@ from latsuper.lattice import (
 )
 from latsuper.oracle import brute_force_normal_subgroups
 
-from corpus import cyclic_group, drawn_lattices, fresh_lattice, vector_space_group
+from corpus import basis_node, cyclic_group, drawn_lattices, fresh_lattice, vector_space_group
 
 # Derandomized so that the suite draws the same examples on every run.
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -115,7 +113,6 @@ def test_closed_sublattice_joins_and_meets_multiply_out(case):
         for b in range(len(S)):
             assert masks[S.join(a, b)] == closure_mask(G, masks[a] | masks[b])
             assert masks[S.meet(a, b)] == masks[a] & masks[b]
-    assert [s.mask for s in sublattice_closure(L, picked).nodes] == masks
 
 
 @PROPERTY
@@ -221,7 +218,6 @@ def test_every_constructor_checks_the_node_cap(monkeypatch):
     for build in (
         lambda: normal_lattice(cyclic_group(12)),
         lambda: closed_sublattice(L.group, L.nodes),
-        lambda: sublattice_closure(L, range(len(L))),
         lambda: basis_subspace_lattice(vector_space_group(2, 3)),
         lambda: subspace_lattice(vector_space_group(2, 2)),
         lambda: NormalLattice(L.group, L.nodes),

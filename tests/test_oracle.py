@@ -38,6 +38,8 @@ from latsuper.oracle import (
 
 from corpus import (
     basis_lattice,
+    basis_node,
+    basis_vector,
     cyclic_group,
     cyclic_lattice,
     drawn_lattices,
@@ -127,7 +129,7 @@ def test_dual_characters_are_homomorphisms():
             seen.add(psi.exponents)
             for a in range(G.order):
                 for b in range(G.order):
-                    assert (psi.value(a) + psi.value(b)) % e == psi.value(G.mul[a][b])
+                    assert (psi.exponents[a] + psi.exponents[b]) % e == psi.exponents[G.mul[a][b]]
         assert len(seen) == G.order
 
 
@@ -135,13 +137,13 @@ def test_dual_characters_reject_nonabelian():
     with pytest.raises(ArgumentError):
         dual_characters(symmetric_group(3))
     with pytest.raises(ArgumentError, match="requires an abelian group"):
-        verify_sc3_abelian(build_theory(s3_lattice()))
+        verify_sc3_abelian(s3_lattice(), build_theory(s3_lattice()))
 
 
 def test_sc3_abelian_examples():
     for L in (cyclic_lattice(6), cyclic_lattice(12), basis_lattice(2, 2), subsp_lattice(3, 2)):
         theory = build_theory(L)
-        report = verify_sc3_abelian(theory)
+        report = verify_sc3_abelian(L, theory)
         assert report["status"] == "pass"
         assert report["dual_size"] == L.group.order
 
@@ -152,22 +154,20 @@ def test_sc3_basis_lattice_kernel_blocks():
     G = L.group
     psis = dual_characters(G)
     vs = G.vs
-    e0, e1 = vs.basis_vector(0), vs.basis_vector(1)
+    e0, e1 = basis_vector(vs, 0), basis_vector(vs, 1)
     for psi in psis:
-        basis_in_kernel = {i for i, v in ((0, e0), (1, e1)) if psi.value(v) == 0}
+        basis_in_kernel = {i for i, v in ((0, e0), (1, e1)) if psi.exponents[v] == 0}
         max_node = max(
             (n for n in range(len(L)) if L.nodes[n].mask & ~psi.kernel.mask == 0),
             key=lambda n: L.size(n),
         )
-        from latsuper.lattice import basis_node
-
         assert max_node == basis_node(L, basis_in_kernel)
 
 
 def test_schur_closure_cyclic6():
     L = cyclic_lattice(6)
     theory = build_theory(L)
-    report = schur_closure_check(theory)
+    report = schur_closure_check(L, theory)
     assert report["status"] == "pass"
     # (x + x^5)^2 = 2*1 + (x^2 + x^4)
     part = theory.partition
@@ -182,7 +182,7 @@ def test_schur_closure_cyclic6():
 
 def test_schur_closure_nonabelian():
     for L in (s3_lattice(), normal_lattice(quaternion_group())):
-        assert schur_closure_check(build_theory(L))["status"] == "pass"
+        assert schur_closure_check(L, build_theory(L))["status"] == "pass"
 
 
 def test_brute_force_normal_subgroups():
@@ -245,10 +245,11 @@ FRESH = {
      {"node": 1, "elements": [1, 8]}),
 ])
 def test_sc3_rejects_a_tampered_theory(name, tamper, message, witness):
-    theory = build_theory(FRESH[name]())
+    L = FRESH[name]()
+    theory = build_theory(L)
     tamper(theory)
     with pytest.raises(VerificationError) as info:
-        verify_sc3_abelian(theory)
+        verify_sc3_abelian(L, theory)
     assert (info.value.check, str(info.value), info.value.witness) == ("SC3", message, witness)
 
 
@@ -259,10 +260,11 @@ def test_sc3_rejects_a_tampered_theory(name, tamper, message, witness):
     ("Q8", {"blocks": [1, 1, 1], "elements": [1, 7]}),
 ])
 def test_schur_closure_rejects_a_moved_element(name, witness):
-    theory = build_theory(FRESH[name]())
+    L = FRESH[name]()
+    theory = build_theory(L)
     move_element(theory)
     with pytest.raises(VerificationError) as info:
-        schur_closure_check(theory)
+        schur_closure_check(L, theory)
     assert info.value.check == "schur_closure"
     assert str(info.value) == "superclass convolution is not constant on a block"
     assert info.value.witness == witness
@@ -275,8 +277,8 @@ def test_schur_closure_rejects_a_moved_element(name, witness):
 # error (check, message, witness) must be the same.
 
 
-def reference_schur(theory):
-    G = theory.lattice.group
+def reference_schur(L, theory):
+    G = L.group
     part = theory.partition
     nodes = part.block_nodes()
     members = {k: list(_bits(part.blocks[k])) for k in nodes}
@@ -302,8 +304,7 @@ def reference_schur(theory):
     return {"status": "pass", "constants": constants}
 
 
-def reference_sc3(theory):
-    L = theory.lattice
+def reference_sc3(L, theory):
     G = L.group
     psis = dual_characters(G)
     e = psis[0].exponent if psis else 1
@@ -340,17 +341,17 @@ def reference_sc3(theory):
     return {"status": "pass", "dual_size": len(psis)}
 
 
-def outcome(check, theory):
+def outcome(check, L, theory):
     """The result as ordered JSON, or the error's class, check, message and witness."""
     try:
-        return "pass", json.dumps(check(theory))
+        return "pass", json.dumps(check(L, theory))
     except LatsuperError as exc:
         return type(exc).__name__, exc.check, str(exc), exc.witness
 
 
 def pair_kinds(theory):
     """Which sides of the |K_i| |K_j| >= |G| density rule the block pairs fall on."""
-    order = theory.lattice.group.order
+    order = len(theory.partition.block_of)
     sizes = [b.bit_count() for b in theory.partition.blocks.values()]
     return {"dense" if a * b >= order else "sparse" for a in sizes for b in sizes}
 
@@ -359,8 +360,8 @@ def pair_kinds(theory):
 @given(drawn_lattices())
 def test_schur_constants_equal_the_reference(L):
     theory = build_theory(L)
-    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory)
-    assert outcome(schur_closure_check, theory)[0] == "pass"
+    assert outcome(schur_closure_check, L, theory) == outcome(reference_schur, L, theory)
+    assert outcome(schur_closure_check, L, theory)[0] == "pass"
 
 
 @pytest.mark.parametrize("name, kind, picks", [
@@ -372,17 +373,18 @@ def test_schur_constants_equal_the_reference(L):
     ("C3xC6", "closed", (4, 5, 7)),
 ])
 def test_schur_constants_on_both_sides_of_the_density_rule(name, kind, picks):
-    theory = build_theory(fresh_lattice(name, kind, picks))
+    L = fresh_lattice(name, kind, picks)
+    theory = build_theory(L)
     assert pair_kinds(theory) == {"dense", "sparse"}
-    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory)
+    assert outcome(schur_closure_check, L, theory) == outcome(reference_schur, L, theory)
 
 
 @settings(max_examples=40, deadline=None)
 @given(drawn_lattices(abelian_only=True))
 def test_sc3_passes_like_the_reference(L):
     theory = build_theory(L)
-    assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory)
-    assert outcome(verify_sc3_abelian, theory)[0] == "pass"
+    assert outcome(verify_sc3_abelian, L, theory) == outcome(reference_sc3, L, theory)
+    assert outcome(verify_sc3_abelian, L, theory)[0] == "pass"
 
 
 @settings(max_examples=80, deadline=None)
@@ -407,21 +409,22 @@ def test_tampered_theories_fail_like_the_references(L, data):
         node = data.draw(st.sampled_from(sorted(theory.char_by_node)), label="character")
         block = data.draw(st.sampled_from(nodes), label="block")
         theory.char_by_node[node].values[block] += data.draw(st.sampled_from([-2, -1, 1, 2]))
-    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory)
+    assert outcome(schur_closure_check, L, theory) == outcome(reference_schur, L, theory)
     if L.group.is_abelian:
-        assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory)
+        assert outcome(verify_sc3_abelian, L, theory) == outcome(reference_sc3, L, theory)
 
 
 def test_overlapping_blocks_are_scanned_block_by_block():
     """C12 with element 6 (the C2 block) copied into the identity block: the
     blocks overlap, and only a scan of every block sees that the count of
     C2 x C2 differs between the two members 0 and 6 of the identity block."""
-    theory = build_theory(FRESH["C12"]())
+    L = FRESH["C12"]()
+    theory = build_theory(L)
     theory.partition.blocks[0] |= 1 << 6
     expected = ("VerificationError", "schur_closure",
                 "superclass convolution is not constant on a block",
                 {"blocks": [1, 1, 0], "elements": [0, 6]})
-    assert outcome(schur_closure_check, theory) == outcome(reference_schur, theory) == expected
+    assert outcome(schur_closure_check, L, theory) == outcome(reference_schur, L, theory) == expected
 
 
 def test_sc3_rejects_kernel_nodes_not_closed_under_join():
@@ -433,7 +436,7 @@ def test_sc3_rejects_kernel_nodes_not_closed_under_join():
     L.down_mask[L.top] &= ~(1 << L.bottom)
     expected = ("VerificationError", "SC3", "kernel nodes not closed under join",
                 {"kernel": list(range(12))})
-    assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory) == expected
+    assert outcome(verify_sc3_abelian, L, theory) == outcome(reference_sc3, L, theory) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +533,14 @@ def test_dual_walk_rows_are_the_sorted_dual(name):
 def test_sc3_at_the_encoding_boundary(name, kind):
     L = boundary_lattice(name, kind)
     theory = build_theory(L)
-    assert outcome(verify_sc3_abelian, theory) == outcome(reference_sc3, theory)
-    assert outcome(verify_sc3_abelian, theory)[0] == "pass"
+    assert outcome(verify_sc3_abelian, L, theory) == outcome(reference_sc3, L, theory)
+    assert outcome(verify_sc3_abelian, L, theory)[0] == "pass"
     for tamper in ("move", "copy", "value"):
-        theory = build_theory(boundary_lattice(name, kind))
+        L = boundary_lattice(name, kind)
+        theory = build_theory(L)
         tamper_at_random(theory, tamper, random.Random(f"{name}/{kind}/{tamper}"))
-        failure = outcome(verify_sc3_abelian, theory)
-        assert failure == outcome(reference_sc3, theory)
+        failure = outcome(verify_sc3_abelian, L, theory)
+        assert failure == outcome(reference_sc3, L, theory)
         assert failure[0] == "VerificationError"
     # the kernel-closure tamper of test_sc3_rejects_kernel_nodes_not_closed_under_join,
     # at the top (the kernel of the first character) and at the least node
@@ -547,8 +551,8 @@ def test_sc3_at_the_encoding_boundary(name, kind):
         n = L.top if node == "top" else node
         L.up_mask[L.bottom] &= ~(1 << n)
         L.down_mask[n] &= ~(1 << L.bottom)
-        failure = outcome(verify_sc3_abelian, theory)
-        assert failure == outcome(reference_sc3, theory)
+        failure = outcome(verify_sc3_abelian, L, theory)
+        assert failure == outcome(reference_sc3, L, theory)
         assert failure[2] == "kernel nodes not closed under join"
         if node == "top":
             assert failure[3] == {"kernel": list(range(L.group.order))}
@@ -564,27 +568,29 @@ def c20xc30_sublattice():
 
 
 def test_sc3_never_builds_the_sorted_dual(monkeypatch):
-    theory = build_theory(c20xc30_sublattice())
-    assert len(theory.lattice.nodes) == 5
+    L = c20xc30_sublattice()
+    theory = build_theory(L)
+    assert len(L.nodes) == 5
 
     def sorted_dual(G):
         raise AssertionError("verify_sc3_abelian walks the dual in sorted order")
 
     monkeypatch.setattr(oracle, "dual_characters", sorted_dual)
-    assert verify_sc3_abelian(theory) == {"status": "pass", "dual_size": 600}
+    assert verify_sc3_abelian(L, theory) == {"status": "pass", "dual_size": 600}
     tamper_value(theory)
     with pytest.raises(VerificationError, match="disagrees with the supercharacter value"):
-        verify_sc3_abelian(theory)
+        verify_sc3_abelian(L, theory)
 
 
 def test_sc3_memory_peak_on_a_large_table():
     """The dual of C20 x C30 as 600 rows of 600 bytes is 0.36 MB; as sorted
     int tuples (dual_characters) it needs 4.4 MB."""
-    theory = build_theory(c20xc30_sublattice())
-    verify_sc3_abelian(theory)     # the cyclotomic polynomials are cached
+    L = c20xc30_sublattice()
+    theory = build_theory(L)
+    verify_sc3_abelian(L, theory)     # the cyclotomic polynomials are cached
     tracemalloc.start()
     try:
-        verify_sc3_abelian(theory)
+        verify_sc3_abelian(L, theory)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

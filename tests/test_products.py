@@ -112,8 +112,7 @@ def test_tensor_product_cyclic_prime_set_criterion():
 
 def test_tensor_product_basis_lattice_union_criterion():
     # hypotheses hold iff the two basis subsets cover the whole basis
-    from corpus import basis_lattice
-    from latsuper.lattice import basis_node
+    from corpus import basis_lattice, basis_node
 
     for q, dim in ((2, 2), (2, 3), (3, 2), (2, 4), (2, 5)):
         L = basis_lattice(q, dim)
@@ -165,7 +164,7 @@ def test_convolution_support_matches_schur_constants():
         theory = build_theory(L)
         part = theory.partition
         G = L.group
-        constants = schur_closure_check(theory)["constants"]
+        constants = schur_closure_check(L, theory)["constants"]
         for i in part.blocks:
             for j in part.blocks:
                 counts = [0] * G.order

@@ -13,15 +13,15 @@ from latsuper import (
     compute_A_H,
     distributive_analysis,
     restrict_decompose,
-    sublattice_closure,
 )
 from latsuper.errors import UnfavorableEmbeddingError
 from latsuper.groups import _bits
-from latsuper.lattice import basis_node
-from latsuper.restriction import cyclic_embedding
+from latsuper.lattice import closed_sublattice
 
 from corpus import (
     basis_lattice,
+    basis_node,
+    basis_vector,
     cyclic_group,
     cyclic_lattice,
     node_of_size,
@@ -34,6 +34,12 @@ def identity_embedding(G):
     return GroupEmbedding(G, G, tuple(range(G.order)))
 
 
+def cyclic_embedding(H, G):
+    """C_m into C_n (m | n) via x -> x^(n/m)."""
+    step = G.order // H.order
+    return GroupEmbedding(H, G, tuple(h * step for h in range(H.order)))
+
+
 def blocksum_embedding(q, blocks, target_dim):
     """F_q^len(blocks) into F_q^target_dim sending basis vector i to the sum of
     the target basis vectors in blocks[i]."""
@@ -44,7 +50,7 @@ def blocksum_embedding(q, blocks, target_dim):
     for block in blocks:
         v = 0
         for i in block:
-            v = G.mul[v][vs_g.basis_vector(i)]
+            v = G.mul[v][basis_vector(vs_g, i)]
         images.append(v)
     phi = []
     for h in range(H.order):
@@ -103,7 +109,7 @@ def test_unfavorable_r2_witnesses():
     # coarse lattice {1, C12} on G against the full lattice of C6: the cover
     # 1 < C12 intersects down to 1 < C6, which is not a cover in ker(C6)
     G, H = cyclic_group(12), cyclic_group(6)
-    LG = sublattice_closure(cyclic_lattice(12), [])
+    LG = closed_sublattice(cyclic_group(12), [])
     LH = cyclic_lattice(6)
     ctx = build_restriction_context(cyclic_embedding(H, G), LG, LH)
     assert not ctx.favorable
@@ -116,7 +122,7 @@ def test_index_mismatch_witnesses():
     # {1, C4} on C4 vs the full lattice of C2: (R1)/(R2) pass literally, but
     # the cover 1 < C4 is not generated by the intersection (index 4 vs 2)
     G, H = cyclic_group(4), cyclic_group(2)
-    LG = sublattice_closure(cyclic_lattice(4), [])
+    LG = closed_sublattice(cyclic_group(4), [])
     LH = cyclic_lattice(2)
     ctx = build_restriction_context(cyclic_embedding(H, G), LG, LH)
     assert not ctx.favorable
@@ -136,7 +142,7 @@ def test_compute_A_H_cyclic():
 
 def test_compute_A_H_requires_favorable():
     G, H = cyclic_group(12), cyclic_group(6)
-    LG = sublattice_closure(cyclic_lattice(12), [])
+    LG = closed_sublattice(cyclic_group(12), [])
     ctx = build_restriction_context(cyclic_embedding(H, G), LG, cyclic_lattice(6))
     with pytest.raises(UnfavorableEmbeddingError):
         compute_A_H(ctx, (LG.bottom,))
@@ -205,7 +211,7 @@ def test_blocksum_full_scan():
             # paper label rule: keep the blocks meeting the removed set evenly
             removed = [
                 i for i in range(dim)
-                if not (LG.nodes[n].mask >> LG.group.vs.basis_vector(i)) & 1
+                if not (LG.nodes[n].mask >> basis_vector(LG.group.vs, i)) & 1
             ]
             expected = [
                 j for j, block in enumerate(blocks)

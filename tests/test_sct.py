@@ -23,7 +23,6 @@ from latsuper import (
     distributive_analysis,
     inner_product,
     normal_lattice,
-    sublattice_closure,
     verify_sct,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
@@ -69,7 +68,7 @@ def test_superclasses_subsp_counts():
 
 def test_superclasses_trivial_lattice():
     L = cyclic_lattice(12)
-    trivial = sublattice_closure(L, [])
+    trivial = closed_sublattice(L.group, [])
     part = build_superclasses(trivial)
     blocks = sorted(m.bit_count() for m in part.blocks.values())
     assert blocks == [1, 11]
@@ -200,7 +199,7 @@ def test_nonzero_chars_have_positive_degree():
             assert chi.degree > 0
         if distributive_analysis(L).is_distributive:
             assert len(theory.chars) == len(L.nodes)
-            assert not theory.partition.degenerate_nodes
+            assert len(theory.partition.blocks) == len(L.nodes)
 
 
 def test_inner_products():
@@ -284,7 +283,7 @@ def test_verify_sct_trivial_lattice_c2():
 
 def test_verify_sct_c12_sublattice():
     L = cyclic_lattice(12)
-    sub = sublattice_closure(L, [node_of_size(L, 2), node_of_size(L, 3)])
+    sub = closed_sublattice(L.group, [L.nodes[node_of_size(L, s)] for s in (2, 3)])
     theory = verify_sct(sub)
     assert len(theory.partition.blocks) == 5
     assert len(theory.chars) == 5
@@ -482,7 +481,7 @@ def reference_multiplicative(L, m):
     if values != build_theory(L).char_by_node[m].values:
         raise InternalConsistencyError("multiplicative and Moebius character values disagree",
                                        check="dual_path", witness={"node": m})
-    return Supercharacter(m, "chi_bullet", values, build_superclasses(L))
+    return Supercharacter(m, values, build_superclasses(L))
 
 
 def multiplicative_outcome(f, L, m):
