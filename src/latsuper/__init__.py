@@ -43,7 +43,6 @@ from .restriction import (
 )
 from .sct import (
     SCTheory,
-    Supercharacter,
     SuperclassPartition,
     build_superclasses,
     build_theory,

@@ -125,8 +125,11 @@ def _json_chunks(value, indent: str):
 
     Lists of plain ints (table rows, element lists) are written by the C
     encoder with the indented item separator; dicts with str keys and other
-    non-empty lists are walked here; everything else is json.dumps' own text,
-    shifted right by `indent` (a JSON string holds no raw newline)."""
+    non-empty lists are walked here; other containers are json.dumps' own
+    text, shifted right by `indent`.  A scalar's text does not depend on
+    indent or sort_keys, so scalars go through the shared C encoder rather
+    than a new pure-Python encoder per leaf, whose closures are cyclic
+    garbage."""
     kind = type(value)
     inner = indent + "  "
     if kind is dict and value and set(map(type, value)) <= {str}:
@@ -146,8 +149,10 @@ def _json_chunks(value, indent: str):
             yield from _json_chunks(item, inner)
             sep = ",\n"
         yield "\n" + indent + "]"
-    else:
+    elif kind in (dict, list, tuple):
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    else:
+        yield json.dumps(value)
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -160,8 +165,7 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
 
 def table_payload(L: NormalLattice) -> dict:
     theory = build_theory(L)
-    part = theory.partition
-    block_nodes, sizes, rows = theory.table()
+    part, rows = theory.partition, theory.rows
     return {
         "group": L.group.spec.to_json(),
         "order": L.group.order,
@@ -182,16 +186,11 @@ def table_payload(L: NormalLattice) -> dict:
                 "representative": part.representative(n),
                 "elements": sorted(_bits(part.blocks[n])),
             }
-            for n, size in zip(block_nodes, sizes)
+            for n, size in zip(theory.nodes, theory.sizes)
         ],
         "characters": [
-            {
-                "node": chi.label,
-                "label": L.node_label(chi.label),
-                "degree": chi.degree,
-                "values": rows[chi.label],
-            }
-            for chi in theory.chars
+            {"node": n, "label": L.node_label(n), "degree": rows[n][0], "values": rows[n]}
+            for n in theory.nonzero
         ],
     }
 
@@ -212,13 +211,13 @@ def table_csv(L: NormalLattice) -> str:
 # Verification suite.
 
 
-def _verification_checks(L: NormalLattice, seed: int) -> list[tuple[str, object]]:
-    """Named, independent check callables; each returns a detail dict or raises."""
+def _verification_checks(L: NormalLattice, seed: int, full: bool) -> list[tuple[str, object]]:
+    """Named, independent check callables; each returns a detail dict or raises.
+    full says that L is the whole normal lattice of its group."""
     rng = random.Random(seed)
 
     def axioms():
-        theory = verify_sct(L)
-        return theory.verification_report
+        return verify_sct(L)
 
     def dual_path():
         used = 0
@@ -273,9 +272,9 @@ def _verification_checks(L: NormalLattice, seed: int) -> list[tuple[str, object]
     def oracle_normals():
         if L.group.order > 256:
             return {"status": "skipped (order > 256)"}
-        full = normal_lattice(L.group)
-        report = oracle.cross_check_normal_lattice(full)
-        normal_masks = {s.mask for s in full.nodes}
+        normals = L if full else normal_lattice(L.group)
+        report = oracle.cross_check_normal_lattice(normals)
+        normal_masks = {s.mask for s in normals.nodes}
         for node in L.nodes:
             if node.mask not in normal_masks:
                 raise LatsuperError(
@@ -317,7 +316,7 @@ def cmd_verify(args) -> int:
     report["checks"].append({"name": "lattice_closure", "passed": True,
                              "detail": {"nodes": len(L.nodes)}})
 
-    for name, fn in _verification_checks(L, args.seed):
+    for name, fn in _verification_checks(L, args.seed, args.sublattice is None):
         try:
             report["checks"].append({"name": name, "passed": True, "detail": fn()})
         except LatsuperError as exc:
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     its parser, so a parser per call would be cyclic garbage."""
     parser = _Parser(
         prog="latsuper",
-        description="Supercharacter theories of normal subgroup lattices (exact).",
+        description="supercharacter theories of normal subgroup lattices (exact).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -316,8 +316,7 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
             size = a.bit_count() * b.bit_count() // meet.bit_count()
             if not any(union & z == union for z in by_size.get(size, ())):
                 add(closure_mask(G, union))
-    labels = {s.mask: s.label for s in gens if s.label}
-    return NormalLattice(G, [Subgroup(m, labels.get(m)) for m in nodes], check_normal=False)
+    return NormalLattice(G, [Subgroup(m) for m in nodes], check_normal=False)
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
             n_max_of[kernel] = n_max
         blocks_of_dual.setdefault(n_max_of[kernel], []).append(row)
     # the X-blocks must exactly mirror the nonzero supercharacters
-    nonzero_nodes = {f.label for f in theory.chars}
+    nonzero_nodes = set(theory.nonzero)
     if set(blocks_of_dual) != nonzero_nodes:
         raise VerificationError(
             "dual partition does not match nonzero supercharacters",
@@ -369,11 +369,11 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     if sum(len(v) for v in blocks_of_dual.values()) != order:
         raise VerificationError("X-blocks do not partition the dual", check="SC3")
     zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
-    nodes, reps, rep_of, is_partition = _representatives(theory.partition)
+    _, reps, rep_of, is_partition = _representatives(theory.partition)
     position_of = sorted(range(order), key=walk.__getitem__)
     columns_at = [slice(p, None, order) for p in position_of]
     for n, block in blocks_of_dual.items():
-        char = theory.char_by_node[n]
+        values = theory.rows[n]
         # the exponents of the block at each element: strided slices of its
         # joined bytes rows, or its tuple rows transposed (no joined copy)
         if e <= 255:
@@ -390,12 +390,11 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
             sum_of[column] = residue_of[multiset]
         sums = list(map(sum_of.__getitem__, columns))
         if (is_partition and sums == list(map(sums.__getitem__, rep_of))
-                and list(map(sums.__getitem__, reps))
-                == [(char.values[b],) + zeros for b in nodes]):
+                and list(map(sums.__getitem__, reps)) == [(v,) + zeros for v in values]):
             continue
-        for bnode, bmask in theory.partition.blocks.items():
+        for bnode, value in zip(theory.nodes, values):
+            bmask = theory.partition.blocks[bnode]
             rep = (bmask & -bmask).bit_length() - 1
-            value = char.values[bnode]
             for g in _bits(bmask):
                 if sums[g] != sums[rep]:
                     raise VerificationError(

@@ -1,9 +1,11 @@
 """Point-wise products of supercharacters and their basis decompositions.
 
-The supercharacter span is closed under point-wise products, so a basis
-decomposition always exists (orthogonal projection).  When both cover sets are
-in general position and every cover of the meet lies in one of the factors,
-the product collapses to a single scaled supercharacter at the meet.
+Characters and class functions are rows over the block nodes of the theory's
+integer character table.  The supercharacter span is closed under point-wise
+products, so a basis decomposition always exists (orthogonal projection).
+When both cover sets are in general position and every cover of the meet lies
+in one of the factors, the product collapses to a single scaled
+supercharacter at the meet.
 """
 
 from __future__ import annotations
@@ -11,44 +13,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Union
+from typing import Sequence
 
 from .errors import ArgumentError, InternalConsistencyError
 from .lattice import NormalLattice, is_general_position
-from .sct import SCTheory, Supercharacter, build_theory
+from .sct import SCTheory, build_theory
 
 
-def decompose_class_function(
-    theory: SCTheory, f: Union[Supercharacter, Mapping[int, Fraction]]
-) -> dict[int, Fraction]:
-    """Coefficients c_N with f = sum of c_N chi^{N.}, by orthogonal projection
-    onto the theory's integer rows; the reconstruction is re-checked exactly."""
-    values = f.values if isinstance(f, Supercharacter) else f
-    if set(values) != set(theory.partition.blocks):
+def decompose_class_function(theory: SCTheory, f: Sequence) -> dict[int, Fraction]:
+    """Coefficients c_N with f = sum of c_N chi^{N.}, for a row f over the
+    theory's block nodes, by orthogonal projection onto its integer rows; the
+    reconstruction is re-checked exactly."""
+    if len(f) != len(theory.nodes):
         raise ArgumentError("class function must assign a value to every superclass")
-    block_nodes, sizes, rows = theory.table()
     # integer dot products while f is integer valued, as most class functions here are
-    fvec = list(map(values.__getitem__, block_nodes))
-    weighted = list(map(mul, sizes, fvec))
+    sizes, rows = theory.sizes, theory.rows
+    weighted = list(map(mul, sizes, f))
     coeffs: dict[int, Fraction] = {}
-    for chi in theory.chars:
-        row = rows[chi.label]
+    for n in theory.nonzero:
+        row = rows[n]
         dot = sum(map(mul, weighted, row))
         if dot:
-            coeffs[chi.label] = Fraction(dot, sum(map(mul, sizes, map(mul, row, row))))
-    recon = [0] * len(block_nodes)
-    for label, c in coeffs.items():
-        recon = [r + c * v if v else r for r, v in zip(recon, rows[label])]
-    if recon != fvec:
+            coeffs[n] = Fraction(dot, sum(map(mul, sizes, map(mul, row, row))))
+    recon = [0] * len(sizes)
+    for n, c in coeffs.items():
+        recon = [r + c * v if v else r for r, v in zip(recon, rows[n])]
+    if recon != list(f):
         raise InternalConsistencyError(
             "projection coefficients failed to reconstruct the function",
             check="decompose",
         )
     return coeffs
-
-
-def pointwise_product(f: Supercharacter, h: Supercharacter) -> dict[int, Fraction]:
-    return {b: f.values[b] * h.values[b] for b in f.values}
 
 
 @dataclass
@@ -73,18 +68,17 @@ def tensor_product(L: NormalLattice, m: int, n: int) -> ProductReport:
     containment = all(
         L.leq(o, m) or L.leq(o, n) for o in L.covers(meet)
     )
-    chi_m = theory.char_by_node[m]
-    chi_n = theory.char_by_node[n]
-    product = pointwise_product(chi_m, chi_n)
+    chi_m, chi_n = theory.rows[m], theory.rows[n]
+    product = list(map(mul, chi_m, chi_n))
     if gp[0] and gp[1] and containment:
-        chi_meet = theory.char_by_node[meet]
-        if chi_m.degree <= 0 or chi_n.degree <= 0 or chi_meet.degree <= 0:
+        chi_meet = theory.rows[meet]
+        if chi_m[0] <= 0 or chi_n[0] <= 0 or chi_meet[0] <= 0:
             raise InternalConsistencyError(
                 "general position should force positive degrees", check="tensor_product"
             )
-        scale = Fraction(chi_m.degree * chi_n.degree, chi_meet.degree)
-        for b in product:
-            if product[b] != scale * chi_meet.values[b]:
+        scale = Fraction(chi_m[0] * chi_n[0], chi_meet[0])
+        for b, p, v in zip(theory.nodes, product, chi_meet):
+            if p != scale * v:
                 raise InternalConsistencyError(
                     "tensor-product identity fails despite its hypotheses",
                     check="tensor_product",

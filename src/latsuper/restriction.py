@@ -189,11 +189,10 @@ class RestrictionReport:
     favorable: bool
     A_H: tuple[int, ...]
     meet_A_H: int                      # H-node (top of H when A_H is empty)
-    cover_join_cap_H: int              # H-node for join(C(meet(A))) cap H
     collapsed: bool
     empty_A_H: bool
     terms: list[RestrictionTerm]
-    restricted_values: dict[int, int]        # H-block node -> value of Res(chi)
+    restricted_values: list[int]       # Res(chi) over the H-block nodes
 
 
 def restrict_decompose(
@@ -213,22 +212,24 @@ def restrict_decompose(
     meet_a = lg.meet_all(antichain)
     theory_g = build_theory(lg)
     theory_h = build_theory(lh)
-    chi = theory_g.char_by_node[meet_a]
-    if chi.is_zero:
+    chi = theory_g.rows[meet_a]
+    if not any(chi):
         raise ArgumentError("anchor node has a zero supercharacter")
+    degree = chi[0]
 
     # (1) direct restriction, checked constant on H-superclasses
-    part_h = theory_h.partition
-    restricted: dict[int, int] = {}
-    for bnode, bmask in part_h.blocks.items():
-        vals = {chi.value_at_element(ctx.embedding.map[h]) for h in _bits(bmask)}
+    value_of = dict(zip(theory_g.nodes, chi))
+    block_of, phi = theory_g.partition.block_of, ctx.embedding.map
+    restricted: list[int] = []
+    for bnode in theory_h.nodes:
+        vals = {value_of[block_of[phi[h]]] for h in _bits(theory_h.partition.blocks[bnode])}
         if len(vals) != 1:
             raise CompatibilityError(
                 "restricted character is not constant on an H-superclass",
                 check="restriction_constancy",
                 witness={"anchor": meet_a, "H_block": bnode},
             )
-        restricted[bnode] = vals.pop()
+        restricted.append(vals.pop())
 
     # (2) part (a) factorization
     a_h = compute_A_H(ctx, antichain)
@@ -236,16 +237,13 @@ def restrict_decompose(
     c_g = lg.cover_join(meet_a)
     c_h = ctx.intersect[c_g]
     assert c_h is not None
-    chi_mh = theory_h.char_by_node[meet_ah]
+    chi_mh = theory_h.rows[meet_ah]
     chi_c = chi_subgroup(lh, c_h)
     # the factorization can genuinely fail on favorable pairs outside the
     # full-lattice / q=2 block-sum classes, so failure is a verification
     # result, not a bug signal
-    for bnode in part_h.blocks:
-        lhs = Fraction(restricted[bnode], chi.degree)
-        rhs = (Fraction(chi_mh.values[bnode], chi_mh.degree)
-               * Fraction(chi_c.values[bnode], chi_c.degree))
-        if lhs != rhs:
+    for bnode, r, mh, c in zip(theory_h.nodes, restricted, chi_mh, chi_c):
+        if Fraction(r, degree) != Fraction(mh, chi_mh[0]) * Fraction(c, chi_c[0]):
             raise VerificationError(
                 "restriction factorization fails on this favorable pair",
                 check="restriction_factorization",
@@ -259,8 +257,8 @@ def restrict_decompose(
     for k in interval:
         inside = [q for q in lh.covers_up[k] if lh.leq(q, meet_ah)]
         x = lh.meet(lh.cover_join(k), meet_ah)
-        chi_k = theory_h.char_by_node[k]
-        denom = lh.size(x) * chi_k.values[x]
+        chi_k = theory_h.rows[k]
+        denom = lh.size(x) * chi_k[theory_h.nodes.index(x)]
         if denom == 0:
             raise InternalConsistencyError(
                 "vanishing denominator in the coefficient formula",
@@ -269,7 +267,7 @@ def restrict_decompose(
         ncoeff = Fraction(lh.size(low) * (-1) ** len(inside), denom)
         # independent route: the degree-sum theorem inside H
         ds = degree_sum(lh, k, meet_ah, c_h)
-        alt = Fraction(ds.value, chi_subgroup(lh, c_h).degree * chi_k.degree)
+        alt = Fraction(ds.value, chi_c[0] * chi_k[0])
         if alt != ncoeff:
             raise InternalConsistencyError(
                 "coefficient closed form disagrees with the degree-sum route",
@@ -281,7 +279,7 @@ def restrict_decompose(
                 "restriction coefficient vanished", check="restriction_coefficient",
                 witness={"K": k},
             )
-        terms.append(RestrictionTerm(k, ncoeff, ncoeff * chi.degree))
+        terms.append(RestrictionTerm(k, ncoeff, ncoeff * degree))
 
     # (4) cross-check against orthogonal projection of the direct restriction
     projection = decompose_class_function(theory_h, restricted)
@@ -302,7 +300,6 @@ def restrict_decompose(
         favorable=True,
         A_H=a_h,
         meet_A_H=meet_ah,
-        cover_join_cap_H=c_h,
         collapsed=lh.leq(meet_ah, c_h),
         empty_A_H=not a_h,
         terms=terms,

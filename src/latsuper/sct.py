@@ -1,26 +1,27 @@
 """The normal lattice supercharacter theory of a sublattice of normal subgroups.
 
 Superclasses: for each lattice node N, the block N_o of elements of N lying in
-no smaller node.  Supercharacters: one chi^{N.} per node, evaluated two ways --
+no smaller node.  Characters: one chi^{N.} per node, evaluated two ways --
 a total Moebius-inversion formula
 
     chi^{N.}(g) = sum over nodes O >= N with g in O of mu(N,O) * |G|/|O|,
 
 and, when the covers of N are in general position, the multiplicative closed
 form with degree |G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is
-integer valued, so the Moebius values are ints.  The multiplicative form keeps
-each value as an integer numerator and denominator and checks the division
-exactly; Fractions appear only in the degree-sum closed form and in reported
-inner products.
+integer valued, so a character is a row of ints over the block nodes in
+ascending order, and the theory is the table of these rows.  The
+multiplicative form keeps each value as an integer numerator and denominator
+and checks the division exactly; Fractions appear only in the degree-sum
+closed form and in reported inner products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     AmbiguityError,
@@ -38,7 +39,6 @@ class SuperclassPartition:
     """Blocks N_o indexed by lattice node; only nonempty blocks are retained.
     No reference to the lattice, which caches it: no cycle keeps both alive."""
 
-    bottom: int                       # node index of the trivial subgroup, block {1}
     blocks: dict[int, int]            # node index -> element bitmask
     block_of: list[int]               # element index -> node index
 
@@ -70,64 +70,43 @@ def build_superclasses(L: NormalLattice) -> SuperclassPartition:
     if total != (1 << L.group.order) - 1:
         raise InternalConsistencyError("superclasses do not cover the group",
                                        check="superclass_partition")
-    part = SuperclassPartition(L.bottom, blocks, block_of)
+    part = SuperclassPartition(blocks, block_of)
     L._partition = part
     return part
 
 
-@dataclass
-class Supercharacter:
-    """Class function constant on superclasses, stored per block node."""
-
-    label: int                         # lattice node the character is attached to
-    values: dict[int, int]             # block node -> integer value
-    partition: SuperclassPartition
-
-    @property
-    def degree(self) -> int:
-        return self.values[self.partition.bottom]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.values.values())
-
-    def value_at_element(self, g: int) -> int:
-        return self.values[self.partition.block_of[g]]
-
-
-def chi_subgroup(L: NormalLattice, n: int) -> Supercharacter:
-    """chi^N: |G/N| inside N, zero outside (the G/N permutation character)."""
-    part = build_superclasses(L)
+def chi_subgroup(L: NormalLattice, n: int) -> list[int]:
+    """chi^N: |G/N| inside N, zero outside (the G/N permutation character),
+    as a row over the block nodes."""
     size = L.group.order // L.size(n)
-    values = {b: (size if L.leq(b, n) else 0) for b in part.blocks}
-    return Supercharacter(n, values, part)
+    return [size if L.leq(b, n) else 0 for b in build_superclasses(L).block_nodes()]
 
 
-def chi_bullet_moebius(L: NormalLattice, n: int) -> Supercharacter:
-    """chi^{N.} by Moebius inversion of chi^N = sum over O >= N of chi^{O.}.
+def chi_bullet_moebius(L: NormalLattice, n: int) -> list[int]:
+    """chi^{N.} by Moebius inversion of chi^N = sum over O >= N of chi^{O.},
+    as a row over the block nodes.
 
     The block of node B lies in O exactly when B <= O, so its value is the sum
     of mu(N,O) |G/O| over the O >= N above B, that is over the O >= N v B.  The
     mu(N,.) row is computed once, and the sum once per distinct join N v B,
     keyed by its up-set up(N) & up(B)."""
-    part = build_superclasses(L)
     order = L.group.order
     terms = [(1 << o, mu * (order // L.size(o))) for o, mu in L.moebius_row(n).items() if mu]
     up_n = L.up_mask[n]
     by_join: dict[int, int] = {}
-    values: dict[int, int] = {}
-    for b in part.blocks:
+    row: list[int] = []
+    for b in build_superclasses(L).block_nodes():
         up = up_n & L.up_mask[b]
         if up not in by_join:
             by_join[up] = sum([w for bit, w in terms if up & bit])
-        values[b] = by_join[up]
-    return Supercharacter(n, values, part)
+        row.append(by_join[up])
+    return row
 
 
-def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
-    """chi^{M.} by the multiplicative formula; requires C(M) nonempty and in
-    general position over M.  Checked exactly against the Moebius values of
-    the lattice's theory.
+def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
+    """chi^{M.} by the multiplicative formula, as a row over the block nodes;
+    requires C(M) nonempty and in general position over M.  Checked exactly
+    against the Moebius row of the lattice's theory.
 
     Each value is an integer numerator and denominator, compared with the
     Moebius value v as num == v * den.  The join of C(M) minus one cover is
@@ -143,8 +122,7 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
         raise FormulaInapplicableError(
             "covers are not in general position", witness=m
         )
-    part = build_superclasses(L)
-    moebius_values = build_theory(L).char_by_node[m].values
+    theory = build_theory(L)
     size_m = L.size(m)
     top_join = L.join_all([m, *covers])
     # degree |G/top| * prod(|O|/|M| - 1), times prod(1 / (1 - |O|/|M|)) over minimal
@@ -152,13 +130,13 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
     den = L.size(top_join) * size_m ** len(covers)
     rests = [(o, L.join_all([m, *(p for p in covers if p != o)])) for o in covers]
     by_minimal: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    values: dict[int, int] = {}
+    row: list[int] = []
     agree = True
-    for b in part.blocks:
+    for b, moebius in zip(theory.nodes, theory.rows[m]):
         up = L.up_mask[b]
         if not (up >> top_join) & 1:
-            values[b] = 0
-            agree = agree and moebius_values[b] == 0
+            row.append(0)
+            agree = agree and moebius == 0
             continue
         minimal = tuple(o for o, rest in rests if not (up >> rest) & 1)
         if minimal not in by_minimal:
@@ -172,14 +150,14 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
             raise AmbiguityError(
                 "no unique minimal cover subset for a block", witness={"M": m, "block": b}
             )
-        agree = agree and b_num == moebius_values[b] * b_den
-        values[b] = b_num // b_den
+        agree = agree and b_num == moebius * b_den
+        row.append(b_num // b_den)
     if not agree:
         raise InternalConsistencyError(
             "multiplicative and Moebius character values disagree",
             check="dual_path", witness={"node": m},
         )
-    return Supercharacter(m, values, part)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -188,45 +166,40 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> Supercharacter:
 
 @dataclass
 class SCTheory:
-    partition: SuperclassPartition
-    chars: list[Supercharacter]                 # nonzero chi^{N.}, by node order
-    char_by_node: dict[int, Supercharacter]     # all nodes, including zero chars
-    verification_report: dict = field(default_factory=dict)
+    """The integer character table: the value row of every node's chi^{N.}
+    over the block nodes, in ascending order.  Column 0 is the identity block,
+    so rows[n][0] is the degree of chi^{N.}."""
 
-    def table(self) -> tuple[list[int], list[int], dict[int, list[int]]]:
-        """The integer character table: the block nodes, their sizes, and the
-        value row of every node's chi^{N.} aligned with them (zero characters
-        included).  Read from the characters on each call, in O(nodes *
-        blocks), so it cannot drift from them."""
-        part = self.partition
-        nodes = part.block_nodes()
-        rows = {n: list(map(chi.values.__getitem__, nodes)) for n, chi in self.char_by_node.items()}
-        return nodes, [part.blocks[b].bit_count() for b in nodes], rows
+    partition: SuperclassPartition
+    nodes: list[int]                   # block nodes, ascending
+    sizes: list[int]                   # their block sizes
+    rows: list[list[int]]              # one row per lattice node, zero rows kept
+    nonzero: list[int]                 # nodes whose row is not all zero
 
 
 def build_theory(L: NormalLattice) -> SCTheory:
-    """Superclasses plus all chi^{N.}; zero characters are kept separately."""
+    """Superclasses plus the rows of all chi^{N.}, built once per lattice."""
     if L._theory is not None:
         return L._theory
     part = build_superclasses(L)
-    char_by_node = {n: chi_bullet_moebius(L, n) for n in range(len(L.nodes))}
-    chars = [chi for chi in char_by_node.values() if not chi.is_zero]
-    theory = SCTheory(part, chars, char_by_node)
+    nodes = part.block_nodes()
+    rows = [chi_bullet_moebius(L, n) for n in range(len(L.nodes))]
+    theory = SCTheory(part, nodes, [part.blocks[b].bit_count() for b in nodes], rows,
+                      [n for n, row in enumerate(rows) if any(row)])
     L._theory = theory
     return theory
 
 
-def inner_product(f: Supercharacter, h: Supercharacter) -> Fraction:
-    """<f,h> = (1/|G|) sum over blocks of |block| f(block) conj(h(block)).
+def inner_product(theory: SCTheory, f: Sequence[int], h: Sequence[int]) -> Fraction:
+    """<f,h> = (1/|G|) sum over blocks of |block| f(block) conj(h(block)), for
+    rows over the blocks of theory.
 
-    Supercharacter values are rational, so conjugation is the identity.  No
+    The values are rational, so conjugation is the identity.  No
     package caller: kept because latbench counts its calls by name.
     """
-    if f.partition is not h.partition and f.partition.blocks != h.partition.blocks:
+    if not len(f) == len(h) == len(theory.sizes):
         raise ArgumentError("inner product requires characters on the same partition")
-    part = f.partition
-    total = sum(bmask.bit_count() * f.values[b] * h.values[b] for b, bmask in part.blocks.items())
-    return Fraction(total, len(part.block_of))
+    return Fraction(sum(map(mul, theory.sizes, map(mul, f, h))), len(theory.partition.block_of))
 
 
 @dataclass
@@ -234,101 +207,100 @@ class DegreeSumResult:
     value: int                         # brute-force sum of qualifying degrees
     closed_form: Optional[Fraction]    # None when general position fails
     closed_form_applicable: bool
-    case: str                          # "disjoint" | "no_covers" | "product"
 
 
 def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
     """Sum of chi^{N.}(1) over nodes N >= M with N meet L = K, by the three-case
-    closed form, cross-checked against the node-by-node sum."""
-    theory = build_theory(L)
+    closed form (disjoint, no covers, product), cross-checked against the
+    node-by-node sum."""
+    rows = build_theory(L).rows
     km = L.join(k, m)
-    brute = sum(theory.char_by_node[n].degree for n in _bits(L.up_mask[m]) if L.meet(n, lnode) == k)
+    brute = sum(rows[n][0] for n in _bits(L.up_mask[m]) if L.meet(n, lnode) == k)
     perp = [o for o in L.covers(km) if L.meet(o, lnode) != k]
     applicable = is_general_position(L, perp, km)
     if L.meet(km, lnode) != k:
-        closed, case = Fraction(0), "disjoint"
+        closed = Fraction(0)
     elif not perp:
-        closed, case = Fraction(L.group.order, L.size(km)), "no_covers"
+        closed = Fraction(L.group.order, L.size(km))
     else:
         closed = Fraction(L.group.order, L.size(L.join_all([km, *perp])))
         for o in perp:
             closed *= Fraction(L.size(o), L.size(km)) - 1
-        case = "product"
     if not applicable:
-        return DegreeSumResult(brute, None, False, case)
+        return DegreeSumResult(brute, None, False)
     if closed != brute:
         raise InternalConsistencyError(
             "degree-sum closed form disagrees with the node scan",
             check="degree_sum",
             witness={"K": k, "L": lnode, "M": m, "closed": str(closed), "brute": str(brute)},
         )
-    return DegreeSumResult(brute, closed, True, case)
+    return DegreeSumResult(brute, closed, True)
 
 
 # ---------------------------------------------------------------------------
 # Axioms.
 
 
-def verify_sct(L: NormalLattice) -> SCTheory:
-    """Build the theory and check SC1, SC2, orthogonality, integrality plus the
+def verify_sct(L: NormalLattice) -> dict:
+    """Check the theory of L: SC1, SC2, orthogonality, integrality plus the
     oracle-side Schur-ring closure and (abelian only) the direct SC3 sums.
-    Raises VerificationError naming the first failed axiom."""
+    Returns the report; raises VerificationError naming the first failed
+    axiom."""
     from . import oracle  # oracle stays independent of the formula paths
 
     theory = build_theory(L)
-    part, report = theory.partition, {}
+    part, rows, report = theory.partition, theory.rows, {}
 
     if part.blocks.get(L.bottom) != 1 << 0:
         raise VerificationError("identity block is not {1}", check="SC1",
                                 witness=sorted(part.blocks))
     report["SC1"] = "pass"
 
-    if len(theory.chars) != len(part.blocks):
+    if len(theory.nonzero) != len(part.blocks):
         raise VerificationError(
-            f"{len(theory.chars)} nonzero supercharacters vs {len(part.blocks)} blocks",
+            f"{len(theory.nonzero)} nonzero supercharacters vs {len(part.blocks)} blocks",
             check="SC2",
-            witness={"chars": len(theory.chars), "blocks": len(part.blocks)},
+            witness={"chars": len(theory.nonzero), "blocks": len(part.blocks)},
         )
     report["SC2"] = "pass"
     report["block_constancy"] = "pass (by construction: values stored per block)"
 
-    for f in theory.chars:
-        for v in f.values.values():
+    for n in theory.nonzero:
+        row = rows[n]
+        for v in row:
             if v.denominator != 1:
                 raise VerificationError(
-                    f"non-integer supercharacter value {v} at node {f.label}",
-                    check="integrality", witness={"node": f.label, "value": str(v)},
+                    f"non-integer supercharacter value {v} at node {n}",
+                    check="integrality", witness={"node": n, "value": str(v)},
                 )
-        if not f.is_zero and f.degree <= 0:
+        if any(row) and row[0] <= 0:
             raise VerificationError(
-                f"nonzero supercharacter with degree {f.degree}",
-                check="positive_degree", witness={"node": f.label},
+                f"nonzero supercharacter with degree {row[0]}",
+                check="positive_degree", witness={"node": n},
             )
     report["integrality"] = "pass"
 
     # |G| <chi_i, chi_j> as one size-weighted integer Gram
-    nodes, sizes, rows = theory.table()
-    for i, f in enumerate(theory.chars):
-        weighted = list(map(mul, sizes, rows[f.label]))
-        for h in theory.chars[i:]:
-            dot = sum(map(mul, weighted, rows[h.label]))
-            if f is h and dot == 0:
+    for i, f in enumerate(theory.nonzero):
+        weighted = list(map(mul, theory.sizes, rows[f]))
+        for h in theory.nonzero[i:]:
+            dot = sum(map(mul, weighted, rows[h]))
+            if f == h and dot == 0:
                 raise VerificationError("supercharacter orthogonal to itself",
-                                        check="orthogonality", witness={"node": f.label})
-            if f is not h and dot != 0:
+                                        check="orthogonality", witness={"node": f})
+            if f != h and dot != 0:
                 ip = Fraction(dot, L.group.order)
                 raise VerificationError(
-                    f"<chi^{f.label}, chi^{h.label}> = {ip} != 0",
+                    f"<chi^{f}, chi^{h}> = {ip} != 0",
                     check="orthogonality",
-                    witness={"nodes": [f.label, h.label], "value": str(ip)},
+                    witness={"nodes": [f, h], "value": str(ip)},
                 )
     report["orthogonality"] = "pass"
 
     # partition of unity: chi^N = sum of chi^{O.} over O >= N, as integer rows
     for n in range(len(L.nodes)):
-        expected = chi_subgroup(L, n).values
-        total = list(map(sum, zip(*(rows[o] for o in _bits(L.up_mask[n])))))
-        if total != list(map(expected.__getitem__, nodes)):
+        total = list(map(sum, zip(*map(rows.__getitem__, _bits(L.up_mask[n])))))
+        if total != chi_subgroup(L, n):
             raise VerificationError(
                 f"sum of chi^{{O.}} over O >= {n} does not give chi^N",
                 check="subgroup_decomposition", witness={"node": n},
@@ -340,5 +312,4 @@ def verify_sct(L: NormalLattice) -> SCTheory:
         report["SC3_abelian"] = oracle.verify_sc3_abelian(L, theory)["status"]
     else:
         report["SC3_abelian"] = "skipped (nonabelian group; certified via Schur closure)"
-    theory.verification_report = report
-    return theory
+    return report

@@ -75,6 +75,14 @@ def basis_node(L: NormalLattice, subset) -> int:
     return hits[0]
 
 
+def degree_sum_case(L: NormalLattice, k: int, lnode: int, m: int) -> str:
+    """The case of the degree-sum closed form for K, L, M, read off the lattice."""
+    km = L.join(k, m)
+    if L.meet(km, lnode) != k:
+        return "disjoint"
+    return "product" if any(L.meet(o, lnode) != k for o in L.covers(km)) else "no_covers"
+
+
 def basis_vector(vs, i: int) -> int:
     """Element index of e_i in F_q^dim: indices are row-major, coordinate 0
     most significant."""

@@ -319,6 +319,54 @@ def test_commands_leave_no_latsuper_cycles(files, capsys, command):
     assert leaked == []
 
 
+@pytest.mark.parametrize("command", [["sct", "--format", "json"], ["verify"]])
+def test_json_output_leaves_no_cyclic_garbage(files, capsys, command):
+    """A scalar leaf is written by the shared C encoder, not by a new
+    pure-Python encoder whose closures form a cycle: after one warm-up call,
+    a collection after the command finds no unreachable object at all."""
+    tmp, write = files
+    argv = [command[0], "--group", write("c12.json", {"kind": "cyclic", "n": 12}), *command[1:]]
+    run(argv, capsys)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _ = run(argv, capsys)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert code == 0
+    assert garbage == 0
+
+
+@pytest.mark.parametrize("sublattice, calls", [(None, 1), ({"generators": [[0, 6]]}, 1)])
+def test_verify_builds_the_normal_lattice_once(files, capsys, monkeypatch, sublattice, calls):
+    """Without --sublattice the oracle cross-checks the lattice verify already
+    holds; a sublattice is checked against one build of the full lattice."""
+    from latsuper import cli
+
+    tmp, write = files
+    argv = ["verify", "--group", write("c12.json", {"kind": "cyclic", "n": 12})]
+    if sublattice is not None:
+        argv += ["--sublattice", write("sub.json", sublattice)]
+    built = []
+
+    def counted(G):
+        built.append(G.order)
+        return normal_lattice(G)
+
+    monkeypatch.setattr(cli, "normal_lattice", counted)
+    code, out = run(argv, capsys)
+    assert code == 0
+    oracle_check = next(c for c in json.loads(out)["checks"]
+                        if c["name"] == "normal_subgroup_oracle")
+    assert oracle_check == {"name": "normal_subgroup_oracle", "passed": True,
+                            "detail": {"status": "pass", "count": 6}}
+    assert built == [12] * calls
+
+
 def test_missing_file_exit1(files, capsys):
     code, out = run(["sct", "--group", "/nonexistent/g.json"], capsys)
     assert code == 1
@@ -545,7 +593,7 @@ def test_sct_json_of_a_relabelled_raw_table_is_json_dumps(files, capsys, name):
 @pytest.mark.parametrize("n", [12, 30, 36])
 def test_cover_meet_reports_the_first_failing_pair(monkeypatch, n):
     L = normal_lattice(make_group(GroupSpec.cyclic(n)))
-    check = dict(_verification_checks(L, 0))["cover_meet_lemma"]
+    check = dict(_verification_checks(L, 0, False))["cover_meet_lemma"]
     m = len(L.nodes)
     assert check() == {"pairs": m * m}
     true_join = L.cover_join

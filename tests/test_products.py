@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -8,7 +9,7 @@ from latsuper import (
     chi_subgroup,
     tensor_product,
 )
-from latsuper.products import decompose_class_function, pointwise_product
+from latsuper.products import decompose_class_function
 
 from corpus import cyclic_lattice, node_of_size, q8_lattice, s3_lattice, small_corpus
 
@@ -16,9 +17,9 @@ from corpus import cyclic_lattice, node_of_size, q8_lattice, s3_lattice, small_c
 def test_decompose_supercharacter_is_indicator():
     L = cyclic_lattice(12)
     theory = build_theory(L)
-    for chi in theory.chars:
-        coeffs = decompose_class_function(theory, chi)
-        assert coeffs == {chi.label: Fraction(1)}
+    for n in theory.nonzero:
+        coeffs = decompose_class_function(theory, theory.rows[n])
+        assert coeffs == {n: Fraction(1)}
 
 
 def test_decompose_subgroup_character():
@@ -35,10 +36,10 @@ def test_decompose_block_indicator():
     theory = build_theory(L)
     part = theory.partition
     indicator = {b: Fraction(1 if b == L.top else 0) for b in part.blocks}
-    coeffs = decompose_class_function(theory, indicator)
+    coeffs = decompose_class_function(theory, list(indicator.values()))
     recon = {b: Fraction(0) for b in part.blocks}
     for node, c in coeffs.items():
-        for b, v in theory.char_by_node[node].values.items():
+        for b, v in zip(theory.nodes, theory.rows[node]):
             recon[b] += c * v
     assert recon == indicator
 
@@ -47,7 +48,7 @@ def test_decompose_requires_full_support():
     L = cyclic_lattice(6)
     theory = build_theory(L)
     with pytest.raises(ArgumentError):
-        decompose_class_function(theory, {L.bottom: Fraction(1)})
+        decompose_class_function(theory, [Fraction(1)])
 
 
 def test_tensor_product_c12_pair():
@@ -61,10 +62,10 @@ def test_tensor_product_c12_pair():
     assert report.coefficients == {c2: Fraction(1)}
     # value check at a generator: (-1)(-1) = 1 = chi^{C2.}(x)
     theory = build_theory(L)
-    x_block = theory.partition.block_of[1]
-    assert theory.char_by_node[c4].values[x_block] == -1
-    assert theory.char_by_node[c6].values[x_block] == -1
-    assert theory.char_by_node[c2].values[x_block] == 1
+    x_column = theory.nodes.index(theory.partition.block_of[1])
+    assert theory.rows[c4][x_column] == -1
+    assert theory.rows[c6][x_column] == -1
+    assert theory.rows[c2][x_column] == 1
 
 
 def test_tensor_product_hypothesis_failure_fallback():
@@ -147,10 +148,10 @@ def test_tensor_identity_verified_pointwise_corpus():
                 report = tensor_product(L, a, b)
                 assert report.identity_holds, (name, a, b)
                 # re-verify the identity from the reported coefficient
-                product = pointwise_product(theory.char_by_node[a], theory.char_by_node[b])
+                product = list(map(mul, theory.rows[a], theory.rows[b]))
                 c = report.coefficients[report.meet]
-                for blk, v in product.items():
-                    assert v == c * theory.char_by_node[report.meet].values[blk], (name, a, b)
+                for v, w in zip(product, theory.rows[report.meet]):
+                    assert v == c * w, (name, a, b)
 
 
 def test_convolution_support_matches_schur_constants():
@@ -174,7 +175,8 @@ def test_convolution_support_matches_schur_constants():
                 as_function = {
                     k: Fraction(counts[part.representative(k)]) for k in part.blocks
                 }
-                decompose_class_function(theory, as_function)  # exactness asserted inside
+                # exactness asserted inside
+                decompose_class_function(theory, list(as_function.values()))
                 support = {k for k, v in as_function.items() if v}
                 expected = {k for k in part.blocks if f"{i},{j}->{k}" in constants}
                 assert support == expected

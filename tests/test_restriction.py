@@ -169,8 +169,8 @@ def test_cyclic_restriction_gcd_formula():
             assert len(report.terms) == 1
             term = report.terms[0]
             assert LH.size(term.node) == gcd(d, m)
-            deg_g = build_theory(LG).char_by_node[node_of_size(LG, d)].degree
-            deg_h = build_theory(LH).char_by_node[term.node].degree
+            deg_g = build_theory(LG).rows[node_of_size(LG, d)][0]
+            deg_h = build_theory(LH).rows[term.node][0]
             assert term.coefficient == deg_g / deg_h
             assert term.normalized_coefficient == 1 / deg_h
 
@@ -239,12 +239,13 @@ def test_blocksum_factorization_counterexamples():
             restrict_decompose(ctx, LG.bottom)
         assert info.value.check == "restriction_factorization"
         theory_h = build_theory(LH)
-        restricted = {}
-        chi = build_theory(LG).char_by_node[LG.bottom]
+        restricted = []
+        theory_g = build_theory(LG)
+        chi = dict(zip(theory_g.nodes, theory_g.rows[LG.bottom]))
         for bnode, bmask in theory_h.partition.blocks.items():
-            values = {chi.value_at_element(emb.map[h]) for h in _bits(bmask)}
+            values = {chi[theory_g.partition.block_of[emb.map[h]]] for h in _bits(bmask)}
             assert len(values) == 1
-            restricted[bnode] = values.pop()
+            restricted.append(values.pop())
         coeffs = decompose_class_function(theory_h, restricted)
         assert len(coeffs) == true_terms
 
@@ -259,9 +260,9 @@ def test_restriction_terms_nonzero_and_match_projection():
         for node in range(len(LG)):
             report = restrict_decompose(ctx, node)
             assert all(t.coefficient != 0 for t in report.terms)
-            total = {b: Fraction(0) for b in build_theory(LH).partition.blocks}
+            total = [Fraction(0)] * len(build_theory(LH).nodes)
             for t in report.terms:
-                for b, v in build_theory(LH).char_by_node[t.node].values.items():
+                for b, v in enumerate(build_theory(LH).rows[t.node]):
                     total[b] += t.coefficient * v
             assert total == report.restricted_values
 

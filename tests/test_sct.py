@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -12,7 +13,6 @@ from latsuper import (
     FormulaInapplicableError,
     InternalConsistencyError,
     LatsuperError,
-    Supercharacter,
     VerificationError,
     build_superclasses,
     build_theory,
@@ -34,6 +34,7 @@ from corpus import (
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
+    degree_sum_case,
     drawn_lattices,
     node_of_size,
     q8_lattice,
@@ -42,6 +43,16 @@ from corpus import (
     subsp_lattice,
     vector_space_group,
 )
+
+
+def by_block(L, row):
+    """A row over the block nodes as a dict from block node to value."""
+    return dict(zip(build_superclasses(L).block_nodes(), row))
+
+
+def column(theory, b):
+    """The column of block node b in the rows of theory."""
+    return theory.nodes.index(b)
 
 
 def blocks_by_label(L):
@@ -101,13 +112,13 @@ def test_superclasses_are_unions_of_conjugacy_classes():
 def test_chi_subgroup_examples():
     L = cyclic_lattice(6)
     top = chi_subgroup(L, L.top)
-    assert all(v == 1 for v in top.values.values())
-    bottom = chi_subgroup(L, L.bottom)
-    assert bottom.values[L.bottom] == 6
-    assert all(v == 0 for b, v in bottom.values.items() if b != L.bottom)
+    assert all(v == 1 for v in top)
+    bottom = by_block(L, chi_subgroup(L, L.bottom))
+    assert bottom[L.bottom] == 6
+    assert all(v == 0 for b, v in bottom.items() if b != L.bottom)
     c3 = node_of_size(L, 3)
-    chi3 = chi_subgroup(L, c3)
-    assert chi3.values == {
+    chi3 = by_block(L, chi_subgroup(L, c3))
+    assert chi3 == {
         L.bottom: Fraction(2),
         node_of_size(L, 2): Fraction(0),
         c3: Fraction(2),
@@ -118,19 +129,19 @@ def test_chi_subgroup_examples():
 def test_chi_bullet_top_is_trivial_character():
     for _, L in small_corpus():
         chi = chi_bullet_moebius(L, L.top)
-        assert all(v == 1 for v in chi.values.values())
+        assert all(v == 1 for v in chi)
 
 
 def test_chi_bullet_s3_values():
     L = s3_lattice()
     chi = chi_bullet_moebius(L, L.bottom)
-    assert [chi.values[b] for b in sorted(chi.values)] == [4, -2, 0]
+    assert chi == [4, -2, 0]
 
 
 def test_chi_bullet_cyclic6_is_ramanujan():
     L = cyclic_lattice(6)
     chi = chi_bullet_moebius(L, L.bottom)
-    values = {L.size(b): v for b, v in chi.values.items()}
+    values = {L.size(b): v for b, v in by_block(L, chi).items()}
     assert values == {1: 2, 2: -2, 3: -1, 6: 1}
     # matches the number-theoretic oracle: block of C_d holds elements of order d
     for d in (1, 2, 3, 6):
@@ -140,7 +151,7 @@ def test_chi_bullet_cyclic6_is_ramanujan():
 def test_chi_bullet_multiplicative_degree_phi():
     L = cyclic_lattice(12)
     chi = chi_bullet_multiplicative(L, L.bottom)
-    assert chi.degree == 4  # = phi(12)
+    assert chi[0] == 4  # = phi(12)
 
 
 def test_chi_bullet_multiplicative_guards():
@@ -158,10 +169,10 @@ def test_hyperplane_character_values():
         part = build_superclasses(L)
         hyperplanes = [u for u in range(len(L)) if L.size(u) == q ** (n - 1)]
         for u in hyperplanes:
-            chi = chi_bullet_moebius(L, u)
+            chi = by_block(L, chi_bullet_moebius(L, u))
             for b in part.blocks:
                 expected = q - 1 if L.leq(b, u) else -1
-                assert chi.values[b] == expected
+                assert chi[b] == expected
 
 
 def test_dual_path_equivalence_small_corpus():
@@ -171,7 +182,7 @@ def test_dual_path_equivalence_small_corpus():
                 chi = chi_bullet_multiplicative(L, n)
             except FormulaInapplicableError:
                 continue
-            assert chi.values == chi_bullet_moebius(L, n).values, (name, n)
+            assert chi == chi_bullet_moebius(L, n), (name, n)
 
 
 def test_partition_of_unity():
@@ -181,46 +192,48 @@ def test_partition_of_unity():
             acc = {b: Fraction(0) for b in theory.partition.blocks}
             for o in range(len(L)):
                 if L.leq(n, o):
-                    for b, v in theory.char_by_node[o].values.items():
+                    for b, v in zip(theory.nodes, theory.rows[o]):
                         acc[b] += v
-            assert acc == chi_subgroup(L, n).values
+            assert acc == by_block(L, chi_subgroup(L, n))
 
 
 def test_integrality():
     for _, L in small_corpus():
-        for chi in build_theory(L).chars:
-            assert all(v.denominator == 1 for v in chi.values.values())
+        theory = build_theory(L)
+        for n in theory.nonzero:
+            assert all(v.denominator == 1 for v in theory.rows[n])
 
 
 def test_nonzero_chars_have_positive_degree():
     for _, L in small_corpus():
         theory = build_theory(L)
-        for chi in theory.chars:
-            assert chi.degree > 0
+        for n in theory.nonzero:
+            assert theory.rows[n][0] > 0
         if distributive_analysis(L).is_distributive:
-            assert len(theory.chars) == len(L.nodes)
+            assert len(theory.nonzero) == len(L.nodes)
             assert len(theory.partition.blocks) == len(L.nodes)
 
 
 def test_inner_products():
     L = s3_lattice()
     theory = build_theory(L)
-    top = theory.char_by_node[L.top]
-    assert inner_product(top, top) == 1
-    bottom = theory.char_by_node[L.bottom]
-    assert inner_product(bottom, bottom) == 4  # (16 + 2*4)/6
-    assert inner_product(top, bottom) == 0
-    other = build_theory(cyclic_lattice(6)).chars[0]
+    top = theory.rows[L.top]
+    assert inner_product(theory, top, top) == 1
+    bottom = theory.rows[L.bottom]
+    assert inner_product(theory, bottom, bottom) == 4  # (16 + 2*4)/6
+    assert inner_product(theory, top, bottom) == 0
+    other = build_theory(cyclic_lattice(6))
     with pytest.raises(ArgumentError):
-        inner_product(top, other)
+        inner_product(theory, top, other.rows[other.nonzero[0]])
 
 
 def test_orthogonality_small_corpus():
     for _, L in small_corpus():
-        chars = build_theory(L).chars
+        theory = build_theory(L)
+        chars = [theory.rows[n] for n in theory.nonzero]
         for i, f in enumerate(chars):
             for h in chars[i + 1:]:
-                assert inner_product(f, h) == 0
+                assert inner_product(theory, f, h) == 0
 
 
 def test_degree_sum_cases():
@@ -228,19 +241,19 @@ def test_degree_sum_cases():
     c2, c3, c4, c6 = (node_of_size(L, s) for s in (2, 3, 4, 6))
     # disjoint case: KM meet L != K
     r = degree_sum(L, c4, c3, c2)
-    assert r.value == 0 and r.case == "disjoint"
+    assert r.value == 0 and degree_sum_case(L, c4, c3, c2) == "disjoint"
     # telescoping: L = K = M sums over all N >= M
     r = degree_sum(L, c2, c2, c2)
-    assert r.value == 6 and r.case == "no_covers"
+    assert r.value == 6 and degree_sum_case(L, c2, c2, c2) == "no_covers"
     # L = G, K = M gives the degree of chi^{M.}
     theory = build_theory(L)
     for m in range(len(L)):
         r = degree_sum(L, m, L.top, m)
         if r.closed_form_applicable:
-            assert r.value == theory.char_by_node[m].degree
+            assert r.value == theory.rows[m][0]
     # spec example: K = C2, L = C6, M = C2 sums degrees over {C2, C4}
     r = degree_sum(L, c2, c6, c2)
-    expected = theory.char_by_node[c2].degree + theory.char_by_node[c4].degree
+    expected = theory.rows[c2][0] + theory.rows[c4][0]
     assert r.closed_form_applicable and r.value == expected
 
 
@@ -253,7 +266,7 @@ def test_degree_sum_inapplicable_still_returns_brute_force():
     r = degree_sum(LQ, z, LQ.top, z)
     assert not r.closed_form_applicable
     assert r.closed_form is None
-    assert r.value == theory.char_by_node[z].degree == 0
+    assert r.value == theory.rows[z][0] == 0
 
 
 def test_degree_sum_all_triples_small():
@@ -267,26 +280,43 @@ def test_degree_sum_all_triples_small():
 
 def test_verify_sct_corpus():
     for name, L in small_corpus():
-        theory = verify_sct(L)
-        assert theory.verification_report["SC1"] == "pass", name
-        assert theory.verification_report["SC2"] == "pass", name
-        assert len(theory.chars) == len(theory.partition.blocks), name
+        report = verify_sct(L)
+        assert report["SC1"] == "pass", name
+        assert report["SC2"] == "pass", name
+        theory = build_theory(L)
+        assert len(theory.nonzero) == len(theory.partition.blocks), name
 
 
 def test_verify_sct_trivial_lattice_c2():
     L = cyclic_lattice(2)
-    theory = verify_sct(L)
-    assert len(theory.chars) == 2
-    values = sorted(tuple(int(v) for _, v in sorted(c.values.items())) for c in theory.chars)
+    verify_sct(L)
+    theory = build_theory(L)
+    assert len(theory.nonzero) == 2
+    values = sorted(tuple(int(v) for v in theory.rows[n]) for n in theory.nonzero)
     assert values == [(1, -1), (1, 1)]
 
 
 def test_verify_sct_c12_sublattice():
     L = cyclic_lattice(12)
     sub = closed_sublattice(L.group, [L.nodes[node_of_size(L, s)] for s in (2, 3)])
-    theory = verify_sct(sub)
+    verify_sct(sub)
+    theory = build_theory(sub)
     assert len(theory.partition.blocks) == 5
-    assert len(theory.chars) == 5
+    assert len(theory.nonzero) == 5
+
+
+def test_build_theory_memory_on_the_f2_8_basis_lattice():
+    """256 rows of 256 ints and the partition: one list per row, no dict per
+    character and no copy of the table."""
+    L = basis_subspace_lattice(vector_space_group(2, 8))
+    tracemalloc.start()
+    try:
+        theory = build_theory(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(theory.rows) == len(theory.nodes) == 256
+    assert peak < 2**20
 
 
 def test_cyclic_closed_form_identity():
@@ -296,11 +326,11 @@ def test_cyclic_closed_form_identity():
         L = cyclic_lattice(n)
         theory = build_theory(L)
         for b in (d for d in range(1, n + 1) if n % d == 0):
-            chi = theory.char_by_node[node_of_size(L, b)]
+            chi = by_block(L, theory.rows[node_of_size(L, b)])
             p_b = [p for p in prime_factors(n) if (p * b) and n % (p * b) == 0]
             for a in (d for d in range(1, n + 1) if n % d == 0):
                 g = (n // a) % n
-                actual = chi.value_at_element(g)
+                actual = chi[theory.partition.block_of[g]]
                 best = None
                 for subset in range(1 << len(p_b)):
                     prod = 1
@@ -365,12 +395,16 @@ def test_integer_rows_match_a_fraction_reference(name, data):
     full = full_lattice_of(name)
     picks = data.draw(st.sets(st.integers(0, len(full.nodes) - 1), max_size=3))
     L = closed_sublattice(full.group, [full.nodes[i] for i in sorted(picks)])
-    nodes, sizes, rows = build_theory(L).table()
+    theory = build_theory(L)
+    nodes, sizes, rows = theory.nodes, theory.sizes, theory.rows
+    assert nodes == sorted(build_superclasses(L).blocks)
     assert sizes == [build_superclasses(L).blocks[b].bit_count() for b in nodes]
+    assert len(rows) == len(L.nodes)
+    assert theory.nonzero == [n for n in range(len(L.nodes)) if any(rows[n])]
     for n in range(len(L.nodes)):
         assert rows[n] == [reference_value(L, n, b) for b in nodes], (name, picks, n)
         assert all(type(v) is int for v in rows[n])
-        assert list(chi_bullet_moebius(L, n).values.values()) == rows[n]
+        assert chi_bullet_moebius(L, n) == rows[n]
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +415,18 @@ def test_integer_rows_match_a_fraction_reference(name, data):
 
 def raise_value(theory):
     """Add 1 to the last nonzero character at the last block."""
-    theory.chars[-1].values[theory.partition.block_nodes()[-1]] += 1
+    theory.rows[theory.nonzero[-1]][-1] += 1
 
 
 def add_a_half(theory):
     """Add 1/2 to the last nonzero character at the last block."""
-    theory.chars[-1].values[theory.partition.block_nodes()[-1]] += Fraction(1, 2)
+    theory.rows[theory.nonzero[-1]][-1] += Fraction(1, 2)
 
 
 def raise_zero_character(theory):
     """Add 1 to the first zero character at the last block."""
-    zero = next(chi for chi in theory.char_by_node.values() if chi.is_zero)
-    zero.values[theory.partition.block_nodes()[-1]] += 1
+    zero = next(row for row in theory.rows if not any(row))
+    zero[-1] += 1
 
 
 FRESH = {
@@ -435,7 +469,8 @@ def test_verify_sct_rejects_a_tampered_theory(name, tamper, check, message, witn
 def test_dual_path_compares_with_the_built_theory():
     L = FRESH["C12"]()
     chi_bullet_multiplicative(L, L.bottom)
-    build_theory(L).char_by_node[L.bottom].values[L.top] += 1
+    theory = build_theory(L)
+    theory.rows[L.bottom][column(theory, L.top)] += 1
     with pytest.raises(InternalConsistencyError) as info:
         chi_bullet_multiplicative(L, L.bottom)
     assert (info.value.check, info.value.witness) == ("dual_path", {"node": L.bottom})
@@ -466,7 +501,7 @@ def reference_multiplicative(L, m):
     for o in covers:
         degree *= Fraction(L.size(o), L.size(m)) - 1
     values = {}
-    for b in build_superclasses(L).blocks:
+    for b in build_superclasses(L).block_nodes():
         if not L.leq(b, top_join):
             values[b] = Fraction(0)
             continue
@@ -478,47 +513,48 @@ def reference_multiplicative(L, m):
         values[b] = degree
         for o in minimal:
             values[b] *= Fraction(1, 1 - Fraction(L.size(o), L.size(m)))
-    if values != build_theory(L).char_by_node[m].values:
+    row = list(values.values())
+    if row != build_theory(L).rows[m]:
         raise InternalConsistencyError("multiplicative and Moebius character values disagree",
                                        check="dual_path", witness={"node": m})
-    return Supercharacter(m, values, build_superclasses(L))
+    return row
 
 
 def multiplicative_outcome(f, L, m):
-    """The values in block order, or the error's class, check, message and witness."""
+    """The row in block order, or the error's class, check, message and witness."""
     try:
-        chi = f(L, m)
+        row = f(L, m)
     except LatsuperError as exc:
         return type(exc).__name__, exc.check, str(exc), exc.witness
-    return "pass", list(chi.values.items())
+    return "pass", row
 
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_lattices())
 def test_join_indexed_moebius_values_equal_the_block_sums(L):
     for n in range(len(L.nodes)):
-        assert chi_bullet_moebius(L, n).values == reference_moebius_values(L, n), n
+        assert by_block(L, chi_bullet_moebius(L, n)) == reference_moebius_values(L, n), n
 
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_lattices())
 def test_multiplicative_values_are_the_reference_ints(L):
-    rows = build_theory(L).char_by_node
+    rows = build_theory(L).rows
     for m in range(len(L.nodes)):
         got = multiplicative_outcome(chi_bullet_multiplicative, L, m)
         assert got == multiplicative_outcome(reference_multiplicative, L, m), m
         if got[0] == "pass":
-            assert all(type(v) is int for _, v in got[1])
-            assert got[1] == list(rows[m].values.items())
+            assert all(type(v) is int for v in got[1])
+            assert got[1] == rows[m]
 
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_lattices(), st.data())
 def test_dual_path_fails_like_the_reference_on_a_tampered_value(L, data):
     theory = build_theory(L)
-    node = data.draw(st.sampled_from(sorted(theory.char_by_node)), label="character")
+    node = data.draw(st.sampled_from(range(len(theory.rows))), label="character")
     block = data.draw(st.sampled_from(theory.partition.block_nodes()), label="block")
-    theory.char_by_node[node].values[block] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    theory.rows[node][column(theory, block)] += data.draw(st.sampled_from([-2, -1, 1, 2]))
     for m in range(len(L.nodes)):
         assert (multiplicative_outcome(chi_bullet_multiplicative, L, m)
                 == multiplicative_outcome(reference_multiplicative, L, m)), m
@@ -533,7 +569,7 @@ def test_an_ambiguous_block_wins_over_an_earlier_mismatch():
     L = FRESH["C12"]()
     theory = build_theory(L)
     c2, c3, c4, c6 = (node_of_size(L, size) for size in (2, 3, 4, 6))
-    theory.char_by_node[L.bottom].values[c2] += 1
+    theory.rows[L.bottom][column(theory, c2)] += 1
     for f in (chi_bullet_multiplicative, reference_multiplicative):
         with pytest.raises(InternalConsistencyError) as info:
             f(L, L.bottom)

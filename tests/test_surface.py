@@ -2,9 +2,11 @@
 
 Every module-level function and class of src/latsuper, and every public method,
 must be referenced (as a name, an attribute or an import) by some module of
-the package other than __init__, whose re-exports do not count.  The only
-exceptions are listed in KEPT, each with its reason: a name only tests call
-is deleted and its tests moved to the surviving path.
+the package other than __init__, whose re-exports do not count.  Every field
+of a dataclass must be read as an attribute by such a module: a field that is
+only written is data no caller uses.  The only exceptions are listed in KEPT,
+each with its reason: a name only tests call is deleted and its tests moved to
+the surviving path.
 """
 
 import ast
@@ -30,12 +32,25 @@ KEPT = (
     "sct.inner_product",
     # argparse's hook, called by parse_args
     "cli._Parser.error",
+    # fields of reference code: tests compare the dual walk with them
+    "oracle.DualCharacter.exponent",
+    "oracle.DualCharacter.kernel",
+    # fields tests check exactness through: the restricted row and the closed form
+    "restriction.RestrictionReport.restricted_values",
+    "sct.DegreeSumResult.closed_form",
 )
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def surface():
-    """(module.name, referenced) for every function, class and public method."""
-    defined, used = [], set()
+    """(module.name, referenced) for every function, class and public method,
+    and (module.Class.field, read) for every dataclass field."""
+    defined, fields, used, loaded = [], [], set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -44,6 +59,9 @@ def surface():
             if isinstance(node, ast.ClassDef):
                 defined += [(path.stem, f"{node.name}.{item.name}") for item in node.body
                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(path.stem, f"{node.name}.{item.target.id}") for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
         if path.stem == "__init__":
             continue
         for node in ast.walk(tree):
@@ -51,9 +69,12 @@ def surface():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return [(f"{module}.{name}", name.rsplit(".", 1)[-1] in used) for module, name in defined]
+    return ([(f"{module}.{name}", name.rsplit(".", 1)[-1] in used) for module, name in defined]
+            + [(f"{module}.{name}", name.rsplit(".", 1)[-1] in loaded) for module, name in fields])
 
 
 def test_every_name_is_used_by_the_package():
