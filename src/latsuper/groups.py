@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, compress, count
+from itertools import chain, combinations, compress, count, repeat
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -435,46 +435,62 @@ def _pair_table(
     return [compose(row) for row in rows_a for compose in then_b]
 
 
-def _product_table(tables: Sequence[GroupTable]) -> Sequence[tuple[int, ...]]:
-    """Mixed-radix product table, the first factor most significant."""
-    total = 1
-    for g in tables:
-        total *= g.order
-    if total > MAX_ORDER:
-        raise CapacityError(f"product order {total} exceeds cap {MAX_ORDER}", check="order_cap")
-    return reduce(_pair_table, (g.mul for g in tables))
-
-
-def make_group(spec: GroupSpec) -> GroupTable:
-    """Build a GroupTable from a spec, validating every table invariant."""
+def _spec_order(spec: GroupSpec) -> int:
+    """The order of the group of spec, read off the spec before any table is
+    built.  Refusals come in this order: a malformed spec (a q up to
+    MAX_ORDER that is not a prime power included; a larger q is not
+    factored), each factor's own refusal, factors in turn, and then the order
+    cap.  The order is multiplied up one factor or coordinate at a time and
+    refused at the first product over MAX_ORDER, so no number above
+    MAX_ORDER**2 is formed; the message says "at least" when factors are left."""
+    what = "order"
     if spec.kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise ConstructionError(f"cyclic order must be >= 1, got {spec.n}", check="spec")
-        if spec.n > MAX_ORDER:
-            raise CapacityError(f"order {spec.n} exceeds cap {MAX_ORDER}", check="order_cap")
-        return GroupTable(_cyclic_table(spec.n), spec)
-    if spec.kind == "vector_space":
+        sizes, last = [spec.n], 1
+    elif spec.kind == "vector_space":
         if spec.q is None or spec.dim is None or spec.dim < 1:
             raise ConstructionError("vector_space needs q and dim >= 1", check="spec")
-        p, k = factor_prime_power(spec.q)
-        if spec.q**spec.dim > MAX_ORDER:
-            raise CapacityError(
-                f"order {spec.q**spec.dim} exceeds cap {MAX_ORDER}", check="order_cap"
-            )
-        # F_q^dim under addition is C_p^(k*dim): the base-p digits of an index
-        # are the coefficient digits of its coordinates, added digit by digit
-        table = reduce(_pair_table, [_cyclic_table(p)] * (k * spec.dim))
-        vs = VectorSpaceData(field=PrimePowerField(spec.q), dim=spec.dim)
-        return GroupTable(table, spec, vs=vs)
-    if spec.kind == "table":
+        if spec.q <= MAX_ORDER:
+            factor_prime_power(spec.q)
+        sizes, last = repeat(spec.q, spec.dim), spec.dim
+    elif spec.kind == "table":
         if not spec.mul:
             raise ConstructionError("table spec has no rows", check="spec")
-        return GroupTable(spec.mul, spec)
-    if spec.kind == "product":
+        sizes, last = [len(spec.mul)], 1
+    elif spec.kind == "product":
         if not spec.factors:
             raise ConstructionError("product spec has no factors", check="spec")
-        return GroupTable(_product_table([make_group(f) for f in spec.factors]), spec)
-    raise ConstructionError(f"unknown spec kind {spec.kind!r}", check="spec")
+        what, sizes = "product order", [_spec_order(f) for f in spec.factors]
+        last = len(sizes)
+    else:
+        raise ConstructionError(f"unknown spec kind {spec.kind!r}", check="spec")
+    order = 1
+    for i, size in enumerate(sizes, 1):
+        order *= size
+        if order > MAX_ORDER:
+            bound = "" if i == last else "at least "
+            raise CapacityError(f"{what} {bound}{order} exceeds cap {MAX_ORDER}",
+                                check="order_cap", witness=order)
+    return order
+
+
+def make_group(spec: GroupSpec) -> GroupTable:
+    """Build a GroupTable from a spec, validating every table invariant.  The
+    whole spec is sized first, so a refused spec builds no table."""
+    _spec_order(spec)
+    if spec.kind == "cyclic":
+        return GroupTable(_cyclic_table(spec.n), spec)
+    if spec.kind == "vector_space":
+        # F_q^dim under addition is C_p^(k*dim): the base-p digits of an index
+        # are the coefficient digits of its coordinates, added digit by digit
+        field = PrimePowerField(spec.q)
+        table = reduce(_pair_table, [_cyclic_table(field.p)] * (field.k * spec.dim))
+        return GroupTable(table, spec, vs=VectorSpaceData(field=field, dim=spec.dim))
+    if spec.kind == "table":
+        return GroupTable(spec.mul, spec)
+    # mixed radix, the first factor most significant
+    return GroupTable(reduce(_pair_table, (make_group(f).mul for f in spec.factors)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +584,17 @@ def closure_mask(G: GroupTable, mask: int) -> int:
 
 
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
-    """True iff g H g^-1 = H for all g."""
-    mask = H.mask
-    for g in range(G.order):
-        ginv = G.inv[g]
-        m = mask
-        while m:
-            h = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not (mask >> G.mul[G.mul[g][h]][ginv]) & 1:
-                return False
-    return True
+    """True iff g H g^-1 = H for all g: the finite set H is mapped into itself
+    by conjugation by each generator of G, so by their products, which are all
+    of G.  |generators| * |H| lookups; True at once when G is abelian."""
+    if G.is_abelian:
+        return True
+    inside = set(H.elements())
+
+    def conjugates(g: int) -> Iterator[int]:  # g*h*g^-1 for h in H, row by row
+        return map(itemgetter(G.inv[g]), map(G.mul.__getitem__, map(G.mul[g].__getitem__, inside)))
+
+    return all(inside.issuperset(conjugates(g)) for g in G.generators)
 
 
 def conjugacy_classes(G: GroupTable) -> list[int]:

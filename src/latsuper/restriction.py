@@ -192,7 +192,6 @@ class RestrictionReport:
     collapsed: bool
     empty_A_H: bool
     terms: list[RestrictionTerm]
-    restricted_values: list[int]       # Res(chi) over the H-block nodes
 
 
 def restrict_decompose(
@@ -303,7 +302,6 @@ def restrict_decompose(
         collapsed=lh.leq(meet_ah, c_h),
         empty_A_H=not a_h,
         terms=terms,
-        restricted_values=restricted,
     )
 
 

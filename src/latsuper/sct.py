@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     AmbiguityError,
@@ -205,8 +205,7 @@ def inner_product(theory: SCTheory, f: Sequence[int], h: Sequence[int]) -> Fract
 @dataclass
 class DegreeSumResult:
     value: int                         # brute-force sum of qualifying degrees
-    closed_form: Optional[Fraction]    # None when general position fails
-    closed_form_applicable: bool
+    closed_form_applicable: bool       # False when general position fails
 
 
 def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
@@ -227,14 +226,14 @@ def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
         for o in perp:
             closed *= Fraction(L.size(o), L.size(km)) - 1
     if not applicable:
-        return DegreeSumResult(brute, None, False)
+        return DegreeSumResult(brute, False)
     if closed != brute:
         raise InternalConsistencyError(
             "degree-sum closed form disagrees with the node scan",
             check="degree_sum",
             witness={"K": k, "L": lnode, "M": m, "closed": str(closed), "brute": str(brute)},
         )
-    return DegreeSumResult(brute, closed, True)
+    return DegreeSumResult(brute, True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from latsuper import GroupSpec, make_group, normal_lattice
+from latsuper import GroupSpec, build_theory, make_group, normal_lattice
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.lattice import (
     NormalLattice,
@@ -81,6 +81,15 @@ def degree_sum_case(L: NormalLattice, k: int, lnode: int, m: int) -> str:
     if L.meet(km, lnode) != k:
         return "disjoint"
     return "product" if any(L.meet(o, lnode) != k for o in L.covers(km)) else "no_covers"
+
+
+def restricted_row(ctx, anchor: int) -> list[int]:
+    """Res(chi^{anchor.}) over the H-block nodes of a restriction context: the
+    G row read through the embedding at the least element of each H-block."""
+    theory_g, theory_h = build_theory(ctx.latticeG), build_theory(ctx.latticeH)
+    value_of = dict(zip(theory_g.nodes, theory_g.rows[anchor]))
+    block_of, phi = theory_g.partition.block_of, ctx.embedding.map
+    return [value_of[block_of[phi[theory_h.partition.representative(b)]]] for b in theory_h.nodes]
 
 
 def basis_vector(vs, i: int) -> int:

@@ -3,11 +3,16 @@ import csv
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latsuper
 from latsuper import GroupSpec, LatsuperError, make_group, normal_lattice
 from latsuper.catalog import quaternion_group
 from latsuper.cli import _emit_json, _json_chunks, _verification_checks, main, table_payload
@@ -341,11 +346,13 @@ def test_json_output_leaves_no_cyclic_garbage(files, capsys, command):
     assert garbage == 0
 
 
-@pytest.mark.parametrize("sublattice, calls", [(None, 1), ({"generators": [[0, 6]]}, 1)])
-def test_verify_builds_the_normal_lattice_once(files, capsys, monkeypatch, sublattice, calls):
+@pytest.mark.parametrize("sublattice, lattices", [(None, 1), ({"generators": [[0, 6]]}, 1)])
+def test_verify_builds_the_normal_lattice_once(files, capsys, monkeypatch, sublattice, lattices):
     """Without --sublattice the oracle cross-checks the lattice verify already
-    holds; a sublattice is checked against one build of the full lattice."""
+    holds; a sublattice has its nodes certified, and the full lattice is never
+    built.  Either way verify builds exactly one lattice."""
     from latsuper import cli
+    from latsuper.lattice import NormalLattice
 
     tmp, write = files
     argv = ["verify", "--group", write("c12.json", {"kind": "cyclic", "n": 12})]
@@ -357,14 +364,72 @@ def test_verify_builds_the_normal_lattice_once(files, capsys, monkeypatch, subla
         built.append(G.order)
         return normal_lattice(G)
 
+    made = []
+
+    def init(self, *args, build=NormalLattice.__init__, **kwargs):
+        made.append(self)
+        build(self, *args, **kwargs)
+
     monkeypatch.setattr(cli, "normal_lattice", counted)
+    monkeypatch.setattr(NormalLattice, "__init__", init)
     code, out = run(argv, capsys)
     assert code == 0
     oracle_check = next(c for c in json.loads(out)["checks"]
                         if c["name"] == "normal_subgroup_oracle")
-    assert oracle_check == {"name": "normal_subgroup_oracle", "passed": True,
-                            "detail": {"status": "pass", "count": 6}}
-    assert built == [12] * calls
+    if sublattice is None:
+        assert (oracle_check["detail"], built) == ({"status": "pass", "count": 6}, [12])
+    else:
+        assert (oracle_check["detail"], built) == ({"status": "pass", "nodes": 3}, [])
+    assert oracle_check["passed"]
+    assert len(made) == lattices
+
+
+def test_verify_certifies_the_f2_7_basis_sublattice(files, capsys):
+    # the full lattice of F2^7 has over 20,000 nodes, and no node cap applies
+    tmp, write = files
+    group = write("f2_7.json", {"kind": "vector_space", "q": 2, "dim": 7})
+    sub = write("basis.json", {"generators": [[0, 1 << i] for i in range(7)]})
+    code, out = run(["verify", "--group", group, "--sublattice", sub], capsys)
+    assert code == 0
+    oracle_check = next(c for c in json.loads(out)["checks"]
+                        if c["name"] == "normal_subgroup_oracle")
+    assert oracle_check["detail"] == {"status": "pass", "nodes": 128}
+
+
+C12 = json.dumps({"kind": "cyclic", "n": 12}).encode()
+# the --group file's bytes and the extra arguments (a repeated flag wins)
+FILE_FAILURES = {
+    "group is a directory": (C12, ["--group", "{tmp}"]),
+    "group not UTF-8": (b"\xff\xfe{}", []),
+    "group nested 200,000 deep": (b"[" * 200_000 + b"]" * 200_000, []),
+    "group with 5000 digits": (b'{"kind": "cyclic", "n": ' + b"7" * 5000 + b"}", []),
+    "out in a missing directory": (C12, ["--out", "{tmp}/missing/t.csv"]),
+    "out onto a directory": (C12, ["--out", "{tmp}"]),
+}
+
+
+@pytest.mark.parametrize("case", FILE_FAILURES)
+def test_file_failures_are_input_errors(tmp_path, case):
+    """A file that cannot be read or written ends as an InputError payload on
+    stdout with exit 1, and nothing on stderr: no traceback."""
+    content, extra = FILE_FAILURES[case]
+    group = tmp_path / "g.json"
+    group.write_bytes(content)
+    args = ["sct", "--group", str(group), *(a.format(tmp=tmp_path) for a in extra)]
+    src = str(Path(latsuper.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "latsuper.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["error"]["category"] == "InputError"
+
+
+def test_an_error_goes_to_stdout_when_out_cannot_be_written(files, capsys):
+    tmp, write = files
+    group = write("c5000.json", {"kind": "cyclic", "n": 5000})
+    code, out = run(["sct", "--group", group, "--out", str(tmp)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["check"] == "order_cap"
 
 
 def test_missing_file_exit1(files, capsys):

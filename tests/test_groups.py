@@ -1,4 +1,6 @@
+import copy
 import json
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from latsuper import (
     conjugacy_classes,
     is_normal,
     make_group,
+    normal_lattice,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper import groups
@@ -115,6 +118,24 @@ def test_is_normal():
     assert is_normal(S3, a3)
 
 
+def test_is_normal_conjugates_by_the_generators_only():
+    # A4 in S4 is normal, so every generator is tried: one row of the table
+    # per generator and one per product g*h, against |G| * |H| for all of G
+    S4 = symmetric_group(4)
+    a4 = next(s for s in normal_lattice(S4).nodes if s.size == 12)
+    rows_read = []
+
+    class Rows(tuple):
+        def __getitem__(self, i):
+            rows_read.append(i)
+            return tuple.__getitem__(self, i)
+
+    G = copy.copy(S4)
+    G.mul = Rows(S4.mul)
+    assert is_normal(G, a4)
+    assert len(rows_read) == len(S4.generators) * (1 + a4.size) < S4.order * a4.size
+
+
 def test_product_spec_orders_and_classes():
     spec = GroupSpec.product((GroupSpec.cyclic(2), GroupSpec.table(symmetric_group(3).mul)))
     G = make_group(spec)
@@ -189,8 +210,15 @@ def test_order_cap_is_a_constant(monkeypatch):
     GroupSpec.cyclic(MAX_ORDER + 1),
     GroupSpec.product([GroupSpec.cyclic(17), GroupSpec.cyclic(241)]),  # 4097
     GroupSpec.vector_space(2, 13),
-], ids=["C4097", "C17xC241", "F2^13"])
+    GroupSpec.product([GroupSpec.cyclic(4096), GroupSpec.cyclic(4096)]),
+    GroupSpec.product([GroupSpec.vector_space(2, 12), GroupSpec.cyclic(2)]),
+    GroupSpec.vector_space(1_000_000_007, 1),  # prime: never trial-divided
+    GroupSpec.vector_space(3, 3_000_000),  # 3**dim has over a million digits
+], ids=["C4097", "C17xC241", "F2^13", "C4096xC4096", "F2^12xC2", "F_q, q=10^9+7",
+        "F3^3000000"])
 def test_order_cap_refuses_before_building_a_table(monkeypatch, spec):
+    """The whole spec is sized first: a refused spec builds no table, not even
+    a factor's, and the refusal takes no time."""
     built = []
     for name in ("_cyclic_table", "_pair_table"):
         def record(*args, build=getattr(groups, name)):
@@ -198,10 +226,35 @@ def test_order_cap_refuses_before_building_a_table(monkeypatch, spec):
             built.append(len(table))
             return table
         monkeypatch.setattr(groups, name, record)
+    start = time.perf_counter()
     with pytest.raises(CapacityError) as info:
         make_group(spec)
+    assert time.perf_counter() - start < 1
     assert info.value.check == "order_cap"
-    assert max(built, default=0) <= MAX_ORDER
+    assert info.value.witness > MAX_ORDER
+    assert built == []
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GroupSpec.product([GroupSpec.cyclic(64)] * 3), "product order 262144 exceeds cap 4096"),
+    (GroupSpec.product([GroupSpec.cyclic(4096), GroupSpec.cyclic(2), GroupSpec.cyclic(3)]),
+     "product order at least 8192 exceeds cap 4096"),
+    (GroupSpec.vector_space(3, 3_000_000), "order at least 6561 exceeds cap 4096"),
+    (GroupSpec.vector_space(6000, 1), "order 6000 exceeds cap 4096"),  # not factored
+    (GroupSpec.product([GroupSpec.cyclic(5000), GroupSpec.vector_space(6, 1)]),
+     "order 5000 exceeds cap 4096"),  # the factor's own refusal comes first
+])
+def test_order_cap_message_is_exact_or_a_lower_bound(spec, message):
+    with pytest.raises(CapacityError) as info:
+        make_group(spec)
+    assert (info.value.check, str(info.value)) == ("order_cap", message)
+
+
+def test_q_up_to_the_cap_is_factored_before_the_order_cap():
+    # F6^5 has order 7776 > 4096, but q = 6 is refused first, as before
+    with pytest.raises(ConstructionError) as info:
+        make_group(GroupSpec.vector_space(6, 5))
+    assert info.value.check == "prime_power"
 
 
 def intercalated_cyclic(n: int, r: int, c: int) -> list[list[int]]:

@@ -20,7 +20,7 @@ from latsuper import (
 )
 from latsuper import oracle
 from latsuper.catalog import quaternion_group, symmetric_group
-from latsuper.groups import Subgroup, _bits, closure_mask
+from latsuper.groups import Subgroup, _bits, closure_mask, is_normal, mask_of
 from latsuper.lattice import NormalLattice, basis_subspace_lattice, closed_sublattice
 from latsuper.oracle import (
     _dual_walk,
@@ -193,8 +193,72 @@ def test_brute_force_normal_subgroups():
 
 def test_cross_check_normal_lattice():
     for G in (cyclic_group(12), symmetric_group(3), quaternion_group()):
-        report = cross_check_normal_lattice(normal_lattice(G))
-        assert report["status"] == "pass"
+        L = normal_lattice(G)
+        assert cross_check_normal_lattice(L, True) == {"status": "pass", "count": len(L)}
+        # the same nodes as a sublattice are certified one by one
+        assert cross_check_normal_lattice(L, False) == {"status": "pass", "nodes": len(L)}
+
+
+def test_full_lattice_above_order_256_is_certified_not_enumerated():
+    assert cross_check_normal_lattice(cyclic_lattice(360), True) == {
+        "status": "pass", "nodes": 24, "enumeration": "skipped (order > 256)"}
+
+
+def _lattice_with(G, elements) -> NormalLattice:
+    """The chain 1 < H < G for the element list H, which is not vetted."""
+    return NormalLattice(G, [Subgroup(1), Subgroup(mask_of(elements)),
+                             Subgroup((1 << G.order) - 1)], check_normal=False)
+
+
+# A node the oracle must refuse: not normal, not a subgroup, and a nonabelian
+# subgroup (a Sylow D4 of S4) that conjugation by two of the three generators
+# of S4 maps onto itself, but not by the third.
+NOT_NORMAL = {
+    "transposition of S3": (symmetric_group(3), [0, 1], False),
+    "non-subgroup of C12": (cyclic_group(12), [0, 1], False),
+    "Sylow D4 of S4": (symmetric_group(4), [0, 1, 6, 7, 16, 17, 22, 23], False),
+    "non-subgroup of C300, full": (cyclic_group(300), [0, 1], True),
+}
+
+
+@pytest.mark.parametrize("name", NOT_NORMAL)
+def test_oracle_refuses_a_node_that_is_not_a_normal_subgroup(name):
+    from latsuper.cli import _verification_checks
+
+    G, elements, full = NOT_NORMAL[name]
+    L = _lattice_with(G, elements)
+    expected = {"category": "LatsuperError", "check": "normal_subgroups",
+                "message": "sublattice node not among the normal subgroups",
+                "witness": elements}
+    with pytest.raises(LatsuperError) as info:
+        cross_check_normal_lattice(L, full)
+    assert info.value.payload() == expected
+    # verify's check raises the same payload
+    check = dict(_verification_checks(L, 0, full))["normal_subgroup_oracle"]
+    with pytest.raises(LatsuperError) as info:
+        check()
+    assert info.value.payload() == expected
+
+
+def test_sylow_d4_is_normalized_by_some_generators_of_s4_only():
+    G = symmetric_group(4)
+    H = Subgroup(mask_of(NOT_NORMAL["Sylow D4 of S4"][1]))
+    images = [mask_of(G.mul[G.mul[g][h]][G.inv[g]] for h in H.elements()) for g in G.generators]
+    assert H.mask in images and any(image != H.mask for image in images)
+    assert closure_mask(G, H.mask) == H.mask and not is_normal(G, H)
+
+
+def test_full_lattice_mismatch_names_missing_and_extra_nodes():
+    # S3 with a transposition in place of A3, passed as the full lattice
+    G = symmetric_group(3)
+    L = _lattice_with(G, [0, 1])
+    with pytest.raises(VerificationError) as info:
+        cross_check_normal_lattice(L, True)
+    assert info.value.payload() == {
+        "category": "VerificationError", "check": "normal_subgroups",
+        "message": "normal-subgroup enumeration mismatch",
+        "witness": {"missing": [list(_bits(closure_mask(G, 1 << 3)))], "extra": [[0, 1]]},
+    }
 
 
 def test_verify_sct_delegates_to_oracle():

@@ -35,9 +35,6 @@ KEPT = (
     # fields of reference code: tests compare the dual walk with them
     "oracle.DualCharacter.exponent",
     "oracle.DualCharacter.kernel",
-    # fields tests check exactness through: the restricted row and the closed form
-    "restriction.RestrictionReport.restricted_values",
-    "sct.DegreeSumResult.closed_form",
 )
 
 
