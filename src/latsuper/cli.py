@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import oracle
 from .errors import ArgumentError, ConstructionError, InputError, LatsuperError
-from .groups import GroupSpec, GroupTable, Subgroup, _bits, make_group, mask_of
+from .groups import GroupSpec, GroupTable, Subgroup, _bits, make_group, mask_of, read_fields
 from .lattice import (
     NormalLattice,
     closed_sublattice,
@@ -79,40 +79,21 @@ def _mask_of_elements(G: GroupTable, elements) -> int:
     return mask_of(elements)
 
 
-def _field(data, name: str, what: str, default=None) -> list:
-    """The list data[name] of the JSON object data (default when the field is
-    absent and a default is given); ArgumentError, check "shape", naming the
-    field and its value, for a file of any other shape."""
-    value = data.get(name, default) if isinstance(data, dict) else data
-    if not isinstance(data, dict) or not isinstance(value, list):
-        raise ArgumentError(f"{what} must be a JSON object with a list {name!r}",
-                            check="shape", witness={"field": name, "value": value})
-    return value
-
-
 def _lattice_of(G: GroupTable, data) -> NormalLattice:
     """The full lattice (data None), a closed generator list, or strict nodes."""
     if data is None:
         return normal_lattice(G)
-    if isinstance(data, list):
-        data = {"generators": data}
-    if isinstance(data, dict) and "nodes" in data:
+    fields = read_fields(data, {"generators": list, "nodes": list}, "sublattice",
+                         bare=True, one=True)
+    if "nodes" in fields:
         # strict mode: the listed nodes must already be a closed sublattice
-        nodes = [Subgroup(_mask_of_elements(G, e)) for e in _field(data, "nodes", "a sublattice")]
+        nodes = [Subgroup(_mask_of_elements(G, e)) for e in fields["nodes"]]
         return NormalLattice(G, nodes, check_normal=True)
-    gens = _field(data, "generators", "a sublattice", default=[])
-    return closed_sublattice(G, [Subgroup(_mask_of_elements(G, e)) for e in gens])
+    return closed_sublattice(G, [Subgroup(_mask_of_elements(G, e)) for e in fields["generators"]])
 
 
 def _node_from_elements(L: NormalLattice, elements: Sequence[int]) -> int:
-    mask = _mask_of_elements(L.group, elements)
-    try:
-        return L.index_of(mask)
-    except ArgumentError:
-        raise InputError(
-            f"subgroup {sorted(elements)} is not a lattice node",
-            witness=sorted(elements),
-        )
+    return L.index_of(_mask_of_elements(L.group, elements))
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -163,6 +144,14 @@ def _json_chunks(value, indent: str):
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
     _write_output("".join(_json_chunks(payload, "")), out)
+
+
+def _emit_failure(payload: dict, out: Optional[str]) -> None:
+    """An error or failing report goes to stdout when out cannot be written."""
+    try:
+        _emit_json(payload, out)
+    except InputError:
+        _emit_json(payload, None)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +279,14 @@ def _verification_checks(L: NormalLattice, seed: int, full: bool) -> list[tuple[
 def cmd_verify(args) -> int:
     report: dict = {"seed": args.seed, "checks": []}
 
+    def finish() -> int:
+        report["passed"] = all(c["passed"] for c in report["checks"])
+        (_emit_json if report["passed"] else _emit_failure)(report, args.out)
+        return EXIT_OK if report["passed"] else EXIT_VERIFY
+
     def fail(name: str, exc: LatsuperError) -> int:
         report["checks"].append({"name": name, "passed": False, "error": exc.payload()})
-        report["passed"] = False
-        _emit_json(report, args.out)
-        return EXIT_VERIFY
+        return finish()
 
     spec = GroupSpec.from_json(_load_json(args.group))  # input errors: exit 1
     try:
@@ -315,9 +307,7 @@ def cmd_verify(args) -> int:
             report["checks"].append({"name": name, "passed": True, "detail": fn()})
         except LatsuperError as exc:
             report["checks"].append({"name": name, "passed": False, "error": exc.payload()})
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    _emit_json(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_VERIFY
+    return finish()
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +355,9 @@ def cmd_product(args) -> int:
         raise InputError("product needs exactly two --subgroup files")
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
-    nodes = []
-    for path in args.subgroup:
-        data = _load_json(path)
-        elements = data if isinstance(data, list) else _field(data, "elements", "a subgroup")
-        nodes.append(_node_from_elements(L, elements))
+    nodes = [_node_from_elements(L, read_fields(_load_json(path), {"elements": list}, "subgroup",
+                                                bare=True)["elements"])
+             for path in args.subgroup]
     report = tensor_product(L, nodes[0], nodes[1])
     _emit_json(product_report_to_json(L, report), args.out)
     return EXIT_OK
@@ -380,34 +368,22 @@ def cmd_restrict(args) -> int:
         raise InputError("restrict needs --embedding and --anchor")
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
-    emb_data = _load_json(args.embedding)
-    phi = _field(emb_data, "map", "an embedding")
-    if not set(map(type, phi)) <= {int}:
-        raise ArgumentError("embedding 'map' must list integers", check="shape",
-                            witness={"field": "map", "value": phi})
-    if "source" not in emb_data:
-        raise ArgumentError("an embedding must be a JSON object with a 'source' group spec",
-                            check="shape", witness={"field": "source", "value": None})
-    H = make_group(GroupSpec.from_json(emb_data["source"]))
-    LH = _lattice_of(H, emb_data.get("source_sublattice"))
-    embedding = GroupEmbedding(H, G, tuple(phi))
+    emb = read_fields(_load_json(args.embedding),
+                      {"map": list[int], "source": GroupSpec, "source_sublattice": object},
+                      "embedding")
+    H = make_group(emb["source"])
+    LH = _lattice_of(H, emb["source_sublattice"])
+    embedding = GroupEmbedding(H, G, tuple(emb["map"]))
     ctx = build_restriction_context(embedding, L, LH)
     if not ctx.favorable:
         _emit_json({"favorable": False, "witnesses": ctx.witnesses_json()}, args.out)
         return EXIT_INPUT
-    anchor_data = _load_json(args.anchor)
-    if isinstance(anchor_data, list):
-        anchor: object = _node_from_elements(L, anchor_data)
-    elif not isinstance(anchor_data, dict):
-        raise ArgumentError("an anchor must be a list of elements or a JSON object",
-                            check="shape", witness={"field": "node", "value": anchor_data})
-    elif "antichain" in anchor_data:
-        antichain = _field(anchor_data, "antichain", "an anchor")
-        anchor = [_node_from_elements(L, e) for e in antichain]
-    elif "node" in anchor_data:
-        anchor = _node_from_elements(L, anchor_data["node"])
+    fields = read_fields(_load_json(args.anchor), {"node": list, "antichain": list}, "anchor",
+                         bare=True, one=True)
+    if "node" in fields:
+        anchor: object = _node_from_elements(L, fields["node"])
     else:
-        raise InputError("anchor file needs a 'node' or 'antichain' field")
+        anchor = [_node_from_elements(L, e) for e in fields["antichain"]]
     report = restrict_decompose(ctx, anchor)
     _emit_json(restriction_report_to_json(ctx, report), args.out)
     return EXIT_OK
@@ -436,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--group", required=True, help="group spec JSON file")
-        p.add_argument("--sublattice", help="sublattice JSON (generators or nodes)")
+        p.add_argument("--sublattice", help="sublattice JSON: {generators: [subgroup, ...]}, "
+                       "{nodes: [subgroup, ...]} or [subgroup, ...]; a subgroup lists elements")
         p.add_argument("--out", help="output path (default stdout)")
 
     p_sct = sub.add_parser("sct", help="emit the supercharacter table")
@@ -452,13 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_product = sub.add_parser("product", help="tensor-product report for two nodes")
     common(p_product)
-    p_product.add_argument("--subgroup", action="append", help="subgroup JSON (twice)")
+    p_product.add_argument("--subgroup", action="append",
+                           help="subgroup JSON, twice: {elements: [...]} or [...]")
     p_product.set_defaults(fn=cmd_product)
 
     p_restrict = sub.add_parser("restrict", help="restriction decomposition report")
     common(p_restrict)
-    p_restrict.add_argument("--embedding", help="embedding JSON: {source, map}")
-    p_restrict.add_argument("--anchor", help="anchor JSON: {node|antichain}")
+    p_restrict.add_argument("--embedding", help="embedding JSON: {source: group spec, map: "
+                            "[image of each element], source_sublattice (optional)}")
+    p_restrict.add_argument("--anchor", help="anchor JSON: {node: subgroup}, {antichain: "
+                            "[subgroup, ...]} of meet irreducibles, or the node's elements")
     p_restrict.set_defaults(fn=cmd_restrict)
 
     p_lattice = sub.add_parser("lattice", help="emit the lattice as JSON")
@@ -479,10 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except LatsuperError as exc:
-        try:
-            _emit_json({"error": exc.payload()}, getattr(args, "out", None))
-        except InputError:  # --out cannot be written
-            _emit_json({"error": exc.payload()}, None)
+        _emit_failure({"error": exc.payload()}, getattr(args, "out", None))
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_VERIFY
 
 

@@ -198,40 +198,70 @@ class GroupSpec:
         return self.kind
 
     def to_json(self) -> dict:
-        if self.kind == "cyclic":
-            return {"kind": "cyclic", "n": self.n}
-        if self.kind == "vector_space":
-            return {"kind": "vector_space", "q": self.q, "dim": self.dim}
-        if self.kind == "table":
-            return {"kind": "table", "mul": [list(row) for row in self.mul or ()]}
-        if self.kind == "product":
-            return {"kind": "product", "factors": [f.to_json() for f in self.factors or ()]}
-        raise ArgumentError(f"unknown spec kind {self.kind!r}")
+        out = {"kind": self.kind}
+        for name in _SPEC_FIELDS[self.kind]:
+            value = getattr(self, name)
+            out[name] = ([list(row) for row in value] if name == "mul"
+                         else [f.to_json() for f in value] if name == "factors" else value)
+        return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "GroupSpec":
+    def from_json(cls, data) -> "GroupSpec":
         kind = data.get("kind") if isinstance(data, dict) else data
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ArgumentError("group spec JSON must be an object with a 'kind' field",
+        if type(kind) is not str or kind not in _SPEC_FIELDS:
+            raise ArgumentError(f"a group spec needs a 'kind' of {', '.join(_SPEC_FIELDS)}",
                                 check="spec", witness={"field": "kind", "value": kind})
-
-        def field_of(name: str, kind_of: type):
-            value = data.get(name)
-            if isinstance(value, kind_of) and not isinstance(value, bool):
-                return value
-            raise ArgumentError(f"{kind} spec field {name!r} must be of type {kind_of.__name__}",
-                                check="spec", witness={"field": name, "value": value})
-
-        if kind == "cyclic":
-            return cls.cyclic(field_of("n", int))
-        if kind == "vector_space":
-            return cls.vector_space(field_of("q", int), field_of("dim", int))
+        fields = read_fields(data, {"kind": str, **_SPEC_FIELDS[kind]}, f"{kind} spec",
+                             check="spec")
         if kind == "table":
-            return cls.table(field_of("mul", list))
+            return cls.table(fields["mul"])
         if kind == "product":
-            return cls.product([cls.from_json(f) for f in field_of("factors", list)])
-        raise ArgumentError(f"unknown spec kind {kind!r}", check="spec",
-                            witness={"field": "kind", "value": kind})
+            return cls.product([cls.from_json(f) for f in fields["factors"]])
+        if kind == "vector_space":
+            return cls.vector_space(fields["q"], fields["dim"])
+        return cls.cyclic(fields["n"])
+
+
+# the fields of a group spec of each kind, after "kind", with their JSON types
+_SPEC_FIELDS = {"cyclic": {"n": int}, "vector_space": {"q": int, "dim": int},
+                "table": {"mul": list}, "product": {"factors": list}}
+
+
+def read_fields(data, fields: dict, what: str, *, check: str = "shape",
+                bare: bool = False, one: bool = False) -> dict:
+    """The fields of the JSON object data, by name; with bare, a list stands
+    for {first field: list}.  Each field has the type fields gives it: a type
+    (a bool is no int; object admits a missing field), list[int], or GroupSpec
+    for a group spec, returned read.  With one, data holds exactly one field.
+    ArgumentError, witness {field, value}: data that is no object, then a
+    missing or mistyped field in the order of fields, then an extra field."""
+    first = next(iter(fields))
+    if bare and type(data) is list:
+        data = {first: data}
+    if type(data) is not dict:
+        raise ArgumentError(f"{what} must be a JSON object" + (" or a list" if bare else ""),
+                            check=check, witness={"field": first, "value": data})
+    names = [next((name for name in data if name in fields), first)] if one else list(fields)
+    out = {}
+    for name in names:
+        value, kind = data.get(name), fields[name]
+        if kind is GroupSpec:
+            ok = name in data
+        elif kind == list[int]:
+            ok = type(value) is list and set(map(type, value)) <= {int}
+        else:
+            ok = isinstance(value, kind) and not (kind is int and type(value) is bool)
+        if not ok:
+            raise ArgumentError(f"{what} field {name!r} must be of type "
+                                f"{kind if kind == list[int] else kind.__name__}",
+                                check=check, witness={"field": name, "value": value})
+        out[name] = GroupSpec.from_json(value) if kind is GroupSpec else value
+    extra = next((name for name in data if name not in names), None)
+    if extra is not None:
+        raise ArgumentError(f"{what} has the extra field {extra!r}; it takes "
+                            f"{'exactly one of' if one else 'only'} {', '.join(fields)}",
+                            check=check, witness={"field": extra, "value": data[extra]})
+    return out
 
 
 @dataclass(frozen=True)

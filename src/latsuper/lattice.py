@@ -132,7 +132,8 @@ class NormalLattice:
 
     def index_of(self, mask: int) -> int:
         if mask not in self._index:
-            raise ArgumentError("subgroup is not a lattice node")
+            elements = list(_bits(mask))
+            raise ArgumentError(f"subgroup {elements} is not a lattice node", witness=elements)
         return self._index[mask]
 
     def leq(self, i: int, j: int) -> bool:
@@ -502,7 +503,8 @@ def _check_antichain(L: NormalLattice, nodes: Sequence[int], pool: Iterable[int]
     for a in out:
         for b in out:
             if a != b and L.leq(a, b):
-                raise ArgumentError(f"nodes {a},{b} are comparable; not an antichain")
+                raise ArgumentError(f"nodes {a},{b} are comparable; not an antichain",
+                                    witness=[a, b])
     return out
 
 

@@ -33,6 +33,7 @@ from .lattice import (
     NormalLattice,
     cover_to_irreducible_map,
     distributive_analysis,
+    _check_antichain,
     _require_distributive,
 )
 from .products import decompose_class_function
@@ -141,10 +142,6 @@ def build_restriction_context(
     )
 
 
-def _canonical_antichain(L: NormalLattice, node: int) -> tuple[int, ...]:
-    return distributive_analysis(L).antichain_of[node]
-
-
 def compute_A_H(ctx: RestrictionContext, A: Sequence[int]) -> tuple[int, ...]:
     """The antichain A_H of H-meet-irreducibles: for each cover O of meet(A)
     whose intersection with H does not collapse, take the irreducible assigned
@@ -154,24 +151,15 @@ def compute_A_H(ctx: RestrictionContext, A: Sequence[int]) -> tuple[int, ...]:
             "context is not restriction favorable", witness=ctx.witnesses_json()
         )
     lg, lh = ctx.latticeG, ctx.latticeH
-    analysis = distributive_analysis(lg)
-    for p in A:
-        if p not in analysis.meet_irreducibles:
-            raise ArgumentError(f"node {p} is not meet irreducible in the G-lattice")
+    _check_antichain(lg, A, distributive_analysis(lg).meet_irreducibles,
+                     "meet irreducible in the G-lattice")
     meet_a = lg.meet_all(A)
     base_h = ctx.intersect[meet_a]
     assert base_h is not None
-    chosen: list[int] = []
-    if lh.covers_up[base_h]:
-        bijection = cover_to_irreducible_map(lh, list(_canonical_antichain(lh, base_h)))
-    else:
-        bijection = {}
-    for o in lg.covers_up[meet_a]:
-        oh = ctx.intersect[o]
-        assert oh is not None
-        if oh == base_h:
-            continue
-        chosen.append(bijection[oh])
+    # the top of H (no covers) has the empty antichain and the empty bijection
+    bijection = cover_to_irreducible_map(lh, distributive_analysis(lh).antichain_of[base_h])
+    chosen = [bijection[ctx.intersect[o]] for o in lg.covers_up[meet_a]
+              if ctx.intersect[o] != base_h]
     return tuple(dict.fromkeys(chosen))
 
 
@@ -205,9 +193,10 @@ def restrict_decompose(
         )
     lg, lh = ctx.latticeG, ctx.latticeH
     if isinstance(A, int):
-        antichain = _canonical_antichain(lg, A)
+        antichain = distributive_analysis(lg).antichain_of[A]
     else:
         antichain = tuple(A)
+    a_h = compute_A_H(ctx, antichain)  # checks the antichain before the theories are built
     meet_a = lg.meet_all(antichain)
     theory_g = build_theory(lg)
     theory_h = build_theory(lh)
@@ -231,7 +220,6 @@ def restrict_decompose(
         restricted.append(vals.pop())
 
     # (2) part (a) factorization
-    a_h = compute_A_H(ctx, antichain)
     meet_ah = lh.meet_all(a_h)          # top of H when A_H is empty
     c_g = lg.cover_join(meet_a)
     c_h = ctx.intersect[c_g]

@@ -7,13 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latsuper
-from latsuper import GroupSpec, LatsuperError, make_group, normal_lattice
+from latsuper import GroupSpec, InputError, LatsuperError, make_group, normal_lattice
 from latsuper.catalog import quaternion_group
 from latsuper.cli import _emit_json, _json_chunks, _verification_checks, main, table_payload
 
@@ -425,11 +426,22 @@ def test_file_failures_are_input_errors(tmp_path, case):
 
 
 def test_an_error_goes_to_stdout_when_out_cannot_be_written(files, capsys):
+    """An error payload, or a failing verify report, that cannot be written to
+    --out goes to stdout; a passing report keeps the write error, exit 1."""
     tmp, write = files
     group = write("c5000.json", {"kind": "cyclic", "n": 5000})
     code, out = run(["sct", "--group", group, "--out", str(tmp)], capsys)
     assert code == 1
     assert json.loads(out)["error"]["check"] == "order_cap"
+    code, out = run(["verify", "--group", group, "--out", str(tmp)], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["checks"][0]["error"]["check"] == "order_cap"
+    code, out = run(["verify", "--group", write("c6.json", {"kind": "cyclic", "n": 6}),
+                     "--out", str(tmp)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["check"] == "output"
 
 
 def test_missing_file_exit1(files, capsys):
@@ -448,6 +460,12 @@ def test_missing_file_exit1(files, capsys):
         ({"kind": "table", "mul": 5}, "mul"),
         ({"kind": "table", "mul": [0]}, "mul"),
         ({"kind": "product", "factors": {"kind": "cyclic", "n": 2}}, "factors"),
+        # a field the kind does not take, reported after the fields it does take
+        ({"kind": "cyclic", "n": 12, "dim": 3, "q": 7}, "dim"),
+        ({"kind": "vector_space", "q": 3, "dim": 2, "n": 9}, "n"),
+        ({"kind": "table", "mul": [[0]], "order": 1}, "order"),
+        ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2, "q": 2}]}, "q"),
+        ({"kind": "cyclic", "n": True}, "n"),  # a bool is no int
     ],
 )
 @pytest.mark.parametrize("command", ["sct", "verify"])
@@ -457,6 +475,7 @@ def test_malformed_group_spec_exit1_with_witness(files, capsys, spec, field, com
     assert code == 1
     error = json.loads(out)["error"]
     assert error["category"] == "ArgumentError"
+    assert error["check"] == "spec"
     assert error["witness"]["field"] == field
 
 
@@ -554,6 +573,22 @@ def test_non_subgroup_generator_verify_exit1(files, capsys):
     assert outputs[1]["error"]["category"] == "ArgumentError"
 
 
+@pytest.mark.parametrize("command, where", [("product", "subgroup"), ("restrict", "anchor")])
+def test_subgroup_that_is_no_node_names_its_elements(files, capsys, command, where):
+    tmp, write = files
+    elements = write("s.json", [6, 0, 4, 6])
+    args = [command, "--group", write("c12.json", {"kind": "cyclic", "n": 12})]
+    if where == "subgroup":
+        args += ["--subgroup", elements, "--subgroup", write("b.json", [0, 6])]
+    else:
+        args += ["--embedding", write("e.json", C12_EMBEDDING), "--anchor", elements]
+    code, out = run(args, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"category": "ArgumentError", "witness": [0, 4, 6],
+                     "message": "subgroup [0, 4, 6] is not a lattice node"}
+
+
 C12_EMBEDDING = {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]}
 
 
@@ -577,6 +612,22 @@ C12_EMBEDDING = {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10
      {"field": "nodes", "value": 5}),
     ("restrict", "anchor", 6, {"field": "node", "value": 6}),
     ("restrict", "anchor", {"antichain": 5}, {"field": "antichain", "value": 5}),
+    # a misspelt, a second or an unknown field: once read as another lattice or anchor
+    ("lattice", "sublattice", {"generatorz": [[0, 6]]}, {"field": "generators", "value": None}),
+    ("lattice", "sublattice", {}, {"field": "generators", "value": None}),
+    ("lattice", "sublattice", {"nodes": [[0], list(range(12))], "generators": [[0, 6]]},
+     {"field": "generators", "value": [[0, 6]]}),
+    ("restrict", "anchor", {"node": [0, 6], "antichain": [[0, 3, 6, 9]]},
+     {"field": "antichain", "value": [[0, 3, 6, 9]]}),
+    ("sct", "sublattice", {"generators": [[0, 6]], "closed": True},
+     {"field": "closed", "value": True}),
+    ("product", "subgroup", {"elements": [0, 6], "order": 2}, {"field": "order", "value": 2}),
+    ("restrict", "embedding", dict(C12_EMBEDDING, target={"kind": "cyclic", "n": 12}),
+     {"field": "target", "value": {"kind": "cyclic", "n": 12}}),
+    ("restrict", "anchor", {"node": [0, 6], "label": "C2"}, {"field": "label", "value": "C2"}),
+    ("restrict", "embedding", dict(C12_EMBEDDING, source_sublattice={"generators": [], "x": 0}),
+     {"field": "x", "value": 0}),
+    ("restrict", "embedding", [0, 2, 4, 6, 8, 10], {"field": "map", "value": [0, 2, 4, 6, 8, 10]}),
 ])
 def test_misshapen_json_file_is_an_argument_error(files, capsys, command, where, payload,
                                                   witness):
@@ -597,6 +648,83 @@ def test_misshapen_json_file_is_an_argument_error(files, capsys, command, where,
     assert error["category"] == "ArgumentError"
     assert error.get("check") == "shape"
     assert error["witness"] == witness
+
+
+# ---------------------------------------------------------------------------
+# Random JSON as each input file: exit 0, or exit 1 with a field-level witness.
+
+# values no field takes as they are: no list and no int (a bool is no int); a
+# dict of scalars is read on only as a group spec or a sublattice, and fails there
+WRONG = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.none(), st.text(max_size=4)), max_size=2),
+)
+
+
+@st.composite
+def _objects(draw, **good):
+    """JSON objects holding each field named in good with its good value, a
+    WRONG one or not at all, and at times a field of another name."""
+    out = draw(st.one_of(st.just({}), st.dictionaries(st.text(max_size=4), WRONG, max_size=1)))
+    for name, value in good.items():
+        how = draw(st.sampled_from(["good", "absent", "wrong"]))
+        if how != "absent":
+            out[name] = value if how == "good" else draw(WRONG)
+    return out
+
+
+GOOD_SPEC_FIELDS = {"cyclic": {"n": 12}, "vector_space": {"q": 2, "dim": 2},
+                    "table": {"mul": [[0, 1], [1, 0]]},
+                    "product": {"factors": [{"kind": "cyclic", "n": 2}]}}
+C6_NODES = [[0, 3], [0, 2, 4]]
+
+# file kind: (its contents, the flags that pass it; --group is C12 unless given)
+RANDOM_FILES = {
+    "group": (st.one_of(
+        st.sampled_from(sorted(GOOD_SPEC_FIELDS)).flatmap(
+            lambda kind: _objects(**GOOD_SPEC_FIELDS[kind]).map(lambda d: {"kind": kind, **d})),
+        _objects(kind="cyclic", n=12), st.lists(WRONG, max_size=2), WRONG), ["lattice", "--group"]),
+    "sublattice": (st.one_of(_objects(generators=[[0, 6]], nodes=[[0], list(range(12))]),
+                             st.just([[0, 6]]), WRONG), ["lattice", "--sublattice"]),
+    "subgroup": (st.one_of(_objects(elements=[0, 6]), st.just([0, 6]), WRONG),
+                 ["product", "--subgroup", "{dir}/b.json", "--subgroup"]),
+    "embedding": (st.one_of(_objects(**C12_EMBEDDING, source_sublattice=C6_NODES),
+                            st.lists(WRONG, max_size=2), WRONG),
+                  ["restrict", "--anchor", "{dir}/a.json", "--embedding"]),
+    "anchor": (st.one_of(_objects(node=[0, 6], antichain=[[0, 3, 6, 9], [0, 2, 4, 6, 8, 10]]),
+                         st.just([0, 6]), WRONG),
+               ["restrict", "--embedding", "{dir}/e.json", "--anchor"]),
+}
+
+
+@pytest.mark.parametrize("kind", RANDOM_FILES)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_json_file_exits_0_or_names_a_field(kind, data):
+    """Random JSON as a file of each kind (objects with its fields good,
+    WRONG or absent and with other fields, lists and scalars) either runs
+    (exit 0) or ends as an InputError payload (exit 1) with a check and a
+    {field, value} witness; no other exception escapes.  Element lists are
+    kept good: a bad element has its own payload, with no check."""
+    contents, flags = RANDOM_FILES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in (("g", {"kind": "cyclic", "n": 12}), ("b", [0, 4, 8]),
+                              ("a", {"node": [0, 6]}), ("e", C12_EMBEDDING),
+                              ("f", data.draw(contents, label=kind))):
+            Path(tmp, f"{name}.json").write_text(json.dumps(payload))
+        argv = [flag.format(dir=tmp) for flag in flags] + [f"{tmp}/f.json"]
+        if "--group" not in argv:
+            argv += ["--group", f"{tmp}/g.json"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        error = json.loads(buf.getvalue())["error"]
+        assert issubclass(getattr(latsuper, error["category"]), InputError)
+        assert error["check"] in ("spec", "shape")
+        assert {"field", "value"} <= set(error["witness"])
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,11 @@ from latsuper import (
     GroupSpec,
     NormalLattice,
     Subgroup,
+    UnsupportedStructureError,
+    cover_to_irreducible_map,
     make_group,
     normal_lattice,
+    product_to_cover_map,
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
@@ -315,6 +318,43 @@ def test_birkhoff_test_agrees_with_the_cubic_scan(L):
     expected = cubic_scan(L)
     assert analysis.is_distributive is (expected is None)
     assert analysis.violation == expected
+
+
+def _antichain(L, pool, data):
+    """A random antichain drawn from pool: nodes in a random order, each kept
+    when it is incomparable with the ones kept before it."""
+    picked = []
+    for p in data.draw(st.permutations(pool), label="order")[:data.draw(st.integers(0, 4))]:
+        if not any(L.leq(p, q) or L.leq(q, p) for q in picked):
+            picked.append(p)
+    return picked
+
+
+@settings(PROPERTY, max_examples=80)
+@given(drawn_lattices(), st.data())
+def test_birkhoff_maps_are_bijections_onto_the_antichain(L, data):
+    """product_to_cover_map: each lower cover of join(B) goes to the one member
+    of B not below it.  cover_to_irreducible_map: each upper cover of meet(A)
+    goes to the one member of A not above it.  Both are onto the antichain;
+    a non-distributive lattice is refused."""
+    analysis = distributive_analysis(L)
+    if not analysis.is_distributive:
+        for birkhoff_map in (product_to_cover_map, cover_to_irreducible_map):
+            with pytest.raises(UnsupportedStructureError):
+                birkhoff_map(L, [])
+        return
+    B = _antichain(L, analysis.product_irreducibles, data)
+    mapping = product_to_cover_map(L, B)
+    assert sorted(mapping) == sorted(L.covers_down[L.join_all(B)])
+    assert sorted(mapping.values()) == sorted(B)
+    for lower, k in mapping.items():
+        assert [b for b in B if not L.leq(b, lower)] == [k]
+    A = _antichain(L, analysis.meet_irreducibles, data)
+    mapping = cover_to_irreducible_map(L, A)
+    assert sorted(mapping) == sorted(L.covers_up[L.meet_all(A)])
+    assert sorted(mapping.values()) == sorted(A)
+    for upper, p in mapping.items():
+        assert [a for a in A if not L.leq(upper, a)] == [p]
 
 
 @pytest.mark.parametrize("name, kind, violation", [

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +15,7 @@ from latsuper import (
     distributive_analysis,
     restrict_decompose,
 )
+from latsuper.cli import main
 from latsuper.errors import UnfavorableEmbeddingError
 from latsuper.groups import _bits
 from latsuper.lattice import closed_sublattice
@@ -147,6 +149,40 @@ def test_compute_A_H_requires_favorable():
     ctx = build_restriction_context(cyclic_embedding(H, G), LG, cyclic_lattice(6))
     with pytest.raises(UnfavorableEmbeddingError):
         compute_A_H(ctx, (LG.bottom,))
+
+
+def test_comparable_antichain_is_refused():
+    """An antichain of meet irreducibles with a comparable pair (C3 < C6 in
+    C12) names the pair, in-process and through the CLI; a node that is not
+    meet irreducible keeps its witness-free error."""
+    G, H = cyclic_group(12), cyclic_group(6)
+    LG, LH = cyclic_lattice(12), cyclic_lattice(6)
+    ctx = build_restriction_context(cyclic_embedding(H, G), LG, LH)
+    c3, c6, c2 = node_of_size(LG, 3), node_of_size(LG, 6), node_of_size(LG, 2)
+    for call in (restrict_decompose, compute_A_H):
+        with pytest.raises(ArgumentError) as info:
+            call(ctx, [c3, c6])
+        assert "comparable" in str(info.value)
+        assert info.value.witness == [c3, c6]
+        with pytest.raises(ArgumentError) as info:
+            call(ctx, [c2])
+        assert str(info.value) == f"node {c2} is not meet irreducible in the G-lattice"
+        assert info.value.witness is None
+
+
+def test_comparable_antichain_exits_1(tmp_path, capsys):
+    files = {"g.json": {"kind": "cyclic", "n": 12},
+             "e.json": {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]},
+             "a.json": {"antichain": [[0, 4, 8], [0, 2, 4, 6, 8, 10]]}}
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    code = main(["restrict", "--group", str(tmp_path / "g.json"),
+                 "--embedding", str(tmp_path / "e.json"), "--anchor", str(tmp_path / "a.json")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    LG = cyclic_lattice(12)
+    assert code == 1
+    assert error["category"] == "ArgumentError"
+    assert error["witness"] == [node_of_size(LG, 3), node_of_size(LG, 6)]
 
 
 def test_trivial_restriction_identity():

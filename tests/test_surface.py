@@ -6,7 +6,8 @@ the package other than __init__, whose re-exports do not count.  Every field
 of a dataclass must be read as an attribute by such a module: a field that is
 only written is data no caller uses.  The only exceptions are listed in KEPT,
 each with its reason: a name only tests call is deleted and its tests moved to
-the surviving path.
+the surviving path.  Every name a module of the package other than __init__
+imports is used by that module.
 """
 
 import ast
@@ -77,3 +78,40 @@ def surface():
 def test_every_name_is_used_by_the_package():
     unused = [name for name, referenced in surface() if not referenced]
     assert sorted(unused) == sorted(KEPT)
+
+
+def _annotation_strings(tree):
+    """The names inside string annotations ("GroupSpec") of tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        for text in ast.walk(annotation) if annotation else ():
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                yield from (n.id for n in ast.walk(ast.parse(text.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+
+
+def unused_imports():
+    """module.name for every name that a module other than __init__ imports
+    (from __future__ aside) and never uses."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_annotation_strings(tree))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        unused += [f"{path.stem}.{name}" for node in imports
+                   for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                   if name not in used]
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
