@@ -69,13 +69,14 @@ def _load_lattice(G: GroupTable, sublattice_path: Optional[str]) -> NormalLattic
     return _lattice_of(G, None if sublattice_path is None else _load_json(sublattice_path))
 
 
-def _mask_of_elements(G: GroupTable, elements) -> int:
-    """Bitmask of a JSON list of elements of G; ArgumentError unless every
-    element is a plain int in 0..order-1."""
+def _mask_of_elements(G: GroupTable, field: str, elements) -> int:
+    """Bitmask of a JSON list of elements of G, read from the input file field
+    `field`; ArgumentError unless every element is a plain int in
+    0..order-1."""
     if (not isinstance(elements, list) or not set(map(type, elements)) <= {int}
             or min(elements, default=0) < 0 or max(elements, default=0) >= G.order):
         raise ArgumentError(f"{elements!r} is not a list of elements of {G.name}",
-                            witness=elements)
+                            check="shape", witness={"field": field, "value": elements})
     return mask_of(elements)
 
 
@@ -87,13 +88,14 @@ def _lattice_of(G: GroupTable, data) -> NormalLattice:
                          bare=True, one=True)
     if "nodes" in fields:
         # strict mode: the listed nodes must already be a closed sublattice
-        nodes = [Subgroup(_mask_of_elements(G, e)) for e in fields["nodes"]]
+        nodes = [Subgroup(_mask_of_elements(G, "nodes", e)) for e in fields["nodes"]]
         return NormalLattice(G, nodes, check_normal=True)
-    return closed_sublattice(G, [Subgroup(_mask_of_elements(G, e)) for e in fields["generators"]])
+    return closed_sublattice(G, [Subgroup(_mask_of_elements(G, "generators", e))
+                                 for e in fields["generators"]])
 
 
-def _node_from_elements(L: NormalLattice, elements: Sequence[int]) -> int:
-    return L.index_of(_mask_of_elements(L.group, elements))
+def _node_from_elements(L: NormalLattice, field: str, elements: Sequence[int]) -> int:
+    return L.index_of(_mask_of_elements(L.group, field, elements))
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -355,8 +357,8 @@ def cmd_product(args) -> int:
         raise InputError("product needs exactly two --subgroup files")
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
-    nodes = [_node_from_elements(L, read_fields(_load_json(path), {"elements": list}, "subgroup",
-                                                bare=True)["elements"])
+    nodes = [_node_from_elements(L, "elements", read_fields(_load_json(path), {"elements": list},
+                                                            "subgroup", bare=True)["elements"])
              for path in args.subgroup]
     report = tensor_product(L, nodes[0], nodes[1])
     _emit_json(product_report_to_json(L, report), args.out)
@@ -381,9 +383,9 @@ def cmd_restrict(args) -> int:
     fields = read_fields(_load_json(args.anchor), {"node": list, "antichain": list}, "anchor",
                          bare=True, one=True)
     if "node" in fields:
-        anchor: object = _node_from_elements(L, fields["node"])
+        anchor: object = _node_from_elements(L, "node", fields["node"])
     else:
-        anchor = [_node_from_elements(L, e) for e in fields["antichain"]]
+        anchor = [_node_from_elements(L, "antichain", e) for e in fields["antichain"]]
     report = restrict_decompose(ctx, anchor)
     _emit_json(restriction_report_to_json(ctx, report), args.out)
     return EXIT_OK

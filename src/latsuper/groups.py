@@ -37,22 +37,16 @@ MAX_ORDER = 4096  # desk-scale order cap: no table has more than MAX_ORDER rows
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, p prime; error otherwise."""
-    if q < 2:
-        raise ConstructionError(f"q={q} is not a prime power", check="prime_power")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    assert p is not None
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise ConstructionError(f"q={q} is not a prime power", check="prime_power")
-    return p, k
+    if q >= 2:
+        p = next(cand for cand in range(2, q + 1) if q % cand == 0)
+        k, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if rest == 1:
+            return p, k
+    raise ConstructionError(f"q={q} is not a prime power", check="prime_power",
+                            witness={"field": "q", "value": q})
 
 
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -476,25 +470,31 @@ def _spec_order(spec: GroupSpec) -> int:
     what = "order"
     if spec.kind == "cyclic":
         if spec.n is None or spec.n < 1:
-            raise ConstructionError(f"cyclic order must be >= 1, got {spec.n}", check="spec")
+            raise ConstructionError(f"cyclic order must be >= 1, got {spec.n}", check="spec",
+                                    witness={"field": "n", "value": spec.n})
         sizes, last = [spec.n], 1
     elif spec.kind == "vector_space":
         if spec.q is None or spec.dim is None or spec.dim < 1:
-            raise ConstructionError("vector_space needs q and dim >= 1", check="spec")
+            name = "q" if spec.q is None else "dim"
+            raise ConstructionError("vector_space needs q and dim >= 1", check="spec",
+                                    witness={"field": name, "value": getattr(spec, name)})
         if spec.q <= MAX_ORDER:
             factor_prime_power(spec.q)
         sizes, last = repeat(spec.q, spec.dim), spec.dim
     elif spec.kind == "table":
         if not spec.mul:
-            raise ConstructionError("table spec has no rows", check="spec")
+            raise ConstructionError("table spec has no rows", check="spec",
+                                    witness={"field": "mul", "value": spec.mul})
         sizes, last = [len(spec.mul)], 1
     elif spec.kind == "product":
         if not spec.factors:
-            raise ConstructionError("product spec has no factors", check="spec")
+            raise ConstructionError("product spec has no factors", check="spec",
+                                    witness={"field": "factors", "value": spec.factors})
         what, sizes = "product order", [_spec_order(f) for f in spec.factors]
         last = len(sizes)
     else:
-        raise ConstructionError(f"unknown spec kind {spec.kind!r}", check="spec")
+        raise ConstructionError(f"unknown spec kind {spec.kind!r}", check="spec",
+                                witness={"field": "kind", "value": spec.kind})
     order = 1
     for i, size in enumerate(sizes, 1):
         order *= size

@@ -5,20 +5,24 @@ A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
 group, closed under join (subgroup product) and meet (intersection), always
 containing the trivial subgroup and the whole group.  Nodes are referenced by
 their index in ``nodes``, sorted by size.  Group elements are multiplied only
-to enumerate nodes.  The order is one up-set and one down-set bitmask of node
-indices per node, and meet and join have one rule, read off them: the join of
-i and j is the lowest index in up(i) & up(j), the meet the highest index in
-down(i) & down(j).  No m x m table is kept.  The constructor certifies every
-pair once, whoever built the nodes: the meet is the node N & M, and the join
-satisfies the product formula |NM| |N & M| = |N| |M|.
+to enumerate nodes, and the builders (normal_lattice, subspace_lattice,
+closed_sublattice) look each join up in one _JoinIndex of the nodes found so
+far, so closure_mask runs only for a join that is new.  The order is one
+up-set and one down-set bitmask of node indices per node, and meet and join
+have one rule, read off them: the join of i and j is the lowest index in
+up(i) & up(j), the meet the highest index in down(i) & down(j).  No m x m
+table is kept.  The constructor certifies every pair once, whoever built the
+nodes: the meet is the node N & M, and the join satisfies the product formula
+|NM| |N & M| = |N| |M|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress, count, repeat
 from math import gcd
-from operator import and_, or_
+from operator import and_, eq, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -246,23 +250,64 @@ def _cyclic_subgroups(G: GroupTable) -> set[int]:
     return out
 
 
+class _JoinIndex:
+    """The nodes a lattice builder has found, so that the join of two of them
+    is looked up, not closed.  masks holds the nodes in insertion order, at
+    the index of each mask, up[i] the bitset of the nodes that contain node i
+    and of_size[s] the bitset of the nodes of size s.  The join of normal
+    subgroups a and b is their product, of size |a||b|/|a & b|, and a known
+    node of that size containing both is the product itself: the lookup
+    up[i] & up[j] & of_size[|a||b|/|a & b|] is exact, and a miss means the
+    join is new.  Each add sets the new node's bit in the up sets of the
+    nodes below it, found in one C-level pass over the masks."""
+
+    def __init__(self) -> None:
+        self.masks: list[int] = []
+        self.at: dict[int, int] = {}
+        self.up: list[int] = []
+        self.of_size: dict[int, int] = {}
+
+    def add(self, mask: int, above: Optional[int] = None) -> None:
+        """Add a node unless it is known; above, when given, is the bitset of
+        the known nodes that contain it."""
+        if mask in self.at:
+            return
+        k = len(self.masks)
+        _check_cap(k + 1)
+        bit = 1 << k
+        masks, up = self.masks, self.up
+        if above is None:
+            meets = map(and_, repeat(mask), masks)
+            above = mask_of(compress(count(), map(eq, repeat(mask), meets)))
+        for i in compress(count(), map(eq, repeat(mask), map(or_, repeat(mask), masks))):
+            up[i] |= bit
+        up.append(above | bit)
+        self.at[mask] = k
+        masks.append(mask)
+        size = mask.bit_count()
+        self.of_size[size] = self.of_size.get(size, 0) | bit
+
+    def add_join(self, G: GroupTable, i: int, j: int) -> None:
+        """Add the join of nodes i and j: looked up, or closed when it is new."""
+        a, b = self.masks[i], self.masks[j]
+        above = self.up[i] & self.up[j]
+        if not above & self.of_size.get(a.bit_count() * b.bit_count() // (a & b).bit_count(), 0):
+            self.add(closure_mask(G, a | b), above)
+
+
 def _join_closure(G: GroupTable, gens: Iterable[int]) -> list[int]:
     """The trivial subgroup and every join of the normal subgroups in gens,
-    reached one generator at a time by joining each node with each generator
-    it does not contain."""
-    gens = sorted(set(gens))
-    nodes = [1]
-    seen = {1}
-    for node in nodes:
-        for gen in gens:
-            if gen & node == gen:
-                continue
-            join = closure_mask(G, node | gen)
-            if join not in seen:
-                seen.add(join)
-                nodes.append(join)
-                _check_cap(len(nodes))
-    return nodes
+    reached one generator at a time by joining each node with each generator.
+    The generators, the joins of the trivial node, come next; every later
+    join is looked up in a _JoinIndex, and only a new one is closed."""
+    index = _JoinIndex()
+    for mask in (1, *sorted(set(gens))):
+        index.add(mask)
+    at_gens = range(1, len(index.masks))
+    for i, _ in enumerate(index.masks):  # the masks grow while they are walked
+        for g in at_gens:
+            index.add_join(G, i, g)
+    return index.masks
 
 
 def normal_lattice(G: GroupTable) -> NormalLattice:
@@ -288,36 +333,24 @@ def normal_lattice(G: GroupTable) -> NormalLattice:
 def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
     """Smallest lattice containing gens plus the trivial subgroup and G.
 
-    A worklist visits each unordered pair of nodes once.  The join of normal
-    subgroups a and b is the known node z containing a | b with
-    |z| = |a||b|/|a & b| when there is one; closure_mask runs only otherwise.
+    A worklist visits each unordered pair of nodes once and adds their meet
+    a & b and their join, looked up in a _JoinIndex; closure_mask runs only
+    for a join that is new.
     """
     bad = _first_non_normal(G, gens)
     if bad is not None:
         raise ArgumentError(
             f"generator {bad.to_json()} is not a normal subgroup", witness=bad.to_json()
         )
-    nodes: list[int] = []
-    by_size: dict[int, list[int]] = {}
-
-    def add(mask: int) -> None:
-        same = by_size.setdefault(mask.bit_count(), [])
-        if mask not in same:
-            same.append(mask)
-            nodes.append(mask)
-            _check_cap(len(nodes))
-
+    index = _JoinIndex()
     for mask in (1, (1 << G.order) - 1, *(s.mask for s in gens)):
-        add(mask)
-    for j, b in enumerate(nodes):
-        for a in nodes[:j]:
-            meet = a & b
-            add(meet)
-            union = a | b
-            size = a.bit_count() * b.bit_count() // meet.bit_count()
-            if not any(union & z == union for z in by_size.get(size, ())):
-                add(closure_mask(G, union))
-    return NormalLattice(G, [Subgroup(m) for m in nodes], check_normal=False)
+        index.add(mask)
+    masks = index.masks
+    for j, b in enumerate(masks):
+        for i in range(j):
+            index.add(masks[i] & b)
+            index.add_join(G, i, j)
+    return NormalLattice(G, [Subgroup(m) for m in masks], check_normal=False)
 
 
 # ---------------------------------------------------------------------------

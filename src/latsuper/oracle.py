@@ -23,7 +23,7 @@ from operator import add, itemgetter, mod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArgumentError, CapacityError, LatsuperError, VerificationError
-from .groups import GroupTable, Subgroup, _bits, closure_mask, is_normal
+from .groups import GroupTable, Subgroup, _bits, closure_mask, is_normal, mask_of
 
 if TYPE_CHECKING:
     from .lattice import NormalLattice
@@ -488,26 +488,33 @@ def schur_closure_check(L: "NormalLattice", theory: "SCTheory") -> dict:
 def brute_force_normal_subgroups(G: GroupTable) -> list[Subgroup]:
     """Re-derive the normal subgroups by enumerating all subgroups and
     filtering by normality.  The enumeration starts from the trivial subgroup
-    and joins each subgroup found with every distinct cyclic subgroup <g> it
+    and joins each subgroup X found with every distinct cyclic subgroup <g> it
     does not contain; every subgroup is such a chain of joins, so none is
-    missed.  Only closure_mask is shared with lattice.normal_lattice, which
-    joins cyclic subgroups or normal closures of conjugacy classes and never
-    scans the other subgroups."""
+    missed.  <X, g·x> = <X, g> for x in X, so a cyclic subgroup with a
+    generator in a coset g·X already joined is skipped.  closure_mask is the
+    only code shared with the lattice builders, which join cyclic subgroups
+    or normal closures of conjugacy classes through their own index and
+    never scan the other subgroups."""
     if G.order > 256:
         raise CapacityError("brute-force subgroup scan capped at order 256")
-    # each distinct cyclic subgroup with its least generator
+    # each distinct cyclic subgroup with the mask of its generators
     cyclic: dict[int, int] = {}
     for g in range(1, G.order):
-        cyclic.setdefault(closure_mask(G, 1 << g), g)
+        c = closure_mask(G, 1 << g)
+        cyclic[c] = cyclic.get(c, 0) | 1 << g
     # each subgroup found with a generating set, as a mask
     seen = {1: 1}
     frontier = [1]
     while frontier:
         mask = frontier.pop()
         gens = seen[mask]
-        for c, g in cyclic.items():
-            if c & ~mask == 0:
+        elements = list(_bits(mask))
+        joined = mask  # the cosets g·X joined so far, X itself first
+        for generators in cyclic.values():
+            if generators & joined:
                 continue
+            g = (generators & -generators).bit_length() - 1
+            joined |= mask_of(map(G.mul[g].__getitem__, elements))
             bigger = closure_mask(G, gens | (1 << g))
             if bigger not in seen:
                 seen[bigger] = gens | (1 << g)

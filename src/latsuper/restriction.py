@@ -195,7 +195,7 @@ def restrict_decompose(
     if isinstance(A, int):
         antichain = distributive_analysis(lg).antichain_of[A]
     else:
-        antichain = tuple(A)
+        antichain = tuple(dict.fromkeys(A))  # each node once, as meet_all reads A
     a_h = compute_A_H(ctx, antichain)  # checks the antichain before the theories are built
     meet_a = lg.meet_all(antichain)
     theory_g = build_theory(lg)

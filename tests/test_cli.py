@@ -505,6 +505,25 @@ def test_spec_without_a_known_kind_names_the_kind(files, capsys, spec, value, co
     assert error["witness"] == {"field": "kind", "value": value}
 
 
+@pytest.mark.parametrize("spec, check, witness", [
+    ({"kind": "cyclic", "n": 0}, "spec", {"field": "n", "value": 0}),
+    ({"kind": "vector_space", "q": 2, "dim": 0}, "spec", {"field": "dim", "value": 0}),
+    ({"kind": "vector_space", "q": 6, "dim": 2}, "prime_power", {"field": "q", "value": 6}),
+    ({"kind": "vector_space", "q": 1, "dim": 2}, "prime_power", {"field": "q", "value": 1}),
+    ({"kind": "table", "mul": []}, "spec", {"field": "mul", "value": []}),
+    ({"kind": "product", "factors": []}, "spec", {"field": "factors", "value": []}),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": -3}]}, "spec",
+     {"field": "n", "value": -3}),
+])
+def test_spec_value_error_names_its_field(files, capsys, spec, check, witness):
+    tmp, write = files
+    code, out = run(["sct", "--group", write("g.json", spec)], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ConstructionError"
+    assert (error["check"], error["witness"]) == (check, witness)
+
+
 def test_verify_missing_or_unparseable_group_exit1(files, capsys):
     tmp, write = files
     code, out = run(["verify", "--group", str(tmp / "absent.json")], capsys)
@@ -557,7 +576,10 @@ def test_bad_sublattice_element_is_an_argument_error(files, capsys, command, whe
     assert code == 1
     error = json.loads(out)["error"]
     assert error["category"] == "ArgumentError"
-    assert "witness" in error
+    assert error["check"] == "shape"
+    field = {"subgroup": "elements", "anchor": "node", "source_sublattice": "generators"}
+    value = [0, 6 if element == 12 else element] if where == "source_sublattice" else bad
+    assert error["witness"] == {"field": field.get(where, where), "value": value}
 
 
 def test_non_subgroup_generator_verify_exit1(files, capsys):
@@ -664,20 +686,36 @@ WRONG = st.one_of(
 
 @st.composite
 def _objects(draw, **good):
-    """JSON objects holding each field named in good with its good value, a
-    WRONG one or not at all, and at times a field of another name."""
+    """JSON objects holding each field named in good with its good value (or
+    one drawn from its strategy), a WRONG one or not at all, and at times a
+    field of another name."""
     out = draw(st.one_of(st.just({}), st.dictionaries(st.text(max_size=4), WRONG, max_size=1)))
     for name, value in good.items():
         how = draw(st.sampled_from(["good", "absent", "wrong"]))
-        if how != "absent":
-            out[name] = value if how == "good" else draw(WRONG)
+        if how == "good":
+            out[name] = draw(value) if isinstance(value, st.SearchStrategy) else value
+        elif how == "wrong":
+            out[name] = draw(WRONG)
     return out
 
 
 GOOD_SPEC_FIELDS = {"cyclic": {"n": 12}, "vector_space": {"q": 2, "dim": 2},
                     "table": {"mul": [[0, 1], [1, 0]]},
                     "product": {"factors": [{"kind": "cyclic", "n": 2}]}}
-C6_NODES = [[0, 3], [0, 2, 4]]
+
+
+def _elements(good: list):
+    """An element list as given, or with one more entry that is no element
+    of C12 (nor of the restriction source C6)."""
+    return st.one_of(st.just(good), st.sampled_from([-1, 12, 1.5, "6", True, None]).map(
+        lambda bad: good + [bad]))
+
+
+def _element_lists(*goods: list):
+    return st.tuples(*map(_elements, goods)).map(list)
+
+
+C6_NODES = _element_lists([0, 3], [0, 2, 4])
 
 # file kind: (its contents, the flags that pass it; --group is C12 unless given)
 RANDOM_FILES = {
@@ -685,15 +723,17 @@ RANDOM_FILES = {
         st.sampled_from(sorted(GOOD_SPEC_FIELDS)).flatmap(
             lambda kind: _objects(**GOOD_SPEC_FIELDS[kind]).map(lambda d: {"kind": kind, **d})),
         _objects(kind="cyclic", n=12), st.lists(WRONG, max_size=2), WRONG), ["lattice", "--group"]),
-    "sublattice": (st.one_of(_objects(generators=[[0, 6]], nodes=[[0], list(range(12))]),
-                             st.just([[0, 6]]), WRONG), ["lattice", "--sublattice"]),
-    "subgroup": (st.one_of(_objects(elements=[0, 6]), st.just([0, 6]), WRONG),
+    "sublattice": (st.one_of(_objects(generators=_element_lists([0, 6]),
+                                      nodes=_element_lists([0], list(range(12)))),
+                             _element_lists([0, 6]), WRONG), ["lattice", "--sublattice"]),
+    "subgroup": (st.one_of(_objects(elements=_elements([0, 6])), _elements([0, 6]), WRONG),
                  ["product", "--subgroup", "{dir}/b.json", "--subgroup"]),
     "embedding": (st.one_of(_objects(**C12_EMBEDDING, source_sublattice=C6_NODES),
                             st.lists(WRONG, max_size=2), WRONG),
                   ["restrict", "--anchor", "{dir}/a.json", "--embedding"]),
-    "anchor": (st.one_of(_objects(node=[0, 6], antichain=[[0, 3, 6, 9], [0, 2, 4, 6, 8, 10]]),
-                         st.just([0, 6]), WRONG),
+    "anchor": (st.one_of(_objects(node=_elements([0, 6]),
+                                  antichain=_element_lists([0, 3, 6, 9], [0, 2, 4, 6, 8, 10])),
+                         _elements([0, 6]), WRONG),
                ["restrict", "--embedding", "{dir}/e.json", "--anchor"]),
 }
 
@@ -705,8 +745,8 @@ def test_random_json_file_exits_0_or_names_a_field(kind, data):
     """Random JSON as a file of each kind (objects with its fields good,
     WRONG or absent and with other fields, lists and scalars) either runs
     (exit 0) or ends as an InputError payload (exit 1) with a check and a
-    {field, value} witness; no other exception escapes.  Element lists are
-    kept good: a bad element has its own payload, with no check."""
+    {field, value} witness; no other exception escapes.  Element lists hold
+    elements of the group or, at times, one entry that is none."""
     contents, flags = RANDOM_FILES[kind]
     with tempfile.TemporaryDirectory() as tmp:
         for name, payload in (("g", {"kind": "cyclic", "n": 12}), ("b", [0, 4, 8]),

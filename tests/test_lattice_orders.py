@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latsuper.lattice as lattice_mod
+import latsuper.oracle as oracle_mod
 from latsuper import (
     ArgumentError,
     CapacityError,
@@ -33,9 +34,17 @@ from latsuper import (
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
 from latsuper.errors import InternalConsistencyError
-from latsuper.groups import PrimePowerField, VectorSpaceData, closure_mask, mask_of
+from latsuper.groups import (
+    PrimePowerField,
+    VectorSpaceData,
+    closure_mask,
+    conjugacy_classes,
+    mask_of,
+)
 from latsuper.lattice import (
+    _cyclic_subgroups,
     _first_violation,
+    _join_closure,
     basis_subspace_lattice,
     closed_sublattice,
     distributive_analysis,
@@ -43,7 +52,15 @@ from latsuper.lattice import (
 )
 from latsuper.oracle import brute_force_normal_subgroups
 
-from corpus import basis_node, cyclic_group, drawn_lattices, fresh_lattice, vector_space_group
+from corpus import (
+    DRAWN_GROUPS,
+    basis_node,
+    cyclic_group,
+    drawn_full_lattice,
+    drawn_lattices,
+    fresh_lattice,
+    vector_space_group,
+)
 
 # Derandomized so that the suite draws the same examples on every run.
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -230,6 +247,124 @@ def test_every_constructor_checks_the_node_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The builders look joins up in an index: the same nodes, in the same order,
+# as closure_mask on every pair, and one closure per node found.
+
+
+def naive_join_closure(G, gens):
+    """_join_closure's nodes in insertion order, closing each node with each
+    generator."""
+    gens = sorted(set(gens))
+    nodes = [1]
+    for node in nodes:
+        for gen in gens:
+            join = closure_mask(G, node | gen)
+            if join not in nodes:
+                nodes.append(join)
+    return nodes
+
+
+def naive_closed_nodes(G, gens):
+    """closed_sublattice's nodes in insertion order: each pair of nodes adds
+    its meet, then its join by closure_mask."""
+    nodes = []
+    for mask in (1, (1 << G.order) - 1, *gens):
+        if mask not in nodes:
+            nodes.append(mask)
+    for j, b in enumerate(nodes):
+        for a in nodes[:j]:
+            for mask in (a & b, closure_mask(G, a | b)):
+                if mask not in nodes:
+                    nodes.append(mask)
+    return nodes
+
+
+def closed_nodes(G, gens):
+    """The node list closed_sublattice hands to NormalLattice, in its order."""
+    handed = []
+
+    def record(G, nodes, **kwargs):
+        handed.append([s.mask for s in nodes])
+        return NormalLattice(G, nodes, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice_mod, "NormalLattice", record)
+        closed_sublattice(G, [Subgroup(m) for m in gens])
+    return handed[0]
+
+
+@st.composite
+def join_generators(draw):
+    """A drawn group and normal subgroups of it: the ones normal_lattice
+    joins (cyclic subgroups, or closures of classes), or up to five nodes of
+    its full lattice, which are mostly met, not joined."""
+    full = drawn_full_lattice(draw(st.sampled_from(sorted(DRAWN_GROUPS))))
+    G = full.group
+    if draw(st.booleans()):
+        if G.is_abelian:
+            return G, sorted(_cyclic_subgroups(G))
+        return G, [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
+    picks = draw(st.lists(st.integers(0, len(full.nodes) - 1), max_size=5))
+    return G, [full.nodes[i].mask for i in picks]
+
+
+@PROPERTY
+@given(join_generators())
+def test_builders_find_the_nodes_of_closure_on_every_pair(case):
+    G, gens = case
+    for build, naive in ((lambda: _join_closure(G, gens), naive_join_closure(G, gens)),
+                         (lambda: closed_nodes(G, gens), naive_closed_nodes(G, gens))):
+        assert build() == naive
+        if len(naive) == 1:
+            continue  # a cap below 1 would refuse the trivial subgroup
+        # the cap trips on the node past it, as it did when every pair was closed
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice_mod, "SUBGROUP_ENUM_CAP", len(naive) - 1)
+            with pytest.raises(CapacityError) as info:
+                build()
+        assert (info.value.check, info.value.witness) == ("subgroup_cap", len(naive))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice_mod, "SUBGROUP_ENUM_CAP", len(naive))
+            assert build() == naive
+
+
+def count_closures(monkeypatch, module):
+    """The masks closure_mask is called on through module, as they come."""
+    calls = []
+    monkeypatch.setattr(module, "closure_mask", lambda G, m: calls.append(m) or closure_mask(G, m))
+    return calls
+
+
+@pytest.mark.parametrize("n", [360, 2520])
+def test_normal_lattice_closes_once_per_node(monkeypatch, n):
+    G = cyclic_group(n)
+    calls = count_closures(monkeypatch, lattice_mod)
+    L = normal_lattice(G)
+    # at most one join closed per node found, and _first_non_normal's one per node
+    assert len(calls) <= 2 * len(L)
+
+
+def test_basis_sublattice_closes_once_per_node(monkeypatch):
+    G = vector_space_group(2, 8)
+    gens = [Subgroup(closure_mask(G, 1 << (1 << i))) for i in range(8)]
+    calls = count_closures(monkeypatch, lattice_mod)
+    L = closed_sublattice(G, gens)
+    assert len(L) == 256
+    assert len(calls) <= len(L) + len(gens)
+
+
+def test_brute_force_oracle_skips_joins_it_has_made(monkeypatch):
+    G = dihedral_group(24)
+    calls = count_closures(monkeypatch, oracle_mod)
+    found = brute_force_normal_subgroups(G)
+    assert len(found) == len(normal_lattice(G))
+    cyclic = {closure_mask(G, 1 << g) for g in range(1, G.order)}
+    subgroups = {1} | {closure_mask(G, m) for m in calls}
+    pairs = sum(c & ~x != 0 for x in subgroups for c in cyclic)
+    assert len(calls) < pairs
+
+
+# ---------------------------------------------------------------------------
 # Strict `nodes` input through the CLI: exit 1, category and check unchanged.
 
 
@@ -243,7 +378,7 @@ def test_every_constructor_checks_the_node_cap(monkeypatch):
         ({"kind": "table", "mul": [list(r) for r in symmetric_group(3).mul]},
          [[0], [0, 1], list(range(6))], "ConstructionError", "normality"),
         ({"kind": "cyclic", "n": 12}, [[0], [0, 5], list(range(12))], "ArgumentError", None),
-        ({"kind": "cyclic", "n": 12}, [[0], [0, 99], list(range(12))], "ArgumentError", None),
+        ({"kind": "cyclic", "n": 12}, [[0], [0, 99], list(range(12))], "ArgumentError", "shape"),
     ],
 )
 def test_strict_nodes_errors_exit1(tmp_path, capsys, group, nodes, category, check):

@@ -185,6 +185,24 @@ def test_comparable_antichain_exits_1(tmp_path, capsys):
     assert error["witness"] == [node_of_size(LG, 3), node_of_size(LG, 6)]
 
 
+def test_repeated_antichain_node_is_reported_once(tmp_path, capsys):
+    # C4 = {0, 3, 6, 9} given twice is the antichain [C4], as meet_all reads it
+    files = {"g.json": {"kind": "cyclic", "n": 12},
+             "e.json": {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]},
+             "twice.json": {"antichain": [[0, 3, 6, 9], [0, 3, 6, 9]]},
+             "once.json": {"antichain": [[0, 3, 6, 9]]}}
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    outputs = []
+    for anchor in ("twice.json", "once.json"):
+        code = main(["restrict", "--group", str(tmp_path / "g.json"),
+                     "--embedding", str(tmp_path / "e.json"), "--anchor", str(tmp_path / anchor)])
+        assert code == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert [p["label"] for p in outputs[0]["antichain"]] == ["C4"]
+    assert outputs[0] == outputs[1]
+
+
 def test_trivial_restriction_identity():
     L = cyclic_lattice(12)
     ctx = build_restriction_context(identity_embedding(L.group), L, L)
