@@ -321,10 +321,8 @@ def cmd_sct(args) -> int:
     L = _load_lattice(G, args.sublattice)
     if args.format == "csv":
         _write_output(table_csv(L), args.out)
-    elif args.format == "json":
-        _emit_json(table_payload(L), args.out)
     else:
-        raise InputError(f"sct does not support format {args.format!r}")
+        _emit_json(table_payload(L), args.out)
     return EXIT_OK
 
 
@@ -341,20 +339,18 @@ def cmd_lattice(args) -> int:
 def cmd_export(args) -> int:
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
-    if args.format in (None, "dot"):
+    if args.format == "dot":
         _write_output(lattice_to_dot(L), args.out)
     elif args.format == "json":
         _emit_json(lattice_to_json(L), args.out)
-    elif args.format == "csv":
-        _write_output(table_csv(L), args.out)
     else:
-        raise InputError(f"export does not support format {args.format!r}")
+        _write_output(table_csv(L), args.out)
     return EXIT_OK
 
 
 def cmd_product(args) -> int:
     if len(args.subgroup or []) != 2:
-        raise InputError("product needs exactly two --subgroup files")
+        raise InputError("product needs exactly two --subgroup files", check="usage")
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     nodes = [_node_from_elements(L, "elements", read_fields(_load_json(path), {"elements": list},
@@ -366,8 +362,6 @@ def cmd_product(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    if not args.embedding or not args.anchor:
-        raise InputError("restrict needs --embedding and --anchor")
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     emb = read_fields(_load_json(args.embedding),
@@ -420,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sct = sub.add_parser("sct", help="emit the supercharacter table")
     common(p_sct)
-    p_sct.add_argument("--format", default="csv", help="csv (default) or json")
+    p_sct.add_argument("--format", default="csv", choices=("csv", "json"),
+                       help="csv (default) or json")
     p_sct.set_defaults(fn=cmd_sct)
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
@@ -437,10 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_restrict = sub.add_parser("restrict", help="restriction decomposition report")
     common(p_restrict)
-    p_restrict.add_argument("--embedding", help="embedding JSON: {source: group spec, map: "
-                            "[image of each element], source_sublattice (optional)}")
-    p_restrict.add_argument("--anchor", help="anchor JSON: {node: subgroup}, {antichain: "
-                            "[subgroup, ...]} of meet irreducibles, or the node's elements")
+    p_restrict.add_argument("--embedding", required=True,
+                            help="embedding JSON: {source: group spec, map: [image of each "
+                            "element], source_sublattice (optional)}")
+    p_restrict.add_argument("--anchor", required=True,
+                            help="anchor JSON: {node: subgroup}, {antichain: [subgroup, ...]} "
+                            "of meet irreducibles, or the node's elements")
     p_restrict.set_defaults(fn=cmd_restrict)
 
     p_lattice = sub.add_parser("lattice", help="emit the lattice as JSON")
@@ -449,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export the Hasse diagram (DOT)")
     common(p_export)
-    p_export.add_argument("--format", help="dot (default), json or csv")
+    p_export.add_argument("--format", default="dot", choices=("dot", "json", "csv"),
+                          help="dot (default), json or csv")
     p_export.set_defaults(fn=cmd_export)
 
     return parser

@@ -319,12 +319,20 @@ def normal_lattice(G: GroupTable) -> NormalLattice:
     the <g>, found by walking powers).  Only the node count is capped, not the
     number of classes.  The constructor certifies each node with one closure
     and a class test, and each join by the product formula.
+
+    When every <g> has the same order p, which is then prime, G is
+    elementary abelian, F_p^d with p^d = |G| however it was specified, and
+    its subgroups are counted before any is enumerated.
     """
-    if G.vs is not None:
-        # the subgroups of F_q^dim, q = p^k, are its F_p-subspaces: count first
-        _check_cap(_subspace_count(G.vs.field.p, G.vs.field.k * G.vs.dim))
     if G.is_abelian:
         gens = _cyclic_subgroups(G)
+        orders = {mask.bit_count() for mask in gens}
+        if len(orders) == 1:
+            p, = orders
+            d = 1
+            while p**d < G.order:
+                d += 1
+            _check_cap(_subspace_count(p, d))
     else:
         gens = [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
     return NormalLattice(G, [Subgroup(m) for m in _join_closure(G, gens)], check_normal=True)

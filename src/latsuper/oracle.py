@@ -9,15 +9,14 @@ subgroups, enumerated by joining cyclic subgroups one at a time; any other
 lattice has each node certified as a subgroup closed under conjugation.
 
 The SC3 check enumerates the dual along a coset walk of a generating
-sequence, as bytes rows when e <= 255 and int tuples above, already in the
-sorted order of dual_characters, and checks one X-block at a time.
+sequence, as bytes rows when e <= 255 and int tuples above, already sorted
+by their exponents in element order, and checks one X-block at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -131,96 +130,6 @@ def cyclotomic_residue(e: int, exponents: Iterable[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Dual groups of abelian groups.
-
-
-@dataclass
-class DualCharacter:
-    """Homomorphism psi: G -> <zeta_e> stored as exponents k(g), psi(g) = zeta_e^k(g)."""
-
-    group: GroupTable
-    exponent: int
-    exponents: tuple[int, ...]
-    kernel: Subgroup
-
-
-def dual_characters(G: GroupTable) -> list[DualCharacter]:
-    """All |G| homomorphisms G -> Z_e, built by extending along a generating
-    sequence (each extension solves d*x = v mod e).
-
-    Each partial character is a tuple of exponents over the span S of the
-    generators so far, in ascending element order.  Adding g walks the cosets
-    S*g^j, 0 < j < d, and the exponent of h*g^j is that of h plus j times the
-    value chosen for g; the relative order d and the walk depend on S alone,
-    so they are computed once per generator.  Reference code with no caller in
-    the package: tests compare _dual_walk and the SC3 witnesses with it."""
-    if not G.is_abelian:
-        raise ArgumentError("dual_characters requires an abelian group")
-    # generating sequence: grow the span one generator at a time
-    gens: list[int] = []
-    span_mask = 1
-    for g in range(G.order):
-        if not (span_mask >> g) & 1:
-            gens.append(g)
-            span_mask = closure_mask(G, span_mask | (1 << g))
-    # the exponent of an abelian group is the lcm of the orders of its generators
-    e = lcm(*map(G.element_order, gens))
-    # (a + b) % e == residues[a + b] for 0 <= a, b < e, one int object per value
-    residues = tuple(range(e)) * 2
-    span: Sequence[int] = (0,)
-    partial: list[tuple[int, ...]] = [(0,)]
-    for g in gens:
-        # relative order d: least d >= 1 with g^d in the span, at position `at`
-        position = {x: i for i, x in enumerate(span)}
-        d, x = 1, g
-        while x not in position:
-            x = G.mul[x][g]
-            d += 1
-        at = position[x]
-        cosets = [span]
-        for _ in range(d - 1):
-            cosets.append(list(map(G.mul[g].__getitem__, cosets[-1])))
-        # the new span in ascending order, each element h*g^j with the
-        # position of h in the old span and j
-        span, bases, powers = zip(*sorted(zip(
-            chain.from_iterable(cosets), cycle(range(len(span))),
-            chain.from_iterable(repeat(j, len(span)) for j in range(d)))))
-        base_of, power_of = itemgetter(*bases), itemgetter(*powers)
-        gg = gcd(d, e)
-        step = e // gg
-        inverse = pow(d // gg, -1, step)
-        extended: list[tuple[int, ...]] = []
-        for values in partial:
-            v = values[at]
-            if v % gg != 0:
-                raise VerificationError(
-                    "no character extension exists (group is not abelian?)",
-                    check="dual_group", witness={"generator": g},
-                )
-            x0 = (v // gg) * inverse % step
-            for t in range(gg):
-                val = (x0 + t * step) % e
-                shifts = list(map(mod, range(0, d * val, val), repeat(e))) if val else [0] * d
-                extended.append(itemgetter(*map(add, base_of(values), power_of(shifts)))(residues))
-        partial = extended
-    if len(partial) != G.order:
-        raise VerificationError(
-            f"dual group has {len(partial)} characters, expected {G.order}",
-            check="dual_group",
-        )
-    out = []
-    while partial:  # the span is now 0..order-1
-        exps = partial.pop()
-        kernel, g = 0, -1
-        for _ in range(exps.count(0)):
-            g = exps.index(0, g + 1)
-            kernel |= 1 << g
-        out.append(DualCharacter(G, e, exps, Subgroup(kernel)))
-    out.sort(key=lambda c: c.exponents)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Checks against a theory.
 
 
@@ -253,9 +162,9 @@ def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
     Each generator is the least element outside the span of the earlier ones,
     so two characters first differ, in element order, at the first generator
     where they differ.  Rows are extended in order and with ascending values,
-    so they come sorted by exponents, in the order of dual_characters."""
+    so they come sorted by their exponents read in element order."""
     if not G.is_abelian:
-        raise ArgumentError("dual_characters requires an abelian group")
+        raise ArgumentError("the dual walk requires an abelian group")
     walk, inside, levels = [0], {0}, []
     for g in range(G.order):
         if g in inside:
@@ -325,8 +234,9 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     the representatives must equal (value, 0, ..., 0), each as one list
     comparison.  Only a failing X-block, or every X-block when the
     superclasses are not a partition into nonempty sets, is rescanned
-    superclass by superclass for the first witness.  The rows come in the
-    order of dual_characters, so X-blocks and witnesses come in its order too."""
+    superclass by superclass for the first witness.  The rows come sorted by
+    their exponents in element order, so X-blocks and witnesses come in that
+    order too."""
     G = L.group
     order = G.order
     e, walk, rows = _dual_walk(G)

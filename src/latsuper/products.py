@@ -17,25 +17,24 @@ from typing import Sequence
 
 from .errors import ArgumentError, InternalConsistencyError
 from .lattice import NormalLattice, is_general_position
-from .sct import SCTheory, build_theory
+from .sct import SCTheory, build_theory, inner_product
 
 
 def decompose_class_function(theory: SCTheory, f: Sequence) -> dict[int, Fraction]:
-    """Coefficients c_N with f = sum of c_N chi^{N.}, for a row f over the
-    theory's block nodes, by orthogonal projection onto its integer rows; the
-    reconstruction is re-checked exactly."""
+    """Coefficients c_N = <f, chi^{N.}> / <chi^{N.}, chi^{N.}> with f = sum of
+    c_N chi^{N.}, for a row f over the theory's block nodes, by orthogonal
+    projection onto its integer rows; the reconstruction is re-checked
+    exactly."""
     if len(f) != len(theory.nodes):
         raise ArgumentError("class function must assign a value to every superclass")
-    # integer dot products while f is integer valued, as most class functions here are
-    sizes, rows = theory.sizes, theory.rows
-    weighted = list(map(mul, sizes, f))
+    rows = theory.rows
     coeffs: dict[int, Fraction] = {}
     for n in theory.nonzero:
         row = rows[n]
-        dot = sum(map(mul, weighted, row))
+        dot = inner_product(theory, f, row)
         if dot:
-            coeffs[n] = Fraction(dot, sum(map(mul, sizes, map(mul, row, row))))
-    recon = [0] * len(sizes)
+            coeffs[n] = dot / inner_product(theory, row, row)
+    recon = [0] * len(f)
     for n, c in coeffs.items():
         recon = [r + c * v if v else r for r, v in zip(recon, rows[n])]
     if recon != list(f):

@@ -194,9 +194,7 @@ def inner_product(theory: SCTheory, f: Sequence[int], h: Sequence[int]) -> Fract
     """<f,h> = (1/|G|) sum over blocks of |block| f(block) conj(h(block)), for
     rows over the blocks of theory.
 
-    The values are rational, so conjugation is the identity.  No
-    package caller: kept because latbench counts its calls by name.
-    """
+    The values are rational, so conjugation is the identity."""
     if not len(f) == len(h) == len(theory.sizes):
         raise ArgumentError("inner product requires characters on the same partition")
     return Fraction(sum(map(mul, theory.sizes, map(mul, f, h))), len(theory.partition.block_of))

@@ -233,6 +233,22 @@ def test_restrict_unfavorable_exit1_with_witnesses(files, capsys):
     assert payload["witnesses"]["r2_witnesses"] == [{"M": "C1", "N": "C12"}]
 
 
+def test_restrict_nodes_missing_from_the_source_lattice_exit1(files, capsys):
+    # C12 meets the image of C6 under x -> 2x in C2, C3 and C4 of C6, which
+    # are not nodes of the coarse source lattice {C1, C6}
+    tmp, write = files
+    group = write("c12.json", {"kind": "cyclic", "n": 12})
+    emb = write("emb.json", {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10],
+                             "source_sublattice": {"generators": []}})
+    anchor = write("anchor.json", {"node": [0]})
+    code, out = run(["restrict", "--group", group, "--embedding", emb, "--anchor", anchor], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["favorable"] is False
+    assert payload["witnesses"]["r1_failures"] == [
+        {"node": 1, "label": "C2"}, {"node": 2, "label": "C3"}, {"node": 3, "label": "C4"}]
+
+
 def test_lattice_and_export(files, capsys):
     tmp, write = files
     group = write("c12.json", {"kind": "cyclic", "n": 12})
@@ -245,6 +261,17 @@ def test_lattice_and_export(files, capsys):
     assert code == 0
     assert out.startswith("digraph lattice {")
     assert '"12:C12"' in out
+
+
+def test_export_csv_is_the_sct_csv(files, capsys):
+    tmp, write = files
+    group = write("c2xc6.json", {"kind": "product",
+                                 "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 6}]})
+    code, exported = run(["export", "--group", group, "--format", "csv"], capsys)
+    assert code == 0
+    code, table = run(["sct", "--group", group], capsys)
+    assert code == 0
+    assert exported == table and table.startswith("supercharacter,")
 
 
 def test_verify_rejects_jobs(files, capsys):
@@ -273,6 +300,13 @@ def test_verify_rejects_jobs(files, capsys):
     ["verify", "--seed", "x"],
     ["sct"],
     ["nosuch"],
+    ["sct", "--format", "xml"],
+    ["export", "--format", "xml"],
+    ["restrict"],
+    ["restrict", "--embedding", "emb.json"],
+    ["restrict", "--anchor", "anchor.json"],
+    ["product"],
+    ["product", "--subgroup", "a.json"],
 ])
 def test_usage_errors_exit1_with_a_payload(files, capsys, args):
     # --format is read by sct and export only, --seed by verify only
@@ -283,6 +317,18 @@ def test_usage_errors_exit1_with_a_payload(files, capsys, args):
     assert code == 1
     error = json.loads(out)["error"]
     assert (error["category"], error["check"]) == ("InputError", "usage")
+
+
+@pytest.mark.parametrize("args", [["sct", "--format", "xml"], ["restrict"]])
+def test_a_rejected_command_line_reports_on_stdout(files, capsys, args):
+    # argparse rejects the command line before --out is read
+    tmp, write = files
+    out = tmp / "out.json"
+    argv = [args[0], "--group", write("c12.json", {"kind": "cyclic", "n": 12}),
+            "--out", str(out), *args[1:]]
+    code, text = run(argv, capsys)
+    assert code == 1 and not out.exists()
+    assert json.loads(text)["error"]["check"] == "usage"
 
 
 def test_help_still_exits_0(capsys):

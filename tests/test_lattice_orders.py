@@ -220,12 +220,28 @@ def test_f2_8_subspace_lattice_hits_the_cap_before_enumerating():
     assert info.value.witness == 417199
 
 
-@pytest.mark.parametrize("q, dim, count", [(2, 7, 29212), (4, 4, 417199), (9, 3, 56632)])
-def test_vector_space_normal_lattice_hits_the_cap_before_enumerating(q, dim, count):
-    # The subgroups of F_q^dim, q = p^k, are the subspaces of F_p^(k dim): F4^4
-    # has as many as F2^8.  The stand-in group has no multiplication table, so
-    # only a count made before any enumeration can reject it.
-    G = SimpleNamespace(vs=VectorSpaceData(field=PrimePowerField(q), dim=dim))
+def _raw_table(G):
+    return make_group(GroupSpec.table([list(row) for row in G.mul]))
+
+
+@pytest.mark.parametrize("build, count", [
+    pytest.param(lambda: vector_space_group(2, 7), 29212, id="2-7-29212"),
+    pytest.param(lambda: vector_space_group(4, 4), 417199, id="4-4-417199"),
+    pytest.param(lambda: vector_space_group(9, 3), 56632, id="9-3-56632"),
+    pytest.param(lambda: _product(*[cyclic_group(2)] * 8), 417199, id="C2^8 product"),
+    pytest.param(lambda: _raw_table(vector_space_group(2, 8)), 417199, id="F2^8 raw table"),
+])
+def test_vector_space_normal_lattice_hits_the_cap_before_enumerating(build, count, monkeypatch):
+    # The subgroups of an elementary abelian group of order p^d are the
+    # subspaces of F_p^d, however the group is specified: F4^4, the product
+    # of eight C2 and a raw table of F2^8 have as many as F2^8.  No closure
+    # may run, so only a count made before any enumeration can reject them.
+    G = build()
+
+    def no_closure(G, mask):
+        raise AssertionError("normal_lattice enumerated before counting")
+
+    monkeypatch.setattr(lattice_mod, "closure_mask", no_closure)
     with pytest.raises(CapacityError) as info:
         normal_lattice(G)
     assert info.value.check == "subgroup_cap"

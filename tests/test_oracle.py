@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from latsuper import (
     ArgumentError,
+    CapacityError,
     GroupSpec,
     LatsuperError,
     VerificationError,
@@ -18,7 +20,6 @@ from latsuper import (
     normal_lattice,
     verify_sct,
 )
-from latsuper import oracle
 from latsuper.catalog import quaternion_group, symmetric_group
 from latsuper.groups import Subgroup, _bits, closure_mask, is_normal, mask_of
 from latsuper.lattice import NormalLattice, basis_subspace_lattice, closed_sublattice
@@ -28,7 +29,6 @@ from latsuper.oracle import (
     cross_check_normal_lattice,
     cyclotomic_polynomial,
     cyclotomic_residue,
-    dual_characters,
     euler_phi,
     moebius_mu,
     ramanujan_sum,
@@ -97,45 +97,72 @@ def test_cyclotomic_float_spot_check():
                 assert abs(approx - c) > 1e-9 or abs(approx.imag) > 1e-9
 
 
+# ---------------------------------------------------------------------------
+# The dual group, as _dual_walk enumerates it for verify_sc3_abelian, checked
+# against its definition: the homomorphisms psi: G -> Z_e, e the exponent of G,
+# psi(g) the exponent k of the character value zeta_e^k.
+
+
+def dual_rows(G):
+    """The exponent e and the rows of _dual_walk, each read in element order."""
+    e, walk, rows = _dual_walk(G)
+    position_of = sorted(range(G.order), key=walk.__getitem__)
+    return e, [tuple(map(row.__getitem__, position_of)) for row in rows]
+
+
+def assert_the_sorted_dual(G, e, psis):
+    """e is the exponent of G and psis the whole dual of the abelian group G,
+    sorted: |G| rows, strictly increasing, each with psi(0) = 0 and
+    psi(a g) = psi(a) + psi(g) mod e for every a and every g in G.generators.
+    Every element is a product of generators, so each row is a homomorphism
+    G -> Z_e; there are exactly |G| of them, so the rows are all of them."""
+    assert e == lcm(*map(G.element_order, range(G.order)))
+    assert len(psis) == G.order
+    assert all(a < b for a, b in zip(psis, psis[1:]))
+    assert all(psi[0] == 0 for psi in psis)
+    for g in G.generators:
+        times_g = [G.mul[a][g] for a in range(G.order)]
+        for psi in psis:
+            assert [(k + psi[g]) % e for k in psi] == [psi[x] for x in times_g]
+
+
+def kernel_of(psi):
+    return [g for g, k in enumerate(psi) if k == 0]
+
+
 def test_dual_characters_cyclic4():
-    G = cyclic_group(4)
-    psis = dual_characters(G)
-    assert len(psis) == 4
-    kernel_sizes = sorted(p.kernel.size for p in psis)
+    e, psis = dual_rows(cyclic_group(4))
+    assert (e, len(psis)) == (4, 4)
+    kernel_sizes = sorted(map(len, map(kernel_of, psis)))
     assert kernel_sizes == [1, 1, 2, 4]
 
 
 def test_dual_characters_trivial():
-    psis = dual_characters(cyclic_group(1))
-    assert len(psis) == 1
-    assert psis[0].exponents == (0,)
+    assert dual_rows(cyclic_group(1)) == (1, [(0,)])
 
 
 def test_dual_characters_f22():
     G = vector_space_group(2, 2)
-    psis = dual_characters(G)
-    assert len(psis) == 4
-    kernels = sorted(p.kernel.size for p in psis)
+    e, psis = dual_rows(G)
+    assert (e, len(psis)) == (2, 4)
+    kernels = sorted(map(len, map(kernel_of, psis)))
     assert kernels == [2, 2, 2, 4]
 
 
 def test_dual_characters_are_homomorphisms():
     for G in (cyclic_group(12), vector_space_group(3, 2), cyclic_group(8)):
-        psis = dual_characters(G)
+        e, psis = dual_rows(G)
         assert len(psis) == G.order
-        e = psis[0].exponent
-        seen = set()
         for psi in psis:
-            seen.add(psi.exponents)
             for a in range(G.order):
                 for b in range(G.order):
-                    assert (psi.exponents[a] + psi.exponents[b]) % e == psi.exponents[G.mul[a][b]]
-        assert len(seen) == G.order
+                    assert (psi[a] + psi[b]) % e == psi[G.mul[a][b]]
+        assert len(set(psis)) == G.order
 
 
 def test_dual_characters_reject_nonabelian():
     with pytest.raises(ArgumentError):
-        dual_characters(symmetric_group(3))
+        _dual_walk(symmetric_group(3))
     with pytest.raises(ArgumentError, match="requires an abelian group"):
         verify_sc3_abelian(s3_lattice(), build_theory(s3_lattice()))
 
@@ -152,13 +179,14 @@ def test_sc3_basis_lattice_kernel_blocks():
     # X^A = functionals whose kernel meets the basis exactly in A
     L = basis_lattice(2, 2)
     G = L.group
-    psis = dual_characters(G)
+    _, psis = dual_rows(G)
     vs = G.vs
     e0, e1 = basis_vector(vs, 0), basis_vector(vs, 1)
     for psi in psis:
-        basis_in_kernel = {i for i, v in ((0, e0), (1, e1)) if psi.exponents[v] == 0}
+        basis_in_kernel = {i for i, v in ((0, e0), (1, e1)) if psi[v] == 0}
+        kernel = mask_of(kernel_of(psi))
         max_node = max(
-            (n for n in range(len(L)) if L.nodes[n].mask & ~psi.kernel.mask == 0),
+            (n for n in range(len(L)) if L.nodes[n].mask & ~kernel == 0),
             key=lambda n: L.size(n),
         )
         assert max_node == basis_node(L, basis_in_kernel)
@@ -189,6 +217,12 @@ def test_brute_force_normal_subgroups():
     assert len(brute_force_normal_subgroups(cyclic_group(12))) == 6
     assert len(brute_force_normal_subgroups(symmetric_group(3))) == 3
     assert len(brute_force_normal_subgroups(vector_space_group(2, 2))) == 5
+
+
+def test_brute_force_scan_is_capped_at_order_256():
+    assert len(brute_force_normal_subgroups(cyclic_group(256))) == 9
+    with pytest.raises(CapacityError, match="capped at order 256"):
+        brute_force_normal_subgroups(cyclic_group(257))
 
 
 def test_cross_check_normal_lattice():
@@ -369,16 +403,18 @@ def reference_schur(L, theory):
 
 
 def reference_sc3(L, theory):
+    """SC3 on the rows of _dual_walk, which the tests of assert_the_sorted_dual
+    certify, read in element order."""
     G = L.group
-    psis = dual_characters(G)
-    e = psis[0].exponent if psis else 1
+    e, psis = dual_rows(G)
     blocks_of_dual = {}
     for psi in psis:
-        inside = [n for n in range(len(L.nodes)) if L.nodes[n].mask & ~psi.kernel.mask == 0]
+        kernel = mask_of(kernel_of(psi))
+        inside = [n for n in range(len(L.nodes)) if L.nodes[n].mask & ~kernel == 0]
         n_max = max(inside, key=L.size)
         if any(not L.leq(n, n_max) for n in inside):
             raise VerificationError("kernel nodes not closed under join", check="SC3",
-                                    witness={"kernel": psi.kernel.to_json()})
+                                    witness={"kernel": kernel_of(psi)})
         blocks_of_dual.setdefault(n_max, []).append(psi)
     nonzero_nodes = set(theory.nonzero)
     if set(blocks_of_dual) != nonzero_nodes:
@@ -389,7 +425,7 @@ def reference_sc3(L, theory):
     zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
     for n, block in blocks_of_dual.items():
         char = dict(zip(theory.nodes, theory.rows[n]))
-        sums = [cyclotomic_residue(e, [psi.exponents[g] for psi in block])
+        sums = [cyclotomic_residue(e, [psi[g] for psi in block])
                 for g in range(G.order)]
         for bnode, bmask in theory.partition.blocks.items():
             rep = (bmask & -bmask).bit_length() - 1
@@ -578,18 +614,14 @@ WALKED_GROUPS = {
 
 @pytest.mark.parametrize("name", sorted(WALKED_GROUPS))
 def test_dual_walk_rows_are_the_sorted_dual(name):
-    """The rows of the walk, read in element order, are dual_characters in
-    its order, so verify_sc3_abelian meets X-blocks and witnesses in that
+    """The rows of the walk, read in element order, are the whole dual in
+    sorted order, so verify_sc3_abelian meets X-blocks and witnesses in that
     order without sorting."""
     G = WALKED_GROUPS[name]()
     e, walk, rows = _dual_walk(G)
     assert sorted(walk) == list(range(G.order))
     assert {type(row) for row in rows} == {bytes if e <= 255 else tuple}
-    position_of = sorted(range(G.order), key=walk.__getitem__)
-    psis = dual_characters(G)
-    assert [tuple(map(row.__getitem__, position_of)) for row in rows] == [
-        psi.exponents for psi in psis]
-    assert e == psis[0].exponent
+    assert_the_sorted_dual(G, *dual_rows(G))
 
 
 @pytest.mark.parametrize("kind", ["full", "closed"])
@@ -631,15 +663,10 @@ def c20xc30_sublattice():
                                  Subgroup(closure_mask(G, 1 << 15))])
 
 
-def test_sc3_never_builds_the_sorted_dual(monkeypatch):
+def test_sc3_never_builds_the_sorted_dual():
     L = c20xc30_sublattice()
     theory = build_theory(L)
     assert len(L.nodes) == 5
-
-    def sorted_dual(G):
-        raise AssertionError("verify_sc3_abelian walks the dual in sorted order")
-
-    monkeypatch.setattr(oracle, "dual_characters", sorted_dual)
     assert verify_sc3_abelian(L, theory) == {"status": "pass", "dual_size": 600}
     tamper_value(theory)
     with pytest.raises(VerificationError, match="disagrees with the supercharacter value"):
@@ -648,7 +675,7 @@ def test_sc3_never_builds_the_sorted_dual(monkeypatch):
 
 def test_sc3_memory_peak_on_a_large_table():
     """The dual of C20 x C30 as 600 rows of 600 bytes is 0.36 MB; as sorted
-    int tuples (dual_characters) it needs 4.4 MB."""
+    int tuples it needs 4.4 MB."""
     L = c20xc30_sublattice()
     theory = build_theory(L)
     verify_sc3_abelian(L, theory)     # the cyclotomic polynomials are cached
