@@ -46,7 +46,6 @@ from .sct import (
     SuperclassPartition,
     build_superclasses,
     build_theory,
-    chi_bullet_moebius,
     chi_bullet_multiplicative,
     chi_subgroup,
     degree_sum,

@@ -1,4 +1,4 @@
-"""Lattices of normal subgroups: order structure, covers, Moebius function,
+"""Lattices of normal subgroups: order structure, covers, join-irreducibles,
 distributivity and the Birkhoff antichain machinery.
 
 A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
@@ -13,7 +13,9 @@ have one rule, read off them: the join of i and j is the lowest index in
 up(i) & up(j), the meet the highest index in down(i) & down(j).  No m x m
 table is kept.  The constructor certifies every pair once, whoever built the
 nodes: the meet is the node N & M, and the join satisfies the product formula
-|NM| |N & M| = |N| |M|.
+|NM| |N & M| = |N| |M|.  It also records the covers and the
+join-irreducibles (one lower cover), which the character table and the
+distributivity test read.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ class NormalLattice:
     def _validate(self, check_normal: bool) -> None:
         G = self.group
         if 1 not in self._index:
-            raise ConstructionError(
-                "lattice must contain the trivial subgroup", check="lattice_bounds"
-            )
+            raise ConstructionError("lattice must contain the trivial subgroup",
+                                    check="lattice_bounds", witness=[0])
         if (1 << G.order) - 1 not in self._index:
-            raise ConstructionError("lattice must contain the whole group", check="lattice_bounds")
+            raise ConstructionError("lattice must contain the whole group",
+                                    check="lattice_bounds", witness=list(range(G.order)))
         if check_normal:
             bad = _first_non_normal(G, self.nodes)
             if bad is not None:
@@ -128,6 +130,8 @@ class NormalLattice:
                 if between == 0:
                     self.covers_up[i].append(j)
                     self.covers_down[j].append(i)
+        # join- (product) irreducibles: the nodes with exactly one lower cover
+        self.join_irreducibles = tuple(i for i in range(m) if len(self.covers_down[i]) == 1)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -137,7 +141,8 @@ class NormalLattice:
     def index_of(self, mask: int) -> int:
         if mask not in self._index:
             elements = list(_bits(mask))
-            raise ArgumentError(f"subgroup {elements} is not a lattice node", witness=elements)
+            raise ArgumentError(f"subgroup {elements} is not a lattice node",
+                                check="lattice_node", witness=elements)
         return self._index[mask]
 
     def leq(self, i: int, j: int) -> bool:
@@ -190,18 +195,6 @@ class NormalLattice:
             return f"C{sub.size}"
         return f"N{i}"
 
-    # -- Moebius function -------------------------------------------------------
-
-    def moebius_row(self, n: int) -> dict[int, int]:
-        """mu(n, o) for every node o >= n: mu(n, n) = 1 and mu(n, .) sums to 0 on
-        every interval [n, o] with o > n.  Index order is a linear extension
-        (nodes are sorted by size), so each o comes after the nodes below it."""
-        up = self.up_mask[n]
-        row = {n: 1}
-        for o in _bits(up & ~(1 << n)):
-            row[o] = -sum(map(row.__getitem__, _bits(up & self.down_mask[o] & ~(1 << o))))
-        return row
-
     def __repr__(self) -> str:
         return f"NormalLattice({self.group.name}, {len(self.nodes)} nodes)"
 
@@ -226,7 +219,8 @@ def _first_non_normal(G: GroupTable, subs: Iterable[Subgroup]) -> Optional[Subgr
     for sub in subs:
         mask = sub.mask
         if mask >> G.order or closure_mask(G, mask) != mask:
-            raise ArgumentError(f"{sub.to_json()} is not a subgroup", witness=sub.to_json())
+            raise ArgumentError(f"{sub.to_json()} is not a subgroup", check="subgroup",
+                                witness=sub.to_json())
         if any(c & mask and c & ~mask for c in classes):
             return sub
     return None
@@ -348,7 +342,8 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
     bad = _first_non_normal(G, gens)
     if bad is not None:
         raise ArgumentError(
-            f"generator {bad.to_json()} is not a normal subgroup", witness=bad.to_json()
+            f"generator {bad.to_json()} is not a normal subgroup", check="normality",
+            witness=bad.to_json(),
         )
     index = _JoinIndex()
     for mask in (1, (1 << G.order) - 1, *(s.mask for s in gens)):
@@ -450,7 +445,7 @@ def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
         return L._distributive
     m = len(L.nodes)
     meet_irr = tuple(i for i in range(m) if len(L.covers_up[i]) == 1)
-    prod_irr = tuple(i for i in range(m) if len(L.covers_down[i]) == 1)
+    prod_irr = L.join_irreducibles
     irreducible = mask_of(prod_irr)
     below = [down & irreducible for down in L.down_mask]
     if any(below[L.join(x, p)] != below[x] | below[p] for x in range(m) for p in prod_irr):
@@ -540,12 +535,12 @@ def _check_antichain(L: NormalLattice, nodes: Sequence[int], pool: Iterable[int]
     pool = set(pool)
     for p in out:
         if p not in pool:
-            raise ArgumentError(f"node {p} is not {what}")
+            raise ArgumentError(f"node {p} is not {what}", check="irreducible", witness=p)
     for a in out:
         for b in out:
             if a != b and L.leq(a, b):
                 raise ArgumentError(f"nodes {a},{b} are comparable; not an antichain",
-                                    witness=[a, b])
+                                    check="antichain", witness=[a, b])
     return out
 
 

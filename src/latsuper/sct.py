@@ -2,17 +2,19 @@
 
 Superclasses: for each lattice node N, the block N_o of elements of N lying in
 no smaller node.  Characters: one chi^{N.} per node, evaluated two ways --
-a total Moebius-inversion formula
+by Moebius inversion of
 
-    chi^{N.}(g) = sum over nodes O >= N with g in O of mu(N,O) * |G|/|O|,
+    chi^N = sum over nodes O >= N of chi^{O.},
 
-and, when the covers of N are in general position, the multiplicative closed
-form with degree |G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is
-integer valued, so a character is a row of ints over the block nodes in
-ascending order, and the theory is the table of these rows.  The
-multiplicative form keeps each value as an integer numerator and denominator
-and checks the division exactly; Fractions appear only in the degree-sum
-closed form and in reported inner products.
+chi^N being |G/N| on N and zero off it, done as one transform over the
+join-irreducibles of the lattice (build_theory), and, when the covers of N
+are in general position, the multiplicative closed form with degree
+|G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is integer valued, so
+a character is a row of ints over the block nodes in ascending order, and the
+theory is the table of these rows.  The multiplicative form keeps each value
+as an integer numerator and denominator and checks the division exactly;
+Fractions appear only in the degree-sum closed form and in reported inner
+products.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
     InternalConsistencyError,
     VerificationError,
 )
-from .groups import _bits
+from .groups import _bits, mask_of
 from .lattice import NormalLattice, is_general_position
 
 
@@ -78,35 +80,14 @@ def build_superclasses(L: NormalLattice) -> SuperclassPartition:
 def chi_subgroup(L: NormalLattice, n: int) -> list[int]:
     """chi^N: |G/N| inside N, zero outside (the G/N permutation character),
     as a row over the block nodes."""
-    size = L.group.order // L.size(n)
-    return [size if L.leq(b, n) else 0 for b in build_superclasses(L).block_nodes()]
-
-
-def chi_bullet_moebius(L: NormalLattice, n: int) -> list[int]:
-    """chi^{N.} by Moebius inversion of chi^N = sum over O >= N of chi^{O.},
-    as a row over the block nodes.
-
-    The block of node B lies in O exactly when B <= O, so its value is the sum
-    of mu(N,O) |G/O| over the O >= N above B, that is over the O >= N v B.  The
-    mu(N,.) row is computed once, and the sum once per distinct join N v B,
-    keyed by its up-set up(N) & up(B)."""
-    order = L.group.order
-    terms = [(1 << o, mu * (order // L.size(o))) for o, mu in L.moebius_row(n).items() if mu]
-    up_n = L.up_mask[n]
-    by_join: dict[int, int] = {}
-    row: list[int] = []
-    for b in build_superclasses(L).block_nodes():
-        up = up_n & L.up_mask[b]
-        if up not in by_join:
-            by_join[up] = sum([w for bit, w in terms if up & bit])
-        row.append(by_join[up])
-    return row
+    size, down = L.group.order // L.size(n), L.down_mask[n]
+    return [size if down >> b & 1 else 0 for b in build_superclasses(L).block_nodes()]
 
 
 def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
     """chi^{M.} by the multiplicative formula, as a row over the block nodes;
     requires C(M) nonempty and in general position over M.  Checked exactly
-    against the Moebius row of the lattice's theory.
+    against the row of the lattice's theory.
 
     Each value is an integer numerator and denominator, compared with the
     Moebius value v as num == v * den.  The join of C(M) minus one cover is
@@ -178,12 +159,33 @@ class SCTheory:
 
 
 def build_theory(L: NormalLattice) -> SCTheory:
-    """Superclasses plus the rows of all chi^{N.}, built once per lattice."""
+    """Superclasses plus the rows of all chi^{N.}, built once per lattice.
+
+    The chi_subgroup rows are inverted in place by the lattice Moebius
+    transform of Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and
+    Parviainen ("Fast zeta transforms for lattices with few irreducibles",
+    SODA 2012), exact on every finite lattice, distributive or not.  With
+    J(x) the join-irreducibles below x, take each join-irreducible p in
+    descending index order, and for every node x not above p set
+    row[x] -= row[x v p], skipped when J(x v p) - J(x) holds an irreducible
+    of index above p.  After step p, row[x] is the sum of chi^{O.} over the
+    O >= x whose irreducibles outside J(x) all have index below p, so at the
+    end it is chi^{x.}; a skipped step would subtract an empty sum.  Step p
+    leaves the rows of the nodes above p as they are, so the order of the x
+    is free.  That is at most m |J| subtractions of whole rows."""
     if L._theory is not None:
         return L._theory
     part = build_superclasses(L)
     nodes = part.block_nodes()
-    rows = [chi_bullet_moebius(L, n) for n in range(len(L.nodes))]
+    rows = [chi_subgroup(L, n) for n in range(len(L.nodes))]
+    irreducible = mask_of(L.join_irreducibles)
+    below = [down & irreducible for down in L.down_mask]
+    for p in reversed(L.join_irreducibles):
+        above_p = -2 << p
+        for x in range(len(rows)):
+            y = L.join(x, p)
+            if y != x and not below[y] & ~below[x] & above_p:
+                rows[x] = list(map(sub, rows[x], rows[y]))
     theory = SCTheory(part, nodes, [part.blocks[b].bit_count() for b in nodes], rows,
                       [n for n, row in enumerate(rows) if any(row)])
     L._theory = theory
@@ -294,7 +296,9 @@ def verify_sct(L: NormalLattice) -> dict:
                 )
     report["orthogonality"] = "pass"
 
-    # partition of unity: chi^N = sum of chi^{O.} over O >= N, as integer rows
+    # partition of unity: chi^N = sum of chi^{O.} over O >= N, as integer rows.
+    # The rows are re-summed upward over the whole up-set of N, the zeta sum
+    # itself, so this does not share the join-irreducible steps of build_theory
     for n in range(len(L.nodes)):
         total = list(map(sum, zip(*map(rows.__getitem__, _bits(L.up_mask[n])))))
         if total != chi_subgroup(L, n):

@@ -83,6 +83,25 @@ def degree_sum_case(L: NormalLattice, k: int, lnode: int, m: int) -> str:
     return "product" if any(L.meet(o, lnode) != k for o in L.covers(km)) else "no_covers"
 
 
+def reference_moebius_row(L: NormalLattice, n: int) -> dict[int, int]:
+    """mu(n, o) for every node o >= n, by the defining recursion mu(n, n) = 1
+    and mu(n, o) = -sum of mu(n, p) over n <= p < o.  Index order is a linear
+    extension (nodes are sorted by size), so each o comes after the p below
+    it."""
+    row: dict[int, int] = {}
+    for o in range(n, len(L.nodes)):
+        if L.leq(n, o):
+            row[o] = 1 if o == n else -sum(mu for p, mu in row.items() if L.leq(p, o))
+    return row
+
+
+def rebuilt_rows(L: NormalLattice) -> list[list[int]]:
+    """The character table built afresh on a new lattice object with the nodes
+    of L, not read from L's cache (which other tests may have checked or
+    tampered with)."""
+    return build_theory(NormalLattice(L.group, L.nodes, check_normal=False)).rows
+
+
 def restricted_row(ctx, anchor: int) -> list[int]:
     """Res(chi^{anchor.}) over the H-block nodes of a restriction context: the
     G row read through the embedding at the least element of each H-block."""

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import latsuper
 from latsuper import GroupSpec, InputError, LatsuperError, make_group, normal_lattice
-from latsuper.catalog import quaternion_group
+from latsuper.catalog import quaternion_group, symmetric_group
 from latsuper.cli import _emit_json, _json_chunks, _verification_checks, main, table_payload
 
 NONASSOCIATIVE_LOOP = [
@@ -653,11 +653,32 @@ def test_subgroup_that_is_no_node_names_its_elements(files, capsys, command, whe
     code, out = run(args, capsys)
     assert code == 1
     error = json.loads(out)["error"]
-    assert error == {"category": "ArgumentError", "witness": [0, 4, 6],
+    assert error == {"category": "ArgumentError", "check": "lattice_node", "witness": [0, 4, 6],
                      "message": "subgroup [0, 4, 6] is not a lattice node"}
 
 
 C12_EMBEDDING = {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]}
+S3_TABLE = {"kind": "table", "mul": [list(r) for r in symmetric_group(3).mul]}
+
+
+@pytest.mark.parametrize("command, group, flag, payload, check, message, witness", [
+    ("lattice", {"kind": "cyclic", "n": 12}, "--sublattice", {"generators": [[0, 5]]},
+     "subgroup", "[0, 5] is not a subgroup", [0, 5]),
+    ("lattice", S3_TABLE, "--sublattice", {"generators": [[0, 1]]},
+     "normality", "generator [0, 1] is not a normal subgroup", [0, 1]),
+    ("restrict", {"kind": "cyclic", "n": 12}, "--anchor", {"antichain": [[0, 6]]},
+     "irreducible", "node 1 is not meet irreducible in the G-lattice", 1),
+])
+def test_well_typed_list_that_is_no_generator_or_irreducible_names_a_check(
+        files, capsys, command, group, flag, payload, check, message, witness):
+    tmp, write = files
+    args = [command, "--group", write("g.json", group), flag, write("bad.json", payload)]
+    if command == "restrict":
+        args += ["--embedding", write("e.json", C12_EMBEDDING)]
+    code, out = run(args, capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"category": "ArgumentError", "check": check,
+                                        "message": message, "witness": witness}
 
 
 @pytest.mark.parametrize("command, where, payload, witness", [
@@ -751,10 +772,12 @@ GOOD_SPEC_FIELDS = {"cyclic": {"n": 12}, "vector_space": {"q": 2, "dim": 2},
 
 
 def _elements(good: list):
-    """An element list as given, or with one more entry that is no element
-    of C12 (nor of the restriction source C6)."""
+    """An element list as given, with one more entry that is no element of C12
+    (nor of the restriction source C6), or a list of elements that is no
+    subgroup ([0, 5]) or a node that is neither meet irreducible nor of C6
+    (C2) or below the good C6 of an antichain (C3)."""
     return st.one_of(st.just(good), st.sampled_from([-1, 12, 1.5, "6", True, None]).map(
-        lambda bad: good + [bad]))
+        lambda bad: good + [bad]), st.sampled_from([[0, 5], [0, 6], [0, 4, 8]]))
 
 
 def _element_lists(*goods: list):
@@ -791,8 +814,9 @@ def test_random_json_file_exits_0_or_names_a_field(kind, data):
     """Random JSON as a file of each kind (objects with its fields good,
     WRONG or absent and with other fields, lists and scalars) either runs
     (exit 0) or ends as an InputError payload (exit 1) with a check and a
-    {field, value} witness; no other exception escapes.  Element lists hold
-    elements of the group or, at times, one entry that is none."""
+    witness, {field, value} when the file's shape is wrong; no other
+    exception escapes.  Element lists hold elements of the group or, at
+    times, one entry that is none, or are other element lists."""
     contents, flags = RANDOM_FILES[kind]
     with tempfile.TemporaryDirectory() as tmp:
         for name, payload in (("g", {"kind": "cyclic", "n": 12}), ("b", [0, 4, 8]),
@@ -809,8 +833,11 @@ def test_random_json_file_exits_0_or_names_a_field(kind, data):
     if code == 1:
         error = json.loads(buf.getvalue())["error"]
         assert issubclass(getattr(latsuper, error["category"]), InputError)
-        assert error["check"] in ("spec", "shape")
-        assert {"field", "value"} <= set(error["witness"])
+        assert error["check"] in ("spec", "shape", "subgroup", "lattice_bounds", "lattice_node",
+                                  "irreducible", "antichain")
+        assert "witness" in error
+        if error["check"] in ("spec", "shape"):
+            assert {"field", "value"} <= set(error["witness"])
 
 
 # ---------------------------------------------------------------------------

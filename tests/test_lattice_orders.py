@@ -393,7 +393,7 @@ def test_brute_force_oracle_skips_joins_it_has_made(monkeypatch):
          "ConstructionError", "meet_closure"),
         ({"kind": "table", "mul": [list(r) for r in symmetric_group(3).mul]},
          [[0], [0, 1], list(range(6))], "ConstructionError", "normality"),
-        ({"kind": "cyclic", "n": 12}, [[0], [0, 5], list(range(12))], "ArgumentError", None),
+        ({"kind": "cyclic", "n": 12}, [[0], [0, 5], list(range(12))], "ArgumentError", "subgroup"),
         ({"kind": "cyclic", "n": 12}, [[0], [0, 99], list(range(12))], "ArgumentError", "shape"),
     ],
 )
@@ -410,8 +410,9 @@ def test_strict_nodes_errors_exit1(tmp_path, capsys, group, nodes, category, che
 
 
 def test_non_subgroup_generator_is_an_argument_error():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError) as info:
         closed_sublattice(cyclic_group(12), [Subgroup(mask_of([0, 5]))])
+    assert (info.value.check, info.value.witness) == ("subgroup", [0, 5])
 
 
 # ---------------------------------------------------------------------------

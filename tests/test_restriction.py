@@ -154,7 +154,7 @@ def test_compute_A_H_requires_favorable():
 def test_comparable_antichain_is_refused():
     """An antichain of meet irreducibles with a comparable pair (C3 < C6 in
     C12) names the pair, in-process and through the CLI; a node that is not
-    meet irreducible keeps its witness-free error."""
+    meet irreducible is named by its index."""
     G, H = cyclic_group(12), cyclic_group(6)
     LG, LH = cyclic_lattice(12), cyclic_lattice(6)
     ctx = build_restriction_context(cyclic_embedding(H, G), LG, LH)
@@ -163,11 +163,11 @@ def test_comparable_antichain_is_refused():
         with pytest.raises(ArgumentError) as info:
             call(ctx, [c3, c6])
         assert "comparable" in str(info.value)
-        assert info.value.witness == [c3, c6]
+        assert (info.value.check, info.value.witness) == ("antichain", [c3, c6])
         with pytest.raises(ArgumentError) as info:
             call(ctx, [c2])
         assert str(info.value) == f"node {c2} is not meet irreducible in the G-lattice"
-        assert info.value.witness is None
+        assert (info.value.check, info.value.witness) == ("irreducible", c2)
 
 
 def test_comparable_antichain_exits_1(tmp_path, capsys):
@@ -182,6 +182,7 @@ def test_comparable_antichain_exits_1(tmp_path, capsys):
     LG = cyclic_lattice(12)
     assert code == 1
     assert error["category"] == "ArgumentError"
+    assert error["check"] == "antichain"
     assert error["witness"] == [node_of_size(LG, 3), node_of_size(LG, 6)]
 
 

@@ -11,17 +11,18 @@ from latsuper import (
     AmbiguityError,
     ArgumentError,
     FormulaInapplicableError,
+    GroupSpec,
     InternalConsistencyError,
     LatsuperError,
     VerificationError,
     build_superclasses,
     build_theory,
-    chi_bullet_moebius,
     chi_bullet_multiplicative,
     chi_subgroup,
     degree_sum,
     distributive_analysis,
     inner_product,
+    make_group,
     normal_lattice,
     verify_sct,
 )
@@ -31,6 +32,7 @@ from latsuper.lattice import basis_subspace_lattice, closed_sublattice, is_gener
 from latsuper.oracle import prime_factors, ramanujan_sum
 
 from corpus import (
+    DRAWN_GROUPS,
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
@@ -38,6 +40,8 @@ from corpus import (
     drawn_lattices,
     node_of_size,
     q8_lattice,
+    rebuilt_rows,
+    reference_moebius_row,
     s3_lattice,
     small_corpus,
     subsp_lattice,
@@ -128,19 +132,19 @@ def test_chi_subgroup_examples():
 
 def test_chi_bullet_top_is_trivial_character():
     for _, L in small_corpus():
-        chi = chi_bullet_moebius(L, L.top)
+        chi = rebuilt_rows(L)[L.top]
         assert all(v == 1 for v in chi)
 
 
 def test_chi_bullet_s3_values():
     L = s3_lattice()
-    chi = chi_bullet_moebius(L, L.bottom)
+    chi = rebuilt_rows(L)[L.bottom]
     assert chi == [4, -2, 0]
 
 
 def test_chi_bullet_cyclic6_is_ramanujan():
     L = cyclic_lattice(6)
-    chi = chi_bullet_moebius(L, L.bottom)
+    chi = rebuilt_rows(L)[L.bottom]
     values = {L.size(b): v for b, v in by_block(L, chi).items()}
     assert values == {1: 2, 2: -2, 3: -1, 6: 1}
     # matches the number-theoretic oracle: block of C_d holds elements of order d
@@ -167,9 +171,10 @@ def test_hyperplane_character_values():
     for q, n in ((2, 2), (3, 2), (2, 3), (3, 3)):
         L = subsp_lattice(q, n)
         part = build_superclasses(L)
+        rows = rebuilt_rows(L)
         hyperplanes = [u for u in range(len(L)) if L.size(u) == q ** (n - 1)]
         for u in hyperplanes:
-            chi = by_block(L, chi_bullet_moebius(L, u))
+            chi = by_block(L, rows[u])
             for b in part.blocks:
                 expected = q - 1 if L.leq(b, u) else -1
                 assert chi[b] == expected
@@ -177,12 +182,13 @@ def test_hyperplane_character_values():
 
 def test_dual_path_equivalence_small_corpus():
     for name, L in small_corpus():
+        rows = rebuilt_rows(L)
         for n in range(len(L)):
             try:
                 chi = chi_bullet_multiplicative(L, n)
             except FormulaInapplicableError:
                 continue
-            assert chi == chi_bullet_moebius(L, n), (name, n)
+            assert chi == rows[n], (name, n)
 
 
 def test_partition_of_unity():
@@ -372,20 +378,10 @@ def full_lattice_of(name):
 
 def reference_value(L, n, b):
     """chi^{N.} at the block of node b: sum of mu(N,O) |G|/|O| over the nodes
-    O above N and b, with mu by the recursion mu(N,O) = -sum_{N <= P < O} mu(N,P)."""
-    m = len(L.nodes)
-
-    @lru_cache(maxsize=None)
-    def mu(o):
-        if o == n:
-            return 1
-        return -sum(mu(p) for p in range(m) if p != o and L.leq(n, p) and L.leq(p, o))
-
-    total = Fraction(0)
-    for o in range(m):
-        if L.leq(n, o) and L.leq(b, o):
-            total += mu(o) * Fraction(L.group.order, L.size(o))
-    return total
+    O above N and b, with mu by the recursion of reference_moebius_row."""
+    order = L.group.order
+    return sum((mu * Fraction(order, L.size(o)) for o, mu in reference_moebius_row(L, n).items()
+                if L.leq(b, o)), Fraction(0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -403,7 +399,35 @@ def test_integer_rows_match_a_fraction_reference(name, data):
     for n in range(len(L.nodes)):
         assert rows[n] == [reference_value(L, n, b) for b in nodes], (name, picks, n)
         assert all(type(v) is int for v in rows[n])
-        assert chi_bullet_moebius(L, n) == rows[n]
+
+
+NOT_DISTRIBUTIVE = {
+    "F2^4": lambda: vector_space_group(2, 4),
+    "D8": lambda: dihedral_group(8),
+    "C2xC4xC3": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(n) for n in (2, 4, 3)])),
+    "Q8xC4": DRAWN_GROUPS["Q8xC4"],
+}
+
+
+def unskipped_recurrence(L):
+    """row[x] -= row[x v p] for every join-irreducible p and node x not above
+    p, with no skip: the Moebius inversion on distributive lattices only."""
+    rows = [chi_subgroup(L, n) for n in range(len(L.nodes))]
+    for p in reversed(L.join_irreducibles):
+        for x in range(len(rows)):
+            if not L.leq(p, x):
+                rows[x] = [a - b for a, b in zip(rows[x], rows[L.join(x, p)])]
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(NOT_DISTRIBUTIVE))
+def test_transform_is_exact_where_the_distributive_recurrence_is_not(name):
+    L = normal_lattice(NOT_DISTRIBUTIVE[name]())
+    assert not distributive_analysis(L).is_distributive
+    theory = build_theory(L)
+    reference = [[reference_value(L, n, b) for b in theory.nodes] for n in range(len(L.nodes))]
+    assert theory.rows == reference, name
+    assert unskipped_recurrence(L) != reference, name
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +507,7 @@ def test_dual_path_compares_with_the_built_theory():
 
 def reference_moebius_values(L, n):
     order = L.group.order
-    row = L.moebius_row(n)
+    row = reference_moebius_row(L, n)
     return {b: sum(mu * (order // L.size(o)) for o, mu in row.items() if L.leq(b, o))
             for b in build_superclasses(L).blocks}
 
@@ -530,9 +554,10 @@ def multiplicative_outcome(f, L, m):
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_lattices())
-def test_join_indexed_moebius_values_equal_the_block_sums(L):
+def test_transformed_rows_equal_the_moebius_block_sums(L):
+    rows = build_theory(L).rows
     for n in range(len(L.nodes)):
-        assert by_block(L, chi_bullet_moebius(L, n)) == reference_moebius_values(L, n), n
+        assert by_block(L, rows[n]) == reference_moebius_values(L, n), n
 
 
 @settings(max_examples=60, deadline=None)
