@@ -25,7 +25,6 @@ from .groups import (
 from .lattice import (
     DistributiveAnalysis,
     NormalLattice,
-    basis_subspace_lattice,
     cover_to_irreducible_map,
     distributive_analysis,
     is_general_position,

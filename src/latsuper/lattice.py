@@ -1,4 +1,4 @@
-"""Lattices of normal subgroups: order structure, covers, join-irreducibles,
+"""Lattices of normal subgroups: order structure, covers, irreducibles,
 distributivity and the Birkhoff antichain machinery.
 
 A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
@@ -11,11 +11,16 @@ far, so closure_mask runs only for a join that is new.  The order is one
 up-set and one down-set bitmask of node indices per node, and meet and join
 have one rule, read off them: the join of i and j is the lowest index in
 up(i) & up(j), the meet the highest index in down(i) & down(j).  No m x m
-table is kept.  The constructor certifies every pair once, whoever built the
-nodes: the meet is the node N & M, and the join satisfies the product formula
-|NM| |N & M| = |N| |M|.  It also records the covers and the
-join-irreducibles (one lower cover), which the character table and the
-distributivity test read.
+table is kept.
+
+Closure is certified and reached through the irreducibles.  In a family of
+normal subgroups holding 1 and G, a node with two upper covers A, B is A & B,
+so by downward induction the family is closed under intersection once N & P
+is a node for every node N and every P with one upper cover (the
+meet-irreducibles M); dually, under product once NP is a node for every P
+with one lower cover (the join-irreducibles J).  The constructor checks
+these m (|M| + |J|) pairs, whoever built the nodes, and closed_sublattice
+adds their meets and joins until none is new.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .errors import (
 from .groups import (
     GroupTable,
     Subgroup,
-    VectorSpaceData,
     _bits,
     closure_mask,
     conjugacy_classes,
@@ -49,7 +53,10 @@ SUBGROUP_ENUM_CAP = 20000
 
 class NormalLattice:
     """A sublattice of the normal subgroups of a finite group, its order kept
-    as up_mask/down_mask and certified pair by pair in _build_order.  With
+    as up_mask/down_mask, its covers as index lists and its meet- and
+    join-irreducibles (one upper, one lower cover) as index tuples.
+    _build_order certifies closure by meeting every node with each
+    meet-irreducible and joining it with each join-irreducible.  With
     check_normal=False the caller vouches that every node is normal, which the
     product formula certifying joins needs."""
 
@@ -86,10 +93,11 @@ class NormalLattice:
                 )
 
     def _build_order(self) -> None:
-        # Nodes are sorted by size: N_i <= N_j needs j >= i.  Each pair is
-        # certified in index order: the meet must be the node N_i & N_j, and
-        # the join, which (L2) requires to have the size of the product
-        # N_i N_j, must satisfy the product formula.
+        # Nodes are sorted by size: N_i <= N_j needs j >= i.  For each i in
+        # index order, the meet with each meet-irreducible p must be the node
+        # N_i & N_p, then the join with each join-irreducible p, which (L2)
+        # requires to have the size of the product N_i N_p, must satisfy the
+        # product formula.  A p above i needs no check.
         m = len(self.nodes)
         masks = [s.mask for s in self.nodes]
         sizes = [s.size for s in self.nodes]
@@ -103,35 +111,26 @@ class NormalLattice:
                     down[j] |= 1 << i
         self.bottom = self._index[1]
         self.top = self._index[(1 << self.group.order) - 1]
+        upper = _upper_covers(up)
+        self.covers_up: list[list[int]] = [list(_bits(c)) for c in upper]
+        self.covers_down = [[i for i in _bits(down[j]) if upper[i] >> j & 1] for j in range(m)]
+        self.meet_irreducibles, self.join_irreducibles = _irreducibles(upper)
+        meet_irr, join_irr = mask_of(self.meet_irreducibles), mask_of(self.join_irreducibles)
         for i in range(m):
             mi, up_i, down_i = masks[i], up[i], down[i]
-            for j in range(i, m):
-                meet = (down_i & down[j]).bit_length() - 1
-                if masks[meet] != mi & masks[j]:
-                    raise ConstructionError(
-                        "lattice not closed under intersection",
-                        check="meet_closure",
-                        witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
-                    )
-                upper = up_i & up[j]
-                join = (upper & -upper).bit_length() - 1
-                if sizes[join] * sizes[meet] != sizes[i] * sizes[j]:
-                    raise ConstructionError(
-                        "lattice not closed under product",
-                        check="join_closure",
-                        witness=[self.nodes[i].to_json(), self.nodes[j].to_json()],
-                    )
-        # covers via transitive reduction of the order matrix
-        self.covers_up: list[list[int]] = [[] for _ in range(m)]
-        self.covers_down: list[list[int]] = [[] for _ in range(m)]
-        for i in range(m):
-            for j in _bits(self.up_mask[i] & ~(1 << i)):
-                between = self.up_mask[i] & self.down_mask[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    self.covers_up[i].append(j)
-                    self.covers_down[j].append(i)
-        # join- (product) irreducibles: the nodes with exactly one lower cover
-        self.join_irreducibles = tuple(i for i in range(m) if len(self.covers_down[i]) == 1)
+            for p in _bits(meet_irr & ~up_i):
+                if masks[(down_i & down[p]).bit_length() - 1] != mi & masks[p]:
+                    raise ConstructionError("lattice not closed under intersection",
+                                            check="meet_closure", witness=self._pair(i, p))
+            for p in _bits(join_irr & ~up_i):
+                above = up_i & up[p]
+                join = (above & -above).bit_length() - 1
+                if sizes[join] * (mi & masks[p]).bit_count() != sizes[i] * sizes[p]:
+                    raise ConstructionError("lattice not closed under product",
+                                            check="join_closure", witness=self._pair(i, p))
+
+    def _pair(self, i: int, j: int) -> list[list[int]]:
+        return [self.nodes[k].to_json() for k in sorted((i, j))]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -244,6 +243,37 @@ def _cyclic_subgroups(G: GroupTable) -> set[int]:
     return out
 
 
+def _upper_covers(up: Sequence[int]) -> list[int]:
+    """Each node's upper covers as a bitset: its strict up set minus everything
+    strictly above one of its members, where up[i] is the bitset of the nodes
+    containing node i.  Members are taken lowest index first, each taking its
+    up set out of the rest, so in size order only covers are taken; in any
+    order a member taken above a cover is taken out at the end."""
+    out = []
+    for i, above in enumerate(up):
+        rest = above ^ 1 << i
+        taken = higher = 0
+        while rest:
+            low = rest & -rest
+            up_low = up[low.bit_length() - 1]
+            taken |= low
+            higher |= up_low ^ low
+            rest &= ~up_low
+        out.append(taken & ~higher)
+    return out
+
+
+def _irreducibles(upper: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The meet-irreducibles (one upper cover) and the join-irreducibles (one
+    lower cover), given each node's upper covers as a bitset."""
+    lower = [0] * len(upper)
+    for covers in upper:
+        for j in _bits(covers):
+            lower[j] += 1
+    return (tuple(i for i, covers in enumerate(upper) if covers.bit_count() == 1),
+            tuple(j for j, n in enumerate(lower) if n == 1))
+
+
 class _JoinIndex:
     """The nodes a lattice builder has found, so that the join of two of them
     is looked up, not closed.  masks holds the nodes in insertion order, at
@@ -289,11 +319,12 @@ class _JoinIndex:
             self.add(closure_mask(G, a | b), above)
 
 
-def _join_closure(G: GroupTable, gens: Iterable[int]) -> list[int]:
+def _join_closure(G: GroupTable, gens: Iterable[int]) -> _JoinIndex:
     """The trivial subgroup and every join of the normal subgroups in gens,
     reached one generator at a time by joining each node with each generator.
     The generators, the joins of the trivial node, come next; every later
-    join is looked up in a _JoinIndex, and only a new one is closed."""
+    join is looked up in the _JoinIndex returned, and only a new one is
+    closed."""
     index = _JoinIndex()
     for mask in (1, *sorted(set(gens))):
         index.add(mask)
@@ -301,7 +332,7 @@ def _join_closure(G: GroupTable, gens: Iterable[int]) -> list[int]:
     for i, _ in enumerate(index.masks):  # the masks grow while they are walked
         for g in at_gens:
             index.add_join(G, i, g)
-    return index.masks
+    return index
 
 
 def normal_lattice(G: GroupTable) -> NormalLattice:
@@ -329,15 +360,18 @@ def normal_lattice(G: GroupTable) -> NormalLattice:
             _check_cap(_subspace_count(p, d))
     else:
         gens = [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
-    return NormalLattice(G, [Subgroup(m) for m in _join_closure(G, gens)], check_normal=True)
+    return NormalLattice(G, [Subgroup(m) for m in _join_closure(G, gens).masks], check_normal=True)
 
 
 def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
     """Smallest lattice containing gens plus the trivial subgroup and G.
 
-    A worklist visits each unordered pair of nodes once and adds their meet
-    a & b and their join, looked up in a _JoinIndex; closure_mask runs only
-    for a join that is new.
+    The join closure of gens and G grows in rounds through its _JoinIndex:
+    each meets every node with each meet-irreducible and joins it with each
+    join-irreducible, read off the nodes at the start of the round.  A round
+    that adds nothing has certified the pairs the constructor checks, and
+    every node is a meet or join of gens.  closure_mask runs only for a join
+    that is new.
     """
     bad = _first_non_normal(G, gens)
     if bad is not None:
@@ -345,14 +379,17 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
             f"generator {bad.to_json()} is not a normal subgroup", check="normality",
             witness=bad.to_json(),
         )
-    index = _JoinIndex()
-    for mask in (1, (1 << G.order) - 1, *(s.mask for s in gens)):
-        index.add(mask)
-    masks = index.masks
-    for j, b in enumerate(masks):
-        for i in range(j):
-            index.add(masks[i] & b)
-            index.add_join(G, i, j)
+    index = _join_closure(G, [(1 << G.order) - 1, *(s.mask for s in gens)])
+    masks, up = index.masks, index.up
+    known = 0
+    while known < len(masks):
+        known = len(masks)
+        meet_irr, join_irr = map(mask_of, _irreducibles(_upper_covers(up)))
+        for i, a in enumerate(masks):  # the masks grow while they are walked
+            for p in _bits(meet_irr & ~up[i]):
+                index.add(a & masks[p])
+            for p in _bits(join_irr & ~up[i]):
+                index.add_join(G, i, p)
     return NormalLattice(G, [Subgroup(m) for m in masks], check_normal=False)
 
 
@@ -385,38 +422,12 @@ def subspace_lattice(G: GroupTable) -> NormalLattice:
         lines.add(span)
     q = vs.q
     nodes = []
-    for m in _join_closure(G, lines):
+    for m in _join_closure(G, lines).masks:
         dim = 0
         size = m.bit_count()
         while q**dim < size:
             dim += 1
         nodes.append(Subgroup(m, f"dim{dim}"))
-    return NormalLattice(G, nodes, check_normal=False)
-
-
-def _span_with(vs: VectorSpaceData, span: int, i: int) -> int:
-    """The mask of span(S u {e_i}) from that of span(S), coordinate i being 0
-    on span(S).  Element indices are row-major, so adding c e_i adds
-    c q^(dim-1-i) to an index with no carry, and the span is the union of the
-    q shifts of span(S) by those amounts."""
-    step = vs.q ** (vs.dim - 1 - i)
-    return reduce(or_, (span << c * step for c in range(vs.q)))
-
-
-def basis_subspace_lattice(G: GroupTable) -> NormalLattice:
-    """Spans of subsets of the standard basis, each labelled by its subset as
-    "<e0,e2>"; isomorphic to the subset lattice.  Public API with no caller in
-    the package."""
-    vs = G.vs
-    if vs is None:
-        raise ArgumentError("basis_subspace_lattice requires a vector_space group")
-    _check_cap(1 << vs.dim)
-    spans = [1]  # spans[subset]: the span of e_i for the bits i of subset
-    for subset in range(1, 1 << vs.dim):
-        low = subset & -subset
-        spans.append(_span_with(vs, spans[subset ^ low], low.bit_length() - 1))
-    nodes = [Subgroup(span, "<" + ",".join(f"e{i}" for i in _bits(subset)) + ">")
-             for subset, span in enumerate(spans)]
     return NormalLattice(G, nodes, check_normal=False)
 
 
@@ -427,8 +438,6 @@ def basis_subspace_lattice(G: GroupTable) -> NormalLattice:
 @dataclass
 class DistributiveAnalysis:
     is_distributive: bool
-    meet_irreducibles: tuple[int, ...] = ()
-    product_irreducibles: tuple[int, ...] = ()
     antichain_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     violation: Optional[tuple[int, int, int]] = None
 
@@ -444,17 +453,15 @@ def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
     if L._distributive is not None:
         return L._distributive
     m = len(L.nodes)
-    meet_irr = tuple(i for i in range(m) if len(L.covers_up[i]) == 1)
-    prod_irr = L.join_irreducibles
-    irreducible = mask_of(prod_irr)
+    irreducible = mask_of(L.join_irreducibles)
     below = [down & irreducible for down in L.down_mask]
-    if any(below[L.join(x, p)] != below[x] | below[p] for x in range(m) for p in prod_irr):
-        result = DistributiveAnalysis(is_distributive=False, violation=_first_violation(L))
-        L._distributive = result
-        return result
+    if any(below[L.join(x, p)] != below[x] | below[p]
+           for x in range(m) for p in L.join_irreducibles):
+        L._distributive = DistributiveAnalysis(is_distributive=False, violation=_first_violation(L))
+        return L._distributive
     antichain_of: dict[int, tuple[int, ...]] = {}
     for k in range(m):
-        above = [p for p in meet_irr if L.leq(k, p)]
+        above = [p for p in L.meet_irreducibles if L.leq(k, p)]
         minimal = tuple(
             p for p in above if not any(q != p and L.leq(q, p) for q in above)
         )
@@ -463,14 +470,8 @@ def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
                 f"antichain meet mismatch at node {k}", check="birkhoff"
             )
         antichain_of[k] = minimal
-    result = DistributiveAnalysis(
-        is_distributive=True,
-        meet_irreducibles=meet_irr,
-        product_irreducibles=prod_irr,
-        antichain_of=antichain_of,
-    )
-    L._distributive = result
-    return result
+    L._distributive = DistributiveAnalysis(is_distributive=True, antichain_of=antichain_of)
+    return L._distributive
 
 
 def _first_violation(L: NormalLattice) -> tuple[int, int, int]:
@@ -498,7 +499,7 @@ def _require_distributive(L: NormalLattice) -> DistributiveAnalysis:
     analysis = distributive_analysis(L)
     if not analysis.is_distributive:
         raise UnsupportedStructureError(
-            "operation requires a distributive lattice",
+            "operation requires a distributive lattice", check="distributivity",
             witness=list(analysis.violation or ()),
         )
     return analysis
@@ -550,12 +551,11 @@ def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
 
     Public API with no caller in the package: the product-irreducible/cover
     bijection of the paper, dual to cover_to_irreducible_map."""
-    analysis = _require_distributive(L)
-    bset = _check_antichain(L, B, analysis.product_irreducibles, "product irreducible")
+    _require_distributive(L)
+    bset = _check_antichain(L, B, L.join_irreducibles, "product irreducible")
     top = L.join_all(bset)
-    lower = [l for l in L.covers_down[top]]
     mapping: dict[int, int] = {}
-    for lnode in lower:
+    for lnode in L.covers_down[top]:
         hits = [k for k in bset if L.meet(k, lnode) != k]
         if len(hits) != 1:
             raise InternalConsistencyError(
@@ -579,8 +579,8 @@ def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
 def cover_to_irreducible_map(L: NormalLattice, A: Sequence[int]) -> dict[int, int]:
     """For an antichain A of meet irreducibles, the bijection sending each upper
     cover O of meet(A) to the unique P in A with P join O a cover of P."""
-    analysis = _require_distributive(L)
-    aset = _check_antichain(L, A, analysis.meet_irreducibles, "meet irreducible")
+    _require_distributive(L)
+    aset = _check_antichain(L, A, L.meet_irreducibles, "meet irreducible")
     bottom = L.meet_all(aset)
     mapping: dict[int, int] = {}
     for onode in L.covers_up[bottom]:

@@ -151,7 +151,7 @@ def compute_A_H(ctx: RestrictionContext, A: Sequence[int]) -> tuple[int, ...]:
             "context is not restriction favorable", witness=ctx.witnesses_json()
         )
     lg, lh = ctx.latticeG, ctx.latticeH
-    _check_antichain(lg, A, distributive_analysis(lg).meet_irreducibles,
+    _check_antichain(lg, A, lg.meet_irreducibles,
                      "meet irreducible in the G-lattice")
     meet_a = lg.meet_all(A)
     base_h = ctx.intersect[meet_a]

@@ -10,12 +10,8 @@ from hypothesis import strategies as st
 
 from latsuper import GroupSpec, build_theory, make_group, normal_lattice
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.lattice import (
-    NormalLattice,
-    basis_subspace_lattice,
-    closed_sublattice,
-    subspace_lattice,
-)
+from latsuper.groups import Subgroup, mask_of
+from latsuper.lattice import NormalLattice, closed_sublattice, subspace_lattice
 
 RANDOM_SUBLATTICE_SEED = 20260810
 
@@ -40,9 +36,18 @@ def subsp_lattice(q: int, dim: int) -> NormalLattice:
     return subspace_lattice(vector_space_group(q, dim))
 
 
+def basis_sublattice(G) -> NormalLattice:
+    """The spans of subsets of the standard basis of a vector-space group G, a
+    new lattice object each call: closed_sublattice of the lines
+    {c q^(dim-1-i)}, which are F_q e_i, as indices are row-major."""
+    q, dim = G.vs.q, G.vs.dim
+    lines = [mask_of(c * q ** (dim - 1 - i) for c in range(q)) for i in range(dim)]
+    return closed_sublattice(G, [Subgroup(line) for line in lines])
+
+
 @lru_cache(maxsize=None)
 def basis_lattice(q: int, dim: int) -> NormalLattice:
-    return basis_subspace_lattice(vector_space_group(q, dim))
+    return basis_sublattice(vector_space_group(q, dim))
 
 
 @lru_cache(maxsize=None)
@@ -67,12 +72,13 @@ def node_of_size(L: NormalLattice, size: int) -> int:
 
 
 def basis_node(L: NormalLattice, subset) -> int:
-    """Node index of span{e_i : i in subset} in a basis lattice, found by the
-    "<e0,e2>" label basis_subspace_lattice gives it."""
-    label = "<" + ",".join(f"e{i}" for i in sorted(set(subset))) + ">"
-    hits = [i for i, s in enumerate(L.nodes) if s.label == label]
-    assert len(hits) == 1, f"{len(hits)} nodes labelled {label}"
-    return hits[0]
+    """Node index of span{e_i : i in subset} in a basis lattice, found by its
+    mask: the elements whose coordinates outside subset are 0 (coordinate i
+    is the base-q digit of q^(dim-1-i))."""
+    q, dim, subset = L.group.vs.q, L.group.vs.dim, set(subset)
+    outside = [q ** (dim - 1 - i) for i in range(dim) if i not in subset]
+    return L.index_of(mask_of(v for v in range(L.group.order)
+                              if all(v // step % q == 0 for step in outside)))
 
 
 def degree_sum_case(L: NormalLattice, k: int, lnode: int, m: int) -> str:
@@ -197,7 +203,7 @@ def fresh_lattice(name: str, kind: str, picks: tuple[int, ...] = ()) -> NormalLa
     if kind == "full":
         return NormalLattice(full.group, full.nodes, check_normal=False)
     if kind == "basis":
-        return basis_subspace_lattice(full.group)
+        return basis_sublattice(full.group)
     return closed_sublattice(full.group, [full.nodes[i] for i in picks])
 
 

@@ -134,7 +134,7 @@ def test_distributive_analysis_cyclic12():
     an = distributive_analysis(L)
     assert an.is_distributive
     # meet irreducibles: C_m with 12/m a prime power
-    labels = sorted(L.size(i) for i in an.meet_irreducibles)
+    labels = sorted(L.size(i) for i in L.meet_irreducibles)
     assert labels == [m for m in divisors(12) if m != 12 and _is_prime_power(12 // m)]
     for k in range(len(L)):
         ac = an.antichain_of[k]
@@ -163,16 +163,16 @@ def test_basis_lattice_is_subset_lattice():
         assert len(L) == 2**dim
         an = distributive_analysis(L)
         assert an.is_distributive
-        assert len(an.meet_irreducibles) == dim
+        assert len(L.meet_irreducibles) == dim
 
 
 def test_birkhoff_antichain_count():
     # number of nodes equals the number of antichains of the meet-irreducible poset
     for _, L in small_corpus():
         an = distributive_analysis(L)
-        if not an.is_distributive or len(an.meet_irreducibles) > 12:
+        if not an.is_distributive or len(L.meet_irreducibles) > 12:
             continue
-        mi = list(an.meet_irreducibles)
+        mi = list(L.meet_irreducibles)
         count = 0
         for subset in range(1 << len(mi)):
             chosen = [mi[i] for i in range(len(mi)) if (subset >> i) & 1]
@@ -210,9 +210,9 @@ def test_general_position_on_distributive_covers():
 
 def test_product_to_cover_map():
     L = cyclic_lattice(12)
-    an = distributive_analysis(L)
+    assert distributive_analysis(L).is_distributive
     c4, c3 = node_of_size(L, 4), node_of_size(L, 3)
-    assert c4 in an.product_irreducibles and c3 in an.product_irreducibles
+    assert c4 in L.join_irreducibles and c3 in L.join_irreducibles
     mapping = product_to_cover_map(L, [c4, c3])
     join = L.join(c4, c3)
     assert join == L.top

@@ -45,7 +45,6 @@ from latsuper.lattice import (
     _cyclic_subgroups,
     _first_violation,
     _join_closure,
-    basis_subspace_lattice,
     closed_sublattice,
     distributive_analysis,
     subspace_lattice,
@@ -54,6 +53,7 @@ from latsuper.oracle import brute_force_normal_subgroups
 
 from corpus import (
     DRAWN_GROUPS,
+    basis_lattice,
     basis_node,
     cyclic_group,
     drawn_full_lattice,
@@ -101,16 +101,27 @@ def naive_closure(G, masks):
 
 
 def first_unclosed_pair(G, masks):
-    """(check, witness) of the first pair, in node order, whose meet or join
-    is missing; None for a closed set."""
+    """(check, witness) of the first pair whose meet or join is missing, in
+    the order the constructor certifies: each node a in node order, met with
+    every node of one upper cover, then joined with every node of one lower
+    cover; the pair is named in node order.  None for a closed set."""
     nodes = sorted(masks, key=lambda m: (m.bit_count(), m))
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            witness = [Subgroup(a).to_json(), Subgroup(b).to_json()]
-            if a & b not in masks:
-                return "meet_closure", witness
-            if closure_mask(G, a | b) not in masks:
-                return "join_closure", witness
+
+    def below(a, b):
+        return a != b and a & b == a
+
+    upper = {a: [b for b in nodes if below(a, b)
+                 and not any(below(a, c) and below(c, b) for c in nodes)] for a in nodes}
+    meet_irr = [p for p in nodes if len(upper[p]) == 1]
+    join_irr = [p for p in nodes if sum(p in upper[a] for a in nodes) == 1]
+    scans = (("meet_closure", meet_irr, lambda a, p: a & p),
+             ("join_closure", join_irr, lambda a, p: closure_mask(G, a | p)))
+    for a in nodes:
+        for check, pool, combine in scans:
+            for p in pool:
+                if combine(a, p) not in masks:
+                    pair = sorted((a, p), key=nodes.index)
+                    return check, [Subgroup(x).to_json() for x in pair]
     return None
 
 
@@ -149,6 +160,20 @@ def test_strict_nodes_fail_on_the_first_unclosed_pair(case):
     with pytest.raises(ConstructionError) as info:
         NormalLattice(L.group, nodes)
     assert (info.value.check, info.value.witness) == expected
+
+
+def test_the_witness_is_the_first_pair_of_the_scan_by_irreducibles():
+    # {1, C4, C5, C30, C60} in C60 misses C2 = C4 & C30 and C20 = C4 C5.  A
+    # scan of all pairs in node order would name C4, C5 first; the scan by
+    # irreducibles meets C4 with C30 (one upper cover) before it joins C4
+    # with C5 (one lower cover), so it names C4, C30
+    G = cyclic_group(60)
+    nodes = [Subgroup(mask_of(range(0, 60, 60 // n))) for n in (1, 4, 5, 30, 60)]
+    with pytest.raises(ConstructionError) as info:
+        NormalLattice(G, nodes)
+    witness = [list(range(0, 60, 15)), list(range(0, 60, 2))]
+    assert (info.value.check, info.value.witness) == ("meet_closure", witness)
+    assert first_unclosed_pair(G, {s.mask for s in nodes}) == ("meet_closure", witness)
 
 
 @settings(PROPERTY, max_examples=8)
@@ -254,7 +279,6 @@ def test_every_constructor_checks_the_node_cap(monkeypatch):
     for build in (
         lambda: normal_lattice(cyclic_group(12)),
         lambda: closed_sublattice(L.group, L.nodes),
-        lambda: basis_subspace_lattice(vector_space_group(2, 3)),
         lambda: subspace_lattice(vector_space_group(2, 2)),
         lambda: NormalLattice(L.group, L.nodes),
     ):
@@ -281,8 +305,8 @@ def naive_join_closure(G, gens):
 
 
 def naive_closed_nodes(G, gens):
-    """closed_sublattice's nodes in insertion order: each pair of nodes adds
-    its meet, then its join by closure_mask."""
+    """closed_sublattice's nodes: each pair of nodes adds its meet, then its
+    join by closure_mask, until none is new."""
     nodes = []
     for mask in (1, (1 << G.order) - 1, *gens):
         if mask not in nodes:
@@ -327,10 +351,13 @@ def join_generators(draw):
 @PROPERTY
 @given(join_generators())
 def test_builders_find_the_nodes_of_closure_on_every_pair(case):
+    # _join_closure's insertion order is its result; closed_sublattice's is
+    # not observable once NormalLattice sorts the nodes, so only its set is
     G, gens = case
-    for build, naive in ((lambda: _join_closure(G, gens), naive_join_closure(G, gens)),
-                         (lambda: closed_nodes(G, gens), naive_closed_nodes(G, gens))):
-        assert build() == naive
+    for build, naive, same in (
+            (lambda: _join_closure(G, gens).masks, naive_join_closure(G, gens), list),
+            (lambda: closed_nodes(G, gens), naive_closed_nodes(G, gens), set)):
+        assert same(build()) == same(naive)
         if len(naive) == 1:
             continue  # a cap below 1 would refuse the trivial subgroup
         # the cap trips on the node past it, as it did when every pair was closed
@@ -341,7 +368,7 @@ def test_builders_find_the_nodes_of_closure_on_every_pair(case):
         assert (info.value.check, info.value.witness) == ("subgroup_cap", len(naive))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lattice_mod, "SUBGROUP_ENUM_CAP", len(naive))
-            assert build() == naive
+            assert same(build()) == same(naive)
 
 
 def count_closures(monkeypatch, module):
@@ -367,6 +394,23 @@ def test_basis_sublattice_closes_once_per_node(monkeypatch):
     L = closed_sublattice(G, gens)
     assert len(L) == 256
     assert len(calls) <= len(L) + len(gens)
+
+
+def test_basis_sublattice_work_is_linear_in_the_irreducibles(monkeypatch):
+    # the join closure of the lines and G, then rounds of meets with the
+    # meet-irreducibles and joins with the join-irreducibles: no pair walk
+    G = vector_space_group(2, 10)
+    gens = [Subgroup(closure_mask(G, 1 << (1 << i))) for i in range(10)]
+    calls = []
+    for name in ("add", "add_join"):
+        method = getattr(lattice_mod._JoinIndex, name)
+        monkeypatch.setattr(lattice_mod._JoinIndex, name, lambda self, *args, method=method:
+                            calls.append(1) or method(self, *args))
+    L = closed_sublattice(G, gens)
+    assert len(L) == 1024
+    M, J = L.meet_irreducibles, L.join_irreducibles
+    assert len(M) == len(J) == 10
+    assert len(calls) <= len(L) * (len(gens) + 1 + len(M) + len(J))
 
 
 def test_brute_force_oracle_skips_joins_it_has_made(monkeypatch):
@@ -495,13 +539,13 @@ def test_birkhoff_maps_are_bijections_onto_the_antichain(L, data):
             with pytest.raises(UnsupportedStructureError):
                 birkhoff_map(L, [])
         return
-    B = _antichain(L, analysis.product_irreducibles, data)
+    B = _antichain(L, L.join_irreducibles, data)
     mapping = product_to_cover_map(L, B)
     assert sorted(mapping) == sorted(L.covers_down[L.join_all(B)])
     assert sorted(mapping.values()) == sorted(B)
     for lower, k in mapping.items():
         assert [b for b in B if not L.leq(b, lower)] == [k]
-    A = _antichain(L, analysis.meet_irreducibles, data)
+    A = _antichain(L, L.meet_irreducibles, data)
     mapping = cover_to_irreducible_map(L, A)
     assert sorted(mapping) == sorted(L.covers_up[L.meet_all(A)])
     assert sorted(mapping.values()) == sorted(A)
@@ -554,10 +598,15 @@ def test_strict_nodes_missing_a_node_fail_on_the_first_unclosed_pair(L, data):
 @pytest.mark.parametrize("group, source, phi, witness", [
     ("F3^2", {"kind": "cyclic", "n": 3}, [0, 1, 2], [1, 2, 3]),
     ("D6", {"kind": "cyclic", "n": 2}, [0, 3], [1, 4, 5]),
+    ("F2^2", {"kind": "cyclic", "n": 2}, [0, 1], [1, 2, 3]),
+    ("Q8xC4", {"kind": "cyclic", "n": 2}, [0, 2], [1, 2, 3]),
 ])
 def test_restrict_on_a_non_distributive_lattice_exits1_with_the_witness(
         tmp_path, capsys, group, source, phi, witness):
-    spec = (GroupSpec.vector_space(3, 2) if group == "F3^2" else dihedral_group(6).spec).to_json()
+    spec = {"F3^2": lambda: GroupSpec.vector_space(3, 2), "D6": lambda: dihedral_group(6).spec,
+            "F2^2": lambda: GroupSpec.vector_space(2, 2),
+            "Q8xC4": lambda: GroupSpec.product([quaternion_group().spec, GroupSpec.cyclic(4)]),
+            }[group]().to_json()
     files = {"g": spec, "e": {"source": source, "map": phi}, "a": {"node": [0]}}
     for name, payload in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
@@ -566,28 +615,26 @@ def test_restrict_on_a_non_distributive_lattice_exits1_with_the_witness(
     assert code == 1
     assert capsys.readouterr().out == json.dumps({"error": {
         "category": "UnsupportedStructureError",
+        "check": "distributivity",
         "message": "operation requires a distributive lattice",
         "witness": witness,
     }}, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Basis spans by shifts.
+# Basis lattices: closed_sublattice of the lines F_q e_i.
 
 
 @pytest.mark.parametrize("q, dim", [(2, 4), (3, 3), (4, 3), (8, 2), (9, 2)])
 def test_basis_spans_match_decoded_coordinates(q, dim):
-    G = vector_space_group(q, dim)
-    L = basis_subspace_lattice(G)
+    L = basis_lattice(q, dim)
+    G = L.group
 
     def decoded_span(subset):
         return mask_of(v for v in range(G.order)
                        if all(c == 0 for i, c in enumerate(G.vs.decode(v)) if i not in subset))
 
-    by_label = {L.node_label(i): s.mask for i, s in enumerate(L.nodes)}
-    assert len(by_label) == 1 << dim
-    for bits in range(1 << dim):
-        subset = {i for i in range(dim) if (bits >> i) & 1}
-        label = "<" + ",".join(f"e{i}" for i in sorted(subset)) + ">"
-        assert by_label[label] == decoded_span(subset)
+    subsets = [{i for i in range(dim) if (bits >> i) & 1} for bits in range(1 << dim)]
+    assert {s.mask for s in L.nodes} == {decoded_span(subset) for subset in subsets}
+    for subset in subsets:
         assert L.nodes[basis_node(L, subset)].mask == decoded_span(subset)

@@ -22,7 +22,7 @@ from latsuper import (
 )
 from latsuper.catalog import quaternion_group, symmetric_group
 from latsuper.groups import Subgroup, _bits, closure_mask, is_normal, mask_of
-from latsuper.lattice import NormalLattice, basis_subspace_lattice, closed_sublattice
+from latsuper.lattice import NormalLattice, closed_sublattice
 from latsuper.oracle import (
     _dual_walk,
     brute_force_normal_subgroups,
@@ -39,6 +39,7 @@ from latsuper.oracle import (
 from corpus import (
     basis_lattice,
     basis_node,
+    basis_sublattice,
     basis_vector,
     cyclic_group,
     cyclic_lattice,
@@ -326,7 +327,7 @@ def move_element(theory):
 
 FRESH = {
     "C12": lambda: normal_lattice(cyclic_group(12)),
-    "F3^2 basis": lambda: basis_subspace_lattice(vector_space_group(3, 2)),
+    "F3^2 basis": lambda: basis_sublattice(vector_space_group(3, 2)),
     "S4": lambda: normal_lattice(symmetric_group(4)),
     "Q8": lambda: normal_lattice(quaternion_group()),
 }

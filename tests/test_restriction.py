@@ -103,9 +103,12 @@ def test_blocksum_context_favorable():
 
 
 def test_non_distributive_rejected():
+    # the three C4 of Q8 (nodes 2, 3, 4) violate distributivity
     LQ = q8_lattice()
-    with pytest.raises(UnsupportedStructureError):
+    with pytest.raises(UnsupportedStructureError) as info:
         build_restriction_context(identity_embedding(LQ.group), LQ, LQ)
+    assert info.value.check == "distributivity"
+    assert info.value.witness == [2, 3, 4] == list(distributive_analysis(LQ).violation)
 
 
 def test_unfavorable_r2_witnesses():

@@ -28,11 +28,12 @@ from latsuper import (
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.groups import _bits
-from latsuper.lattice import basis_subspace_lattice, closed_sublattice, is_general_position
+from latsuper.lattice import closed_sublattice, is_general_position
 from latsuper.oracle import prime_factors, ramanujan_sum
 
 from corpus import (
     DRAWN_GROUPS,
+    basis_sublattice,
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
@@ -312,8 +313,9 @@ def test_verify_sct_c12_sublattice():
 
 def test_build_theory_memory_on_the_f2_8_basis_lattice():
     """256 rows of 256 ints and the partition: one list per row, no dict per
-    character and no copy of the table."""
-    L = basis_subspace_lattice(vector_space_group(2, 8))
+    character and no copy of the table.  The lattice is a new object: a cached
+    one would return its theory without allocating."""
+    L = basis_sublattice(vector_space_group(2, 8))
     tracemalloc.start()
     try:
         theory = build_theory(L)
@@ -454,7 +456,7 @@ def raise_zero_character(theory):
 
 FRESH = {
     "C12": lambda: normal_lattice(cyclic_group(12)),
-    "F3^2 basis": lambda: basis_subspace_lattice(vector_space_group(3, 2)),
+    "F3^2 basis": lambda: basis_sublattice(vector_space_group(3, 2)),
     "F2^2": lambda: normal_lattice(vector_space_group(2, 2)),
     "S4": lambda: normal_lattice(symmetric_group(4)),
     "Q8": lambda: normal_lattice(quaternion_group()),

@@ -24,7 +24,6 @@ KEPT = (
     # public API with no caller in the package
     "lattice.product_to_cover_map",
     "lattice.subspace_lattice",
-    "lattice.basis_subspace_lattice",
     # test corpus and CLI fixtures; latbench counts src/ lines by module name
     "catalog.symmetric_group",
     "catalog.dihedral_group",
