@@ -4,18 +4,18 @@ Elements are indices 0..order-1 with the identity pinned at 0; subgroups are
 int bitmasks over those indices.  Groups come from structured specs (cyclic,
 vector space over F_q, direct product) or raw tables.  Structured tables are
 built by index arithmetic on whole rows.  Every constructor checks the table
-axioms at C speed, exhaustively at every order, once each, in this order:
-
-1. every row is a permutation of 0..n-1;
-2. 0 is a two-sided identity;
-3. Light's test over a generating set finds no non-associative triple.
-
-No column is scanned on success: a finite monoid in which every left
-multiplication x -> a*x is a bijection is a group, so its columns are
-permutations.  When check 2 or 3 fails, the columns are scanned first, so the
-error raised (check, message, witness) is the one of the order rows, columns,
-identity, associativity.  `is_abelian` needs no transpose either: a group is
-abelian iff the generators Light's test used commute pairwise.
+axioms at C speed, exhaustively at every order, by a proof that reads row 0,
+column 0 and the generator rows only.  If row 0 and column 0 are 0..n-1, the
+greedy generators S of `_generators` number at most log2 n, their rows are
+permutations of 0..n-1 and Light's test over S passes, then along the walk
+from 0 row x*s is row x composed with row s: by induction every row is a
+permutation, and a finite monoid whose left multiplications are bijections
+is a group.  Every group passes with the same S (by Lagrange each generator
+at least doubles the subgroup reached).  A table that fails a step is
+scanned in the order rows, identity, Light's test, the columns before an
+identity or associativity error, so the error raised (check, message,
+witness) is that of the order rows, columns, identity, associativity.
+`is_abelian` needs no transpose: a group is abelian iff its generators commute.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class GroupSpec:
         if self.kind == "table":
             return f"T{len(self.mul or ())}"
         if self.kind == "product":
-            return "x".join(f.name for f in self.factors or ())
+            return "x".join(f.name for f in _factors(self))
         return self.kind
 
     def to_json(self) -> dict:
@@ -293,14 +293,10 @@ class VectorSpaceData:
 class GroupTable:
     """Immutable finite group: order, mul table, inverse table, identity = 0.
 
-    Construction validates the table as the module docstring says: rows, then
-    identity, then Light's test over `generators`.  Columns are scanned only
-    when the identity or associativity check fails, and a bad column is then
-    the error raised.  Success proves a group: the rows make every left
-    multiplication a bijection, so a*b = 0 is solvable for every a, and a
-    monoid in which every element has a right inverse is a group, whose columns
-    are permutations.  `is_abelian` is True iff the generators commute
-    pairwise, which is exact because they generate the group.
+    Construction proves the table a group from the generator rows and Light's
+    test (module docstring); only a table that fails the proof is scanned row
+    by row, for the first failing check.  `is_abelian` is True iff the
+    generators commute pairwise, exact because they generate the group.
     """
 
     def __init__(
@@ -332,38 +328,49 @@ class GroupTable:
         if n > MAX_ORDER:
             raise CapacityError(f"order {n} exceeds cap {MAX_ORDER}", check="order_cap", witness=n)
         ident = tuple(range(n))
+        try:
+            if mul[0] == ident and tuple(map(itemgetter(0), mul)) == ident:
+                gens, walk = self._generators()
+                if (1 << len(gens) <= n and all(tuple(sorted(mul[s])) == ident for s in gens)
+                        and self._light_test(gens) is None):
+                    return gens, walk
+        except (IndexError, TypeError):  # a short row or an entry out of range
+            pass
+        return self._scan(ident)
+
+    def _scan(self, ident: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Raise for the first failing check: rows, identity, Light's test."""
+        n, mul = self.order, self.mul
         full = frozenset(ident)  # faster than sorted(row) except on rotations
         for g, row in enumerate(mul):
             if len(row) != n:
-                raise ConstructionError(
-                    f"row {g} has length {len(row)}, expected {n}",
-                    check="latin_square", witness=g,
-                )
+                raise ConstructionError(f"row {g} has length {len(row)}, expected {n}",
+                                        check="latin_square", witness=g)
             if frozenset(row) != full:
-                raise ConstructionError(
-                    f"row {g} is not a permutation of 0..{n - 1}",
-                    check="latin_square", witness=g,
-                )
+                raise ConstructionError(f"row {g} is not a permutation of 0..{n - 1}",
+                                        check="latin_square", witness=g)
         if mul[0] != ident or tuple(map(itemgetter(0), mul)) != ident:
-            self._check_columns()
+            self._check_columns(ident)
             g = next(g for g in ident if mul[0][g] != g or mul[g][0] != g)
-            raise ConstructionError(
-                f"element 0 is not a two-sided identity at {g}",
-                check="identity", witness=g,
-            )
+            raise ConstructionError(f"element 0 is not a two-sided identity at {g}",
+                                    check="identity", witness=g)
         gens, walk = self._generators()
-        self._check_associativity(gens)
+        failure = self._light_test(gens)
+        if failure is not None:
+            self._check_columns(ident)
+            a, g = failure
+            row_ag, row_a, row_g = mul[mul[a][g]], mul[a], mul[g]
+            c = next(c for c in range(n) if row_ag[c] != row_a[row_g[c]])
+            raise ConstructionError(f"associativity fails at ({a},{g},{c})",
+                                    check="associativity", witness=[a, g, c])
         return gens, walk
 
-    def _check_columns(self) -> None:
+    def _check_columns(self, ident: tuple[int, ...]) -> None:
         """Raise for the first column that is not a permutation of 0..n-1."""
-        ident = tuple(range(self.order))
         for c, column in enumerate(zip(*self.mul)):
             if tuple(sorted(column)) != ident:
-                raise ConstructionError(
-                    f"column {c} is not a permutation of 0..{self.order - 1}",
-                    check="latin_square", witness=c,
-                )
+                raise ConstructionError(f"column {c} is not a permutation of 0..{len(ident) - 1}",
+                                        check="latin_square", witness=c)
 
     def _generators(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """A set S such that every element is 0 or a product s1*s2*...*sk of
@@ -404,25 +411,19 @@ class GroupTable:
             inv[y] = mul[inv_gen[s]][inv[x]]
         return tuple(inv)
 
-    def _check_associativity(self, gens: list[int]) -> None:
-        # Light's test.  The g with (a*g)*c == a*(g*c) for all a, c contain the
-        # identity 0 and are closed under products (no Latin property is
-        # needed), so checking g over a generating set checks every triple.
-        # For one g, row a*g of the table is compared with row a composed with
-        # row g, both built at C speed.
-        n, mul = self.order, self.mul
+    def _light_test(self, gens: list[int]) -> Optional[tuple[int, int]]:
+        """Light's test: the first (a, g), g in gens, with row a*g not row a
+        composed with row g, or None; both rows are built at C speed.  The g
+        with (a*g)*c == a*(g*c) for all a, c contain 0 and are closed under
+        products (no Latin property is needed), so generators check all."""
+        mul = self.mul
         for g in gens:
             lhs = map(mul.__getitem__, map(itemgetter(g), mul))
             rhs = map(itemgetter(*mul[g]), mul)
             a = next(compress(count(), map(ne, lhs, rhs)), None)
             if a is not None:
-                self._check_columns()
-                row_ag, row_a, row_g = mul[mul[a][g]], mul[a], mul[g]
-                c = next(c for c in range(n) if row_ag[c] != row_a[row_g[c]])
-                raise ConstructionError(
-                    f"associativity fails at ({a},{g},{c})",
-                    check="associativity", witness=[a, g, c],
-                )
+                return a, g
+        return None
 
     # -- basic queries -------------------------------------------------------
 
@@ -520,7 +521,19 @@ def make_group(spec: GroupSpec) -> GroupTable:
     if spec.kind == "table":
         return GroupTable(spec.mul, spec)
     # mixed radix, the first factor most significant
-    return GroupTable(reduce(_pair_table, (make_group(f).mul for f in spec.factors)), spec)
+    return GroupTable(reduce(_pair_table, (make_group(f).mul for f in _factors(spec))), spec)
+
+
+def _factors(spec: GroupSpec) -> list[GroupSpec]:
+    """The factors of a product spec, nested products flattened in order: the
+    same table and name as the nesting, got without a stack as deep as it."""
+    out, todo = [], [spec]
+    while todo:
+        f = todo.pop()
+        if f.kind != "product":
+            out.append(f)
+        todo.extend(reversed(f.factors or ()))
+    return out
 
 
 # ---------------------------------------------------------------------------

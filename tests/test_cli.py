@@ -570,6 +570,29 @@ def test_spec_value_error_names_its_field(files, capsys, spec, check, witness):
     assert (error["check"], error["witness"]) == (check, witness)
 
 
+@pytest.mark.parametrize("command", ["sct", "verify", "restrict"])
+def test_a_product_nested_400_deep_is_its_one_factor(files, capsys, command):
+    """One-factor products of C2 nested 400 deep are C2: each command runs
+    as on the product of C2 alone (a product's nodes are labelled N0, N1, a
+    cyclic group's C1, C2), restrict with the nesting as the embedding's
+    source."""
+    tmp, write = files
+    specs = [{"kind": "cyclic", "n": 2}]
+    for _ in range(400):
+        specs.append({"kind": "product", "factors": [specs[-1]]})
+    outs = []
+    for spec in (specs[-1], specs[1]):
+        if command == "restrict":
+            args = ["--group", write("c12.json", {"kind": "cyclic", "n": 12}),
+                    "--embedding", write("e.json", {"source": spec, "map": [0, 6]}),
+                    "--anchor", write("a.json", {"node": [0, 6]})]
+        else:
+            args = ["--group", write("g.json", spec)]
+        outs.append(run([command] + args, capsys))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
 def test_verify_missing_or_unparseable_group_exit1(files, capsys):
     tmp, write = files
     code, out = run(["verify", "--group", str(tmp / "absent.json")], capsys)

@@ -2,6 +2,7 @@
 entry-by-entry references defined here."""
 
 import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from latsuper import ConstructionError, GroupSpec, make_group
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
-from latsuper.groups import closure_mask, mask_of
+from latsuper.groups import GroupTable, closure_mask, mask_of
 
 from test_groups import intercalated_cyclic
 
@@ -342,11 +343,67 @@ def cycle_entries(mul, data):
         mul[r][c] = v
 
 
+def plain_row(mul, data):
+    """A row that is neither row 0 nor the row of a generator: a defect there
+    is first met by Light's test or the walk, not by a generator-row check."""
+    gens = reference_generators(mul)
+    return data.draw(st.sampled_from([r for r in range(1, len(mul)) if r not in gens]),
+                     label="row")
+
+
+def set_entry(mul, data, value):
+    """Overwrite one entry off column 0 of a plain row with value."""
+    r = plain_row(mul, data)
+    mul[r][data.draw(st.integers(1, len(mul) - 1), label="column")] = value
+
+
+def entry_n(mul, data):
+    """An entry one past the last element."""
+    set_entry(mul, data, len(mul))
+
+
+def entry_huge(mul, data):
+    """An entry too large to index a table at all."""
+    set_entry(mul, data, 10**30)
+
+
+def entry_negative(mul, data):
+    """-1 and -n index a Python table silently, -(n+1) does not."""
+    n = len(mul)
+    set_entry(mul, data, data.draw(st.sampled_from([-1, -n, -(n + 1)]), label="value"))
+
+
+def short_row(mul, data):
+    """A plain row cut short; column 0 is kept."""
+    r = plain_row(mul, data)
+    mul[r] = mul[r][:data.draw(st.integers(1, len(mul) - 1), label="length")]
+
+
+def repeated_value(mul, data):
+    """One entry off column 0 of a plain row overwritten with another entry
+    of the same row."""
+    r = plain_row(mul, data)
+    c, copied = data.draw(st.lists(st.integers(1, len(mul) - 1), min_size=2, max_size=2,
+                                   unique=True), label="columns")
+    mul[r][c] = mul[r][copied]
+
+
+def right_zero_factor(mul, data):
+    """Replace G by G x {e, f} with x*y = y on {e, f}, (g, x) at 2g + x: it is
+    associative, its rows are permutations and row 0 is 0..n-1, but it has no
+    right identity, so column 0 is not 0..n-1."""
+    n = len(mul)
+    mul[:] = [[2 * mul[a][b] + y for b in range(n) for y in (0, 1)]
+              for a in range(n) for _ in (0, 1)]
+
+
 DEFECTS = {f.__name__: f for f in (swap_entries, copy_row, move_identity, swap_rows,
-                                   intercalate, cycle_entries)}
+                                   intercalate, cycle_entries, entry_n, entry_huge,
+                                   entry_negative, short_row, repeated_value,
+                                   right_zero_factor)}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(TAMPER_GROUPS)), st.sampled_from(sorted(DEFECTS)), st.data())
 def test_tampered_tables_fail_in_the_reference_order(name, defect, data):
     G = TAMPER_GROUPS[name]()
@@ -359,6 +416,48 @@ def test_tampered_tables_fail_in_the_reference_order(name, defect, data):
         assert (exc.check, str(exc), exc.witness) == expected
     else:
         assert expected is None
+
+
+def relabelled_c20xc30():
+    """The raw table of C20xC30 with its elements shuffled, as latbench's
+    large-table workload feeds it."""
+    G = make_group(GroupSpec.product([GroupSpec.cyclic(20), GroupSpec.cyclic(30)]))
+    perm = [0] + random.Random(3).sample(range(1, G.order), G.order - 1)
+    return relabelled(G, perm)
+
+
+C = GroupSpec.cyclic
+# each group of the benchmark kinds, with its order
+PROVED_GROUPS = {
+    "C1020": (lambda: make_group(C(1020)), 1020),
+    "C20xC30": (lambda: make_group(GroupSpec.product([C(20), C(30)])), 600),
+    "F25^2": (lambda: make_group(GroupSpec.vector_space(25, 2)), 625),
+    "raw C20xC30": (relabelled_c20xc30, 600),
+    "C2^5xC11": (lambda: make_group(GroupSpec.product([C(2)] * 5 + [C(11)])), 352),
+    "C4096": (lambda: make_group(C(4096)), 4096),
+}
+
+
+@pytest.mark.parametrize("name", PROVED_GROUPS)
+def test_a_group_is_proved_without_the_ordered_scan(monkeypatch, name):
+    def scan(self, *args):
+        raise AssertionError(f"{self.name} was scanned")
+
+    monkeypatch.setattr(GroupTable, "_scan", scan)
+    build, order = PROVED_GROUPS[name]
+    assert build().order == order
+
+
+def test_a_tampered_table_runs_the_ordered_scan_once(monkeypatch):
+    calls = []
+    scan = GroupTable._scan
+    monkeypatch.setattr(GroupTable, "_scan",
+                        lambda self, *args: calls.append(1) or scan(self, *args))
+    mul = [list(row) for row in make_group(GroupSpec.cyclic(6)).mul]
+    mul[3][2] = 6
+    with pytest.raises(ConstructionError) as exc:
+        make_group(GroupSpec.table(mul))
+    assert (exc.value.check, exc.value.witness, len(calls)) == ("latin_square", 3, 1)
 
 
 ABELIAN_TEST_GROUPS = {
