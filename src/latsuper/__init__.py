@@ -30,7 +30,6 @@ from .lattice import (
     is_general_position,
     normal_lattice,
     product_to_cover_map,
-    subspace_lattice,
 )
 from .products import ProductReport, decompose_class_function, tensor_product
 from .restriction import (

@@ -54,11 +54,12 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"file not found: {path}")
+        raise InputError(f"file not found: {path}", check="input", witness={"path": path})
     except OSError as exc:  # a directory, no permission
-        raise InputError(f"cannot read {path}: {exc.strerror}")
+        raise InputError(f"cannot read {path}: {exc.strerror}", check="input",
+                         witness={"path": path})
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
-        raise InputError(f"invalid JSON in {path}: {exc}")
+        raise InputError(f"invalid JSON in {path}: {exc}", check="json", witness={"path": path})
 
 
 def _load_group(path: str) -> GroupTable:
@@ -103,7 +104,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror}", check="output")
+            raise InputError(f"cannot write {out}: {exc.strerror}", check="output",
+                             witness={"path": out})
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -112,36 +114,51 @@ def _json_chunks(value, indent: str):
     """The text of json.dumps(value, indent=2, sort_keys=True) nested at
     `indent`, in pieces.
 
-    Lists of plain ints (table rows, element lists) are written by the C
-    encoder with the indented item separator; dicts with str keys and other
-    non-empty lists are walked here; other containers are json.dumps' own
-    text, shifted right by `indent`.  A scalar's text does not depend on
-    indent or sort_keys, so scalars go through the shared C encoder rather
-    than a new pure-Python encoder per leaf, whose closures are cyclic
-    garbage."""
+    Non-empty dicts with str keys and non-empty lists that are not all plain
+    ints are walked here (_walked), with a stack of pending texts and
+    (value, indent) pairs rather than a Python frame per level, so a product
+    spec nested as deep as the reader accepts is written.  Every other value
+    is one piece (_json_leaf)."""
+    todo = [(value, indent) if _walked(value) else _json_leaf(value, indent)]
+    while todo:
+        value = todo.pop()
+        if type(value) is str:
+            yield value
+            continue
+        value, indent = value
+        inner = indent + "  "
+        if type(value) is dict:
+            keys = sorted(value, reverse=True)
+            heads = [f",\n{inner}{json.dumps(key)}: " for key in keys]
+            items, opener, close = map(value.__getitem__, keys), "{", "}"
+        else:
+            heads, items, opener, close = [",\n" + inner] * len(value), reversed(value), "[", "]"
+        heads[-1] = opener + heads[-1][1:]
+        todo.append("\n" + indent + close)
+        for head, item in zip(heads, items):
+            todo += ((item, inner), head) if _walked(item) else (head + _json_leaf(item, inner),)
+
+
+def _walked(value) -> bool:
     kind = type(value)
-    inner = indent + "  "
-    if kind is dict and value and set(map(type, value)) <= {str}:
-        sep = "{\n"
-        for key in sorted(value):
-            yield f"{sep}{inner}{json.dumps(key)}: "
-            yield from _json_chunks(value[key], inner)
-            sep = ",\n"
-        yield "\n" + indent + "}"
-    elif kind is list and value and set(map(type, value)) <= {int}:
-        yield "[\n" + inner + json.dumps(value, separators=(",\n" + inner, ":"))[1:-1]
-        yield "\n" + indent + "]"
-    elif kind is list and value:
-        sep = "[\n"
-        for item in value:
-            yield sep + inner
-            yield from _json_chunks(item, inner)
-            sep = ",\n"
-        yield "\n" + indent + "]"
-    elif kind in (dict, list, tuple):
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    else:
-        yield json.dumps(value)
+    return bool(value) and (kind is dict and set(map(type, value)) <= {str}
+                            or kind is list and not set(map(type, value)) <= {int})
+
+
+def _json_leaf(value, indent: str) -> str:
+    """A list of plain ints (table rows, element lists) by the C encoder with
+    the indented item separator; another container as json.dumps' own text,
+    shifted right by `indent`; a scalar by the shared C encoder, as its text
+    depends on neither indent nor sort_keys (a pure-Python encoder per leaf
+    would leave cyclic garbage)."""
+    kind = type(value)
+    if kind is list and value:
+        inner = indent + "  "
+        items = json.dumps(value, separators=(",\n" + inner, ":"))[1:-1]
+        return f"[\n{inner}{items}\n{indent}]"
+    if kind in (dict, list, tuple):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return json.dumps(value)
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -193,14 +210,14 @@ def table_payload(L: NormalLattice) -> dict:
 
 
 def table_csv(L: NormalLattice) -> str:
-    payload = table_payload(L)
+    """The rows of table_payload's characters under a header of its block
+    representatives, read off the theory."""
+    theory = build_theory(L)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        ["supercharacter"] + [f"g{b['representative']}" for b in payload["blocks"]]
-    )
-    for chi in payload["characters"]:
-        writer.writerow([chi["label"]] + chi["values"])
+    writer.writerow(["supercharacter"]
+                    + [f"g{theory.partition.representative(n)}" for n in theory.nodes])
+    writer.writerows([L.node_label(n)] + theory.rows[n] for n in theory.nonzero)
     return buf.getvalue()
 
 

@@ -2,25 +2,26 @@
 
 Elements are indices 0..order-1 with the identity pinned at 0; subgroups are
 int bitmasks over those indices.  Groups come from structured specs (cyclic,
-vector space over F_q, direct product) or raw tables.  Structured tables are
-built by index arithmetic on whole rows.  Every constructor checks the table
-axioms at C speed, exhaustively at every order, by a proof that reads row 0,
-column 0 and the generator rows only.  If row 0 and column 0 are 0..n-1, the
-greedy generators S of `_generators` number at most log2 n, their rows are
-permutations of 0..n-1 and Light's test over S passes, then along the walk
-from 0 row x*s is row x composed with row s: by induction every row is a
-permutation, and a finite monoid whose left multiplications are bijections
-is a group.  Every group passes with the same S (by Lagrange each generator
-at least doubles the subgroup reached).  A table that fails a step is
-scanned in the order rows, identity, Light's test, the columns before an
-identity or associativity error, so the error raised (check, message,
-witness) is that of the order rows, columns, identity, associativity.
+vector_space(q, dim) with q = p^k, direct product) or raw tables.  Structured
+tables are built by index arithmetic on whole rows; F_q^dim under addition is
+C_p^(k dim).  Every constructor checks the table axioms at C speed,
+exhaustively at every order, by a proof that reads row 0, column 0 and the
+generator rows only.  If row 0 and column 0 are 0..n-1, the greedy generators
+S of `_generators` number at most log2 n, their rows are permutations of
+0..n-1 and Light's test over S passes, then along the walk from 0 row x*s is
+row x composed with row s: by induction every row is a permutation, and a
+finite monoid whose left multiplications are bijections is a group.  Every
+group passes with the same S (by Lagrange each generator at least doubles the
+subgroup reached).  A table that fails a step is scanned in the order rows,
+identity, Light's test, the columns before an identity or associativity error,
+so the error raised (check, message, witness) is that of the order rows,
+columns, identity, associativity.
 `is_abelian` needs no transpose: a group is abelian iff its generators commute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, compress, count, repeat
 from operator import itemgetter, ne
@@ -32,7 +33,7 @@ MAX_ORDER = 4096  # desk-scale order cap: no table has more than MAX_ORDER rows
 
 
 # ---------------------------------------------------------------------------
-# Finite fields F_q for prime powers q (needed for F_q-subspace lattices).
+# Group specs.
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -47,92 +48,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             return p, k
     raise ConstructionError(f"q={q} is not a prime power", check="prime_power",
                             witness={"field": "q", "value": q})
-
-
-def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    # coeffs low-to-high, monic, degree >= 2; trial division by all monic
-    # polynomials of degree 1..deg//2.
-    deg = len(coeffs) - 1
-
-    def divides(d: tuple[int, ...]) -> bool:
-        rem = list(coeffs)
-        dd = len(d) - 1
-        for i in range(deg - dd, -1, -1):
-            c = rem[i + dd] % p
-            if c:
-                for j, dj in enumerate(d):
-                    rem[i + j] = (rem[i + j] - c * dj) % p
-        return all(x % p == 0 for x in rem)
-
-    for dd in range(1, deg // 2 + 1):
-        for low in range(p**dd):
-            d = []
-            t = low
-            for _ in range(dd):
-                d.append(t % p)
-                t //= p
-            d.append(1)
-            if divides(tuple(d)):
-                return False
-    return True
-
-
-class PrimePowerField:
-    """F_q with elements encoded as integers 0..q-1 (base-p coefficient digits).
-
-    For k > 1 the field is F_p[x] modulo the lexicographically smallest monic
-    irreducible polynomial of degree k (smallest when read as the base-p integer
-    of its non-leading coefficients).
-    """
-
-    def __init__(self, q: int):
-        self.q = q
-        self.p, self.k = factor_prime_power(q)
-        self.modulus: Optional[tuple[int, ...]] = None
-        if self.k > 1:
-            for low in range(q):
-                coeffs = self._digits(low) + (1,)
-                if _poly_is_irreducible(coeffs, self.p):
-                    self.modulus = coeffs
-                    break
-            assert self.modulus is not None
-
-    def _digits(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def _encode(self, digits: Sequence[int]) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * self.p + (d % self.p)
-        return val
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        assert self.modulus is not None
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i] % self.p
-            if c:
-                for j in range(self.k + 1):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % self.p
-        return self._encode(prod[: self.k])
-
-    def elements(self) -> range:
-        return range(self.q)
-
-
-# ---------------------------------------------------------------------------
-# Group specs.
 
 
 @dataclass(frozen=True)
@@ -258,34 +173,6 @@ def read_fields(data, fields: dict, what: str, *, check: str = "shape",
     return out
 
 
-@dataclass(frozen=True)
-class VectorSpaceData:
-    """Coordinate structure of a vector-space group: F_q^dim in row-major order."""
-
-    field: PrimePowerField
-    dim: int
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        coords = []
-        for _ in range(self.dim):
-            coords.append(idx % self.q)
-            idx //= self.q
-        return tuple(reversed(coords))
-
-    def encode(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for c in coords:
-            idx = idx * self.q + c
-        return idx
-
-    def scale(self, c: int, idx: int) -> int:
-        return self.encode([self.field.mul(c, x) for x in self.decode(idx)])
-
-
 # ---------------------------------------------------------------------------
 # Group tables.
 
@@ -299,18 +186,11 @@ class GroupTable:
     generators commute pairwise, exact because they generate the group.
     """
 
-    def __init__(
-        self,
-        mul: Sequence[Sequence[int]],
-        spec: GroupSpec,
-        *,
-        vs: Optional[VectorSpaceData] = None,
-    ):
+    def __init__(self, mul: Sequence[Sequence[int]], spec: GroupSpec):
         self.mul = tuple(map(tuple, mul))
         self.order = len(self.mul)
         self.spec = spec
         self.name = spec.name
-        self.vs = vs
         self.generators, walk = self._validate()
         self.inv = self._inverses(walk)
         self.is_abelian = all(self.mul[a][b] == self.mul[b][a]
@@ -515,9 +395,8 @@ def make_group(spec: GroupSpec) -> GroupTable:
     if spec.kind == "vector_space":
         # F_q^dim under addition is C_p^(k*dim): the base-p digits of an index
         # are the coefficient digits of its coordinates, added digit by digit
-        field = PrimePowerField(spec.q)
-        table = reduce(_pair_table, [_cyclic_table(field.p)] * (field.k * spec.dim))
-        return GroupTable(table, spec, vs=VectorSpaceData(field=field, dim=spec.dim))
+        p, k = factor_prime_power(spec.q)
+        return GroupTable(reduce(_pair_table, [_cyclic_table(p)] * (k * spec.dim)), spec)
     if spec.kind == "table":
         return GroupTable(spec.mul, spec)
     # mixed radix, the first factor most significant
@@ -545,7 +424,6 @@ class Subgroup:
     """Subgroup stored as a bitmask over element indices."""
 
     mask: int
-    label: Optional[str] = field(default=None, compare=False)
 
     @property
     def size(self) -> int:

@@ -5,13 +5,12 @@ A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
 group, closed under join (subgroup product) and meet (intersection), always
 containing the trivial subgroup and the whole group.  Nodes are referenced by
 their index in ``nodes``, sorted by size.  Group elements are multiplied only
-to enumerate nodes, and the builders (normal_lattice, subspace_lattice,
-closed_sublattice) look each join up in one _JoinIndex of the nodes found so
-far, so closure_mask runs only for a join that is new.  The order is one
-up-set and one down-set bitmask of node indices per node, and meet and join
-have one rule, read off them: the join of i and j is the lowest index in
-up(i) & up(j), the meet the highest index in down(i) & down(j).  No m x m
-table is kept.
+to enumerate nodes, and the builders (normal_lattice, closed_sublattice) look
+each join up in one _JoinIndex of the nodes found so far, so closure_mask runs
+only for a join that is new.  The order is one up-set and one down-set bitmask
+of node indices per node, and meet and join have one rule, read off them: the
+join of i and j is the lowest index in up(i) & up(j), the meet the highest
+index in down(i) & down(j).  No m x m table is kept.
 
 Closure is certified and reached through the irreducibles.  In a family of
 normal subgroups holding 1 and G, a node with two upper covers A, B is A & B,
@@ -62,11 +61,9 @@ class NormalLattice:
 
     def __init__(self, group: GroupTable, nodes: Sequence[Subgroup], *, check_normal: bool = True):
         self.group = group
-        by_mask: dict[int, Subgroup] = {}
-        for sub in nodes:
-            by_mask.setdefault(sub.mask, sub)
-        _check_cap(len(by_mask))
-        self.nodes: list[Subgroup] = sorted(by_mask.values(), key=lambda s: (s.size, s.mask))
+        distinct = set(nodes)
+        _check_cap(len(distinct))
+        self.nodes: list[Subgroup] = sorted(distinct, key=lambda s: (s.size, s.mask))
         self._index = {s.mask: i for i, s in enumerate(self.nodes)}
         self._validate(check_normal)
         self._build_order()
@@ -187,11 +184,8 @@ class NormalLattice:
         return self.nodes[i].size
 
     def node_label(self, i: int) -> str:
-        sub = self.nodes[i]
-        if sub.label:
-            return sub.label
         if self.group.spec.kind == "cyclic":
-            return f"C{sub.size}"
+            return f"C{self.nodes[i].size}"
         return f"N{i}"
 
     def __repr__(self) -> str:
@@ -393,10 +387,6 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
     return NormalLattice(G, [Subgroup(m) for m in masks], check_normal=False)
 
 
-# ---------------------------------------------------------------------------
-# Vector-space sublattices.
-
-
 def _subspace_count(q: int, dim: int) -> int:
     """Subspaces of F_q^dim, by the Galois-number recurrence
     G(n+1) = 2 G(n) + (q^n - 1) G(n-1)."""
@@ -404,31 +394,6 @@ def _subspace_count(q: int, dim: int) -> int:
     for n in range(1, dim):
         before, count = count, 2 * count + (q**n - 1) * before
     return count
-
-
-def subspace_lattice(G: GroupTable) -> NormalLattice:
-    """All F_q-submodules of a vector-space group: the join closure of the lines
-    (the subgroup generated by two subspaces is their sum, again a subspace).
-    Public API with no caller in the package."""
-    vs = G.vs
-    if vs is None:
-        raise ArgumentError("subspace_lattice requires a vector_space group")
-    _check_cap(_subspace_count(vs.q, vs.dim))
-    lines = set()
-    for v in range(1, G.order):
-        span = 0
-        for c in vs.field.elements():
-            span |= 1 << vs.scale(c, v)
-        lines.add(span)
-    q = vs.q
-    nodes = []
-    for m in _join_closure(G, lines).masks:
-        dim = 0
-        size = m.bit_count()
-        while q**dim < size:
-            dim += 1
-        nodes.append(Subgroup(m, f"dim{dim}"))
-    return NormalLattice(G, nodes, check_normal=False)
 
 
 # ---------------------------------------------------------------------------

@@ -49,17 +49,25 @@ class GroupEmbedding:
     map: tuple[int, ...]
 
     def __post_init__(self):
+        """A failure's witness is the field "map", the first offending index
+        (for a wrong length, the first missing or extra) and its image if any."""
         H, G, phi = self.source, self.target, self.map
+
+        def fail(message: str, i: int):
+            witness = {"field": "map", "index": i, **({"value": phi[i]} if i < len(phi) else {})}
+            raise ConstructionError(message, check="embedding", witness=witness)
+
         if len(phi) != H.order:
-            raise ConstructionError(
-                f"embedding map has length {len(phi)}, expected {H.order}", check="embedding"
-            )
+            fail(f"embedding map has length {len(phi)}, expected {H.order}",
+                 min(len(phi), H.order))
         if any(not (0 <= x < G.order) for x in phi):
-            raise ConstructionError("embedding image out of range", check="embedding")
+            fail("embedding image out of range",
+                 next(i for i, x in enumerate(phi) if not 0 <= x < G.order))
         if len(set(phi)) != H.order:
-            raise ConstructionError("embedding is not injective", check="embedding")
+            fail("embedding is not injective",
+                 next(i for i, x in enumerate(phi) if phi.index(x) < i))
         if phi[0] != 0:
-            raise ConstructionError("embedding must send identity to identity", check="embedding")
+            fail("embedding must send identity to identity", 0)
         for a in range(H.order):
             for b in range(H.order):
                 if phi[H.mul[a][b]] != G.mul[phi[a]][phi[b]]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latsuper import GroupSpec, build_theory, make_group, normal_lattice
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.groups import Subgroup, mask_of
-from latsuper.lattice import NormalLattice, closed_sublattice, subspace_lattice
+from latsuper.lattice import NormalLattice, closed_sublattice
 
 RANDOM_SUBLATTICE_SEED = 20260810
 
@@ -31,16 +31,43 @@ def vector_space_group(q: int, dim: int):
     return make_group(GroupSpec.vector_space(q, dim))
 
 
+# F_4 = F_2[x]/(x^2 + x + 1), a0 + a1 x at index a0 + 2 a1: the field the
+# corpus needs besides the prime fields
+_F4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+
+def coordinates(G, v: int) -> tuple[int, ...]:
+    """The coordinates of element v of a vector-space group F_q^dim: indices
+    are row-major, coordinate 0 most significant."""
+    q, dim = G.spec.q, G.spec.dim
+    return tuple(v // q ** (dim - 1 - i) % q for i in range(dim))
+
+
+def scale(G, c: int, v: int) -> int:
+    """The element c v of a vector-space group F_q^dim, for q prime or 4."""
+    q = G.spec.q
+    assert q == 4 or all(q % d for d in range(2, q)), f"no field arithmetic for q={q}"
+    times = _F4_MUL[c].__getitem__ if q == 4 else (lambda x: c * x % q)
+    out = 0
+    for x in coordinates(G, v):
+        out = out * q + times(x)
+    return out
+
+
 @lru_cache(maxsize=None)
 def subsp_lattice(q: int, dim: int) -> NormalLattice:
-    return subspace_lattice(vector_space_group(q, dim))
+    """All subspaces of F_q^dim: closed_sublattice of the lines F_q v (the
+    subgroup generated by two subspaces is their sum)."""
+    G = vector_space_group(q, dim)
+    lines = {mask_of(scale(G, c, v) for c in range(q)) for v in range(1, G.order)}
+    return closed_sublattice(G, [Subgroup(line) for line in lines])
 
 
 def basis_sublattice(G) -> NormalLattice:
     """The spans of subsets of the standard basis of a vector-space group G, a
     new lattice object each call: closed_sublattice of the lines
     {c q^(dim-1-i)}, which are F_q e_i, as indices are row-major."""
-    q, dim = G.vs.q, G.vs.dim
+    q, dim = G.spec.q, G.spec.dim
     lines = [mask_of(c * q ** (dim - 1 - i) for c in range(q)) for i in range(dim)]
     return closed_sublattice(G, [Subgroup(line) for line in lines])
 
@@ -75,7 +102,7 @@ def basis_node(L: NormalLattice, subset) -> int:
     """Node index of span{e_i : i in subset} in a basis lattice, found by its
     mask: the elements whose coordinates outside subset are 0 (coordinate i
     is the base-q digit of q^(dim-1-i))."""
-    q, dim, subset = L.group.vs.q, L.group.vs.dim, set(subset)
+    q, dim, subset = L.group.spec.q, L.group.spec.dim, set(subset)
     outside = [q ** (dim - 1 - i) for i in range(dim) if i not in subset]
     return L.index_of(mask_of(v for v in range(L.group.order)
                               if all(v // step % q == 0 for step in outside)))
@@ -117,10 +144,10 @@ def restricted_row(ctx, anchor: int) -> list[int]:
     return [value_of[block_of[phi[theory_h.partition.representative(b)]]] for b in theory_h.nodes]
 
 
-def basis_vector(vs, i: int) -> int:
-    """Element index of e_i in F_q^dim: indices are row-major, coordinate 0
-    most significant."""
-    return vs.q ** (vs.dim - 1 - i)
+def basis_vector(G, i: int) -> int:
+    """Element index of e_i in the vector-space group F_q^dim: indices are
+    row-major, coordinate 0 most significant."""
+    return G.spec.q ** (G.spec.dim - 1 - i)
 
 
 @lru_cache(maxsize=None)
@@ -213,6 +240,7 @@ def drawn_lattices(draw, abelian_only: bool = False) -> NormalLattice:
              if not abelian_only or drawn_full_lattice(n).group.is_abelian]
     name = draw(st.sampled_from(names))
     full = drawn_full_lattice(name)
-    kind = draw(st.sampled_from(["full", "closed"] + (["basis"] if full.group.vs else [])))
+    basis = ["basis"] if full.group.spec.kind == "vector_space" else []
+    kind = draw(st.sampled_from(["full", "closed", *basis]))
     picks = draw(st.sets(st.integers(0, len(full.nodes) - 1), max_size=3))
     return fresh_lattice(name, kind, tuple(sorted(picks)))

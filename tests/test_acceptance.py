@@ -102,7 +102,6 @@ def test_c04_vector_space_character_values():
     for q in (2, 3):
         for dim in (1, 2, 3, 4):
             L = basis_lattice(q, dim)
-            vs = L.group.vs
             theory = build_theory(L)
             for a_set in range(1 << dim):
                 a_nodes = [i for i in range(dim) if (a_set >> i) & 1]
@@ -111,7 +110,7 @@ def test_c04_vector_space_character_values():
                     g = 0
                     for i in range(dim):
                         if (d_set >> i) & 1:
-                            g = L.group.mul[g][basis_vector(vs, i)]
+                            g = L.group.mul[g][basis_vector(L.group, i)]
                     expected = (q - 1) ** (dim - bin(a_set | d_set).count("1")) * (
                         -1
                     ) ** bin(d_set & ~a_set).count("1")

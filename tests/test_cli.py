@@ -443,32 +443,96 @@ def test_verify_certifies_the_f2_7_basis_sublattice(files, capsys):
     assert oracle_check["detail"] == {"status": "pass", "nodes": 128}
 
 
+def run_fresh(args):
+    """The CLI in a fresh Python process, importing this tree's latsuper."""
+    src = str(Path(latsuper.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "latsuper.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 C12 = json.dumps({"kind": "cyclic", "n": 12}).encode()
-# the --group file's bytes and the extra arguments (a repeated flag wins)
+# the --group file's bytes, the extra arguments (a repeated flag wins), and
+# the check and the path the error names
 FILE_FAILURES = {
-    "group is a directory": (C12, ["--group", "{tmp}"]),
-    "group not UTF-8": (b"\xff\xfe{}", []),
-    "group nested 200,000 deep": (b"[" * 200_000 + b"]" * 200_000, []),
-    "group with 5000 digits": (b'{"kind": "cyclic", "n": ' + b"7" * 5000 + b"}", []),
-    "out in a missing directory": (C12, ["--out", "{tmp}/missing/t.csv"]),
-    "out onto a directory": (C12, ["--out", "{tmp}"]),
+    "group not found": (C12, ["--group", "{tmp}/absent.json"], "input", "{tmp}/absent.json"),
+    "group is a directory": (C12, ["--group", "{tmp}"], "input", "{tmp}"),
+    "group not UTF-8": (b"\xff\xfe{}", [], "json", "{group}"),
+    "group not JSON": (b"{not json", [], "json", "{group}"),
+    "group nested 200,000 deep": (b"[" * 200_000 + b"]" * 200_000, [], "json", "{group}"),
+    "group with 5000 digits": (b'{"kind": "cyclic", "n": ' + b"7" * 5000 + b"}", [], "json",
+                               "{group}"),
+    "out in a missing directory": (C12, ["--out", "{tmp}/missing/t.csv"], "output",
+                                   "{tmp}/missing/t.csv"),
+    "out onto a directory": (C12, ["--out", "{tmp}"], "output", "{tmp}"),
 }
 
 
 @pytest.mark.parametrize("case", FILE_FAILURES)
 def test_file_failures_are_input_errors(tmp_path, case):
     """A file that cannot be read or written ends as an InputError payload on
-    stdout with exit 1, and nothing on stderr: no traceback."""
-    content, extra = FILE_FAILURES[case]
+    stdout with exit 1, and nothing on stderr: no traceback.  The payload
+    names the check and, as its witness, the path."""
+    content, extra, check, path = FILE_FAILURES[case]
     group = tmp_path / "g.json"
     group.write_bytes(content)
     args = ["sct", "--group", str(group), *(a.format(tmp=tmp_path) for a in extra)]
-    src = str(Path(latsuper.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "latsuper.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+    done = run_fresh(args)
     assert (done.returncode, done.stderr) == (1, "")
-    assert json.loads(done.stdout)["error"]["category"] == "InputError"
+    error = json.loads(done.stdout)["error"]
+    assert error["category"] == "InputError"
+    assert (error["check"], error["witness"]) == (
+        check, {"path": path.format(tmp=tmp_path, group=group)})
+
+
+@pytest.mark.parametrize("command", [["sct", "--format", "json"], ["lattice"],
+                                     ["export", "--format", "json"]],
+                         ids=["sct-json", "lattice", "export-json"])
+def test_json_output_of_a_product_nested_493_deep(tmp_path, command):
+    """A one-factor product of C2 nested 493 deep, the deepest the reader
+    accepts in a fresh process, is echoed as json.dumps writes it, and the
+    rest of the output is that of the product of C2 alone."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # this process writes and reads the nesting
+    try:
+        runs = []
+        for depth in (493, 1):
+            spec = {"kind": "cyclic", "n": 2}
+            for _ in range(depth):
+                spec = {"kind": "product", "factors": [spec]}
+            group = tmp_path / f"g{depth}.json"
+            group.write_text(json.dumps(spec))
+            done = run_fresh([*command, "--group", str(group)])
+            assert (done.returncode, done.stderr) == (0, "")
+            runs.append((spec, done.stdout))
+        (spec, out), (_, shallow) = runs
+        payload = json.loads(out)
+        assert payload.pop("group") == spec
+        assert out == json.dumps({**payload, "group": spec}, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+    assert payload == {k: v for k, v in json.loads(shallow).items() if k != "group"}
+
+
+@pytest.mark.parametrize("source_map, message, witness", [
+    ([0, 2, 4], "length 3", {"field": "map", "index": 3}),
+    ([0, 2, 4, 6, 8, 7, 12], "length 7", {"field": "map", "index": 6, "value": 12}),
+    ([0, 2, 4, 6, 8, 12], "out of range", {"field": "map", "index": 5, "value": 12}),
+    ([0, 2, -4, 6, 8, 10], "out of range", {"field": "map", "index": 2, "value": -4}),
+    ([0, 2, 4, 6, 2, 10], "not injective", {"field": "map", "index": 4, "value": 2}),
+    ([2, 4, 6, 8, 10, 0], "identity", {"field": "map", "index": 0, "value": 2}),
+], ids=["short", "long", "above", "negative", "repeat", "identity"])
+def test_embedding_errors_name_the_first_offending_index(files, capsys, source_map, message,
+                                                         witness):
+    tmp, write = files
+    code, out = run(["restrict", "--group", write("c12.json", {"kind": "cyclic", "n": 12}),
+                     "--embedding", write("e.json", {"source": {"kind": "cyclic", "n": 6},
+                                                     "map": source_map}),
+                     "--anchor", write("a.json", {"node": [0, 6]})], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["category"] == "ConstructionError" and message in error["message"]
+    assert (error["check"], error["witness"]) == ("embedding", witness)
 
 
 def test_an_error_goes_to_stdout_when_out_cannot_be_written(files, capsys):

@@ -16,7 +16,7 @@ from latsuper import (
 )
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper import groups
-from latsuper.groups import MAX_ORDER, PrimePowerField, _bits, closure_mask, mask_of
+from latsuper.groups import MAX_ORDER, _bits, closure_mask, mask_of
 
 from corpus import cyclic_group, vector_space_group
 
@@ -42,17 +42,13 @@ def test_vector_space_f2_self_inverse():
         assert G.inv[g] == g
 
 
-def test_vector_space_prime_power_field():
-    f4 = PrimePowerField(4)
-    assert f4.modulus == (1, 1, 1)  # x^2 + x + 1
-    # multiplicative group of F_4 is cyclic of order 3
-    x = 2
-    assert f4.mul(x, x) == 3
-    assert f4.mul(f4.mul(x, x), x) == 1
-    f9 = PrimePowerField(9)
-    nonzero = [a for a in f9.elements() if a != 0]
-    for a in nonzero:
-        assert sorted(f9.mul(a, b) for b in nonzero) == nonzero
+@pytest.mark.parametrize("q, p, k", [(2, 2, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2), (25, 5, 2)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_vector_space_is_a_product_of_cyclic_groups(q, p, k, dim):
+    # F_q^dim under addition is C_p^(k dim), built without field arithmetic
+    G = make_group(GroupSpec.vector_space(q, dim))
+    assert G.name == f"F{q}^{dim}"
+    assert G.mul == make_group(GroupSpec.product([GroupSpec.cyclic(p)] * (k * dim))).mul
 
 
 def test_conjugacy_classes_abelian_singletons():

@@ -10,7 +10,6 @@ import json
 from functools import lru_cache, reduce
 from itertools import permutations
 from operator import and_, or_
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +34,6 @@ from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
 from latsuper.errors import InternalConsistencyError
 from latsuper.groups import (
-    PrimePowerField,
-    VectorSpaceData,
     closure_mask,
     conjugacy_classes,
     mask_of,
@@ -45,9 +42,9 @@ from latsuper.lattice import (
     _cyclic_subgroups,
     _first_violation,
     _join_closure,
+    _subspace_count,
     closed_sublattice,
     distributive_analysis,
-    subspace_lattice,
 )
 from latsuper.oracle import brute_force_normal_subgroups
 
@@ -55,10 +52,12 @@ from corpus import (
     DRAWN_GROUPS,
     basis_lattice,
     basis_node,
+    coordinates,
     cyclic_group,
     drawn_full_lattice,
     drawn_lattices,
     fresh_lattice,
+    subsp_lattice,
     vector_space_group,
 )
 
@@ -235,14 +234,12 @@ def test_dihedral_closed_form_matches_the_oracle():
 # One node cap, checked before the quadratic work.
 
 
-def test_f2_8_subspace_lattice_hits_the_cap_before_enumerating():
-    # F2^8 has 417,199 subspaces.  The stand-in group has no multiplication
-    # table, so only a count made before any enumeration can reject it.
-    F2_8 = SimpleNamespace(vs=VectorSpaceData(field=PrimePowerField(2), dim=8))
-    with pytest.raises(CapacityError) as info:
-        subspace_lattice(F2_8)
-    assert info.value.check == "subgroup_cap"
-    assert info.value.witness == 417199
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_subspace_count_matches_the_enumerated_subspaces(q, dim):
+    # the count that refuses F_p^d before enumeration, against the subspaces
+    # the corpus closes from the lines F_q v
+    assert len(subsp_lattice(q, dim)) == _subspace_count(q, dim)
 
 
 def _raw_table(G):
@@ -279,7 +276,6 @@ def test_every_constructor_checks_the_node_cap(monkeypatch):
     for build in (
         lambda: normal_lattice(cyclic_group(12)),
         lambda: closed_sublattice(L.group, L.nodes),
-        lambda: subspace_lattice(vector_space_group(2, 2)),
         lambda: NormalLattice(L.group, L.nodes),
     ):
         with pytest.raises(CapacityError):
@@ -632,7 +628,7 @@ def test_basis_spans_match_decoded_coordinates(q, dim):
 
     def decoded_span(subset):
         return mask_of(v for v in range(G.order)
-                       if all(c == 0 for i, c in enumerate(G.vs.decode(v)) if i not in subset))
+                       if all(c == 0 for i, c in enumerate(coordinates(G, v)) if i not in subset))
 
     subsets = [{i for i in range(dim) if (bits >> i) & 1} for bits in range(1 << dim)]
     assert {s.mask for s in L.nodes} == {decoded_span(subset) for subset in subsets}

@@ -181,8 +181,7 @@ def test_sc3_basis_lattice_kernel_blocks():
     L = basis_lattice(2, 2)
     G = L.group
     _, psis = dual_rows(G)
-    vs = G.vs
-    e0, e1 = basis_vector(vs, 0), basis_vector(vs, 1)
+    e0, e1 = basis_vector(G, 0), basis_vector(G, 1)
     for psi in psis:
         basis_in_kernel = {i for i, v in ((0, e0), (1, e1)) if psi[v] == 0}
         kernel = mask_of(kernel_of(psi))

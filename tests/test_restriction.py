@@ -24,11 +24,13 @@ from corpus import (
     basis_lattice,
     basis_node,
     basis_vector,
+    coordinates,
     cyclic_group,
     cyclic_lattice,
     node_of_size,
     q8_lattice,
     restricted_row,
+    scale,
     vector_space_group,
 )
 
@@ -48,19 +50,17 @@ def blocksum_embedding(q, blocks, target_dim):
     the target basis vectors in blocks[i]."""
     H = vector_space_group(q, len(blocks))
     G = vector_space_group(q, target_dim)
-    vs_h, vs_g = H.vs, G.vs
     images = []
     for block in blocks:
         v = 0
         for i in block:
-            v = G.mul[v][basis_vector(vs_g, i)]
+            v = G.mul[v][basis_vector(G, i)]
         images.append(v)
     phi = []
     for h in range(H.order):
-        coords = vs_h.decode(h)
         g = 0
-        for c, img in zip(coords, images):
-            g = G.mul[g][vs_g.scale(c, img)]
+        for c, img in zip(coordinates(H, h), images):
+            g = G.mul[g][scale(G, c, img)]
         phi.append(g)
     return GroupEmbedding(H, G, tuple(phi))
 
@@ -270,7 +270,7 @@ def test_blocksum_full_scan():
             # paper label rule: keep the blocks meeting the removed set evenly
             removed = [
                 i for i in range(dim)
-                if not (LG.nodes[n].mask >> basis_vector(LG.group.vs, i)) & 1
+                if not (LG.nodes[n].mask >> basis_vector(LG.group, i)) & 1
             ]
             expected = [
                 j for j, block in enumerate(blocks)

@@ -23,7 +23,6 @@ KEPT = (
     "oracle.ramanujan_sum",
     # public API with no caller in the package
     "lattice.product_to_cover_map",
-    "lattice.subspace_lattice",
     # test corpus and CLI fixtures; latbench counts src/ lines by module name
     "catalog.symmetric_group",
     "catalog.dihedral_group",
