@@ -11,11 +11,13 @@ lattice has each node certified as a subgroup closed under conjugation.
 The SC3 check enumerates the dual along a coset walk of a generating
 sequence, as bytes rows when e <= 255 and int tuples above, already sorted
 by their exponents in element order, and checks one X-block at a time.
+The Schur check counts each block K_i against every block at once, as the
+base-W digits of one integer per element, a digit at most |K_i| < W; over a
+partition the counts c_ij(x) sum over i to |K_j|, so the largest is skipped.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod
@@ -321,70 +323,60 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
 
 
 
+def _pair_counts(G: GroupTable, left: list[int], right: list[int]) -> list[int]:
+    """How often each element is a product a*b with a in left and b in right."""
+    counts = [0] * G.order
+    for a in left:
+        row = G.mul[a]
+        for b in right:
+            counts[row[b]] += 1
+    return counts
+
+
 def schur_closure_check(L: "NormalLattice", theory: "SCTheory") -> dict:
     """Convolution of superclass sums must have constant multiplicity on each
     superclass of theory, a theory on the nodes of L.  Only the group of L is
     read: the theory holds no lattice.
 
-    Each block's multiplicity is read at its least element, rep_of[g].  Every
-    product of every pair of blocks K_i, K_j is counted, in one of two ways:
+    Each block K_i is counted against every block at once.  Element g weighs
+    W^t, t the position of its block among the block nodes and W one more
+    than the largest block size, so digit t of h_i[x] = sum over a in K_i of
+    weight[a^-1 x] counts the products a*b = x with b in K_t: at most |K_i| <
+    W, so no digit carries.  Block i passes when h_i equals its values at the
+    least element of each block, rep_of[x].  The largest block is not counted:
+    over a partition, the counts c_ij(x) summed over i are |K_j| at every x.
 
-    - dense (|K_i| |K_j| >= |G|, where a list is faster than a Counter):
-      counts in a |G|-long list, and the pair passes when the counts equal
-      their values at the representatives (one list comparison);
-    - sparse (|K_i| |K_j| < |G|): counts of the elements hit only, and the
-      pair passes when every hit x has the count of rep_of[x] and the hits fill
-      the blocks of the hit representatives exactly (their sizes sum to the
-      number of distinct hits).  Together these say the dense counts are
-      constant on every block.
-
-    Only a failing pair is rescanned densely, block by block, for the first
-    witness.  Blocks that are not a partition into nonempty sets (never those
-    of build_superclasses) are counted densely and scanned block by block for
-    every pair."""
+    If the blocks are no partition into nonempty sets (never those of
+    build_superclasses) or a block fails, every pair (i, j) is counted in
+    node order and scanned block by block for the first witness."""
     G = L.group
     part = theory.partition
     nodes, reps, rep_of, is_partition = _representatives(part)
     members = {k: list(_bits(part.blocks[k])) for k in nodes}
-    # the products a*K_j of one a, as one tuple or (|K_j| = 1) one element
-    right_of = {k: itemgetter(*members[k]) for k in nodes if members[k]}
-    size_of_rep = {rep: len(members[k]) for k, rep in zip(nodes, reps)}
-
-    def dense_counts(i: int, j: int) -> list[int]:
-        counts = [0] * G.order
-        right = members[j]
-        for a in members[i]:
-            row = G.mul[a]
-            for b in right:
-                counts[row[b]] += 1
-        return counts
-
-    def raise_first_witness(i: int, j: int, counts: list[int]) -> None:
-        for k, rep in zip(nodes, reps):
-            for g in members[k]:
-                if counts[g] != counts[rep]:
-                    raise VerificationError(
-                        "superclass convolution is not constant on a block",
-                        check="schur_closure",
-                        witness={"blocks": [i, j, k], "elements": [rep, g]},
-                    )
-
+    if is_partition:
+        largest = max(nodes, key=lambda k: len(members[k]))
+        base = len(members[largest]) + 1
+        power = {rep: base**t for t, rep in enumerate(reps)}
+        weight = list(map(power.__getitem__, rep_of))
+        for i in filter(largest.__ne__, nodes):
+            packed = [0] * G.order
+            for a in members[i]:
+                packed = list(map(add, packed, map(weight.__getitem__, G.mul[G.inv[a]])))
+            if packed != list(map(packed.__getitem__, rep_of)):
+                break
+        else:
+            return {"status": "pass"}
     for i in nodes:
-        rows_i = list(map(G.mul.__getitem__, members[i]))
         for j in nodes:
-            right = members[j]
-            if is_partition and len(rows_i) * len(right) < G.order:
-                products = map(right_of[j], rows_i)
-                hits = Counter(products if len(right) == 1 else chain.from_iterable(products))
-                hit_reps = set(map(rep_of.__getitem__, hits))
-                at_rep_of = list(map(hits.__getitem__, map(rep_of.__getitem__, hits)))
-                if (list(hits.values()) != at_rep_of
-                        or sum(map(size_of_rep.__getitem__, hit_reps)) != len(hits)):
-                    raise_first_witness(i, j, dense_counts(i, j))
-                continue
-            counts = dense_counts(i, j)
-            if not is_partition or counts != list(map(counts.__getitem__, rep_of)):
-                raise_first_witness(i, j, counts)
+            counts = _pair_counts(G, members[i], members[j])
+            for k, rep in zip(nodes, reps):
+                for g in members[k]:
+                    if counts[g] != counts[rep]:
+                        raise VerificationError(
+                            "superclass convolution is not constant on a block",
+                            check="schur_closure",
+                            witness={"blocks": [i, j, k], "elements": [rep, g]},
+                        )
     return {"status": "pass"}
 
 

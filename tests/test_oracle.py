@@ -20,7 +20,8 @@ from latsuper import (
     normal_lattice,
     verify_sct,
 )
-from latsuper.catalog import quaternion_group, symmetric_group
+from latsuper import oracle
+from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.groups import Subgroup, _bits, closure_mask, is_normal, mask_of
 from latsuper.lattice import NormalLattice, closed_sublattice
 from latsuper.oracle import (
@@ -527,6 +528,87 @@ def test_overlapping_blocks_are_scanned_block_by_block():
                 "superclass convolution is not constant on a block",
                 {"blocks": [1, 1, 0], "elements": [0, 6]})
     assert outcome(schur_closure_check, L, theory) == outcome(reference_schur, L, theory) == expected
+
+
+MOVE_GROUPS = {
+    "C12": lambda: cyclic_group(12),
+    "C2xC6": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(6)])),
+    "D4": lambda: dihedral_group(4),
+    "S4": lambda: symmetric_group(4),
+    "C30": lambda: cyclic_group(30),
+}
+
+
+@lru_cache(maxsize=None)
+def move_lattice(name):
+    return normal_lattice(MOVE_GROUPS[name]())
+
+
+def moved_theory(name, source, g, target):
+    """A fresh theory of the full lattice with element g moved from block
+    source to block target."""
+    full = move_lattice(name)
+    L = NormalLattice(full.group, full.nodes, check_normal=False)
+    theory = build_theory(L)
+    theory.partition.blocks[source] &= ~(1 << g)
+    theory.partition.blocks[target] |= 1 << g
+    return L, theory
+
+
+@pytest.mark.parametrize("name", MOVE_GROUPS)
+def test_every_single_element_move_fails_like_the_reference(name):
+    """Every element of every block moved to every other block: the outcome,
+    with the block the packed pass skips as a source, target or neither, is
+    reference_schur's."""
+    part = build_theory(move_lattice(name)).partition
+    nodes = part.block_nodes()
+    moves = [(source, g, target) for source in nodes for g in _bits(part.blocks[source])
+             for target in nodes if target != source]
+    mismatches = []
+    for move in moves:
+        L, theory = moved_theory(name, *move)
+        if outcome(schur_closure_check, L, theory) != outcome(reference_schur, L, theory):
+            mismatches.append(move)
+    assert moves and mismatches == []
+
+
+def test_the_first_failing_pair_can_start_at_the_skipped_block():
+    """C2 x C6 with element 2 moved from block 4 to block 1: block 1 becomes
+    the largest, which the packed pass does not count, and the first failing
+    pair of the scan starts there."""
+    L, theory = moved_theory("C2xC6", 4, 2, 1)
+    blocks = theory.partition.blocks
+    nodes = theory.partition.block_nodes()
+    assert max(nodes, key=lambda k: blocks[k].bit_count()) == 1
+    expected = ("VerificationError", "schur_closure",
+                "superclass convolution is not constant on a block",
+                {"blocks": [1, 1, 6], "elements": [1, 5]})
+    assert outcome(schur_closure_check, L, theory) == outcome(reference_schur, L, theory) == expected
+
+
+def _boolean_c2_5_c11():
+    """The 64-node sublattice of C2^5 x C11 closed from its direct factors."""
+    G = make_group(GroupSpec.product([GroupSpec.cyclic(n) for n in (2, 2, 2, 2, 2, 11)]))
+    factors = [Subgroup(closure_mask(G, 1 << (11 << k))) for k in range(5)]
+    return closed_sublattice(G, [*factors, Subgroup(closure_mask(G, 1 << 1))])
+
+
+@pytest.mark.parametrize("name, build", [
+    ("C360 full", lambda: cyclic_lattice(360)),
+    ("C2^5xC11 boolean", _boolean_c2_5_c11),
+    ("F2^6 full", lambda: normal_lattice(vector_space_group(2, 6))),
+    ("D24 full", lambda: normal_lattice(dihedral_group(24))),
+    ("S4 full", lambda: normal_lattice(symmetric_group(4))),
+])
+def test_a_passing_schur_check_counts_no_pair(name, build, monkeypatch):
+    L = build()
+    theory = build_theory(L)
+
+    def no_pair_counts(*args):
+        raise AssertionError("the pair scan ran on a passing theory")
+
+    monkeypatch.setattr(oracle, "_pair_counts", no_pair_counts)
+    assert schur_closure_check(L, theory) == {"status": "pass"}
 
 
 def test_sc3_rejects_kernel_nodes_not_closed_under_join():

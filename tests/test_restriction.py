@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from latsuper import (
     distributive_analysis,
     restrict_decompose,
 )
+from latsuper.catalog import symmetric_group
 from latsuper.cli import main
 from latsuper.errors import UnfavorableEmbeddingError
 from latsuper.groups import _bits
@@ -75,6 +77,41 @@ def test_embedding_validation():
         GroupEmbedding(G, G, (0, 2, 1, 3, 5, 4))  # not a homomorphism
     emb = cyclic_embedding(cyclic_group(3), G)
     assert emb.map == (0, 2, 4)
+
+
+def first_non_homomorphic_pair(H, G, phi):
+    """The all-pairs scan in row-major order: the first (a, b) with
+    phi(a*b) != phi(a)*phi(b), or None."""
+    return next(([a, b] for a in range(H.order) for b in range(H.order)
+                 if phi[H.mul[a][b]] != G.mul[phi[a]][phi[b]]), None)
+
+
+def test_a_non_homomorphism_names_the_first_failing_pair():
+    with pytest.raises(ConstructionError) as info:
+        GroupEmbedding(cyclic_group(4), cyclic_group(8), (0, 2, 4, 7))
+    assert info.value.check == "embedding"
+    assert str(info.value) == "embedding is not a homomorphism at (1,2)"
+    assert info.value.witness == [1, 2]
+
+
+@pytest.mark.parametrize("H, G", [
+    (cyclic_group(4), cyclic_group(8)),
+    (symmetric_group(3), symmetric_group(3)),
+    (cyclic_group(6), symmetric_group(3)),
+], ids=["C4 into C8", "S3 into S3", "C6 into S3"])
+def test_generator_columns_decide_the_homomorphism_check(H, G):
+    """Every injective map fixing the identity passes exactly when no pair
+    fails, and otherwise names the pair of the row-major scan."""
+    for rest in permutations(range(1, G.order), H.order - 1):
+        phi = (0, *rest)
+        pair = first_non_homomorphic_pair(H, G, phi)
+        if pair is None:
+            assert GroupEmbedding(H, G, phi).map == phi
+            continue
+        with pytest.raises(ConstructionError) as info:
+            GroupEmbedding(H, G, phi)
+        assert (str(info.value), info.value.witness) == (
+            f"embedding is not a homomorphism at ({pair[0]},{pair[1]})", pair)
 
 
 def test_identity_context_favorable():
