@@ -4,18 +4,20 @@ Elements are indices 0..order-1 with the identity pinned at 0; subgroups are
 int bitmasks over those indices.  Groups come from structured specs (cyclic,
 vector_space(q, dim) with q = p^k, direct product) or raw tables.  Structured
 tables are built by index arithmetic on whole rows; F_q^dim under addition is
-C_p^(k dim).  Every constructor checks the table axioms at C speed,
-exhaustively at every order, by a proof that reads row 0, column 0 and the
-generator rows only.  If row 0 and column 0 are 0..n-1, the greedy generators
-S of `_generators` number at most log2 n, their rows are permutations of
-0..n-1 and Light's test over S passes, then along the walk from 0 row x*s is
-row x composed with row s: by induction every row is a permutation, and a
-finite monoid whose left multiplications are bijections is a group.  Every
-group passes with the same S (by Lagrange each generator at least doubles the
-subgroup reached).  A table that fails a step is scanned in the order rows,
-identity, Light's test, the columns before an identity or associativity error,
-so the error raised (check, message, witness) is that of the order rows,
-columns, identity, associativity.
+C_p^(k dim).  Every constructor proves the table a group at C speed,
+exhaustively at every order, reading each entry about once: row 0 and column 0
+are 0..n-1, the greedy generators S of `_generators` number at most log2 n,
+their rows are permutations, (i) on every edge y = x*s of the walk from 0 row y
+is row x composed with row s, and (ii) s*(a*t) = (s*a)*t for all a and s, t in
+S.  By (ii) the group P of the generator rows commutes with the maps a -> a*t,
+which carry 0 to every element along the walk, so only the identity of P fixes
+0 and |P| <= n.  By (i) and induction the n rows lie in P; they are distinct
+(row y sends 0 to y), so they are P, and row x composed with row y is the row
+sending 0 to x*y: associativity.  Every group passes with the same S (by
+Lagrange each generator at least doubles the subgroup reached).  A table that
+fails is scanned in the order rows, identity, Light's test, the columns before
+an identity or associativity error, so the error raised (check, message,
+witness) is that of the order rows, columns, identity, associativity.
 `is_abelian` needs no transpose: a group is abelian iff its generators commute.
 """
 
@@ -24,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, compress, count, repeat
-from operator import itemgetter, ne
+from operator import eq, itemgetter, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, ConstructionError
 
 MAX_ORDER = 4096  # desk-scale order cap: no table has more than MAX_ORDER rows
+_Walk = tuple[list[int], list[int], list[int]]  # members, src, via of `_generators`
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +183,9 @@ def read_fields(data, fields: dict, what: str, *, check: str = "shape",
 class GroupTable:
     """Immutable finite group: order, mul table, inverse table, identity = 0.
 
-    Construction proves the table a group from the generator rows and Light's
-    test (module docstring); only a table that fails the proof is scanned row
-    by row, for the first failing check.  `is_abelian` is True iff the
-    generators commute pairwise, exact because they generate the group.
+    Construction proves the table a group (module docstring); only a table
+    that fails the proof is scanned row by row, for the first failing check.
+    `is_abelian` is True iff the generators, which generate it, commute pairwise.
     """
 
     def __init__(self, mul: Sequence[Sequence[int]], spec: GroupSpec):
@@ -192,16 +194,16 @@ class GroupTable:
         self.spec = spec
         self.name = spec.name
         self.generators, walk = self._validate()
-        self.inv = self._inverses(walk)
+        self.inv = self._inverses(*walk)
         self.is_abelian = all(self.mul[a][b] == self.mul[b][a]
                               for a, b in combinations(self.generators, 2))
         self._classes: Optional[list[int]] = None
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> tuple[list[int], list[tuple[int, int, int]]]:
-        """Check the group axioms; return the generators Light's test used and
-        the walk of `_generators` that reached every element from them."""
+    def _validate(self) -> tuple[list[int], _Walk]:
+        """Prove the table a group (module docstring); return the generators
+        and the walk of `_generators` that reached every element from them."""
         n, mul = self.order, self.mul
         if n < 1:
             raise ConstructionError("empty multiplication table", check="order")
@@ -212,13 +214,28 @@ class GroupTable:
             if mul[0] == ident and tuple(map(itemgetter(0), mul)) == ident:
                 gens, walk = self._generators()
                 if (1 << len(gens) <= n and all(tuple(sorted(mul[s])) == ident for s in gens)
-                        and self._light_test(gens) is None):
+                        and self._proof(gens, walk)):
                     return gens, walk
         except (IndexError, TypeError):  # a short row or an entry out of range
             pass
         return self._scan(ident)
 
-    def _scan(self, ident: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    def _proof(self, gens: list[int], walk: _Walk) -> bool:
+        """(i) row y is row x composed with row s on every walk edge y = x*s,
+        one gather per edge; then, the rows proved permutations, (ii)
+        s*(a*t) == (s*a)*t for every a and s, t in gens, two gathers a pair."""
+        mul, row = self.mul, self.mul.__getitem__
+        _, src, via = walk
+        composes = [itemgetter(*mul[s]) for s in gens]  # row x -> row x composed with row s
+        for s, compose in zip(gens, composes):
+            ys = list(compress(count(), map(s.__eq__, via)))
+            if not all(map(eq, map(row, ys), map(compose, map(row, map(src.__getitem__, ys))))):
+                return False
+        columns = [(col, itemgetter(*col)) for col in (tuple(map(itemgetter(t), mul)) for t in gens)]
+        return all(through_col(mul[s]) == compose(col)
+                   for s, compose in zip(gens, composes) for col, through_col in columns)
+
+    def _scan(self, ident: tuple[int, ...]) -> tuple[list[int], _Walk]:
         """Raise for the first failing check: rows, identity, Light's test."""
         n, mul = self.order, self.mul
         full = frozenset(ident)  # faster than sorted(row) except on rotations
@@ -252,18 +269,19 @@ class GroupTable:
                 raise ConstructionError(f"column {c} is not a permutation of 0..{len(ident) - 1}",
                                         check="latin_square", witness=c)
 
-    def _generators(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+    def _generators(self) -> tuple[list[int], _Walk]:
         """A set S such that every element is 0 or a product s1*s2*...*sk of
         elements of S, multiplied left to right; found by right-multiplication
-        reachability from 0.  The walk lists every element y but 0 once, as
-        (y, x, s) with y = x*s, s in S and x listed before y (or 0)."""
-        mul = self.mul
-        reached = bytearray(self.order)
+        reachability from 0.  The walk is (members, src, via): members lists
+        every element once in the order reached, 0 first, and y = src[y]*via[y]
+        with via[y] in S and src[y] listed before y, for every y but 0."""
+        n, mul = self.order, self.mul
+        reached = bytearray(n)
         reached[0] = 1
         members = [0]
-        walk: list[tuple[int, int, int]] = []
+        src, via = [0] * n, [0] * n
         gens: list[int] = []
-        for g in range(self.order):
+        for g in range(n):
             if reached[g]:
                 continue
             gens.append(g)
@@ -277,25 +295,24 @@ class GroupTable:
                     if not reached[y]:
                         reached[y] = 1
                         members.append(y)
-                        walk.append((y, x, s))
+                        src[y], via[y] = x, s
                 i += 1
-        return gens, walk
+        return gens, (members, src, via)
 
-    def _inverses(self, walk: list[tuple[int, int, int]]) -> tuple[int, ...]:
+    def _inverses(self, members: list[int], src: list[int], via: list[int]) -> tuple[int, ...]:
         """inv(x*s) = inv(s)*inv(x) along the walk, with one row scan per
         generator for inv(s): O(n) after validation has proved a group."""
         mul = self.mul
         inv = [0] * self.order
-        inv_gen = {s: mul[s].index(0) for s in self.generators}
-        for y, x, s in walk:
-            inv[y] = mul[inv_gen[s]][inv[x]]
+        inv_row = {s: mul[mul[s].index(0)] for s in self.generators}
+        for y in members[1:]:
+            inv[y] = inv_row[via[y]][inv[src[y]]]
         return tuple(inv)
 
     def _light_test(self, gens: list[int]) -> Optional[tuple[int, int]]:
-        """Light's test: the first (a, g), g in gens, with row a*g not row a
-        composed with row g, or None; both rows are built at C speed.  The g
-        with (a*g)*c == a*(g*c) for all a, c contain 0 and are closed under
-        products (no Latin property is needed), so generators check all."""
+        """Light's test, for the scan of a table that failed the proof: the
+        first (a, g), g in gens, with row a*g not row a composed with row g,
+        or None.  Generators suffice: the g that pass are closed under products."""
         mul = self.mul
         for g in gens:
             lhs = map(mul.__getitem__, map(itemgetter(g), mul))

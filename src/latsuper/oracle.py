@@ -35,51 +35,8 @@ if TYPE_CHECKING:
 # Elementary number theory (kept self-contained on purpose).
 
 
-def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def moebius_mu(n: int) -> int:
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    for p in prime_factors(n):
-        result = result // p * (p - 1)
-    return result
-
-
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def ramanujan_sum(n: int, k: int) -> int:
-    """c_n(k) = mu(n/g) phi(n) / phi(n/g) with g = gcd(n, k).  Reference code
-    with no caller in the package: tests compare the cyclic characters with it."""
-    g = gcd(n, k) if k else n
-    m = n // g
-    return moebius_mu(m) * euler_phi(n) // euler_phi(m)
 
 
 # ---------------------------------------------------------------------------

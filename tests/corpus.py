@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -126,6 +127,49 @@ def reference_moebius_row(L: NormalLattice, n: int) -> dict[int, int]:
         if L.leq(n, o):
             row[o] = 1 if o == n else -sum(mu for p, mu in row.items() if L.leq(p, o))
     return row
+
+
+def prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def moebius_mu(n: int) -> int:
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    if n > 1:
+        mu = -mu
+    return mu
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    for p in prime_factors(n):
+        result = result // p * (p - 1)
+    return result
+
+
+def ramanujan_sum(n: int, k: int) -> int:
+    """c_n(k) = mu(n/g) phi(n) / phi(n/g) with g = gcd(n, k): the reference
+    the characters chi^{N.} of the full lattice of C_n are compared with."""
+    g = gcd(n, k) if k else n
+    m = n // g
+    return moebius_mu(m) * euler_phi(n) // euler_phi(m)
 
 
 def rebuilt_rows(L: NormalLattice) -> list[list[int]]:

@@ -25,7 +25,6 @@ from latsuper import (
 from latsuper.cli import main as cli_main
 from latsuper.errors import FormulaInapplicableError
 from latsuper.groups import _bits
-from latsuper.oracle import prime_factors, ramanujan_sum
 from latsuper.restriction import (
     GroupEmbedding,
     build_restriction_context,
@@ -42,6 +41,8 @@ from corpus import (
     degree_sum_case,
     full_corpus,
     node_of_size,
+    prime_factors,
+    ramanujan_sum,
     rebuilt_rows,
     restricted_row,
     s3_lattice,

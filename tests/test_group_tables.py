@@ -345,7 +345,7 @@ def cycle_entries(mul, data):
 
 def plain_row(mul, data):
     """A row that is neither row 0 nor the row of a generator: a defect there
-    is first met by Light's test or the walk, not by a generator-row check."""
+    is first met by the walk or its row check, not by a generator-row check."""
     gens = reference_generators(mul)
     return data.draw(st.sampled_from([r for r in range(1, len(mul)) if r not in gens]),
                      label="row")
@@ -458,6 +458,91 @@ def test_a_tampered_table_runs_the_ordered_scan_once(monkeypatch):
     with pytest.raises(ConstructionError) as exc:
         make_group(GroupSpec.table(mul))
     assert (exc.value.check, exc.value.witness, len(calls)) == ("latin_square", 3, 1)
+
+
+
+@pytest.mark.parametrize("name", PROVED_GROUPS)
+def test_a_group_is_proved_without_lights_test(monkeypatch, name):
+    def light_test(self, *args):
+        raise AssertionError(f"{self.name} ran Light's test")
+
+    monkeypatch.setattr(GroupTable, "_light_test", light_test)
+    build, order = PROVED_GROUPS[name]
+    assert build().order == order
+
+
+def normalized_latin_squares(n):
+    """Every n x n Latin square with row 0 and column 0 equal to 0..n-1, by
+    filling the other cells row by row with the values their row and column
+    lack."""
+    full = (1 << n) - 1
+    square = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
+    in_row = [full] + [1 << r for r in range(1, n)]
+    in_col = [1 << c for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in square]
+            return
+        r, c = cells[k]
+        free = full & ~(in_row[r] | in_col[c])
+        while free:
+            bit = free & -free
+            free ^= bit
+            square[r][c] = bit.bit_length() - 1
+            in_row[r] ^= bit
+            in_col[c] ^= bit
+            yield from fill(k + 1)
+            in_row[r] ^= bit
+            in_col[c] ^= bit
+
+    return fill(0)
+
+
+def proof_checks(mul):
+    """(few, walk_rows, commute, proved): whether 2^|S| <= n for the greedy
+    generators S; (i) row y equals row x composed with row s on every edge
+    y = x*s of the walk of `GroupTable._generators`, and (ii) s*(a*t) ==
+    (s*a)*t for all a and s, t in S, both entry by entry; and what
+    `GroupTable._proof` says on the same walk."""
+    n = len(mul)
+    G = object.__new__(GroupTable)  # the table, not yet validated
+    G.mul, G.order = tuple(map(tuple, mul)), n
+    gens, walk = G._generators()
+    members, src, via = walk
+    assert gens == reference_generators(mul) and sorted(members) == list(range(n))
+    walk_rows = all(mul[y][c] == mul[src[y]][mul[via[y]][c]]
+                    for y in members[1:] for c in range(n))
+    commute = all(mul[s][mul[a][t]] == mul[mul[s][a]][t]
+                  for s in gens for t in gens for a in range(n))
+    return 1 << len(gens) <= n, walk_rows, commute, G._proof(gens, walk)
+
+
+def test_every_latin_square_to_order_6_is_proved_or_refused_as_the_reference():
+    groups, only_walk_rows, only_commute = 0, 0, 0
+    squares = 0
+    for n in range(2, 7):
+        for mul in normalized_latin_squares(n):
+            squares += 1
+            expected = reference_error(mul)
+            few, walk_rows, commute, proved = proof_checks(mul)
+            assert proved == (walk_rows and commute), mul
+            if n == 6 and few:
+                only_walk_rows += walk_rows and not commute
+                only_commute += commute and not walk_rows
+            try:
+                G = make_group(GroupSpec.table(mul))
+            except ConstructionError as exc:
+                assert (exc.check, str(exc), exc.witness) == expected
+                assert not (few and proved)
+            else:
+                assert expected is None and few and proved
+                assert G.mul == tuple(map(tuple, mul))
+                groups += 1
+    assert (squares, groups) == (9470, 92)
+    # neither check alone proves a table a group
+    assert (only_walk_rows, only_commute) == (88, 366)
 
 
 ABELIAN_TEST_GROUPS = {

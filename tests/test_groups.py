@@ -264,8 +264,9 @@ def intercalated_cyclic(n: int, r: int, c: int) -> list[list[int]]:
 
 
 def test_rejects_nonassociative_table_above_order_512():
-    # every order gets Light's test; a check sampling 10 triples per element
-    # accepted this table
+    # every order gets the full proof of the groups module (walk rows and
+    # generator commutation); a check sampling 10 triples per element accepted
+    # this table
     table = intercalated_cyclic(600, 1, 2)
     loop = [
         [0, 1, 2, 3, 4],

@@ -30,9 +30,6 @@ from latsuper.oracle import (
     cross_check_normal_lattice,
     cyclotomic_polynomial,
     cyclotomic_residue,
-    euler_phi,
-    moebius_mu,
-    ramanujan_sum,
     schur_closure_check,
     verify_sc3_abelian,
 )
@@ -45,7 +42,10 @@ from corpus import (
     cyclic_group,
     cyclic_lattice,
     drawn_lattices,
+    euler_phi,
     fresh_lattice,
+    moebius_mu,
+    ramanujan_sum,
     s3_lattice,
     subsp_lattice,
     vector_space_group,

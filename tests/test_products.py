@@ -11,7 +11,7 @@ from latsuper import (
 )
 from latsuper.products import decompose_class_function
 
-from corpus import cyclic_lattice, node_of_size, q8_lattice, s3_lattice, small_corpus
+from corpus import cyclic_lattice, node_of_size, prime_factors, q8_lattice, s3_lattice, small_corpus
 
 
 def test_decompose_supercharacter_is_indicator():
@@ -88,8 +88,6 @@ def test_tensor_product_top_with_itself():
 def test_tensor_product_cyclic_prime_set_criterion():
     # hypotheses hold iff primes(n/gcd) == primes(lcm/gcd), for all a,b | n <= 60
     from math import gcd
-
-    from latsuper.oracle import prime_factors
 
     for n in range(2, 61):
         L = cyclic_lattice(n)

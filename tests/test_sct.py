@@ -29,7 +29,6 @@ from latsuper import (
 from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.groups import _bits
 from latsuper.lattice import closed_sublattice, is_general_position
-from latsuper.oracle import prime_factors, ramanujan_sum
 
 from corpus import (
     DRAWN_GROUPS,
@@ -41,6 +40,8 @@ from corpus import (
     drawn_lattices,
     node_of_size,
     q8_lattice,
+    prime_factors,
+    ramanujan_sum,
     rebuilt_rows,
     reference_moebius_row,
     s3_lattice,

@@ -19,8 +19,6 @@ SRC = Path(latsuper.__file__).parent
 SPANS_PY = Path(__file__).resolve().parent.parent / "latbench" / "spans.py"
 
 KEPT = (
-    # reference code: tests compare the package's results with them
-    "oracle.ramanujan_sum",
     # public API with no caller in the package
     "lattice.product_to_cover_map",
     # test corpus and CLI fixtures; latbench counts src/ lines by module name
