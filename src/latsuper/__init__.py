@@ -17,7 +17,6 @@ from .errors import (
 from .groups import (
     GroupSpec,
     GroupTable,
-    Subgroup,
     conjugacy_classes,
     is_normal,
     make_group,

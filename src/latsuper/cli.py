@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import oracle
 from .errors import ArgumentError, ConstructionError, InputError, LatsuperError
-from .groups import GroupSpec, GroupTable, Subgroup, _bits, make_group, mask_of, read_fields
+from .groups import GroupSpec, GroupTable, _bits, make_group, mask_of, read_fields
 from .lattice import (
     NormalLattice,
     closed_sublattice,
@@ -89,10 +89,10 @@ def _lattice_of(G: GroupTable, data) -> NormalLattice:
                          bare=True, one=True)
     if "nodes" in fields:
         # strict mode: the listed nodes must already be a closed sublattice
-        nodes = [Subgroup(_mask_of_elements(G, "nodes", e)) for e in fields["nodes"]]
+        nodes = [_mask_of_elements(G, "nodes", e) for e in fields["nodes"]]
         return NormalLattice(G, nodes, check_normal=True)
-    return closed_sublattice(G, [Subgroup(_mask_of_elements(G, "generators", e))
-                                 for e in fields["generators"]])
+    gens = [_mask_of_elements(G, "generators", e) for e in fields["generators"]]
+    return closed_sublattice(G, gens)
 
 
 def _node_from_elements(L: NormalLattice, field: str, elements: Sequence[int]) -> int:
@@ -188,7 +188,7 @@ def table_payload(L: NormalLattice) -> dict:
                 "index": i,
                 "label": L.node_label(i),
                 "order": L.size(i),
-                "elements": L.nodes[i].to_json(),
+                "elements": list(_bits(L.nodes[i])),
             }
             for i in range(len(L.nodes))
         ],

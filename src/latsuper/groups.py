@@ -433,24 +433,7 @@ def _factors(spec: GroupSpec) -> list[GroupSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Subgroups as bitmasks.
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup stored as a bitmask over element indices."""
-
-    mask: int
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def elements(self) -> Iterator[int]:
-        return _bits(self.mask)
-
-    def to_json(self) -> list[int]:
-        return list(self.elements())
+# Subsets as int bitmasks: subgroups and classes over the element indices.
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -521,13 +504,13 @@ def closure_mask(G: GroupTable, mask: int) -> int:
     return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
-def is_normal(G: GroupTable, H: Subgroup) -> bool:
+def is_normal(G: GroupTable, H: int) -> bool:
     """True iff g H g^-1 = H for all g: the finite set H is mapped into itself
     by conjugation by each generator of G, so by their products, which are all
     of G.  |generators| * |H| lookups; True at once when G is abelian."""
     if G.is_abelian:
         return True
-    inside = set(H.elements())
+    inside = set(_bits(H))
 
     def conjugates(g: int) -> Iterator[int]:  # g*h*g^-1 for h in H, row by row
         return map(itemgetter(G.inv[g]), map(G.mul.__getitem__, map(G.mul[g].__getitem__, inside)))

@@ -1,8 +1,8 @@
 """Lattices of normal subgroups: order structure, covers, irreducibles,
 distributivity and the Birkhoff antichain machinery.
 
-A NormalLattice owns a list of normal subgroups (bitmask Subgroups) of one
-group, closed under join (subgroup product) and meet (intersection), always
+A NormalLattice owns a list of normal subgroups (int bitmasks) of one group,
+closed under join (subgroup product) and meet (intersection), always
 containing the trivial subgroup and the whole group.  Nodes are referenced by
 their index in ``nodes``, sorted by size.  Group elements are multiplied only
 to enumerate nodes, and the builders (normal_lattice, closed_sublattice) look
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
-    Subgroup,
     _bits,
     closure_mask,
     conjugacy_classes,
@@ -52,19 +51,19 @@ SUBGROUP_ENUM_CAP = 20000
 
 class NormalLattice:
     """A sublattice of the normal subgroups of a finite group, its order kept
-    as up_mask/down_mask, its covers as index lists and its meet- and
+    as up_mask/down_mask, its upper covers as index lists and its meet- and
     join-irreducibles (one upper, one lower cover) as index tuples.
     _build_order certifies closure by meeting every node with each
     meet-irreducible and joining it with each join-irreducible.  With
     check_normal=False the caller vouches that every node is normal, which the
     product formula certifying joins needs."""
 
-    def __init__(self, group: GroupTable, nodes: Sequence[Subgroup], *, check_normal: bool = True):
+    def __init__(self, group: GroupTable, nodes: Sequence[int], *, check_normal: bool = True):
         self.group = group
         distinct = set(nodes)
         _check_cap(len(distinct))
-        self.nodes: list[Subgroup] = sorted(distinct, key=lambda s: (s.size, s.mask))
-        self._index = {s.mask: i for i, s in enumerate(self.nodes)}
+        self.nodes: list[int] = sorted(distinct, key=lambda s: (s.bit_count(), s))
+        self._index = {s: i for i, s in enumerate(self.nodes)}
         self._validate(check_normal)
         self._build_order()
         self._distributive: Optional["DistributiveAnalysis"] = None
@@ -84,10 +83,9 @@ class NormalLattice:
         if check_normal:
             bad = _first_non_normal(G, self.nodes)
             if bad is not None:
-                raise ConstructionError(
-                    f"node {bad.to_json()} is not normal", check="normality",
-                    witness=bad.to_json(),
-                )
+                elements = list(_bits(bad))
+                raise ConstructionError(f"node {elements} is not normal", check="normality",
+                                        witness=elements)
 
     def _build_order(self) -> None:
         # Nodes are sorted by size: N_i <= N_j needs j >= i.  For each i in
@@ -96,8 +94,8 @@ class NormalLattice:
         # requires to have the size of the product N_i N_p, must satisfy the
         # product formula.  A p above i needs no check.
         m = len(self.nodes)
-        masks = [s.mask for s in self.nodes]
-        sizes = [s.size for s in self.nodes]
+        masks = self.nodes
+        sizes = [s.bit_count() for s in masks]
         up = self.up_mask = [0] * m    # up_mask[i]: bitmask of j with nodes[i] <= nodes[j]
         down = self.down_mask = [0] * m
         for i in range(m):
@@ -110,7 +108,6 @@ class NormalLattice:
         self.top = self._index[(1 << self.group.order) - 1]
         upper = _upper_covers(up)
         self.covers_up: list[list[int]] = [list(_bits(c)) for c in upper]
-        self.covers_down = [[i for i in _bits(down[j]) if upper[i] >> j & 1] for j in range(m)]
         self.meet_irreducibles, self.join_irreducibles = _irreducibles(upper)
         meet_irr, join_irr = mask_of(self.meet_irreducibles), mask_of(self.join_irreducibles)
         for i in range(m):
@@ -127,7 +124,7 @@ class NormalLattice:
                                             check="join_closure", witness=self._pair(i, p))
 
     def _pair(self, i: int, j: int) -> list[list[int]]:
-        return [self.nodes[k].to_json() for k in sorted((i, j))]
+        return [list(_bits(self.nodes[k])) for k in sorted((i, j))]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -181,11 +178,11 @@ class NormalLattice:
         return list(_bits(self.up_mask[i] & self.down_mask[j]))
 
     def size(self, i: int) -> int:
-        return self.nodes[i].size
+        return self.nodes[i].bit_count()
 
     def node_label(self, i: int) -> str:
         if self.group.spec.kind == "cyclic":
-            return f"C{self.nodes[i].size}"
+            return f"C{self.size(i)}"
         return f"N{i}"
 
     def __repr__(self) -> str:
@@ -204,18 +201,18 @@ def _check_cap(count: int) -> None:
         )
 
 
-def _first_non_normal(G: GroupTable, subs: Iterable[Subgroup]) -> Optional[Subgroup]:
-    """Raise ArgumentError at the first of subs that is not its own closure (not
-    a subgroup); return the first that is not a union of conjugacy classes (not
-    normal, never when G is abelian), or None."""
+def _first_non_normal(G: GroupTable, masks: Iterable[int]) -> Optional[int]:
+    """Raise ArgumentError at the first of masks that is not its own closure
+    (not a subgroup); return the first that is not a union of conjugacy classes
+    (not normal, never when G is abelian), or None."""
     classes = () if G.is_abelian else conjugacy_classes(G)
-    for sub in subs:
-        mask = sub.mask
+    for mask in masks:
         if mask >> G.order or closure_mask(G, mask) != mask:
-            raise ArgumentError(f"{sub.to_json()} is not a subgroup", check="subgroup",
-                                witness=sub.to_json())
+            elements = list(_bits(mask))
+            raise ArgumentError(f"{elements} is not a subgroup", check="subgroup",
+                                witness=elements)
         if any(c & mask and c & ~mask for c in classes):
-            return sub
+            return mask
     return None
 
 
@@ -354,10 +351,10 @@ def normal_lattice(G: GroupTable) -> NormalLattice:
             _check_cap(_subspace_count(p, d))
     else:
         gens = [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
-    return NormalLattice(G, [Subgroup(m) for m in _join_closure(G, gens).masks], check_normal=True)
+    return NormalLattice(G, _join_closure(G, gens).masks, check_normal=True)
 
 
-def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
+def closed_sublattice(G: GroupTable, gens: Sequence[int]) -> NormalLattice:
     """Smallest lattice containing gens plus the trivial subgroup and G.
 
     The join closure of gens and G grows in rounds through its _JoinIndex:
@@ -369,11 +366,10 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
     """
     bad = _first_non_normal(G, gens)
     if bad is not None:
-        raise ArgumentError(
-            f"generator {bad.to_json()} is not a normal subgroup", check="normality",
-            witness=bad.to_json(),
-        )
-    index = _join_closure(G, [(1 << G.order) - 1, *(s.mask for s in gens)])
+        elements = list(_bits(bad))
+        raise ArgumentError(f"generator {elements} is not a normal subgroup",
+                            check="normality", witness=elements)
+    index = _join_closure(G, [(1 << G.order) - 1, *gens])
     masks, up = index.masks, index.up
     known = 0
     while known < len(masks):
@@ -384,7 +380,7 @@ def closed_sublattice(G: GroupTable, gens: Sequence[Subgroup]) -> NormalLattice:
                 index.add(a & masks[p])
             for p in _bits(join_irr & ~up[i]):
                 index.add_join(G, i, p)
-    return NormalLattice(G, [Subgroup(m) for m in masks], check_normal=False)
+    return NormalLattice(G, masks, check_normal=False)
 
 
 def _subspace_count(q: int, dim: int) -> int:
@@ -520,7 +516,7 @@ def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
     bset = _check_antichain(L, B, L.join_irreducibles, "product irreducible")
     top = L.join_all(bset)
     mapping: dict[int, int] = {}
-    for lnode in L.covers_down[top]:
+    for lnode in [i for i in _bits(L.down_mask[top]) if top in L.covers_up[i]]:
         hits = [k for k in bset if L.meet(k, lnode) != k]
         if len(hits) != 1:
             raise InternalConsistencyError(
@@ -531,7 +527,8 @@ def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
     # verify the stated inverse: K -> M_K * join(B - K)
     inverse: dict[int, int] = {}
     for k in bset:
-        m_k = L.covers_down[k][0]
+        # k is join-irreducible: its one lower cover is the largest node below it
+        m_k = (L.down_mask[k] ^ 1 << k).bit_length() - 1
         inverse[k] = L.join_all([m_k, *(b for b in bset if b != k)])
     if sorted(mapping.values()) != sorted(bset) or any(
         mapping[inverse[k]] != k for k in bset
@@ -573,7 +570,7 @@ def cover_to_irreducible_map(L: NormalLattice, A: Sequence[int]) -> dict[int, in
 def lattice_to_json(L: NormalLattice) -> dict:
     return {
         "group": L.group.spec.to_json(),
-        "nodes": [s.to_json() for s in L.nodes],
+        "nodes": [list(_bits(s)) for s in L.nodes],
         "labels": [L.node_label(i) for i in range(len(L.nodes))],
         "hasse": sorted([i, j] for i in range(len(L.nodes)) for j in L.covers_up[i]),
     }

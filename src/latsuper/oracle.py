@@ -24,7 +24,7 @@ from operator import add, itemgetter, mod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArgumentError, CapacityError, LatsuperError, VerificationError
-from .groups import GroupTable, Subgroup, _bits, closure_mask, is_normal, mask_of
+from .groups import GroupTable, _bits, closure_mask, is_normal, mask_of
 
 if TYPE_CHECKING:
     from .lattice import NormalLattice
@@ -118,16 +118,14 @@ def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
     row shifted by j times the value chosen for g, coset after coset: no sort
     and no per-element index.
 
-    Each generator is the least element outside the span of the earlier ones,
-    so two characters first differ, in element order, at the first generator
-    where they differ.  Rows are extended in order and with ascending values,
-    so they come sorted by their exponents read in element order."""
+    Each generator of G is the least element outside the span of the earlier
+    ones, so two characters first differ, in element order, at the first
+    generator where they differ.  Rows are extended in order and with
+    ascending values, so they come sorted by their exponents in element order."""
     if not G.is_abelian:
         raise ArgumentError("the dual walk requires an abelian group")
-    walk, inside, levels = [0], {0}, []
-    for g in range(G.order):
-        if g in inside:
-            continue
+    walk, levels = [0], []
+    for g in G.generators:
         position = {x: i for i, x in enumerate(walk)}
         d, x = 1, g
         while x not in position:
@@ -137,7 +135,6 @@ def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
         levels.append((g, d, position[x], s))
         for _ in range(d - 1):
             walk += map(G.mul[g].__getitem__, walk[-s:])
-        inside.update(walk[s:])
     e = lcm(*(G.element_order(g) for g, *_ in levels))
     residues = tuple(range(e)) * 2
     # tables[c] adds c mod e to every byte below e
@@ -202,7 +199,7 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     # node masks over walk positions, bit p for position p
     masks = []
     for s in L.nodes:
-        digits = bin(s.mask)[:1:-1].ljust(order, "0")
+        digits = bin(s)[:1:-1].ljust(order, "0")
         masks.append(int("".join(map(digits.__getitem__, reversed(walk))), 2))
     n_max_of: dict[int, int] = {}        # kernel over positions -> largest node inside
     blocks_of_dual: dict[int, list] = {}
@@ -337,7 +334,7 @@ def schur_closure_check(L: "NormalLattice", theory: "SCTheory") -> dict:
     return {"status": "pass"}
 
 
-def brute_force_normal_subgroups(G: GroupTable) -> list[Subgroup]:
+def brute_force_normal_subgroups(G: GroupTable) -> list[int]:
     """Re-derive the normal subgroups by enumerating all subgroups and
     filtering by normality.  The enumeration starts from the trivial subgroup
     and joins each subgroup X found with every distinct cyclic subgroup <g> it
@@ -371,7 +368,7 @@ def brute_force_normal_subgroups(G: GroupTable) -> list[Subgroup]:
             if bigger not in seen:
                 seen[bigger] = gens | (1 << g)
                 frontier.append(bigger)
-    return [Subgroup(m) for m in sorted(seen) if is_normal(G, Subgroup(m))]
+    return [m for m in sorted(seen) if is_normal(G, m)]
 
 
 def cross_check_normal_lattice(L: "NormalLattice", full: bool) -> dict:
@@ -380,20 +377,20 @@ def cross_check_normal_lattice(L: "NormalLattice", full: bool) -> dict:
     each node must be its own closure and normal, and nothing is enumerated."""
     G = L.group
     if full and G.order <= 256:
-        expected = {s.mask for s in brute_force_normal_subgroups(G)}
-        actual = {s.mask for s in L.nodes}
+        expected = set(brute_force_normal_subgroups(G))
+        actual = set(L.nodes)
         if expected != actual:
             raise VerificationError(
                 "normal-subgroup enumeration mismatch", check="normal_subgroups",
-                witness={"missing": [Subgroup(m).to_json() for m in sorted(expected - actual)],
-                         "extra": [Subgroup(m).to_json() for m in sorted(actual - expected)]},
+                witness={"missing": [list(_bits(m)) for m in sorted(expected - actual)],
+                         "extra": [list(_bits(m)) for m in sorted(actual - expected)]},
             )
         return {"status": "pass", "count": len(expected)}
     for node in L.nodes:
-        if node.mask >> G.order or closure_mask(G, node.mask) != node.mask or not is_normal(G, node):
+        if node >> G.order or closure_mask(G, node) != node or not is_normal(G, node):
             raise LatsuperError(
                 "sublattice node not among the normal subgroups",
-                check="normal_subgroups", witness=node.to_json(),
+                check="normal_subgroups", witness=list(_bits(node)),
             )
     skipped = {"enumeration": "skipped (order > 256)"} if full else {}
     return {"status": "pass", "nodes": len(L.nodes), **skipped}

@@ -123,7 +123,7 @@ def build_restriction_context(
     for i, node in enumerate(latticeG.nodes):
         pulled = 0
         for h in range(H.order):
-            if (node.mask >> embedding.map[h]) & 1:
+            if (node >> embedding.map[h]) & 1:
                 pulled |= 1 << h
         try:
             intersect[i] = latticeH.index_of(pulled)
@@ -145,9 +145,9 @@ def build_restriction_context(
                     continue
                 # diamond condition: the cover must be generated by M and N cap H
                 image_in_g = 0
-                for h in _bits(latticeH.nodes[nh].mask):
+                for h in _bits(latticeH.nodes[nh]):
                     image_in_g |= 1 << embedding.map[h]
-                if closure_mask(G, latticeG.nodes[m].mask | image_in_g) != latticeG.nodes[n].mask:
+                if closure_mask(G, latticeG.nodes[m] | image_in_g) != latticeG.nodes[n]:
                     index_witnesses.append((m, n))
     favorable = not r1_failures and not r2_witnesses and not index_witnesses
     return RestrictionContext(

@@ -59,8 +59,8 @@ def build_superclasses(L: NormalLattice) -> SuperclassPartition:
     for i in range(len(L.nodes)):
         below = 0
         for j in _bits(L.down_mask[i] & ~(1 << i)):
-            below |= L.nodes[j].mask
-        block = L.nodes[i].mask & ~below
+            below |= L.nodes[j]
+        block = L.nodes[i] & ~below
         if block:
             blocks[i] = block
     block_of = [-1] * L.group.order

@@ -5,16 +5,77 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import permutations
 from math import gcd
 
 from hypothesis import strategies as st
 
-from latsuper import GroupSpec, build_theory, make_group, normal_lattice
-from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.groups import Subgroup, mask_of
+from latsuper import CapacityError, GroupSpec, GroupTable, build_theory, make_group, normal_lattice
+from latsuper.groups import _bits, mask_of
 from latsuper.lattice import NormalLattice, closed_sublattice
 
 RANDOM_SUBLATTICE_SEED = 20260810
+
+
+# Small named groups built as raw tables: the nonabelian corpus and CLI fixtures.
+
+
+def symmetric_group(n: int) -> GroupTable:
+    """S_n as a table; elements ordered with the identity permutation first."""
+    if n > 7:
+        raise CapacityError(f"S_{n} is past the desk-scale cap")
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    # composition (p*q)(x) = p(q(x))
+    mul = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    g = make_group(GroupSpec.table(mul))
+    g.name = f"S{n}"
+    return g
+
+
+def dihedral_group(n: int) -> GroupTable:
+    """D_n of order 2n: elements r^i (0..n-1) then s*r^i (n..2n-1)."""
+    order = 2 * n
+    mul = [[0] * order for _ in range(order)]
+    for a in range(order):
+        ai, aflip = a % n, a >= n
+        for b in range(order):
+            bi, bflip = b % n, b >= n
+            # (s^x r^i)(s^y r^j) = s^(x+y) r^(i+j) or s^(x+y) r^(j-i) when y = 1
+            i = (bi - ai) % n if bflip else (ai + bi) % n
+            mul[a][b] = i + (n if aflip != bflip else 0)
+    g = make_group(GroupSpec.table(mul))
+    g.name = f"D{n}"
+    return g
+
+
+def quaternion_group() -> GroupTable:
+    """Q_8 = {1, -1, i, -i, j, -j, k, -k} in that element order."""
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    sign = {x: (-1 if x.startswith("-") else 1) for x in names}
+    base = {x: x.lstrip("-") for x in names}
+
+    def mul_base(a: str, b: str) -> tuple[int, str]:
+        if a == "1":
+            return 1, b
+        if b == "1":
+            return 1, a
+        if a == b:
+            return -1, "1"
+        table = {("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+                 ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j")}
+        return table[(a, b)]
+
+    idx = {x: i for i, x in enumerate(names)}
+    mul = [[0] * 8 for _ in range(8)]
+    for a in names:
+        for b in names:
+            s, c = mul_base(base[a], base[b])
+            s *= sign[a] * sign[b]
+            mul[idx[a]][idx[b]] = idx[c if s == 1 else "-" + c] if c != "1" else idx["1" if s == 1 else "-1"]
+    g = make_group(GroupSpec.table(mul))
+    g.name = "Q8"
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +122,7 @@ def subsp_lattice(q: int, dim: int) -> NormalLattice:
     subgroup generated by two subspaces is their sum)."""
     G = vector_space_group(q, dim)
     lines = {mask_of(scale(G, c, v) for c in range(q)) for v in range(1, G.order)}
-    return closed_sublattice(G, [Subgroup(line) for line in lines])
+    return closed_sublattice(G, lines)
 
 
 def basis_sublattice(G) -> NormalLattice:
@@ -70,7 +131,7 @@ def basis_sublattice(G) -> NormalLattice:
     {c q^(dim-1-i)}, which are F_q e_i, as indices are row-major."""
     q, dim = G.spec.q, G.spec.dim
     lines = [mask_of(c * q ** (dim - 1 - i) for c in range(q)) for i in range(dim)]
-    return closed_sublattice(G, [Subgroup(line) for line in lines])
+    return closed_sublattice(G, lines)
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +152,11 @@ def d4_lattice() -> NormalLattice:
 @lru_cache(maxsize=None)
 def q8_lattice() -> NormalLattice:
     return normal_lattice(quaternion_group())
+
+
+def lower_covers(L: NormalLattice, j: int) -> list[int]:
+    """The nodes that node j covers, read off down_mask and covers_up."""
+    return [i for i in _bits(L.down_mask[j]) if j in L.covers_up[i]]
 
 
 def node_of_size(L: NormalLattice, size: int) -> int:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import latsuper
 from latsuper import GroupSpec, InputError, LatsuperError, make_group, normal_lattice
-from latsuper.catalog import quaternion_group, symmetric_group
 from latsuper.cli import _emit_json, _json_chunks, _verification_checks, main, table_payload
+
+from corpus import dihedral_group, quaternion_group, symmetric_group
 
 NONASSOCIATIVE_LOOP = [
     [0, 1, 2, 3, 4],
@@ -1005,3 +1007,236 @@ def test_cover_meet_reports_the_first_failing_pair(monkeypatch, n):
                     check()
                 assert (info.value.check, info.value.witness) == ("cover_meet", expected)
             monkeypatch.undo()
+
+
+# Byte-for-byte pins of the CLI: the sha256 of the exit code and stdout of
+# each command on each group and sublattice, error payloads included, so a
+# refactor that changes any output, witness or exit code shows here.  Raw
+# tables cover the nonabelian groups, a non-subgroup generator, a non-normal
+# generator and a non-normal strict node the error witnesses.
+DIGEST_GROUPS = {
+    "c12": {"kind": "cyclic", "n": 12},
+    "c30": {"kind": "cyclic", "n": 30},
+    "f2^3": {"kind": "vector_space", "q": 2, "dim": 3},
+    "f3^2": {"kind": "vector_space", "q": 3, "dim": 2},
+    "c2xc6": {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 6}]},
+    "s4": {"kind": "table", "mul": [list(row) for row in symmetric_group(4).mul]},
+    "d4": {"kind": "table", "mul": [list(row) for row in dihedral_group(4).mul]},
+    "q8": {"kind": "table", "mul": [list(row) for row in quaternion_group().mul]},
+}
+DIGEST_SUBLATTICES = {
+    "c12/full": None,
+    "c12/generators": {"generators": [[0, 6], [0, 4, 8]]},
+    "c12/nodes": {"nodes": [[0], [0, 4, 8], [0, 2, 4, 6, 8, 10], list(range(12))]},
+    "c12/non-subgroup-generator": {"generators": [[0, 1]]},
+    "c30/full": None,
+    "c30/generators": {"generators": [[0, 15], [0, 10, 20]]},
+    "c30/nodes": {"nodes": [[0], [0, 15], [0, 10, 20], list(range(0, 30, 5)), list(range(30))]},
+    "f2^3/full": None,
+    "f2^3/generators": {"generators": [[0, 1], [0, 2], [0, 4]]},
+    "f2^3/nodes": {"nodes": [[0], [0, 1], [0, 2], [0, 1, 2, 3], list(range(8))]},
+    "f3^2/full": None,
+    "f3^2/generators": {"generators": [[0, 3, 6], [0, 1, 2]]},
+    "f3^2/nodes": {"nodes": [[0], [0, 4, 8], list(range(9))]},
+    "c2xc6/full": None,
+    "c2xc6/generators": {"generators": [[0, 6], [0, 2, 4]]},
+    "c2xc6/nodes": {"nodes": [[0], [0, 3], list(range(6)), list(range(12))]},
+    "s4/full": None,
+    "s4/generators": {"generators": [[0, 7, 16, 23]]},
+    "s4/nodes": {"nodes": [[0], [0, 7, 16, 23], list(range(24))]},
+    "s4/non-normal-node": {"nodes": [[0], [0, 1], list(range(24))]},
+    "d4/full": None,
+    "d4/generators": {"generators": [[0, 1, 2, 3], [0, 2, 4, 6]]},
+    "d4/nodes": {"nodes": [[0], [0, 2], [0, 1, 2, 3], list(range(8))]},
+    "d4/non-normal-generator": {"generators": [[0, 4]]},
+    "q8/full": None,
+    "q8/generators": {"generators": [[0, 1, 2, 3], [0, 1, 4, 5]]},
+    "q8/nodes": {"nodes": [[0], [0, 1], [0, 1, 6, 7], list(range(8))]},
+}
+DIGEST_COMMANDS = {
+    "lattice": ["lattice"], "sct-csv": ["sct"], "sct-json": ["sct", "--format", "json"],
+    "export-dot": ["export"], "export-json": ["export", "--format", "json"], "verify": ["verify"],
+}
+CLI_DIGESTS = {
+    "lattice c12/full": "f46a0e3bf06c2da668a8b7abf3a874692f32236fe09bbb14c62d24e749ca8bea",
+    "sct-csv c12/full": "3f1983775f786fb8bb4f241e6a82353f6970ada15489282bf7e91e118ceeecec",
+    "sct-json c12/full": "c7c156c53be3631565f7b0cdf91ce12433a11d125805e3dfc440b0b41aaad16e",
+    "export-dot c12/full": "614f9bb0055d4b9b464521aad89c78ac5f305f959f37ee8ab59e55f5ee608503",
+    "export-json c12/full": "eb5e917bb05158930d0852b49b26391ae50a853fd0ecaa49734ee1b8ab078321",
+    "verify c12/full": "5c7f39e02d3b874cee7b763d745988bfdde1c09fcf5c0df279044fa168c553ba",
+    "lattice c12/generators": "597b8cedad17e95b4f168b1cf2e2c269fdf9b8e49b086bfc429f1092cac95e8d",
+    "sct-csv c12/generators": "0780aa9f2053acad38342f6a54d3520d977929dee4dcddbf3acef0f7670329ad",
+    "sct-json c12/generators": "b033d1b99ae3ff3f2542a0753724420dedc9ff15da9bfd695632e07a79c9a4b8",
+    "export-dot c12/generators": "d4a846a6664760f9542cc3f0fd5b92040f2011e549fe867b9c2ade592509787b",
+    "export-json c12/generators": "1f80d223b7313762e67637f9d56589524e4dc272154e60818ac062d5b1b0ed49",
+    "verify c12/generators": "7b4dbeda9ad7ac3e916aaa1fd10e1f0fa6e3b50a1bcc66f523ec537e82e41f01",
+    "lattice c12/nodes": "1234b8646388892d923064be6eca1ffb1a260829005670f2bcee101d7e9e0992",
+    "sct-csv c12/nodes": "7396068b2bd51f279c067f74806247bfe1809cb714afbfe7dcd2446a169256ab",
+    "sct-json c12/nodes": "c05b81565901fa948f553534a84999fcaf986631051aad2cfcca58fc40a7331f",
+    "export-dot c12/nodes": "d1f45491a95880bc5563697ea0f8233ddf99b7099b5d53509128d66bc0c974bf",
+    "export-json c12/nodes": "f7e386981091d4f2c868f53bd047ae10a953d462342fe9b7e2939df51ecb4bd1",
+    "verify c12/nodes": "33d143d2fa67b30f201d1dd69a34dbc4a94ef0e36df4e55b840f794c9219d65a",
+    "lattice c12/non-subgroup-generator": "01a0e37887018b565d03889d969a52e2e262edf0542ae0ce129691ca730e31ca",
+    "sct-csv c12/non-subgroup-generator": "01a0e37887018b565d03889d969a52e2e262edf0542ae0ce129691ca730e31ca",
+    "sct-json c12/non-subgroup-generator": "01a0e37887018b565d03889d969a52e2e262edf0542ae0ce129691ca730e31ca",
+    "export-dot c12/non-subgroup-generator": "01a0e37887018b565d03889d969a52e2e262edf0542ae0ce129691ca730e31ca",
+    "export-json c12/non-subgroup-generator": "01a0e37887018b565d03889d969a52e2e262edf0542ae0ce129691ca730e31ca",
+    "verify c12/non-subgroup-generator": "01a0e37887018b565d03889d969a52e2e262edf0542ae0ce129691ca730e31ca",
+    "lattice c30/full": "93438fd5c13140c3cef8334aba49ef3a838e79090d613eb9ec662dd184c11c84",
+    "sct-csv c30/full": "1f7b7c2366f2e7b25a46800dffff9c4f463f2b538e9c90464728482c202ddd78",
+    "sct-json c30/full": "9eac3a667b879cdb57534a78821b7d81fee7c65ed269270cceb4af59f036e74e",
+    "export-dot c30/full": "6d3cf54d1876d29dffc134ecadb333b7b2d6a9a8a56c8581459d9a4760371276",
+    "export-json c30/full": "5416b19d6f578eca64d8d32813c33dee610c8a256674d4d974fc1de4a5f0c625",
+    "verify c30/full": "c6185af9b3dd3718c9fd0d6447ba96487d7965cc82f68b0cb76e7dfa102cea03",
+    "lattice c30/generators": "0c325a02e1db226748c0cc4ac4a522a4b690ac39702a1c78f9e0a493d3f2c884",
+    "sct-csv c30/generators": "0cbf0a626cf9b0678109eacc7f957fcf960408217087eb005fd520f384b0ab8f",
+    "sct-json c30/generators": "69d1e414f46103192b54dcb9e7f4c13bd0e49d0a7902b1aba4d329d17c211c04",
+    "export-dot c30/generators": "b24428c4f14877582356316ba2b39e03595c8634995359b1acc469b513df1866",
+    "export-json c30/generators": "8135ff70f57152d1537699550b7c9f8a436cb3cf6ebf801f4565589e9123013a",
+    "verify c30/generators": "646dd583a7dca614797d2d7b19df68212ab6c2dae8faf6c725918f18d9f3a86e",
+    "lattice c30/nodes": "0c325a02e1db226748c0cc4ac4a522a4b690ac39702a1c78f9e0a493d3f2c884",
+    "sct-csv c30/nodes": "0cbf0a626cf9b0678109eacc7f957fcf960408217087eb005fd520f384b0ab8f",
+    "sct-json c30/nodes": "69d1e414f46103192b54dcb9e7f4c13bd0e49d0a7902b1aba4d329d17c211c04",
+    "export-dot c30/nodes": "b24428c4f14877582356316ba2b39e03595c8634995359b1acc469b513df1866",
+    "export-json c30/nodes": "8135ff70f57152d1537699550b7c9f8a436cb3cf6ebf801f4565589e9123013a",
+    "verify c30/nodes": "646dd583a7dca614797d2d7b19df68212ab6c2dae8faf6c725918f18d9f3a86e",
+    "lattice f2^3/full": "dcf235f5f3d49ebc0bfa7c7424f07a9fbb746468de9431369ee36315c1ea440f",
+    "sct-csv f2^3/full": "ad4cfd9a3669c02966140c3fd47c2829df4a3dfda35ef904a51714da846be603",
+    "sct-json f2^3/full": "79a238a7952abd2194f17ad55f519229ca4cf12da7dc3e97de2bd11fb92690e3",
+    "export-dot f2^3/full": "a7f0ceb047c2c4dcbd3be4b3c70aac18b60c7ca8c832add814ac9ab9606a1300",
+    "export-json f2^3/full": "6335cc75913f1dec0f4f4748b0b7e538c9d024ea86c5a3098133a1b53129820e",
+    "verify f2^3/full": "a3e97485e20bd439ecbd5a35c7bf087ef4f9a60f1e25e757e549b73cfa197646",
+    "lattice f2^3/generators": "f8d14aa023902c0ae97b7bd28b2568af4701495f31c12efe6e1992b3ad080334",
+    "sct-csv f2^3/generators": "ccaa2adfae6827662f38a01287574ba3475bc71fbed8dff2ea3eee275cb3caf7",
+    "sct-json f2^3/generators": "ea13bc4bbfc69e41e6c0ecbab9ec0aee3568997125771fc7b4d36a16dd9d9703",
+    "export-dot f2^3/generators": "7c5b89e0ae597bed621f6538cd065ac4296fcf80c8be584894c06535191bd923",
+    "export-json f2^3/generators": "0a3547cb905892bffc9152f39239ac8b79e2a5dc6a4b06d7f10dcd921fa5a25e",
+    "verify f2^3/generators": "871a3fb920294fb8efa3a6fedda6c3ae8987d430bf4d727f187b14272a3b9dd1",
+    "lattice f2^3/nodes": "a1d97a21c3b93aa89befd6905970d9dd39e87aad665c40d34cc112c45734f8be",
+    "sct-csv f2^3/nodes": "ed473dc22163be595882f024851ec44faa7b982e6983578348053e41e5f92767",
+    "sct-json f2^3/nodes": "17b05c5eaa6bf5dd8f11df36a2a107e65e18f6d7246a903d02b3bb0bf106855c",
+    "export-dot f2^3/nodes": "8ed5f3271ac5ae7228b18c7c57df035fb78e0c73088694a4bba1388b445ce71f",
+    "export-json f2^3/nodes": "a64a23bb93454f1a951f98da38ef8a5dd62b3fd37b7ace0fc289d43ec9f67dda",
+    "verify f2^3/nodes": "cd8a292a9bcef8a5a9ae40da4bdb499105bfb96672887be78caf2d44245eb86d",
+    "lattice f3^2/full": "3cac3795cb0c8bc03e54cc3f37a36a9290f18867d93ebd69cb7b4bb5d30a8c6d",
+    "sct-csv f3^2/full": "4ade6756a878179d0c90ab533332e5ef5f04bbb7e634ac529e04e3c96b7aa645",
+    "sct-json f3^2/full": "08904ed0840d3208b962a5ba6aa35cfa22784b4a07bfff3e5e273aa506ab1f4e",
+    "export-dot f3^2/full": "210551704268c82dd76ebb5e5e7d7c17213220094ce7fd448f23dc9b253d1fda",
+    "export-json f3^2/full": "80ce52be64ba7a42048c5d88aa3a8a74742eee323ea02df52e32295e7e7654c1",
+    "verify f3^2/full": "5ff50247a17e498fb6a2bcfc0461cd4b248f1b59db82605a3781426899093aab",
+    "lattice f3^2/generators": "2b3bf3ef43d482429dc3cfca0113de4a13877cfcd529c473c7600acf1e995ef5",
+    "sct-csv f3^2/generators": "68934226598b3d1ce02171b33b6e790dd2bc4a3d63d2ad94be288be648ace97f",
+    "sct-json f3^2/generators": "1dee5b5ac7e03995a245ca8ccddb0654b430f55d725adc10464586d008df9ebe",
+    "export-dot f3^2/generators": "c657bb749ddac21a357eb362788a129f34286ac0855199ba163871abdcc7131e",
+    "export-json f3^2/generators": "2cc6edc3a11ab138a8be024cd6e02928537f6bad1eccddc18dafe69344d1124c",
+    "verify f3^2/generators": "170ad7fc7816c080a702e3b60a9e4ed072f7649e34e83071b27f193fd10f8c76",
+    "lattice f3^2/nodes": "6da6a725447e6b183aad373946fdd079eae76fd9e6d0375a56a82d64b4a245ea",
+    "sct-csv f3^2/nodes": "f13c0214336d3dc0df3194b816900a078b92b5c610a2ccfed79fff0d8057c890",
+    "sct-json f3^2/nodes": "bff37d8a701c64cf83ef7f86d55398d5fe37d6d0c81a436a68a9c3836d7e0f87",
+    "export-dot f3^2/nodes": "70ac79607d8b83fb1cf2a777fde5c6043a92c4322abbcc94826577fea3e1dc5c",
+    "export-json f3^2/nodes": "81fb16b7d3efa2614674909460d1b43f4e9e006a792a8e5d57d27372e2f02641",
+    "verify f3^2/nodes": "9386b2b55360f91e142efc11f3c3b95a70b4ba717c53dd7b8b4a97edd32b33ea",
+    "lattice c2xc6/full": "f8f384f8a20f9c9fb8e140cb92103c29ff9de576f4a4562348eda71ad2ccccb2",
+    "sct-csv c2xc6/full": "76a80b6429dcda8de622e0d72f76d2122dc21ad7fccf1b1e8e7bfbd997a0e047",
+    "sct-json c2xc6/full": "bcfc0fb1ae840e5c4233df71efc5ab0edc9da2f4ca122581a8493a8de0f93e98",
+    "export-dot c2xc6/full": "0332e72ed77a9124b88732387853303cd87dde058398c82a74b5fda0d00767fa",
+    "export-json c2xc6/full": "bc6e8e569055ead4d1b13dce63672b99763b441b042e3a93521d58b9b43f351e",
+    "verify c2xc6/full": "b6908a7a55a22cdffc8656d9ae83a898bdd6b39ddfc5c1f5012d280dfeee51d8",
+    "lattice c2xc6/generators": "2cbc78a8c8bd1a9cfcc6975a444f79cff48f1ef8ddf070ac4a7e10cbd24236b5",
+    "sct-csv c2xc6/generators": "47ad59f5e4fb5680f9e23bb6a66b71e1a057e62104df37da65812694e7bd25af",
+    "sct-json c2xc6/generators": "a4d148f353a65d3fe822a481328ee98cefd385deca06c7cf9553e3240fc0e21c",
+    "export-dot c2xc6/generators": "b64bde35e33592b67b7ae021dbe2e9a73443737d51f11511100a3dd2a23b2dc9",
+    "export-json c2xc6/generators": "7f7f8bb27d7064ddea88ebe19ddff2ecf1faa955c77579a235892567d0758b88",
+    "verify c2xc6/generators": "56d0478ad62f0425cf784f023c767c3c3a9d9d96c90efc2772c98f1743179715",
+    "lattice c2xc6/nodes": "718b0bd8e2188cf1f16ca6de474d591f0881a24c3363ef604bb40560f7439687",
+    "sct-csv c2xc6/nodes": "8f86d32287cc3d09ed058096fcb449f2d8795fc92c40c36366a251c5c439c09e",
+    "sct-json c2xc6/nodes": "4fec6bef16cabdd408d157814394b836a2ae82a791d34f1199471edcbc1af7e7",
+    "export-dot c2xc6/nodes": "8af6c6a7082669b59267da2148919f4fa8e55c26d71f2a0e352955b9a0ea995e",
+    "export-json c2xc6/nodes": "10e056e5e008c2b4492a2dadf06f1e243af4135d96a609652561191ce3bf3aaa",
+    "verify c2xc6/nodes": "265bcf726775e1cb823f609898d7dc3f423e3402b9057f03b9ed3fe4cf593aef",
+    "lattice s4/full": "c4a1c2c3d678f2b373ab9c4c5332ef1914fb3ddc9ef372f1c74e3b5d2845d50c",
+    "sct-csv s4/full": "5a39b0b80e0c087ca6b158d3f86e64a9f300c9537835e644311ec7ccb90a9549",
+    "sct-json s4/full": "f5e6d0a71dfbfed08b78ee7c84e4f530e132b9afbff47245ffe933cc5aa53080",
+    "export-dot s4/full": "bc40d79af264eb27777c14ccd41661eecbf8cd6e5a6574b1a07b160103761d16",
+    "export-json s4/full": "886a46dacc62dfcc5d430a5d6e6bcefc538086984e5fba1544aea2d3337c33f6",
+    "verify s4/full": "48e777459dcbebf807fc041a0df384adbd51a198475d7d1dde4f56552f18e973",
+    "lattice s4/generators": "0ca4732d1754c44e5bd11a766d5bbe10c1ee56580ba3ff352718c46d7c800ae8",
+    "sct-csv s4/generators": "1be8795c781f2577ae7d2d554314024d3b2a98faf198084a2e650e458a661447",
+    "sct-json s4/generators": "2b2e122fd8d8d02edb88452b60b8f0442ec209fd1cc05c9c8d666a33b9ad8652",
+    "export-dot s4/generators": "0abfed1a6c4286a0a939fa588a751e0a2582e32636d50be4acbccd5fd9ab2d7f",
+    "export-json s4/generators": "2c2b676e9e7fcffa766325ac08b98d0f631bcbc656f423320efebdd0a2679f01",
+    "verify s4/generators": "807eec214016eead3ec38e82eaf9338a2796aeafc02a9ab155c9148343a71ebe",
+    "lattice s4/nodes": "0ca4732d1754c44e5bd11a766d5bbe10c1ee56580ba3ff352718c46d7c800ae8",
+    "sct-csv s4/nodes": "1be8795c781f2577ae7d2d554314024d3b2a98faf198084a2e650e458a661447",
+    "sct-json s4/nodes": "2b2e122fd8d8d02edb88452b60b8f0442ec209fd1cc05c9c8d666a33b9ad8652",
+    "export-dot s4/nodes": "0abfed1a6c4286a0a939fa588a751e0a2582e32636d50be4acbccd5fd9ab2d7f",
+    "export-json s4/nodes": "2c2b676e9e7fcffa766325ac08b98d0f631bcbc656f423320efebdd0a2679f01",
+    "verify s4/nodes": "807eec214016eead3ec38e82eaf9338a2796aeafc02a9ab155c9148343a71ebe",
+    "lattice s4/non-normal-node": "fbc37fc236ab83c71c088c19d0c4d763c169e99608e70c39a2cb2d771fdeae84",
+    "sct-csv s4/non-normal-node": "fbc37fc236ab83c71c088c19d0c4d763c169e99608e70c39a2cb2d771fdeae84",
+    "sct-json s4/non-normal-node": "fbc37fc236ab83c71c088c19d0c4d763c169e99608e70c39a2cb2d771fdeae84",
+    "export-dot s4/non-normal-node": "fbc37fc236ab83c71c088c19d0c4d763c169e99608e70c39a2cb2d771fdeae84",
+    "export-json s4/non-normal-node": "fbc37fc236ab83c71c088c19d0c4d763c169e99608e70c39a2cb2d771fdeae84",
+    "verify s4/non-normal-node": "2fedc0d9cd326a163161298ac26ff40d86c2ff872888891ab654d7d74b0f4929",
+    "lattice d4/full": "9e3d5b7f3172f351e9084aada163715e3dd3f3e4167fffe49d7251949e5e6392",
+    "sct-csv d4/full": "7af3d6bd9ba8985b27fed67ffb940bc0175b5b45ebdf0bc5f43ab9f078136027",
+    "sct-json d4/full": "75e0dac8b100831b171e355f9805ce22a6fc81e1570c2c80e9356278d5a2e91c",
+    "export-dot d4/full": "8b04c5c091030c90f43be75b7f0d578a0a540ed68174b6bfbed7251103a35d5c",
+    "export-json d4/full": "229d20c247a7f1d9dd1ec00291d3901c714a90d6d477662b5a57b9acc0f4f497",
+    "verify d4/full": "c869ecba2508b0e8e379b5d4d309aa7e80ff148f9f1fc56d74da8c853c39f5c2",
+    "lattice d4/generators": "52afa8edaaf8e17d43fdc33cfeee2222dd2688fa913d1c6cf969ce06e7e53b6e",
+    "sct-csv d4/generators": "cfd574d11f18ecebf0aa0e7cacc6b7f41cfa9cd676f1eb3a425b7b0703283505",
+    "sct-json d4/generators": "196afb992e0398cb372c8f4eefad08961363d8a39536867f8bf39084706ff659",
+    "export-dot d4/generators": "28886820ffaa5a86248034e4b49c165f197a5b30ae866377f2b5cd1cfafe1356",
+    "export-json d4/generators": "02d25efb2e775b843eb516d163250036cf2c64bd99a0057599d1f13651da5725",
+    "verify d4/generators": "482c7d82df4e2158f5be372dc8e63fbc775f9f09dbbf7a5aad07b441927760fc",
+    "lattice d4/nodes": "dffb0667d0212f22a6ca1f9a837a99a58a13b2bec8d55a8eabc7592cae4e33d2",
+    "sct-csv d4/nodes": "d3f0f34805f3af5bacf60362b7c5063082e663b571a43edb3971e05061f2a237",
+    "sct-json d4/nodes": "c4578449e4d252ad3085a5b071b01cf925bde059f0f1c28063634ce19c51b869",
+    "export-dot d4/nodes": "5e413381e62056dc26bab90d1d72f402d177797c69522520c59deac8ab67a8dd",
+    "export-json d4/nodes": "0ee4eb51042250b565da1a761c44392c04093b08d1d2b8ff2ce3a3caedb1df53",
+    "verify d4/nodes": "08ce1efe674744434c707d24b157f9527642e208b581b87fbf6755dccef712de",
+    "lattice d4/non-normal-generator": "a7f554ddf62c975aebb7f6e0e302edb32cfa8c64cb887249d325026f609221a2",
+    "sct-csv d4/non-normal-generator": "a7f554ddf62c975aebb7f6e0e302edb32cfa8c64cb887249d325026f609221a2",
+    "sct-json d4/non-normal-generator": "a7f554ddf62c975aebb7f6e0e302edb32cfa8c64cb887249d325026f609221a2",
+    "export-dot d4/non-normal-generator": "a7f554ddf62c975aebb7f6e0e302edb32cfa8c64cb887249d325026f609221a2",
+    "export-json d4/non-normal-generator": "a7f554ddf62c975aebb7f6e0e302edb32cfa8c64cb887249d325026f609221a2",
+    "verify d4/non-normal-generator": "a7f554ddf62c975aebb7f6e0e302edb32cfa8c64cb887249d325026f609221a2",
+    "lattice q8/full": "920b7027293d7e68aa111b6db27da44ca88cf6f0eeba73728e25160c2864d139",
+    "sct-csv q8/full": "58dad230efe9855353788216ebd7270cf1f0e0ef68148fd2c879eabcc324ba33",
+    "sct-json q8/full": "22c5c8adfd7b0999636946307a8586d442c7776f491e40e34a06aba544e84922",
+    "export-dot q8/full": "8b04c5c091030c90f43be75b7f0d578a0a540ed68174b6bfbed7251103a35d5c",
+    "export-json q8/full": "53e82a757d6d593e19d96f495a05867f1746b774861d539976e1f850c0c8a12e",
+    "verify q8/full": "c869ecba2508b0e8e379b5d4d309aa7e80ff148f9f1fc56d74da8c853c39f5c2",
+    "lattice q8/generators": "71c94483af4385d3f4af19f431ebf2eae5205436d4d2fb149ae97f13d39e9928",
+    "sct-csv q8/generators": "c6015c81e4382ad321d5e6a968513cad03d86c1bbe2d7ac44d0d664e33a2577a",
+    "sct-json q8/generators": "f03005ea9a3b004d526adbf4cf4d0c0941cb37597a9757f6751a26f848e93a61",
+    "export-dot q8/generators": "28886820ffaa5a86248034e4b49c165f197a5b30ae866377f2b5cd1cfafe1356",
+    "export-json q8/generators": "b7c7d6cf2948be6713eb2976fd8a065843c9607e7643e825454b44af02c37a91",
+    "verify q8/generators": "482c7d82df4e2158f5be372dc8e63fbc775f9f09dbbf7a5aad07b441927760fc",
+    "lattice q8/nodes": "7f21c5171168e75171e08cc19cdc71b1072a17dec6a5f0ccfaa11d674d99e94e",
+    "sct-csv q8/nodes": "39a89ad21ee09ae03c520ed30a8da8ca1064946077030261b5bca1d24233a3ff",
+    "sct-json q8/nodes": "6314cbb53017ef96b7074efef998a8a59da1d41a8c11d17cf501635efbc27ebd",
+    "export-dot q8/nodes": "5e413381e62056dc26bab90d1d72f402d177797c69522520c59deac8ab67a8dd",
+    "export-json q8/nodes": "36025ddecac52aa180781e4acd75c99cf9efded30c3cc759e8955d931ab9f22d",
+    "verify q8/nodes": "08ce1efe674744434c707d24b157f9527642e208b581b87fbf6755dccef712de",
+}
+
+
+def cli_digest(files, capsys, case: str) -> str:
+    """The sha256 of the exit code and stdout of one case, named
+    "command group/sublattice"."""
+    command, sublattice = case.split(" ")
+    tmp, write = files
+    argv = [DIGEST_COMMANDS[command][0], "--group",
+            write("group.json", DIGEST_GROUPS[sublattice.split("/")[0]]),
+            *DIGEST_COMMANDS[command][1:]]
+    if DIGEST_SUBLATTICES[sublattice] is not None:
+        argv += ["--sublattice", write("sub.json", DIGEST_SUBLATTICES[sublattice])]
+    code, out = run(argv, capsys)
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", [f"{c} {s}" for s in DIGEST_SUBLATTICES for c in DIGEST_COMMANDS])
+def test_cli_output_is_pinned_byte_for_byte(files, capsys, case):
+    assert cli_digest(files, capsys, case) == CLI_DIGESTS[case]

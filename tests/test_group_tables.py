@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latsuper import ConstructionError, GroupSpec, make_group
-from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
 from latsuper.groups import GroupTable, closure_mask, mask_of
 
+from corpus import dihedral_group, quaternion_group, symmetric_group
 from test_groups import intercalated_cyclic
 
 # (q, dim) with q in {2, 3, 4, 5, 8, 9, 25}, dim <= 3 and q^dim under the order cap

@@ -6,7 +6,6 @@ from latsuper import (
     ArgumentError,
     ConstructionError,
     NormalLattice,
-    Subgroup,
     UnsupportedStructureError,
     cover_to_irreducible_map,
     distributive_analysis,
@@ -28,12 +27,14 @@ from corpus import (
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
+    lower_covers,
     node_of_size,
     q8_lattice,
     reference_moebius_row,
     s3_lattice,
     small_corpus,
     subsp_lattice,
+    symmetric_group,
 )
 
 
@@ -122,11 +123,11 @@ def test_modularity_on_corpus():
 
 def test_meet_join_closure_on_corpus():
     for _, L in small_corpus():
-        masks = {s.mask for s in L.nodes}
+        masks = set(L.nodes)
         for i in range(len(L)):
             for j in range(len(L)):
-                assert L.nodes[L.meet(i, j)].mask == L.nodes[i].mask & L.nodes[j].mask
-                assert L.nodes[L.join(i, j)].mask in masks
+                assert L.nodes[L.meet(i, j)] == L.nodes[i] & L.nodes[j]
+                assert L.nodes[L.join(i, j)] in masks
 
 
 def test_distributive_analysis_cyclic12():
@@ -216,11 +217,11 @@ def test_product_to_cover_map():
     mapping = product_to_cover_map(L, [c4, c3])
     join = L.join(c4, c3)
     assert join == L.top
-    assert sorted(mapping) == sorted(L.covers_down[join])
+    assert sorted(mapping) == lower_covers(L, join)
     assert sorted(mapping.values()) == sorted([c4, c3])
     # singleton
     single = product_to_cover_map(L, [c4])
-    assert single == {L.covers_down[c4][0]: c4}
+    assert single == {lower_covers(L, c4)[0]: c4}
 
 
 def test_product_to_cover_map_f23_basis():
@@ -228,7 +229,7 @@ def test_product_to_cover_map_f23_basis():
     a, b = basis_node(L, [0]), basis_node(L, [1])
     mapping = product_to_cover_map(L, [a, b])
     join = L.join(a, b)
-    assert set(mapping) == set(L.covers_down[join])
+    assert set(mapping) == set(lower_covers(L, join))
     assert set(mapping.values()) == {a, b}
 
 
@@ -276,10 +277,10 @@ def test_cover_meet_lemma_on_corpus():
 def test_lattice_rejects_non_closed_nodes():
     G = cyclic_group(12)
     nodes = [
-        Subgroup(mask_of([0])),
-        Subgroup(mask_of([0, 6])),
-        Subgroup(mask_of([0, 4, 8])),
-        Subgroup(mask_of(range(12))),
+        mask_of([0]),
+        mask_of([0, 6]),
+        mask_of([0, 4, 8]),
+        mask_of(range(12)),
     ]
     with pytest.raises(ConstructionError) as info:
         NormalLattice(G, nodes)
@@ -289,19 +290,17 @@ def test_lattice_rejects_non_closed_nodes():
 def test_lattice_rejects_missing_bounds():
     G = cyclic_group(12)
     with pytest.raises(ConstructionError) as info:
-        NormalLattice(G, [Subgroup(mask_of([0, 6])), Subgroup(mask_of(range(12)))])
+        NormalLattice(G, [mask_of([0, 6]), mask_of(range(12))])
     assert (info.value.check, info.value.witness) == ("lattice_bounds", [0])
     with pytest.raises(ConstructionError) as info:
-        NormalLattice(G, [Subgroup(1), Subgroup(mask_of([0, 6]))])
+        NormalLattice(G, [1, mask_of([0, 6])])
     assert (info.value.check, info.value.witness) == ("lattice_bounds", list(range(12)))
 
 
 def test_closed_sublattice_rejects_non_normal():
-    from latsuper.catalog import symmetric_group
-
     S3 = symmetric_group(3)
     with pytest.raises(ArgumentError) as info:
-        closed_sublattice(S3, [Subgroup(mask_of([0, 1]))])
+        closed_sublattice(S3, [mask_of([0, 1])])
     assert (info.value.check, info.value.witness) == ("normality", [0, 1])
 
 
@@ -309,7 +308,7 @@ def test_lattice_json_roundtrip():
     L = cyclic_lattice(12)
     data = lattice_to_json(L)
     again = _lattice_of(L.group, {"nodes": data["nodes"]})
-    assert [s.mask for s in again.nodes] == [s.mask for s in L.nodes]
+    assert again.nodes == L.nodes
     assert data["hasse"] == lattice_to_json(again)["hasse"]
 
 

@@ -23,17 +23,16 @@ from latsuper import (
     ConstructionError,
     GroupSpec,
     NormalLattice,
-    Subgroup,
     UnsupportedStructureError,
     cover_to_irreducible_map,
     make_group,
     normal_lattice,
     product_to_cover_map,
 )
-from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.cli import main
 from latsuper.errors import InternalConsistencyError
 from latsuper.groups import (
+    _bits,
     closure_mask,
     conjugacy_classes,
     mask_of,
@@ -54,10 +53,14 @@ from corpus import (
     basis_node,
     coordinates,
     cyclic_group,
+    dihedral_group,
     drawn_full_lattice,
     drawn_lattices,
     fresh_lattice,
+    lower_covers,
+    quaternion_group,
     subsp_lattice,
+    symmetric_group,
     vector_space_group,
 )
 
@@ -120,7 +123,7 @@ def first_unclosed_pair(G, masks):
             for p in pool:
                 if combine(a, p) not in masks:
                     pair = sorted((a, p), key=nodes.index)
-                    return check, [Subgroup(x).to_json() for x in pair]
+                    return check, [list(_bits(x)) for x in pair]
     return None
 
 
@@ -137,8 +140,8 @@ def test_closed_sublattice_joins_and_meets_multiply_out(case):
     G = L.group
     gens = [L.nodes[k] for k in sorted(picked)]
     S = closed_sublattice(G, gens)
-    masks = [s.mask for s in S.nodes]
-    assert set(masks) == naive_closure(G, [s.mask for s in gens])
+    masks = S.nodes
+    assert set(masks) == naive_closure(G, gens)
     for a in range(len(S)):
         for b in range(len(S)):
             assert masks[S.join(a, b)] == closure_mask(G, masks[a] | masks[b])
@@ -150,11 +153,11 @@ def test_closed_sublattice_joins_and_meets_multiply_out(case):
 def test_strict_nodes_fail_on_the_first_unclosed_pair(case):
     i, picked = case
     L = full_lattice(i)
-    masks = {1, (1 << L.group.order) - 1} | {L.nodes[k].mask for k in picked}
+    masks = {1, (1 << L.group.order) - 1} | {L.nodes[k] for k in picked}
     expected = first_unclosed_pair(L.group, masks)
-    nodes = [Subgroup(m) for m in masks]
+    nodes = list(masks)
     if expected is None:
-        assert {s.mask for s in NormalLattice(L.group, nodes).nodes} == masks
+        assert set(NormalLattice(L.group, nodes).nodes) == masks
         return
     with pytest.raises(ConstructionError) as info:
         NormalLattice(L.group, nodes)
@@ -167,20 +170,20 @@ def test_the_witness_is_the_first_pair_of_the_scan_by_irreducibles():
     # irreducibles meets C4 with C30 (one upper cover) before it joins C4
     # with C5 (one lower cover), so it names C4, C30
     G = cyclic_group(60)
-    nodes = [Subgroup(mask_of(range(0, 60, 60 // n))) for n in (1, 4, 5, 30, 60)]
+    nodes = [mask_of(range(0, 60, 60 // n)) for n in (1, 4, 5, 30, 60)]
     with pytest.raises(ConstructionError) as info:
         NormalLattice(G, nodes)
     witness = [list(range(0, 60, 15)), list(range(0, 60, 2))]
     assert (info.value.check, info.value.witness) == ("meet_closure", witness)
-    assert first_unclosed_pair(G, {s.mask for s in nodes}) == ("meet_closure", witness)
+    assert first_unclosed_pair(G, set(nodes)) == ("meet_closure", witness)
 
 
 @settings(PROPERTY, max_examples=8)
 @given(st.integers(1, 200))
 def test_cyclic_normal_lattice_matches_the_oracle(n):
     G = cyclic_group(n)
-    assert ([s.mask for s in normal_lattice(G).nodes]
-            == sorted((s.mask for s in brute_force_normal_subgroups(G)),
+    assert (list(normal_lattice(G).nodes)
+            == sorted(brute_force_normal_subgroups(G),
                       key=lambda m: (m.bit_count(), m)))
 
 
@@ -194,12 +197,12 @@ def test_nonabelian_normal_lattice_matches_the_oracle(name):
         "S5": lambda: symmetric_group(5),
     }
     G = groups[name]()
-    expected = {s.mask for s in brute_force_normal_subgroups(G)}
-    assert {s.mask for s in normal_lattice(G).nodes} == expected
+    expected = set(brute_force_normal_subgroups(G))
+    assert set(normal_lattice(G).nodes) == expected
 
 
 def dihedral_normals(n):
-    """Normal subgroups of D_n (n even) in catalog order (rotations r^i are
+    """Normal subgroups of D_n (n even) in dihedral_group's order (rotations r^i are
     0..n-1, reflections s r^i are n..2n-1): <r^d> for d | n, the two dihedral
     subgroups of index 2, and D_n itself."""
     rotations = [mask_of(range(0, n, d)) for d in range(1, n + 1) if n % d == 0]
@@ -214,7 +217,7 @@ def test_d60_and_s5_normal_lattices_match_closed_forms():
     D60 = dihedral_group(60)
     L = normal_lattice(D60)
     assert len(L) == 15
-    assert {s.mask for s in L.nodes} == dihedral_normals(60)
+    assert set(L.nodes) == dihedral_normals(60)
     S5 = symmetric_group(5)
     perms = sorted(permutations(range(5)))
 
@@ -222,12 +225,12 @@ def test_d60_and_s5_normal_lattices_match_closed_forms():
         return sum(p[a] > p[b] for a in range(5) for b in range(a + 1, 5)) % 2 == 0
 
     alternating = mask_of(i for i, p in enumerate(perms) if even(p))
-    assert [s.mask for s in normal_lattice(S5).nodes] == [1, alternating, (1 << 120) - 1]
+    assert list(normal_lattice(S5).nodes) == [1, alternating, (1 << 120) - 1]
 
 
 def test_dihedral_closed_form_matches_the_oracle():
     D6 = dihedral_group(6)
-    assert dihedral_normals(6) == {s.mask for s in brute_force_normal_subgroups(D6)}
+    assert dihedral_normals(6) == set(brute_force_normal_subgroups(D6))
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +323,12 @@ def closed_nodes(G, gens):
     handed = []
 
     def record(G, nodes, **kwargs):
-        handed.append([s.mask for s in nodes])
+        handed.append(list(nodes))
         return NormalLattice(G, nodes, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice_mod, "NormalLattice", record)
-        closed_sublattice(G, [Subgroup(m) for m in gens])
+        closed_sublattice(G, list(gens))
     return handed[0]
 
 
@@ -341,7 +344,7 @@ def join_generators(draw):
             return G, sorted(_cyclic_subgroups(G))
         return G, [closure_mask(G, c) for c in conjugacy_classes(G)[1:]]
     picks = draw(st.lists(st.integers(0, len(full.nodes) - 1), max_size=5))
-    return G, [full.nodes[i].mask for i in picks]
+    return G, [full.nodes[i] for i in picks]
 
 
 @PROPERTY
@@ -385,7 +388,7 @@ def test_normal_lattice_closes_once_per_node(monkeypatch, n):
 
 def test_basis_sublattice_closes_once_per_node(monkeypatch):
     G = vector_space_group(2, 8)
-    gens = [Subgroup(closure_mask(G, 1 << (1 << i))) for i in range(8)]
+    gens = [closure_mask(G, 1 << (1 << i)) for i in range(8)]
     calls = count_closures(monkeypatch, lattice_mod)
     L = closed_sublattice(G, gens)
     assert len(L) == 256
@@ -396,7 +399,7 @@ def test_basis_sublattice_work_is_linear_in_the_irreducibles(monkeypatch):
     # the join closure of the lines and G, then rounds of meets with the
     # meet-irreducibles and joins with the join-irreducibles: no pair walk
     G = vector_space_group(2, 10)
-    gens = [Subgroup(closure_mask(G, 1 << (1 << i))) for i in range(10)]
+    gens = [closure_mask(G, 1 << (1 << i)) for i in range(10)]
     calls = []
     for name in ("add", "add_join"):
         method = getattr(lattice_mod._JoinIndex, name)
@@ -451,7 +454,7 @@ def test_strict_nodes_errors_exit1(tmp_path, capsys, group, nodes, category, che
 
 def test_non_subgroup_generator_is_an_argument_error():
     with pytest.raises(ArgumentError) as info:
-        closed_sublattice(cyclic_group(12), [Subgroup(mask_of([0, 5]))])
+        closed_sublattice(cyclic_group(12), [mask_of([0, 5])])
     assert (info.value.check, info.value.witness) == ("subgroup", [0, 5])
 
 
@@ -464,7 +467,7 @@ def test_non_subgroup_generator_is_an_argument_error():
 def reference_order(L):
     """(meet, join) tables of L from masks: the intersection, and the node of
     closure_mask of the union."""
-    masks = [s.mask for s in L.nodes]
+    masks = L.nodes
     index = {mask: i for i, mask in enumerate(masks)}
     meet = [[index[a & b] for b in masks] for a in masks]
     join = [[index[closure_mask(L.group, a | b)] for b in masks] for a in masks]
@@ -487,7 +490,7 @@ def cubic_scan(L):
 @PROPERTY
 @given(drawn_lattices(), st.data())
 def test_meet_and_join_follow_the_masks(L, data):
-    masks = [s.mask for s in L.nodes]
+    masks = L.nodes
     index = {mask: i for i, mask in enumerate(masks)}
     meet, join = reference_order(L)
     m = len(L)
@@ -537,7 +540,7 @@ def test_birkhoff_maps_are_bijections_onto_the_antichain(L, data):
         return
     B = _antichain(L, L.join_irreducibles, data)
     mapping = product_to_cover_map(L, B)
-    assert sorted(mapping) == sorted(L.covers_down[L.join_all(B)])
+    assert sorted(mapping) == lower_covers(L, L.join_all(B))
     assert sorted(mapping.values()) == sorted(B)
     for lower, k in mapping.items():
         assert [b for b in B if not L.leq(b, lower)] == [k]
@@ -580,11 +583,11 @@ def test_strict_nodes_missing_a_node_fail_on_the_first_unclosed_pair(L, data):
     if not inner:
         return
     dropped = data.draw(st.sampled_from(inner), label="dropped")
-    masks = {s.mask for i, s in enumerate(L.nodes) if i != dropped}
+    masks = {s for i, s in enumerate(L.nodes) if i != dropped}
     expected = first_unclosed_pair(L.group, masks)
-    nodes = [Subgroup(mask) for mask in masks]
+    nodes = list(masks)
     if expected is None:
-        assert {s.mask for s in NormalLattice(L.group, nodes).nodes} == masks
+        assert set(NormalLattice(L.group, nodes).nodes) == masks
         return
     with pytest.raises(ConstructionError) as info:
         NormalLattice(L.group, nodes)
@@ -631,6 +634,6 @@ def test_basis_spans_match_decoded_coordinates(q, dim):
                        if all(c == 0 for i, c in enumerate(coordinates(G, v)) if i not in subset))
 
     subsets = [{i for i in range(dim) if (bits >> i) & 1} for bits in range(1 << dim)]
-    assert {s.mask for s in L.nodes} == {decoded_span(subset) for subset in subsets}
+    assert set(L.nodes) == {decoded_span(subset) for subset in subsets}
     for subset in subsets:
-        assert L.nodes[basis_node(L, subset)].mask == decoded_span(subset)
+        assert L.nodes[basis_node(L, subset)] == decoded_span(subset)

@@ -21,8 +21,7 @@ from latsuper import (
     verify_sct,
 )
 from latsuper import oracle
-from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
-from latsuper.groups import Subgroup, _bits, closure_mask, is_normal, mask_of
+from latsuper.groups import _bits, closure_mask, is_normal, mask_of
 from latsuper.lattice import NormalLattice, closed_sublattice
 from latsuper.oracle import (
     _dual_walk,
@@ -41,13 +40,16 @@ from corpus import (
     basis_vector,
     cyclic_group,
     cyclic_lattice,
+    dihedral_group,
     drawn_lattices,
     euler_phi,
     fresh_lattice,
     moebius_mu,
+    quaternion_group,
     ramanujan_sum,
     s3_lattice,
     subsp_lattice,
+    symmetric_group,
     vector_space_group,
 )
 
@@ -187,7 +189,7 @@ def test_sc3_basis_lattice_kernel_blocks():
         basis_in_kernel = {i for i, v in ((0, e0), (1, e1)) if psi[v] == 0}
         kernel = mask_of(kernel_of(psi))
         max_node = max(
-            (n for n in range(len(L)) if L.nodes[n].mask & ~kernel == 0),
+            (n for n in range(len(L)) if L.nodes[n] & ~kernel == 0),
             key=lambda n: L.size(n),
         )
         assert max_node == basis_node(L, basis_in_kernel)
@@ -241,8 +243,7 @@ def test_full_lattice_above_order_256_is_certified_not_enumerated():
 
 def _lattice_with(G, elements) -> NormalLattice:
     """The chain 1 < H < G for the element list H, which is not vetted."""
-    return NormalLattice(G, [Subgroup(1), Subgroup(mask_of(elements)),
-                             Subgroup((1 << G.order) - 1)], check_normal=False)
+    return NormalLattice(G, [1, mask_of(elements), (1 << G.order) - 1], check_normal=False)
 
 
 # A node the oracle must refuse: not normal, not a subgroup, and a nonabelian
@@ -277,10 +278,10 @@ def test_oracle_refuses_a_node_that_is_not_a_normal_subgroup(name):
 
 def test_sylow_d4_is_normalized_by_some_generators_of_s4_only():
     G = symmetric_group(4)
-    H = Subgroup(mask_of(NOT_NORMAL["Sylow D4 of S4"][1]))
-    images = [mask_of(G.mul[G.mul[g][h]][G.inv[g]] for h in H.elements()) for g in G.generators]
-    assert H.mask in images and any(image != H.mask for image in images)
-    assert closure_mask(G, H.mask) == H.mask and not is_normal(G, H)
+    H = mask_of(NOT_NORMAL["Sylow D4 of S4"][1])
+    images = [mask_of(G.mul[G.mul[g][h]][G.inv[g]] for h in _bits(H)) for g in G.generators]
+    assert H in images and any(image != H for image in images)
+    assert closure_mask(G, H) == H and not is_normal(G, H)
 
 
 def test_full_lattice_mismatch_names_missing_and_extra_nodes():
@@ -411,7 +412,7 @@ def reference_sc3(L, theory):
     blocks_of_dual = {}
     for psi in psis:
         kernel = mask_of(kernel_of(psi))
-        inside = [n for n in range(len(L.nodes)) if L.nodes[n].mask & ~kernel == 0]
+        inside = [n for n in range(len(L.nodes)) if L.nodes[n] & ~kernel == 0]
         n_max = max(inside, key=L.size)
         if any(not L.leq(n, n_max) for n in inside):
             raise VerificationError("kernel nodes not closed under join", check="SC3",
@@ -589,8 +590,8 @@ def test_the_first_failing_pair_can_start_at_the_skipped_block():
 def _boolean_c2_5_c11():
     """The 64-node sublattice of C2^5 x C11 closed from its direct factors."""
     G = make_group(GroupSpec.product([GroupSpec.cyclic(n) for n in (2, 2, 2, 2, 2, 11)]))
-    factors = [Subgroup(closure_mask(G, 1 << (11 << k))) for k in range(5)]
-    return closed_sublattice(G, [*factors, Subgroup(closure_mask(G, 1 << 1))])
+    factors = [closure_mask(G, 1 << (11 << k)) for k in range(5)]
+    return closed_sublattice(G, [*factors, closure_mask(G, 1 << 1)])
 
 
 @pytest.mark.parametrize("name, build", [
@@ -743,8 +744,7 @@ def c20xc30_sublattice():
     the large-table benchmark verifies it: elements (a, b) at 30a + b.  A new
     lattice each call, as tampering changes its cached theory."""
     G = make_group(GroupSpec.product([GroupSpec.cyclic(20), GroupSpec.cyclic(30)]))
-    return closed_sublattice(G, [Subgroup(closure_mask(G, 1 << 300)),
-                                 Subgroup(closure_mask(G, 1 << 15))])
+    return closed_sublattice(G, [closure_mask(G, 1 << 300), closure_mask(G, 1 << 15)])
 
 
 def test_sc3_never_builds_the_sorted_dual():

@@ -16,7 +16,6 @@ from latsuper import (
     distributive_analysis,
     restrict_decompose,
 )
-from latsuper.catalog import symmetric_group
 from latsuper.cli import main
 from latsuper.errors import UnfavorableEmbeddingError
 from latsuper.groups import _bits
@@ -33,6 +32,7 @@ from corpus import (
     q8_lattice,
     restricted_row,
     scale,
+    symmetric_group,
     vector_space_group,
 )
 
@@ -307,7 +307,7 @@ def test_blocksum_full_scan():
             # paper label rule: keep the blocks meeting the removed set evenly
             removed = [
                 i for i in range(dim)
-                if not (LG.nodes[n].mask >> basis_vector(LG.group, i)) & 1
+                if not (LG.nodes[n] >> basis_vector(LG.group, i)) & 1
             ]
             expected = [
                 j for j, block in enumerate(blocks)

@@ -26,7 +26,6 @@ from latsuper import (
     normal_lattice,
     verify_sct,
 )
-from latsuper.catalog import dihedral_group, quaternion_group, symmetric_group
 from latsuper.groups import _bits
 from latsuper.lattice import closed_sublattice, is_general_position
 
@@ -37,16 +36,19 @@ from corpus import (
     cyclic_lattice,
     d4_lattice,
     degree_sum_case,
+    dihedral_group,
     drawn_lattices,
     node_of_size,
-    q8_lattice,
     prime_factors,
+    q8_lattice,
+    quaternion_group,
     ramanujan_sum,
     rebuilt_rows,
     reference_moebius_row,
     s3_lattice,
     small_corpus,
     subsp_lattice,
+    symmetric_group,
     vector_space_group,
 )
 

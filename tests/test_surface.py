@@ -21,10 +21,6 @@ SPANS_PY = Path(__file__).resolve().parent.parent / "latbench" / "spans.py"
 KEPT = (
     # public API with no caller in the package
     "lattice.product_to_cover_map",
-    # test corpus and CLI fixtures; latbench counts src/ lines by module name
-    "catalog.symmetric_group",
-    "catalog.dihedral_group",
-    "catalog.quaternion_group",
     # argparse's hook, called by parse_args
     "cli._Parser.error",
 )
