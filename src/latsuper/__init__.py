@@ -28,7 +28,6 @@ from .lattice import (
     distributive_analysis,
     is_general_position,
     normal_lattice,
-    product_to_cover_map,
 )
 from .products import ProductReport, decompose_class_function, tensor_product
 from .restriction import (

@@ -506,38 +506,6 @@ def _check_antichain(L: NormalLattice, nodes: Sequence[int], pool: Iterable[int]
     return out
 
 
-def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
-    """For an antichain B of product irreducibles, the bijection sending each
-    lower cover L' of join(B) to the unique K in B with K meet L' != K.
-
-    Public API with no caller in the package: the product-irreducible/cover
-    bijection of the paper, dual to cover_to_irreducible_map."""
-    _require_distributive(L)
-    bset = _check_antichain(L, B, L.join_irreducibles, "product irreducible")
-    top = L.join_all(bset)
-    mapping: dict[int, int] = {}
-    for lnode in [i for i in _bits(L.down_mask[top]) if top in L.covers_up[i]]:
-        hits = [k for k in bset if L.meet(k, lnode) != k]
-        if len(hits) != 1:
-            raise InternalConsistencyError(
-                f"no unique member avoiding lower cover {lnode}", check="product_to_cover",
-                witness={"L": lnode, "hits": hits},
-            )
-        mapping[lnode] = hits[0]
-    # verify the stated inverse: K -> M_K * join(B - K)
-    inverse: dict[int, int] = {}
-    for k in bset:
-        # k is join-irreducible: its one lower cover is the largest node below it
-        m_k = (L.down_mask[k] ^ 1 << k).bit_length() - 1
-        inverse[k] = L.join_all([m_k, *(b for b in bset if b != k)])
-    if sorted(mapping.values()) != sorted(bset) or any(
-        mapping[inverse[k]] != k for k in bset
-    ):
-        raise InternalConsistencyError("product_to_cover map is not a bijection",
-                                       check="product_to_cover")
-    return mapping
-
-
 def cover_to_irreducible_map(L: NormalLattice, A: Sequence[int]) -> dict[int, int]:
     """For an antichain A of meet irreducibles, the bijection sending each upper
     cover O of meet(A) to the unique P in A with P join O a cover of P."""

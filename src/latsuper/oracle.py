@@ -1,16 +1,30 @@
 """Independent brute-force verifiers.
 
-Nothing here reuses the lattice/character formula paths: dual groups are
-enumerated as homomorphisms into Z_e, character sums are compared in exact
-cyclotomic arithmetic (remainders modulo the e-th cyclotomic polynomial),
-and Schur closure works on raw convolution counts.  Normal subgroups are
-re-derived only for the full lattice of a group of order <= 256, from all
-subgroups, enumerated by joining cyclic subgroups one at a time; any other
-lattice has each node certified as a subgroup closed under conjugation.
+Nothing here reuses the lattice/character formula paths, and the module
+imports only errors and groups at run time: dual groups are enumerated as
+homomorphisms into Z_e, character sums are compared exactly as integers
+packed in the powerful basis of Z[zeta_e], and Schur closure works on raw
+convolution counts.  Normal subgroups are re-derived only for the full
+lattice of a group of order <= 256, from all subgroups, enumerated by
+joining cyclic subgroups one at a time; any other lattice has each node
+certified as a subgroup closed under conjugation.
 
 The SC3 check enumerates the dual along a coset walk of a generating
 sequence, as bytes rows when e <= 255 and int tuples above, already sorted
 by their exponents in element order, and checks one X-block at a time.
+Its sums are exact (Lyubashevsky, Peikert and Regev, EUROCRYPT 2013, sec. 4):
+write e as the product of its exact prime-power divisors q = p^a.  Then
+Z[zeta_e] is the tensor product of the Z[w_q] and, by the CRT, zeta_e^k is
+the product of the w_q^(k mod q).  Z[w_q] has the basis w^j, 0 <= j <
+phi(q); as Phi_q(w) = sum over l < p of w^(l q/p) = 0, each w^j with j >=
+phi(q) is minus the sum of w^(j - l q/p), 0 < l < p: one fold per axis,
+with no cascade.  So every zeta_e^k has coordinates in {-1, 0, 1}, and a
+column of at most |G| roots has coordinates of absolute value at most |G|.
+With bound the largest of |G| and the |v| of the compared theory values v,
+balanced base-B packing, B = 2 bound + 1, is injective: two sums are equal
+exactly when their packed integers are, and a sum equals the integer v
+exactly when its packed integer is v.
+
 The Schur check counts each block K_i against every block at once, as the
 base-W digits of one integer per element, a digit at most |K_i| < W; over a
 partition the counts c_ij(x) sum over i to |K_j|, so the largest is skipped.
@@ -18,10 +32,10 @@ partition the counts c_ij(x) sum over i to |K_j|, so the largest is skipped.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mod
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import add, itemgetter, mod, mul
+from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, CapacityError, LatsuperError, VerificationError
 from .groups import GroupTable, _bits, closure_mask, is_normal, mask_of
@@ -31,61 +45,27 @@ if TYPE_CHECKING:
     from .sct import SCTheory, SuperclassPartition
 
 
-# ---------------------------------------------------------------------------
-# Elementary number theory (kept self-contained on purpose).
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-# ---------------------------------------------------------------------------
-# Exact cyclotomic arithmetic: a sum of e-th roots of unity is an integer
-# polynomial in x = zeta_e, and two sums are equal exactly when their
-# remainders modulo the e-th cyclotomic polynomial are equal.
-
-_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
-
-
-def _poly_divmod(num: Sequence[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of num by the monic den, in exact integers; the
-    remainder has exactly deg(den) coefficients, so it is canonical."""
-    num = list(num)
-    dd = len(den) - 1
-    terms = [(j, dj) for j, dj in enumerate(den) if dj]
-    quot = [0] * max(1, len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd]
-        if c:
-            quot[i] = c
-            for j, dj in terms:
-                num[i + j] -= c * dj
-    return quot, (num + [0] * dd)[:dd]
-
-
-def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Phi_e via iterated exact division of x^e - 1 by the Phi_d, d | e, d < e."""
-    if e in _cyclotomic_cache:
-        return _cyclotomic_cache[e]
-    poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in divisors(e)[:-1]:
-        quot, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        if any(rem):
-            raise ArgumentError(f"cyclotomic division left a remainder at e={e}, d={d}")
-        poly = quot
-    result = tuple(poly)
-    _cyclotomic_cache[e] = result
-    return result
-
-
-def cyclotomic_residue(e: int, exponents: Iterable[int]) -> tuple[int, ...]:
-    """The sum of zeta_e^k over the multiset of exponents k, as its remainder
-    modulo Phi_e: phi(e) integers, low degree first.  The integer c is
-    (c, 0, ..., 0)."""
-    counts = [0] * e
-    for k in exponents:
-        counts[k % e] += 1
-    return tuple(_poly_divmod(counts, cyclotomic_polynomial(e))[1])
+def _root_keys(e: int, bound: int) -> list[int]:
+    """key[k] is zeta_e^k in the powerful basis of Z[zeta_e], its coordinates
+    the digits of one integer in balanced base B = 2 bound + 1 (see the
+    module docstring).  Each axis q takes the digits stride * j, j < phi(q),
+    so key[k] is the product over the axes of the table entry w_q^(k mod q):
+    the powers below phi(q), then the folded ones."""
+    base = 2 * bound + 1
+    key, stride, rest, p = [1] * e, 1, e, 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        if q > 1:
+            phi, step = q - q // p, q // p
+            powers = list(accumulate(repeat(base**stride, phi - 1), mul, initial=1))
+            table = powers + [-sum(powers[j - l * step] for l in range(1, p))
+                              for j in range(phi, q)]
+            key = list(map(mul, key, islice(cycle(table), e)))
+            stride *= phi
+        p += 1
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +155,27 @@ _ZERO_DIGITS = b"1" + b"0" * 255
 
 def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     """SC3 from first principles on abelian groups: partition the dual by the
-    maximal node of L inside each kernel, form the exact cyclotomic sums, and
-    compare with the integer values of theory, built on L (the theory holds no
-    lattice, so L is passed with it; tests pass tampered theories).
+    maximal node of L inside each kernel, form the exact sums of roots of
+    unity, and compare with the integer values of theory, built on L (the
+    theory holds no lattice, so L is passed with it; tests pass tampered
+    theories).
 
     The rows of _dual_walk are bytes when the exponent e fits in a byte, so
     shifts and zero flags are translates, and int tuples above.  Kernels are
     read over walk positions, where the node masks are moved once.  For each
     X-block the exponents at each element form a column of its rows; equal
-    columns are sorted, and equal multisets reduced modulo Phi_e, once.
+    columns are sorted, and equal multisets summed, once, each as the sum of
+    the _root_keys of its exponents.  bound is at least |G| and every |v|
+    compared, so by the module docstring two sums are equal exactly when the
+    sums of roots are, and a sum is v exactly when the sum of roots is.
 
     Every element of every superclass is compared: for each X-block, the sums
     must equal the sums at their superclass representatives, and the sums at
-    the representatives must equal (value, 0, ..., 0), each as one list
-    comparison.  Only a failing X-block, or every X-block when the
-    superclasses are not a partition into nonempty sets, is rescanned
-    superclass by superclass for the first witness.  The rows come sorted by
-    their exponents in element order, so X-blocks and witnesses come in that
-    order too."""
+    the representatives must equal the values, each as one list comparison.
+    Only a failing X-block, or every X-block when the superclasses are not a
+    partition into nonempty sets, is rescanned superclass by superclass for
+    the first witness.  The rows come sorted by their exponents in element
+    order, so X-blocks and witnesses come in that order too."""
     G = L.group
     order = G.order
     e, walk, rows = _dual_walk(G)
@@ -233,9 +216,8 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
             check="SC3",
             witness={"dual_blocks": sorted(blocks_of_dual), "chars": sorted(nonzero_nodes)},
         )
-    if sum(len(v) for v in blocks_of_dual.values()) != order:
-        raise VerificationError("X-blocks do not partition the dual", check="SC3")
-    zeros = (0,) * (len(cyclotomic_polynomial(e)) - 2)
+    bound = max([order, *(abs(v) for n in blocks_of_dual for v in theory.rows[n])])
+    key = _root_keys(e, bound)
     _, reps, rep_of, is_partition = _representatives(theory.partition)
     position_of = sorted(range(order), key=walk.__getitem__)
     columns_at = [slice(p, None, order) for p in position_of]
@@ -247,17 +229,17 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
             columns = list(map(b"".join(block).__getitem__, columns_at))
         else:
             columns = list(map(list(zip(*block)).__getitem__, position_of))
-        # each distinct column is sorted once and each distinct multiset reduced once
-        residue_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # each distinct column is sorted once and each distinct multiset summed once
+        residue_of: dict[tuple[int, ...], int] = {}
         sum_of = {}
         for column in set(columns):
             multiset = tuple(sorted(column))
             if multiset not in residue_of:
-                residue_of[multiset] = cyclotomic_residue(e, multiset)
+                residue_of[multiset] = sum(map(key.__getitem__, multiset))
             sum_of[column] = residue_of[multiset]
         sums = list(map(sum_of.__getitem__, columns))
         if (is_partition and sums == list(map(sums.__getitem__, rep_of))
-                and list(map(sums.__getitem__, reps)) == [(v,) + zeros for v in values]):
+                and list(map(sums.__getitem__, reps)) == values):
             continue
         for bnode, value in zip(theory.nodes, values):
             bmask = theory.partition.blocks[bnode]
@@ -268,7 +250,7 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
                         "SC3 sum not constant on a superclass", check="SC3",
                         witness={"node": n, "elements": [rep, g]},
                     )
-            if sums[rep] != (value,) + zeros:
+            if sums[rep] != value:
                 raise VerificationError(
                     "SC3 sum disagrees with the supercharacter value", check="SC3",
                     witness={"node": n, "block": bnode, "expected": str(value)},

@@ -241,7 +241,7 @@ def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
 
 
 def verify_sct(L: NormalLattice) -> dict:
-    """Check the theory of L: SC1, SC2, orthogonality, integrality plus the
+    """Check the theory of L: SC1, SC2, integrality, orthogonality plus the
     oracle-side Schur-ring closure and (abelian only) the direct SC3 sums.
     Returns the report; raises VerificationError naming the first failed
     axiom."""

@@ -7,12 +7,22 @@ import random
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
-from latsuper import CapacityError, GroupSpec, GroupTable, build_theory, make_group, normal_lattice
+from latsuper import (
+    ArgumentError,
+    CapacityError,
+    GroupSpec,
+    GroupTable,
+    build_theory,
+    make_group,
+    normal_lattice,
+)
+from latsuper.errors import InternalConsistencyError
 from latsuper.groups import _bits, mask_of
-from latsuper.lattice import NormalLattice, closed_sublattice
+from latsuper.lattice import NormalLattice, _check_antichain, _require_distributive, closed_sublattice
 
 RANDOM_SUBLATTICE_SEED = 20260810
 
@@ -236,6 +246,91 @@ def ramanujan_sum(n: int, k: int) -> int:
     g = gcd(n, k) if k else n
     m = n // g
     return moebius_mu(m) * euler_phi(n) // euler_phi(m)
+
+
+# Exact cyclotomic arithmetic, the reference for the packed SC3 sums of
+# latsuper.oracle: a sum of e-th roots of unity is an integer polynomial in
+# x = zeta_e, and two sums are equal exactly when their remainders modulo the
+# e-th cyclotomic polynomial are equal.
+
+
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
+
+
+def _poly_divmod(num: Sequence[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den, in exact integers; the
+    remainder has exactly deg(den) coefficients, so it is canonical."""
+    num = list(num)
+    dd = len(den) - 1
+    terms = [(j, dj) for j, dj in enumerate(den) if dj]
+    quot = [0] * max(1, len(num) - dd)
+    for i in range(len(num) - dd - 1, -1, -1):
+        c = num[i + dd]
+        if c:
+            quot[i] = c
+            for j, dj in terms:
+                num[i + j] -= c * dj
+    return quot, (num + [0] * dd)[:dd]
+
+
+def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
+    """Phi_e via iterated exact division of x^e - 1 by the Phi_d, d | e, d < e."""
+    if e in _cyclotomic_cache:
+        return _cyclotomic_cache[e]
+    poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
+    for d in divisors(e)[:-1]:
+        quot, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+        if any(rem):
+            raise ArgumentError(f"cyclotomic division left a remainder at e={e}, d={d}")
+        poly = quot
+    result = tuple(poly)
+    _cyclotomic_cache[e] = result
+    return result
+
+
+def cyclotomic_residue(e: int, exponents: Iterable[int]) -> tuple[int, ...]:
+    """The sum of zeta_e^k over the multiset of exponents k, as its remainder
+    modulo Phi_e: phi(e) integers, low degree first.  The integer c is
+    (c, 0, ..., 0)."""
+    counts = [0] * e
+    for k in exponents:
+        counts[k % e] += 1
+    return tuple(_poly_divmod(counts, cyclotomic_polynomial(e))[1])
+
+
+def product_to_cover_map(L: NormalLattice, B: Sequence[int]) -> dict[int, int]:
+    """For an antichain B of product irreducibles, the bijection sending each
+    lower cover L' of join(B) to the unique K in B with K meet L' != K: the
+    product-irreducible/cover bijection of the paper, dual to
+    latsuper.lattice.cover_to_irreducible_map."""
+    _require_distributive(L)
+    bset = _check_antichain(L, B, L.join_irreducibles, "product irreducible")
+    top = L.join_all(bset)
+    mapping: dict[int, int] = {}
+    for lnode in [i for i in _bits(L.down_mask[top]) if top in L.covers_up[i]]:
+        hits = [k for k in bset if L.meet(k, lnode) != k]
+        if len(hits) != 1:
+            raise InternalConsistencyError(
+                f"no unique member avoiding lower cover {lnode}", check="product_to_cover",
+                witness={"L": lnode, "hits": hits},
+            )
+        mapping[lnode] = hits[0]
+    # verify the stated inverse: K -> M_K * join(B - K)
+    inverse: dict[int, int] = {}
+    for k in bset:
+        # k is join-irreducible: its one lower cover is the largest node below it
+        m_k = (L.down_mask[k] ^ 1 << k).bit_length() - 1
+        inverse[k] = L.join_all([m_k, *(b for b in bset if b != k)])
+    if sorted(mapping.values()) != sorted(bset) or any(
+        mapping[inverse[k]] != k for k in bset
+    ):
+        raise InternalConsistencyError("product_to_cover map is not a bijection",
+                                       check="product_to_cover")
+    return mapping
 
 
 def rebuilt_rows(L: NormalLattice) -> list[list[int]]:

@@ -11,7 +11,6 @@ from latsuper import (
     distributive_analysis,
     is_general_position,
     normal_lattice,
-    product_to_cover_map,
 )
 from latsuper.cli import _lattice_of
 from latsuper.groups import mask_of
@@ -27,8 +26,10 @@ from corpus import (
     cyclic_group,
     cyclic_lattice,
     d4_lattice,
+    divisors,
     lower_covers,
     node_of_size,
+    product_to_cover_map,
     q8_lattice,
     reference_moebius_row,
     s3_lattice,
@@ -36,10 +37,6 @@ from corpus import (
     subsp_lattice,
     symmetric_group,
 )
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_cyclic_lattice_is_divisor_lattice():

@@ -27,7 +27,6 @@ from latsuper import (
     cover_to_irreducible_map,
     make_group,
     normal_lattice,
-    product_to_cover_map,
 )
 from latsuper.cli import main
 from latsuper.errors import InternalConsistencyError
@@ -58,6 +57,7 @@ from corpus import (
     drawn_lattices,
     fresh_lattice,
     lower_covers,
+    product_to_cover_map,
     quaternion_group,
     subsp_lattice,
     symmetric_group,

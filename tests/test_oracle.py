@@ -25,10 +25,9 @@ from latsuper.groups import _bits, closure_mask, is_normal, mask_of
 from latsuper.lattice import NormalLattice, closed_sublattice
 from latsuper.oracle import (
     _dual_walk,
+    _root_keys,
     brute_force_normal_subgroups,
     cross_check_normal_lattice,
-    cyclotomic_polynomial,
-    cyclotomic_residue,
     schur_closure_check,
     verify_sc3_abelian,
 )
@@ -40,7 +39,10 @@ from corpus import (
     basis_vector,
     cyclic_group,
     cyclic_lattice,
+    cyclotomic_polynomial,
+    cyclotomic_residue,
     dihedral_group,
+    divisors,
     drawn_lattices,
     euler_phi,
     fresh_lattice,
@@ -99,6 +101,42 @@ def test_cyclotomic_float_spot_check():
                 assert abs(approx - c) < 1e-9
             else:
                 assert abs(approx - c) > 1e-9 or abs(approx.imag) > 1e-9
+
+
+def relation_heavy_multisets(e, rng, count):
+    """count random multisets of exponents mod e, then count pairs: a few
+    random exponents, and the same with whole cosets k + <e/d> added, d > 1 a
+    divisor of e, whose roots sum to 0; so the two of a pair have equal sums."""
+    cosets = [[(k + j * (e // d)) % e for j in range(d)] for d in divisors(e)[1:]
+              for k in rng.sample(range(e), min(e, 3)) if d <= 64]
+    out = [[rng.randrange(e) for _ in range(rng.randrange(0, 40))] for _ in range(count)]
+    for _ in range(count if cosets else 0):
+        extra = [rng.randrange(e) for _ in range(rng.randrange(0, 4))]
+        out.append(extra)
+        out.append(extra + [k for coset in rng.sample(cosets, min(len(cosets), 2)) for k in coset])
+    return out
+
+
+@pytest.mark.parametrize("exponents", [range(1, 201), (360, 1024, 2520, 3125, 4096)],
+                         ids=["e<=200", "large e"])
+def test_packed_root_sums_agree_with_the_cyclotomic_residues(exponents):
+    """Sums of _root_keys are equal exactly when the residues modulo Phi_e are,
+    and equal the integer v exactly when the residue is (v, 0, ..., 0), for
+    every |v| <= bound, with bound at least the length of every multiset."""
+    rng = random.Random(23)
+    for e in exponents:
+        count = 12 if e <= 200 else 20
+        multisets = relation_heavy_multisets(e, rng, count)
+        bound = max(map(len, multisets))
+        key = _root_keys(e, bound)
+        assert len(key) == e and key[0] == 1
+        sums = [sum(map(key.__getitem__, m)) for m in multisets]
+        pairs = set(zip(sums, (cyclotomic_residue(e, m) for m in multisets)))
+        assert len(pairs) == len(dict(pairs)) == len({r: k for k, r in pairs})
+        assert sums[count::2] == sums[count + 1::2]
+        for v in range(-bound, bound + 1):
+            for k, residue in pairs:
+                assert (k == v) == (residue == integer_residue(e, v))
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +800,7 @@ def test_sc3_memory_peak_on_a_large_table():
     int tuples it needs 4.4 MB."""
     L = c20xc30_sublattice()
     theory = build_theory(L)
-    verify_sc3_abelian(L, theory)     # the cyclotomic polynomials are cached
+    verify_sc3_abelian(L, theory)     # a first call, untraced
     tracemalloc.start()
     try:
         verify_sc3_abelian(L, theory)

@@ -19,8 +19,6 @@ SRC = Path(latsuper.__file__).parent
 SPANS_PY = Path(__file__).resolve().parent.parent / "latbench" / "spans.py"
 
 KEPT = (
-    # public API with no caller in the package
-    "lattice.product_to_cover_map",
     # argparse's hook, called by parse_args
     "cli._Parser.error",
 )
@@ -120,3 +118,31 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def runtime_package_imports(path):
+    """The modules of the package that path imports outside its
+    `if TYPE_CHECKING:` blocks, anywhere in the module (also in functions)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    typing_only = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.If)
+                   and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+                   for inner in ast.walk(node)}
+    modules = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "latsuper":
+            modules.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            modules.update(a.name.partition(".")[2] or "__init__" for a in node.names
+                           if a.name.split(".")[0] == "latsuper")
+    return modules
+
+
+def test_the_oracle_imports_only_errors_and_groups_at_run_time():
+    # the oracle reuses no lattice or formula path: lattice and sct are types only
+    assert runtime_package_imports(SRC / "oracle.py") == {"errors", "groups"}
+    # the import sct makes inside verify_sct is seen
+    assert "oracle" in runtime_package_imports(SRC / "sct.py")
