@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import add, mul
 from typing import Sequence
 
 from .errors import ArgumentError, InternalConsistencyError
@@ -22,22 +23,22 @@ from .sct import SCTheory, build_theory, inner_product
 
 def decompose_class_function(theory: SCTheory, f: Sequence) -> dict[int, Fraction]:
     """Coefficients c_N = <f, chi^{N.}> / <chi^{N.}, chi^{N.}> with f = sum of
-    c_N chi^{N.}, for a row f over the theory's block nodes, by orthogonal
-    projection onto its integer rows; the reconstruction is re-checked
-    exactly."""
+    c_N chi^{N.}, for a row f of ints or Fractions over the block nodes, from
+    one inner_product of den f, den the lcm of f's denominators.  The norm is
+    chi^{N.}(1): chi^{N.} is the sum of psi(1) psi over the irreducible psi whose
+    kernel holds N and no larger node.  The reconstruction is re-checked exactly."""
     if len(f) != len(theory.nodes):
         raise ArgumentError("class function must assign a value to every superclass")
-    rows = theory.rows
-    coeffs: dict[int, Fraction] = {}
-    for n in theory.nonzero:
-        row = rows[n]
-        dot = inner_product(theory, f, row)
-        if dot:
-            coeffs[n] = dot / inner_product(theory, row, row)
+    rows, den = theory.rows, lcm(*(v.denominator for v in f))
+    g = [v.numerator * (den // v.denominator) for v in f]  # den f, as ints
+    scale = den * len(theory.partition.block_of)
+    coeffs = {n: Fraction(dot, scale * rows[n][0]) for n, (dot,)
+              in zip(theory.nonzero, inner_product(theory, [g])) if dot and rows[n][0]}
+    d = lcm(den, *(c.denominator for c in coeffs.values()))  # d f and d c_N are ints
     recon = [0] * len(f)
     for n, c in coeffs.items():
-        recon = [r + c * v if v else r for r, v in zip(recon, rows[n])]
-    if recon != list(f):
+        recon = list(map(add, recon, map((c.numerator * (d // c.denominator)).__mul__, rows[n])))
+    if recon != [x * (d // den) for x in g]:
         raise InternalConsistencyError(
             "projection coefficients failed to reconstruct the function",
             check="decompose",

@@ -29,7 +29,7 @@ from .errors import (
     UnfavorableEmbeddingError,
     VerificationError,
 )
-from .groups import GroupTable, _bits, closure_mask
+from .groups import GroupTable, _bits, closure_mask, mask_of
 from .lattice import (
     NormalLattice,
     cover_to_irreducible_map,
@@ -121,10 +121,7 @@ def build_restriction_context(
     intersect: dict[int, Optional[int]] = {}
     r1_failures: list[int] = []
     for i, node in enumerate(latticeG.nodes):
-        pulled = 0
-        for h in range(H.order):
-            if (node >> embedding.map[h]) & 1:
-                pulled |= 1 << h
+        pulled = mask_of(h for h in range(H.order) if node >> embedding.map[h] & 1)
         try:
             intersect[i] = latticeH.index_of(pulled)
         except ArgumentError:
@@ -144,9 +141,7 @@ def build_restriction_context(
                     r2_witnesses.append((m, n))
                     continue
                 # diamond condition: the cover must be generated by M and N cap H
-                image_in_g = 0
-                for h in _bits(latticeH.nodes[nh]):
-                    image_in_g |= 1 << embedding.map[h]
+                image_in_g = mask_of(map(embedding.map.__getitem__, _bits(latticeH.nodes[nh])))
                 if closure_mask(G, latticeG.nodes[m] | image_in_g) != latticeG.nodes[n]:
                     index_witnesses.append((m, n))
     favorable = not r1_failures and not r2_witnesses and not index_witnesses
@@ -188,11 +183,9 @@ class RestrictionTerm:
 class RestrictionReport:
     anchor: int                        # G-node meet(A)
     antichain: tuple[int, ...]
-    favorable: bool
     A_H: tuple[int, ...]
     meet_A_H: int                      # H-node (top of H when A_H is empty)
     collapsed: bool
-    empty_A_H: bool
     terms: list[RestrictionTerm]
 
 
@@ -298,11 +291,9 @@ def restrict_decompose(
     return RestrictionReport(
         anchor=meet_a,
         antichain=antichain,
-        favorable=True,
         A_H=a_h,
         meet_A_H=meet_ah,
         collapsed=lh.leq(meet_ah, c_h),
-        empty_A_H=not a_h,
         terms=terms,
     )
 
@@ -310,7 +301,7 @@ def restrict_decompose(
 def restriction_report_to_json(ctx: RestrictionContext, report: RestrictionReport) -> dict:
     lg, lh = ctx.latticeG, ctx.latticeH
     return {
-        "favorable": report.favorable,
+        "favorable": True,  # an unfavorable context raises instead
         "anchor": {"node": report.anchor, "label": lg.node_label(report.anchor)},
         "antichain": [
             {"node": p, "label": lg.node_label(p)} for p in report.antichain
@@ -318,7 +309,7 @@ def restriction_report_to_json(ctx: RestrictionContext, report: RestrictionRepor
         "A_H": [{"node": p, "label": lh.node_label(p)} for p in report.A_H],
         "meet_A_H": {"node": report.meet_A_H, "label": lh.node_label(report.meet_A_H)},
         "collapsed": report.collapsed,
-        "empty_A_H": report.empty_A_H,
+        "empty_A_H": not report.A_H,
         "part_a_verified": True,  # a failed factorization raises instead
         "terms": [
             {

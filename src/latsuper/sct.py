@@ -12,15 +12,16 @@ are in general position, the multiplicative closed form with degree
 |G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is integer valued, so
 a character is a row of ints over the block nodes in ascending order, and the
 theory is the table of these rows.  The multiplicative form keeps each value
-as an integer numerator and denominator and checks the division exactly;
-Fractions appear only in the degree-sum closed form and in reported inner
-products.
+as an integer numerator and denominator and checks the division exactly.
+Inner products are exact ints from one packed sum (inner_product); Fractions
+appear only in the degree-sum closed form and in orthogonality failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from operator import mul, sub
 from typing import Sequence
@@ -192,14 +193,28 @@ def build_theory(L: NormalLattice) -> SCTheory:
     return theory
 
 
-def inner_product(theory: SCTheory, f: Sequence[int], h: Sequence[int]) -> Fraction:
-    """<f,h> = (1/|G|) sum over blocks of |block| f(block) conj(h(block)), for
-    rows over the blocks of theory.
-
-    The values are rational, so conjugation is the identity."""
-    if not len(f) == len(h) == len(theory.sizes):
+def inner_product(theory: SCTheory, fs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """|G| <f, chi> = sum over blocks K of |K| f(K) chi(K), an exact int for every int
+    row f of fs: one list over fs per chi of theory.nonzero.  fs is packed by column,
+    P_k = sum_i |K_k| f_ik 2^(s i), read off bytes holding |K_k| f_ik + H, H = 2^(s-1),
+    less H R, R = sum_i 2^(s i); a chi then costs one sum S = sum_k chi_k P_k.  Exactness
+    bound: B = |G| max|f| max(1, max|chi|) bounds each |K_k f_ik| and |G| |<f_i, chi>|,
+    and s >= bit_length(B) + 2, so field i of S + H R is |G| <f_i, chi> + H, in [0, 2^s)."""
+    if any(len(f) != len(theory.sizes) for f in fs):
         raise ArgumentError("inner product requires characters on the same partition")
-    return Fraction(sum(map(mul, theory.sizes, map(mul, f, h))), len(theory.partition.block_of))
+    chars = list(map(theory.rows.__getitem__, theory.nonzero))
+    bound = len(theory.partition.block_of) * max(map(abs, chain([0], *fs)))
+    width = (bound * max(map(abs, chain([1], *chars)))).bit_length() + 9 >> 3  # bytes per field
+    half = 1 << 8 * width - 1
+    halves = int.from_bytes((bytes(width - 1) + b"\x80") * len(fs), "little")  # H R
+    columns = [int.from_bytes(b"".join([(size * v + half).to_bytes(width, "little") for v in col]),
+                              "little") - halves for size, col in zip(theory.sizes, zip(*fs))]
+    products = []
+    for chi in chars:
+        raw = (sum(map(mul, chi, columns)) + halves).to_bytes(len(fs) * width, "little")
+        products.append([int.from_bytes(raw[i:i + width], "little") - half
+                         for i in range(0, len(raw), width)])
+    return products
 
 
 @dataclass
@@ -209,24 +224,20 @@ class DegreeSumResult:
 
 
 def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
-    """Sum of chi^{N.}(1) over nodes N >= M with N meet L = K, by the three-case
-    closed form (disjoint, no covers, product), cross-checked against the
-    node-by-node sum."""
+    """Sum of chi^{N.}(1) over nodes N >= M with N meet L = K, by the closed
+    form, cross-checked against the node-by-node sum.  The closed form is
+    |G/join(KM, P)| prod over P of (|O/KM| - 1), P the covers O of KM with
+    O meet L != K: |G/KM| when P is empty, and 0 when KM meet L != K."""
     rows = build_theory(L).rows
     km = L.join(k, m)
     brute = sum(rows[n][0] for n in _bits(L.up_mask[m]) if L.meet(n, lnode) == k)
     perp = [o for o in L.covers(km) if L.meet(o, lnode) != k]
-    applicable = is_general_position(L, perp, km)
-    if L.meet(km, lnode) != k:
-        closed = Fraction(0)
-    elif not perp:
-        closed = Fraction(L.group.order, L.size(km))
-    else:
-        closed = Fraction(L.group.order, L.size(L.join_all([km, *perp])))
-        for o in perp:
-            closed *= Fraction(L.size(o), L.size(km)) - 1
-    if not applicable:
+    if not is_general_position(L, perp, km):
         return DegreeSumResult(brute, False)
+    closed = Fraction(L.group.order if L.meet(km, lnode) == k else 0,
+                      L.size(L.join_all([km, *perp])))
+    for o in perp:
+        closed *= Fraction(L.size(o), L.size(km)) - 1
     if closed != brute:
         raise InternalConsistencyError(
             "degree-sum closed form disagrees with the node scan",
@@ -279,21 +290,18 @@ def verify_sct(L: NormalLattice) -> dict:
             )
     report["integrality"] = "pass"
 
-    # |G| <chi_i, chi_j> as one size-weighted integer Gram
-    for i, f in enumerate(theory.nonzero):
-        weighted = list(map(mul, theory.sizes, rows[f]))
-        for h in theory.nonzero[i:]:
-            dot = sum(map(mul, weighted, rows[h]))
-            if f == h and dot == 0:
-                raise VerificationError("supercharacter orthogonal to itself",
-                                        check="orthogonality", witness={"node": f})
-            if f != h and dot != 0:
+    # the packed Gram |G| <chi_i, chi_j> is symmetric: row i names the first bad (i, j >= i)
+    nonzero = theory.nonzero
+    for i, dots in enumerate(inner_product(theory, list(map(rows.__getitem__, nonzero)))):
+        if not dots[i]:
+            raise VerificationError("supercharacter orthogonal to itself",
+                                    check="orthogonality", witness={"node": nonzero[i]})
+        for h, dot in zip(nonzero[i + 1:], dots[i + 1:]):
+            if dot:
                 ip = Fraction(dot, L.group.order)
-                raise VerificationError(
-                    f"<chi^{f}, chi^{h}> = {ip} != 0",
-                    check="orthogonality",
-                    witness={"nodes": [f, h], "value": str(ip)},
-                )
+                raise VerificationError(f"<chi^{nonzero[i]}, chi^{h}> = {ip} != 0",
+                                        check="orthogonality",
+                                        witness={"nodes": [nonzero[i], h], "value": str(ip)})
     report["orthogonality"] = "pass"
 
     # partition of unity: chi^N = sum of chi^{O.} over O >= N, as integer rows.

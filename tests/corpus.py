@@ -4,6 +4,7 @@ are constructed once per test session."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
@@ -449,3 +450,26 @@ def drawn_lattices(draw, abelian_only: bool = False) -> NormalLattice:
     kind = draw(st.sampled_from(["full", "closed", *basis]))
     picks = draw(st.sets(st.integers(0, len(full.nodes) - 1), max_size=3))
     return fresh_lattice(name, kind, tuple(sorted(picks)))
+
+
+# ---------------------------------------------------------------------------
+# The projections by the plain pair loop: one Fraction inner product per pair
+# of rows over the blocks of a theory.
+
+
+def reference_inner_product(theory, f: Sequence, h: Sequence) -> Fraction:
+    """<f, h> = (1/|G|) sum over blocks of |block| f(block) h(block)."""
+    total = sum((size * a * b for size, a, b in zip(theory.sizes, f, h, strict=True)), Fraction(0))
+    return total / len(theory.partition.block_of)
+
+
+def reference_decomposition(theory, f: Sequence) -> dict[int, Fraction]:
+    """The nonzero c_N = <f, chi^{N.}> / <chi^{N.}, chi^{N.}> over the nonzero
+    characters, each norm summed over the blocks."""
+    coeffs = {}
+    for n in theory.nonzero:
+        row = theory.rows[n]
+        dot = reference_inner_product(theory, f, row)
+        if dot:
+            coeffs[n] = dot / reference_inner_product(theory, row, row)
+    return coeffs

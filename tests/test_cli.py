@@ -433,6 +433,30 @@ def test_verify_builds_the_normal_lattice_once(files, capsys, monkeypatch, subla
     assert len(made) == lattices
 
 
+def test_verify_reports_a_failed_check_and_runs_the_rest(files, capsys, monkeypatch):
+    """A check that raises is reported with its payload, the checks after it
+    still run, and verify exits 2."""
+    from latsuper import InternalConsistencyError, cli
+
+    error = InternalConsistencyError(
+        "projection coefficients failed to reconstruct the function", check="decompose")
+
+    def failing(L, m, n):
+        raise error
+
+    monkeypatch.setattr(cli, "tensor_product", failing)
+    tmp, write = files
+    code, out = run(["verify", "--group", write("c12.json", {"kind": "cyclic", "n": 12})], capsys)
+    report = json.loads(out)
+    assert (code, report["passed"]) == (2, False)
+    assert [c["name"] for c in report["checks"]] == [
+        "group_invariants", "lattice_closure", "axioms", "dual_path_equivalence",
+        "cover_meet_lemma", "tensor_product_spots", "degree_sum_spots", "normal_subgroup_oracle"]
+    assert [c for c in report["checks"] if not c["passed"]] == [
+        {"name": "tensor_product_spots", "passed": False, "error": error.payload()}]
+    assert report["checks"][-1]["detail"] == {"status": "pass", "count": 6}
+
+
 def test_verify_certifies_the_f2_7_basis_sublattice(files, capsys):
     # the full lattice of F2^7 has over 20,000 nodes, and no node cap applies
     tmp, write = files

@@ -2,16 +2,32 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsuper import (
     ArgumentError,
+    InternalConsistencyError,
     build_theory,
     chi_subgroup,
+    inner_product,
+    normal_lattice,
     tensor_product,
 )
 from latsuper.products import decompose_class_function
 
-from corpus import cyclic_lattice, node_of_size, prime_factors, q8_lattice, s3_lattice, small_corpus
+from corpus import (
+    cyclic_group,
+    cyclic_lattice,
+    drawn_lattices,
+    node_of_size,
+    prime_factors,
+    q8_lattice,
+    reference_decomposition,
+    reference_inner_product,
+    s3_lattice,
+    small_corpus,
+)
 
 
 def test_decompose_supercharacter_is_indicator():
@@ -49,6 +65,40 @@ def test_decompose_requires_full_support():
     theory = build_theory(L)
     with pytest.raises(ArgumentError):
         decompose_class_function(theory, [Fraction(1)])
+
+
+def test_decompose_rejects_a_theory_that_does_not_reconstruct():
+    # one more at the last block of the trivial character: the projection of
+    # the true trivial character no longer reconstructs it
+    L = normal_lattice(cyclic_group(12))
+    theory = build_theory(L)
+    trivial = list(theory.rows[L.top])
+    theory.rows[L.top][-1] += 1
+    with pytest.raises(InternalConsistencyError) as info:
+        decompose_class_function(theory, trivial)
+    assert (info.value.check, str(info.value), info.value.witness) == (
+        "decompose", "projection coefficients failed to reconstruct the function", None)
+
+
+VALUES = st.one_of(st.integers(-60, 60), st.integers(-2**70, 2**70))
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices(), st.data())
+def test_packed_projections_equal_the_fraction_pair_loop(L, data):
+    theory = build_theory(L)
+    width, order = len(theory.nodes), L.group.order
+    fs = data.draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), max_size=4))
+    products = inner_product(theory, fs)
+    assert len(products) == len(theory.nonzero)
+    for n, dots in zip(theory.nonzero, products):
+        assert all(type(dot) is int for dot in dots)
+        assert [Fraction(dot, order) for dot in dots] == [
+            reference_inner_product(theory, f, theory.rows[n]) for f in fs]
+    for values in (VALUES, RATIONALS):
+        f = data.draw(st.lists(values, min_size=width, max_size=width))
+        assert decompose_class_function(theory, f) == reference_decomposition(theory, f)
 
 
 def test_tensor_product_c12_pair():

@@ -225,25 +225,25 @@ def test_nonzero_chars_have_positive_degree():
 
 
 def test_inner_products():
+    """|G| <f, chi> as ints, one list over fs per nonzero chi."""
     L = s3_lattice()
     theory = build_theory(L)
-    top = theory.rows[L.top]
-    assert inner_product(theory, top, top) == 1
-    bottom = theory.rows[L.bottom]
-    assert inner_product(theory, bottom, bottom) == 4  # (16 + 2*4)/6
-    assert inner_product(theory, top, bottom) == 0
+    top, bottom = theory.rows[L.top], theory.rows[L.bottom]
+    products = dict(zip(theory.nonzero, inner_product(theory, [top, bottom])))
+    assert products[L.top] == [6, 0]
+    assert products[L.bottom] == [0, 24]  # 16 + 2*4
     other = build_theory(cyclic_lattice(6))
     with pytest.raises(ArgumentError):
-        inner_product(theory, top, other.rows[other.nonzero[0]])
+        inner_product(theory, [top, other.rows[other.nonzero[0]]])
 
 
 def test_orthogonality_small_corpus():
     for _, L in small_corpus():
         theory = build_theory(L)
         chars = [theory.rows[n] for n in theory.nonzero]
-        for i, f in enumerate(chars):
-            for h in chars[i + 1:]:
-                assert inner_product(theory, f, h) == 0
+        for i, dots in enumerate(inner_product(theory, chars)):
+            assert dots[i] > 0
+            assert not any(dots[:i]) and not any(dots[i + 1:])
 
 
 def test_degree_sum_cases():
@@ -457,6 +457,34 @@ def raise_zero_character(theory):
     zero[-1] += 1
 
 
+def zero_last_character(theory):
+    """Zero the last nonzero character; theory.nonzero still lists it."""
+    row = theory.rows[theory.nonzero[-1]]
+    row[:] = [0] * len(row)
+
+
+def zero_first_character(theory):
+    """Zero the first nonzero character; theory.nonzero still lists it."""
+    row = theory.rows[theory.nonzero[0]]
+    row[:] = [0] * len(row)
+
+
+def negate_character(theory):
+    """Negate the last nonzero character, degree included."""
+    row = theory.rows[theory.nonzero[-1]]
+    row[:] = [-v for v in row]
+
+
+def merge_into_identity_block(theory):
+    """Add element 1 to the identity block."""
+    theory.partition.blocks[0] |= 1 << 1
+
+
+def drop_a_character(theory):
+    """Remove the last node from theory.nonzero."""
+    theory.nonzero.pop()
+
+
 FRESH = {
     "C12": lambda: normal_lattice(cyclic_group(12)),
     "F3^2 basis": lambda: basis_sublattice(vector_space_group(3, 2)),
@@ -485,6 +513,22 @@ FRESH = {
      "sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0}),
     ("F2^2", raise_zero_character, "subgroup_decomposition",
      "sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0}),
+    ("C12", zero_last_character, "orthogonality", "supercharacter orthogonal to itself",
+     {"node": 5}),
+    ("S4", zero_last_character, "orthogonality", "supercharacter orthogonal to itself",
+     {"node": 3}),
+    ("F2^2", zero_first_character, "orthogonality", "supercharacter orthogonal to itself",
+     {"node": 1}),
+    ("S4", negate_character, "positive_degree", "nonzero supercharacter with degree -1",
+     {"node": 3}),
+    ("Q8", negate_character, "positive_degree", "nonzero supercharacter with degree -1",
+     {"node": 5}),
+    ("C12", merge_into_identity_block, "SC1", "identity block is not {1}", [0, 1, 2, 3, 4, 5]),
+    ("Q8", merge_into_identity_block, "SC1", "identity block is not {1}", [0, 1, 2, 3, 4]),
+    ("C12", drop_a_character, "SC2", "5 nonzero supercharacters vs 6 blocks",
+     {"chars": 5, "blocks": 6}),
+    ("Q8", drop_a_character, "SC2", "4 nonzero supercharacters vs 5 blocks",
+     {"chars": 4, "blocks": 5}),
 ])
 def test_verify_sct_rejects_a_tampered_theory(name, tamper, check, message, witness):
     L = FRESH[name]()
