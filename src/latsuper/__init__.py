@@ -40,7 +40,6 @@ from .restriction import (
 from .sct import (
     SCTheory,
     SuperclassPartition,
-    build_superclasses,
     build_theory,
     chi_bullet_multiplicative,
     chi_subgroup,

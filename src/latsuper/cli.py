@@ -197,7 +197,7 @@ def table_payload(L: NormalLattice) -> dict:
                 "node": n,
                 "label": L.node_label(n),
                 "size": size,
-                "representative": part.representative(n),
+                "representative": next(_bits(part.blocks[n])),
                 "elements": sorted(_bits(part.blocks[n])),
             }
             for n, size in zip(theory.nodes, theory.sizes)
@@ -216,7 +216,7 @@ def table_csv(L: NormalLattice) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["supercharacter"]
-                    + [f"g{theory.partition.representative(n)}" for n in theory.nodes])
+                    + [f"g{next(_bits(theory.partition.blocks[n]))}" for n in theory.nodes])
     writer.writerows([L.node_label(n)] + theory.rows[n] for n in theory.nonzero)
     return buf.getvalue()
 

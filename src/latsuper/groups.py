@@ -74,13 +74,9 @@ class GroupSpec:
 
     @classmethod
     def table(cls, mul: Sequence[Sequence[int]]) -> "GroupSpec":
-        """Raw table; ArgumentError unless every row is a list of plain ints
-        (bools, floats and strings are refused, not converted).  The types are
-        checked in one pass; the rows are scanned one by one only to name the
-        first bad row or entry."""
-        if (set(map(type, mul)) <= {list, tuple}
-                and set(map(type, chain.from_iterable(mul))) <= {int}):
-            return cls(kind="table", mul=tuple(map(tuple, mul)))
+        """Raw table; ArgumentError, naming the first bad row or entry of one
+        scan row by row, unless every row is a list of plain ints (bools,
+        floats and strings are refused, not converted)."""
         for r, row in enumerate(mul):
             if not isinstance(row, (list, tuple)):
                 raise ArgumentError(f"table row {r} is not a list", check="spec",
@@ -197,7 +193,6 @@ class GroupTable:
         self.inv = self._inverses(*walk)
         self.is_abelian = all(self.mul[a][b] == self.mul[b][a]
                               for a, b in combinations(self.generators, 2))
-        self._classes: Optional[list[int]] = None
 
     # -- validation ---------------------------------------------------------
 
@@ -519,19 +514,22 @@ def is_normal(G: GroupTable, H: int) -> bool:
 
 
 def conjugacy_classes(G: GroupTable) -> list[int]:
-    """Conjugacy classes as bitmasks, sorted by minimal element; {0} comes first."""
-    if G._classes is not None:
-        return list(G._classes)
-    seen = 0
-    classes = []
+    """Conjugacy classes as bitmasks, sorted by minimal element; {0} comes first.
+    Each class is the orbit of its least element under conjugation by the
+    generators of G, which generate G: |generators| lookups per element."""
+    conjugate = [list(map(itemgetter(G.inv[s]), map(G.mul.__getitem__, G.mul[s])))
+                 for s in G.generators]  # x -> s*x*s^-1
+    seen, classes = bytearray(G.order), []
     for g in range(G.order):
-        if (seen >> g) & 1:
+        if seen[g]:
             continue
-        orbit = 0
-        for h in range(G.order):
-            orbit |= 1 << G.mul[G.mul[h][g]][G.inv[h]]
-        classes.append(orbit)
-        seen |= orbit
-    G._classes = classes
-    return list(classes)
-
+        seen[g] = 1
+        orbit = [g]
+        for x in orbit:  # the orbit grows while it is walked
+            for row in conjugate:
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        classes.append(mask_of(orbit))
+    return classes

@@ -67,7 +67,6 @@ class NormalLattice:
         self._validate(check_normal)
         self._build_order()
         self._distributive: Optional["DistributiveAnalysis"] = None
-        self._partition = None
         self._theory = None
 
     # -- construction checks --------------------------------------------------
@@ -540,7 +539,7 @@ def lattice_to_json(L: NormalLattice) -> dict:
         "group": L.group.spec.to_json(),
         "nodes": [list(_bits(s)) for s in L.nodes],
         "labels": [L.node_label(i) for i in range(len(L.nodes))],
-        "hasse": sorted([i, j] for i in range(len(L.nodes)) for j in L.covers_up[i]),
+        "hasse": [[i, j] for i in range(len(L.nodes)) for j in L.covers_up[i]],
     }
 
 

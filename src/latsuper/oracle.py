@@ -73,11 +73,11 @@ def _root_keys(e: int, bound: int) -> list[int]:
 
 
 def _representatives(part: "SuperclassPartition") -> tuple[list[int], list[int], list[int], bool]:
-    """The block nodes in order, the least element of each block, rep_of[g]
-    (the least element of the last block holding g, or g when none does), and
-    whether the blocks are nonempty and partition the group: the one-comparison
-    rules of the checks below need that, and build_superclasses ensures it."""
-    nodes = part.block_nodes()
+    """The block nodes, sorted (the theory's columns are not trusted), the least
+    element of each block, rep_of[g] (the least element of the last block
+    holding g, or g when none does), and whether the blocks are nonempty and
+    partition the group, as build_theory ensures and the checks below need."""
+    nodes = sorted(part.blocks)
     order = len(part.block_of)
     reps = [(part.blocks[k] & -part.blocks[k]).bit_length() - 1 for k in nodes]
     rep_of = list(range(order))
@@ -283,7 +283,7 @@ def schur_closure_check(L: "NormalLattice", theory: "SCTheory") -> dict:
     over a partition, the counts c_ij(x) summed over i are |K_j| at every x.
 
     If the blocks are no partition into nonempty sets (never those of
-    build_superclasses) or a block fails, every pair (i, j) is counted in
+    build_theory) or a block fails, every pair (i, j) is counted in
     node order and scanned block by block for the first witness."""
     G = L.group
     part = theory.partition

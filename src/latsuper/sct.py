@@ -7,14 +7,16 @@ by Moebius inversion of
     chi^N = sum over nodes O >= N of chi^{O.},
 
 chi^N being |G/N| on N and zero off it, done as one transform over the
-join-irreducibles of the lattice (build_theory), and, when the covers of N
-are in general position, the multiplicative closed form with degree
-|G/join(C(N))| * prod(|O/N| - 1).  Every supercharacter is integer valued, so
-a character is a row of ints over the block nodes in ascending order, and the
-theory is the table of these rows.  The multiplicative form keeps each value
-as an integer numerator and denominator and checks the division exactly.
-Inner products are exact ints from one packed sum (inner_product); Fractions
-appear only in the degree-sum closed form and in orthogonality failures.
+join-irreducibles of the lattice, and, when the covers of N are in general
+position, the multiplicative closed form with degree
+|G/join(C(N))| * prod(|O/N| - 1).  build_theory builds the blocks and the
+Moebius rows together, once per lattice.  Every supercharacter is integer
+valued, so a character is a row of ints over the theory's nodes, the block
+nodes in ascending order and the one column order, and the theory is the
+table of these rows.  The multiplicative form keeps each value as an integer
+numerator and denominator and checks the division exactly.  Inner products
+are exact ints from one packed sum (inner_product); Fractions appear only in
+the degree-sum closed form and in orthogonality failures.
 """
 
 from __future__ import annotations
@@ -39,50 +41,22 @@ from .lattice import NormalLattice, is_general_position
 
 @dataclass
 class SuperclassPartition:
-    """Blocks N_o indexed by lattice node; only nonempty blocks are retained.
-    No reference to the lattice, which caches it: no cycle keeps both alive."""
+    """The nonempty blocks N_o keyed by lattice node, in ascending order, and the
+    block of each element; built by build_theory and holding no lattice."""
 
     blocks: dict[int, int]            # node index -> element bitmask
     block_of: list[int]               # element index -> node index
 
-    def block_nodes(self) -> list[int]:
-        return sorted(self.blocks)
-
-    def representative(self, node: int) -> int:
-        return (self.blocks[node] & -self.blocks[node]).bit_length() - 1
-
-
-def build_superclasses(L: NormalLattice) -> SuperclassPartition:
-    """Partition the group into the blocks N_o = N minus all smaller nodes."""
-    if L._partition is not None:
-        return L._partition
-    blocks: dict[int, int] = {}
-    for i in range(len(L.nodes)):
-        below = 0
-        for j in _bits(L.down_mask[i] & ~(1 << i)):
-            below |= L.nodes[j]
-        block = L.nodes[i] & ~below
-        if block:
-            blocks[i] = block
-    block_of = [-1] * L.group.order
-    total = 0
-    for node, bmask in blocks.items():
-        total |= bmask
-        for g in _bits(bmask):
-            block_of[g] = node
-    if total != (1 << L.group.order) - 1:
-        raise InternalConsistencyError("superclasses do not cover the group",
-                                       check="superclass_partition")
-    part = SuperclassPartition(blocks, block_of)
-    L._partition = part
-    return part
-
 
 def chi_subgroup(L: NormalLattice, n: int) -> list[int]:
     """chi^N: |G/N| inside N, zero outside (the G/N permutation character),
-    as a row over the block nodes."""
+    as a row over the columns of the lattice's theory."""
+    return _chi_subgroup(L, n, build_theory(L).nodes)
+
+
+def _chi_subgroup(L: NormalLattice, n: int, nodes: list[int]) -> list[int]:
     size, down = L.group.order // L.size(n), L.down_mask[n]
-    return [size if down >> b & 1 else 0 for b in build_superclasses(L).block_nodes()]
+    return [size if down >> b & 1 else 0 for b in nodes]
 
 
 def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
@@ -160,7 +134,8 @@ class SCTheory:
 
 
 def build_theory(L: NormalLattice) -> SCTheory:
-    """Superclasses plus the rows of all chi^{N.}, built once per lattice.
+    """The superclasses N_o = N minus all smaller nodes, and the rows of all
+    chi^{N.} over them, built once per lattice and cached on it.
 
     The chi_subgroup rows are inverted in place by the lattice Moebius
     transform of Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and
@@ -176,9 +151,22 @@ def build_theory(L: NormalLattice) -> SCTheory:
     is free.  That is at most m |J| subtractions of whole rows."""
     if L._theory is not None:
         return L._theory
-    part = build_superclasses(L)
-    nodes = part.block_nodes()
-    rows = [chi_subgroup(L, n) for n in range(len(L.nodes))]
+    blocks: dict[int, int] = {}
+    block_of = [-1] * L.group.order
+    for i, node in enumerate(L.nodes):
+        smaller = 0
+        for j in _bits(L.down_mask[i] & ~(1 << i)):
+            smaller |= L.nodes[j]
+        block = node & ~smaller
+        if block:
+            blocks[i] = block
+            for g in _bits(block):
+                block_of[g] = i
+    if -1 in block_of:
+        raise InternalConsistencyError("superclasses do not cover the group",
+                                       check="superclass_partition")
+    nodes = list(blocks)
+    rows = [_chi_subgroup(L, n, nodes) for n in range(len(L.nodes))]
     irreducible = mask_of(L.join_irreducibles)
     below = [down & irreducible for down in L.down_mask]
     for p in reversed(L.join_irreducibles):
@@ -187,7 +175,8 @@ def build_theory(L: NormalLattice) -> SCTheory:
             y = L.join(x, p)
             if y != x and not below[y] & ~below[x] & above_p:
                 rows[x] = list(map(sub, rows[x], rows[y]))
-    theory = SCTheory(part, nodes, [part.blocks[b].bit_count() for b in nodes], rows,
+    theory = SCTheory(SuperclassPartition(blocks, block_of), nodes,
+                      [b.bit_count() for b in blocks.values()], rows,
                       [n for n, row in enumerate(rows) if any(row)])
     L._theory = theory
     return theory

@@ -347,7 +347,7 @@ def restricted_row(ctx, anchor: int) -> list[int]:
     theory_g, theory_h = build_theory(ctx.latticeG), build_theory(ctx.latticeH)
     value_of = dict(zip(theory_g.nodes, theory_g.rows[anchor]))
     block_of, phi = theory_g.partition.block_of, ctx.embedding.map
-    return [value_of[block_of[phi[theory_h.partition.representative(b)]]] for b in theory_h.nodes]
+    return [value_of[block_of[phi[next(_bits(theory_h.partition.blocks[b]))]]] for b in theory_h.nodes]
 
 
 def basis_vector(G, i: int) -> int:

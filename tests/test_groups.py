@@ -250,6 +250,17 @@ def test_order_cap_message_is_exact_or_a_lower_bound(spec, message):
     assert (info.value.check, str(info.value)) == ("order_cap", message)
 
 
+@pytest.mark.parametrize("rows, error, check, message, witness", [
+    ([], ConstructionError, "order", "empty multiplication table", None),
+    ([[0]] * (MAX_ORDER + 1), CapacityError, "order_cap", "order 4097 exceeds cap 4096", 4097),
+])
+def test_a_table_built_directly_is_sized_first(rows, error, check, message, witness):
+    # GroupTable itself refuses the table specs cannot describe, before any scan
+    with pytest.raises(error) as info:
+        groups.GroupTable(rows, GroupSpec.cyclic(1))
+    assert (info.value.check, str(info.value), info.value.witness) == (check, message, witness)
+
+
 def test_q_up_to_the_cap_is_factored_before_the_order_cap():
     # F6^5 has order 7776 > 4096, but q = 6 is refused first, as before
     with pytest.raises(ConstructionError) as info:

@@ -353,10 +353,15 @@ def tamper_value(theory):
     theory.rows[theory.nonzero[-1]][-1] += 1
 
 
+def drop_nonzero(theory):
+    """Leave the last nonzero character out of theory.nonzero."""
+    theory.nonzero.pop()
+
+
 def move_element(theory):
     """Move the largest element of the largest block to the second block."""
     blocks = theory.partition.blocks
-    nodes = theory.partition.block_nodes()
+    nodes = sorted(theory.partition.blocks)
     source = max(nodes, key=lambda n: (blocks[n].bit_count(), n))
     g = blocks[source].bit_length() - 1
     target = nodes[1] if nodes[1] != source else nodes[2]
@@ -381,6 +386,8 @@ FRESH = {
      {"node": 3, "block": 3, "expected": "2"}),
     ("F3^2 basis", move_element, "SC3 sum not constant on a superclass",
      {"node": 1, "elements": [1, 8]}),
+    ("C12", drop_nonzero, "dual partition does not match nonzero supercharacters",
+     {"dual_blocks": [0, 1, 2, 3, 4, 5], "chars": [0, 1, 2, 3, 4]}),
 ])
 def test_sc3_rejects_a_tampered_theory(name, tamper, message, witness):
     L = FRESH[name]()
@@ -418,7 +425,7 @@ def test_schur_closure_rejects_a_moved_element(name, witness):
 def reference_schur(L, theory):
     G = L.group
     part = theory.partition
-    nodes = part.block_nodes()
+    nodes = sorted(part.blocks)
     members = {k: list(_bits(part.blocks[k])) for k in nodes}
     reps = [(part.blocks[k] & -part.blocks[k]).bit_length() - 1 for k in nodes]
     constants = {}
@@ -538,7 +545,7 @@ def test_tampered_theories_fail_like_the_references(L, data):
     blocks that are no partition."""
     theory = build_theory(L)
     blocks = theory.partition.blocks
-    nodes = theory.partition.block_nodes()
+    nodes = sorted(theory.partition.blocks)
     tamper = data.draw(st.sampled_from(["move", "copy", "value"] if len(nodes) > 1 else ["value"]))
     if tamper != "value":
         source = data.draw(st.sampled_from(nodes), label="source")
@@ -600,7 +607,7 @@ def test_every_single_element_move_fails_like_the_reference(name):
     with the block the packed pass skips as a source, target or neither, is
     reference_schur's."""
     part = build_theory(move_lattice(name)).partition
-    nodes = part.block_nodes()
+    nodes = sorted(part.blocks)
     moves = [(source, g, target) for source in nodes for g in _bits(part.blocks[source])
              for target in nodes if target != source]
     mismatches = []
@@ -617,7 +624,7 @@ def test_the_first_failing_pair_can_start_at_the_skipped_block():
     pair of the scan starts there."""
     L, theory = moved_theory("C2xC6", 4, 2, 1)
     blocks = theory.partition.blocks
-    nodes = theory.partition.block_nodes()
+    nodes = sorted(theory.partition.blocks)
     assert max(nodes, key=lambda k: blocks[k].bit_count()) == 1
     expected = ("VerificationError", "schur_closure",
                 "superclass convolution is not constant on a block",
@@ -710,7 +717,7 @@ def tamper_at_random(theory, tamper, rng):
     """The tampers of test_tampered_theories_fail_like_the_references, drawn
     from rng; a value tamper changes a nonzero character, which SC3 sees."""
     blocks = theory.partition.blocks
-    nodes = theory.partition.block_nodes()
+    nodes = sorted(theory.partition.blocks)
     if tamper != "value":
         source = rng.choice(nodes)
         g = rng.choice(list(_bits(blocks[source])))

@@ -118,6 +118,31 @@ def test_tensor_product_c12_pair():
     assert theory.rows[c2][x_column] == 1
 
 
+def _zero_degree(theory, c4):
+    theory.rows[c4][0] = 0
+
+
+def _bump_last_value(theory, c4):
+    theory.rows[c4][-1] += 1
+
+
+@pytest.mark.parametrize("tamper, message, witness", [
+    (_zero_degree, "general position should force positive degrees", None),
+    (_bump_last_value, "tensor-product identity fails despite its hypotheses",
+     {"M": 3, "N": 4, "block": 5}),
+])
+def test_tensor_product_rejects_a_tampered_theory(tamper, message, witness):
+    # C4 and C6 of C12 meet the identity's hypotheses; the lattice is fresh,
+    # because tampering changes its cached theory
+    L = normal_lattice(cyclic_group(12))
+    c4, c6 = node_of_size(L, 4), node_of_size(L, 6)
+    tamper(build_theory(L), c4)
+    with pytest.raises(InternalConsistencyError) as info:
+        tensor_product(L, c4, c6)
+    assert (info.value.check, str(info.value), info.value.witness) == (
+        "tensor_product", message, witness)
+
+
 def test_tensor_product_hypothesis_failure_fallback():
     L = cyclic_lattice(12)
     c4 = node_of_size(L, 4)
@@ -223,7 +248,7 @@ def test_convolution_support_matches_schur_constants():
                     for b in _bits(part.blocks[j]):
                         counts[G.mul[a][b]] += 1
                 as_function = {
-                    k: Fraction(counts[part.representative(k)]) for k in part.blocks
+                    k: Fraction(counts[next(_bits(part.blocks[k]))]) for k in part.blocks
                 }
                 # exactness asserted inside
                 decompose_class_function(theory, list(as_function.values()))

@@ -121,6 +121,18 @@ def test_identity_context_favorable():
     assert all(ctx.intersect[i] == i for i in range(len(L)))
 
 
+def test_lattices_of_other_groups_are_refused():
+    G, H = cyclic_group(12), cyclic_group(6)
+    LG, LH = cyclic_lattice(12), cyclic_lattice(6)
+    embedding = cyclic_embedding(H, G)
+    for lattice_g, lattice_h in ((LH, LG), (LG, LG), (LH, LH)):
+        with pytest.raises(ArgumentError) as info:
+            build_restriction_context(embedding, lattice_g, lattice_h)
+        assert (info.value.check, str(info.value), info.value.witness) == (
+            None, "lattices do not match the embedding's groups", None)
+    assert build_restriction_context(embedding, LG, LH).favorable
+
+
 def test_c6_into_c12_favorable():
     G, H = cyclic_group(12), cyclic_group(6)
     LG, LH = cyclic_lattice(12), cyclic_lattice(6)

@@ -1,7 +1,8 @@
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from latsuper import (
     InternalConsistencyError,
     LatsuperError,
     VerificationError,
-    build_superclasses,
     build_theory,
     chi_bullet_multiplicative,
     chi_subgroup,
@@ -55,7 +55,7 @@ from corpus import (
 
 def by_block(L, row):
     """A row over the block nodes as a dict from block node to value."""
-    return dict(zip(build_superclasses(L).block_nodes(), row))
+    return dict(zip(build_theory(L).nodes, row))
 
 
 def column(theory, b):
@@ -64,7 +64,7 @@ def column(theory, b):
 
 
 def blocks_by_label(L):
-    part = build_superclasses(L)
+    part = build_theory(L).partition
     return {L.node_label(n): sorted(_bits(m)) for n, m in part.blocks.items()}
 
 
@@ -81,21 +81,21 @@ def test_superclasses_cyclic6():
 def test_superclasses_subsp_counts():
     for q, n in ((2, 2), (3, 2), (2, 3)):
         L = subsp_lattice(q, n)
-        part = build_superclasses(L)
+        part = build_theory(L).partition
         assert len(part.blocks) == 1 + (q**n - 1) // (q - 1)
 
 
 def test_superclasses_trivial_lattice():
     L = cyclic_lattice(12)
     trivial = closed_sublattice(L.group, [])
-    part = build_superclasses(trivial)
+    part = build_theory(trivial).partition
     blocks = sorted(m.bit_count() for m in part.blocks.values())
     assert blocks == [1, 11]
 
 
 def test_superclasses_partition_group():
     for _, L in small_corpus():
-        part = build_superclasses(L)
+        part = build_theory(L).partition
         union = 0
         total = 0
         for m in part.blocks.values():
@@ -106,12 +106,22 @@ def test_superclasses_partition_group():
         assert part.blocks[L.bottom] == 1
 
 
+def test_superclasses_that_miss_an_element_are_refused():
+    # a top node that lost the generator 5 of C6: no block holds 5
+    L = normal_lattice(cyclic_group(6))
+    L.nodes[L.top] &= ~(1 << 5)
+    with pytest.raises(InternalConsistencyError) as info:
+        build_theory(L)
+    assert (info.value.check, str(info.value), info.value.witness) == (
+        "superclass_partition", "superclasses do not cover the group", None)
+
+
 def test_superclasses_are_unions_of_conjugacy_classes():
     from latsuper import conjugacy_classes
 
     for _, L in small_corpus():
         classes = conjugacy_classes(L.group)
-        part = build_superclasses(L)
+        part = build_theory(L).partition
         for m in part.blocks.values():
             for c in classes:
                 assert c & m == 0 or c & m == c
@@ -174,7 +184,7 @@ def test_chi_bullet_multiplicative_guards():
 def test_hyperplane_character_values():
     for q, n in ((2, 2), (3, 2), (2, 3), (3, 3)):
         L = subsp_lattice(q, n)
-        part = build_superclasses(L)
+        part = build_theory(L).partition
         rows = rebuilt_rows(L)
         hyperplanes = [u for u in range(len(L)) if L.size(u) == q ** (n - 1)]
         for u in hyperplanes:
@@ -397,8 +407,14 @@ def test_integer_rows_match_a_fraction_reference(name, data):
     L = closed_sublattice(full.group, [full.nodes[i] for i in sorted(picks)])
     theory = build_theory(L)
     nodes, sizes, rows = theory.nodes, theory.sizes, theory.rows
-    assert nodes == sorted(build_superclasses(L).blocks)
-    assert sizes == [build_superclasses(L).blocks[b].bit_count() for b in nodes]
+    # the blocks N_o, each node less every smaller node, in node order
+    blocks = {i: L.nodes[i] & ~reduce(or_, (L.nodes[j] for j in range(i) if L.leq(j, i)), 0)
+              for i in range(len(L.nodes))}
+    blocks = {b: mask for b, mask in blocks.items() if mask}
+    assert list(theory.partition.blocks.items()) == list(blocks.items()) and nodes == list(blocks)
+    assert sizes == [mask.bit_count() for mask in blocks.values()]
+    assert theory.partition.block_of == [next(b for b, mask in blocks.items() if mask >> g & 1)
+                                         for g in range(L.group.order)]
     assert len(rows) == len(L.nodes)
     assert theory.nonzero == [n for n in range(len(L.nodes)) if any(rows[n])]
     for n in range(len(L.nodes)):
@@ -558,7 +574,7 @@ def reference_moebius_values(L, n):
     order = L.group.order
     row = reference_moebius_row(L, n)
     return {b: sum(mu * (order // L.size(o)) for o, mu in row.items() if L.leq(b, o))
-            for b in build_superclasses(L).blocks}
+            for b in build_theory(L).partition.blocks}
 
 
 def reference_multiplicative(L, m):
@@ -573,7 +589,7 @@ def reference_multiplicative(L, m):
     for o in covers:
         degree *= Fraction(L.size(o), L.size(m)) - 1
     values = {}
-    for b in build_superclasses(L).block_nodes():
+    for b in build_theory(L).nodes:
         if not L.leq(b, top_join):
             values[b] = Fraction(0)
             continue
@@ -626,7 +642,7 @@ def test_multiplicative_values_are_the_reference_ints(L):
 def test_dual_path_fails_like_the_reference_on_a_tampered_value(L, data):
     theory = build_theory(L)
     node = data.draw(st.sampled_from(range(len(theory.rows))), label="character")
-    block = data.draw(st.sampled_from(theory.partition.block_nodes()), label="block")
+    block = data.draw(st.sampled_from(theory.nodes), label="block")
     theory.rows[node][column(theory, block)] += data.draw(st.sampled_from([-2, -1, 1, 2]))
     for m in range(len(L.nodes)):
         assert (multiplicative_outcome(chi_bullet_multiplicative, L, m)

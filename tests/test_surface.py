@@ -11,6 +11,8 @@ imports is used by that module.
 """
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import latsuper
@@ -146,3 +148,34 @@ def test_the_oracle_imports_only_errors_and_groups_at_run_time():
     assert runtime_package_imports(SRC / "oracle.py") == {"errors", "groups"}
     # the import sct makes inside verify_sct is seen
     assert "oracle" in runtime_package_imports(SRC / "sct.py")
+
+
+def test_the_benchmark_tracer_observes_every_layer(tmp_path):
+    # latbench's per-layer counters read names and fields of the package; a
+    # refactor that drops one zeroes a counter silently instead of failing
+    from latsuper import cli
+
+    spec = importlib.util.spec_from_file_location("latbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    files = {"group": {"kind": "cyclic", "n": 12}, "c4": [0, 3, 6, 9], "c6": [0, 2, 4, 6, 8, 10]}
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for command, *extra in (["sct"], ["verify"],
+                                ["product", "--subgroup", "c4", "--subgroup", "c6"]):
+            extra = [str(tmp_path / f"{x}.json") if x in files else x for x in extra]
+            assert cli.main([command, "--group", str(tmp_path / "group.json"),
+                             "--out", str(tmp_path / "out"), *extra]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert [key for key in tracer.counts if key.startswith("unobserved.")] == []
+    metrics = tracer.metrics()
+    # each command builds the lattice of C12 and its theory once: one node and
+    # one block per divisor of 12
+    assert metrics["lattice.nodes"] == metrics["sct.blocks"] == 3 * 6
+    assert metrics["oracle.dual_size"] == 12 and metrics["sct.inner_products"] == 1
+    assert metrics["products.tensor_calls"] > 0 and metrics["groups.table_entries"] == 3 * 144
