@@ -78,7 +78,7 @@ def tensor_product(L: NormalLattice, m: int, n: int) -> ProductReport:
             )
         scale = Fraction(chi_m[0] * chi_n[0], chi_meet[0])
         for b, p, v in zip(theory.nodes, product, chi_meet):
-            if p != scale * v:
+            if p * chi_meet[0] != chi_m[0] * chi_n[0] * v:
                 raise InternalConsistencyError(
                     "tensor-product identity fails despite its hypotheses",
                     check="tensor_product",

@@ -235,9 +235,9 @@ def restrict_decompose(
     chi_c = chi_subgroup(lh, c_h)
     # the factorization can genuinely fail on favorable pairs outside the
     # full-lattice / q=2 block-sum classes, so failure is a verification
-    # result, not a bug signal
+    # result, not a bug signal.  r / chi(1) = (mh / chi_mh(1)) (c / chi_c(1)), in ints
     for bnode, r, mh, c in zip(theory_h.nodes, restricted, chi_mh, chi_c):
-        if Fraction(r, degree) != Fraction(mh, chi_mh[0]) * Fraction(c, chi_c[0]):
+        if r * chi_mh[0] * chi_c[0] != mh * c * degree:
             raise VerificationError(
                 "restriction factorization fails on this favorable pair",
                 check="restriction_factorization",

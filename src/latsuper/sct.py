@@ -13,10 +13,10 @@ position, the multiplicative closed form with degree
 Moebius rows together, once per lattice.  Every supercharacter is integer
 valued, so a character is a row of ints over the theory's nodes, the block
 nodes in ascending order and the one column order, and the theory is the
-table of these rows.  The multiplicative form keeps each value as an integer
-numerator and denominator and checks the division exactly.  Inner products
-are exact ints from one packed sum (inner_product); Fractions appear only in
-the degree-sum closed form and in orthogonality failures.
+table of these rows.  Numbers are ints in every closed form and every check,
+inner products included (one packed sum, inner_product); a Fraction is built
+only for a rational that a result returns or prints, here the inner product
+an orthogonality failure names.
 """
 
 from __future__ import annotations
@@ -64,10 +64,13 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
     requires C(M) nonempty and in general position over M.  Checked exactly
     against the row of the lattice's theory.
 
-    Each value is an integer numerator and denominator, compared with the
-    Moebius value v as num == v * den.  The join of C(M) minus one cover is
-    computed once per cover, and the value and join of each minimal cover set
-    once per set; b <= join(minimal) is tested for every block.  The first
+    With top = cover_join(M), r_O the join of M with the covers other than O,
+    and S the covers O with b not under r_O, the formula's value at a block
+    b <= top is |G/top| prod over C(M) of (|O:M| - 1) times prod over S of
+    1 / (1 - |O:M|).  As (x - 1) / (1 - x) = -1, that is the integer
+    (-1)^|S| |G/top| prod over O in C(M) - S of (|O:M| - 1), computed once per
+    set of r_O above b; b <= join(M, S) is tested for every block, and the
+    row is compared with the Moebius row after the loop, so the first
     ambiguous block raises even after a mismatch at an earlier block."""
     covers = L.covers(m)
     if not covers:
@@ -79,36 +82,30 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
             "covers are not in general position", witness=m
         )
     theory = build_theory(L)
-    size_m = L.size(m)
-    top_join = L.join_all([m, *covers])
-    # degree |G/top| * prod(|O|/|M| - 1), times prod(1 / (1 - |O|/|M|)) over minimal
-    num = L.group.order * prod(L.size(o) - size_m for o in covers)
-    den = L.size(top_join) * size_m ** len(covers)
-    rests = [(o, L.join_all([m, *(p for p in covers if p != o)])) for o in covers]
-    by_minimal: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    top = L.cover_join(m)
+    quotient = L.group.order // L.size(top)
+    rests = [L.join_all([m, *(p for p in covers if p != o)]) for o in covers]
+    rest_mask = mask_of(rests)
+    by_key: dict[int, tuple[int, int]] = {}   # r_O above b -> (join(M, S), value)
     row: list[int] = []
-    agree = True
-    for b, moebius in zip(theory.nodes, theory.rows[m]):
+    for b in theory.nodes:
         up = L.up_mask[b]
-        if not (up >> top_join) & 1:
+        if not up >> top & 1:
             row.append(0)
-            agree = agree and moebius == 0
             continue
-        minimal = tuple(o for o, rest in rests if not (up >> rest) & 1)
-        if minimal not in by_minimal:
-            by_minimal[minimal] = (
-                L.join_all([m, *minimal]),
-                num * size_m ** len(minimal),
-                den * prod(size_m - L.size(o) for o in minimal),
-            )
-        join, b_num, b_den = by_minimal[minimal]
-        if not (up >> join) & 1:
+        key = up & rest_mask
+        if key not in by_key:
+            minimal = [o for o, rest in zip(covers, rests) if not key >> rest & 1]
+            value = (-1) ** len(minimal) * quotient * prod(
+                L.size(o) // L.size(m) - 1 for o in covers if o not in minimal)
+            by_key[key] = L.join_all([m, *minimal]), value
+        join, value = by_key[key]
+        if not up >> join & 1:
             raise AmbiguityError(
                 "no unique minimal cover subset for a block", witness={"M": m, "block": b}
             )
-        agree = agree and b_num == moebius * b_den
-        row.append(b_num // b_den)
-    if not agree:
+        row.append(value)
+    if row != theory.rows[m]:
         raise InternalConsistencyError(
             "multiplicative and Moebius character values disagree",
             check="dual_path", witness={"node": m},
@@ -216,17 +213,16 @@ def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
     """Sum of chi^{N.}(1) over nodes N >= M with N meet L = K, by the closed
     form, cross-checked against the node-by-node sum.  The closed form is
     |G/join(KM, P)| prod over P of (|O/KM| - 1), P the covers O of KM with
-    O meet L != K: |G/KM| when P is empty, and 0 when KM meet L != K."""
+    O meet L != K: |G/KM| when P is empty, and 0 when KM meet L != K.  Every
+    index is an int, and so is the closed form."""
     rows = build_theory(L).rows
     km = L.join(k, m)
     brute = sum(rows[n][0] for n in _bits(L.up_mask[m]) if L.meet(n, lnode) == k)
     perp = [o for o in L.covers(km) if L.meet(o, lnode) != k]
     if not is_general_position(L, perp, km):
         return DegreeSumResult(brute, False)
-    closed = Fraction(L.group.order if L.meet(km, lnode) == k else 0,
-                      L.size(L.join_all([km, *perp])))
-    for o in perp:
-        closed *= Fraction(L.size(o), L.size(km)) - 1
+    closed = (L.meet(km, lnode) == k) * (L.group.order // L.size(L.join_all([km, *perp])))
+    closed *= prod(L.size(o) // L.size(km) - 1 for o in perp)
     if closed != brute:
         raise InternalConsistencyError(
             "degree-sum closed form disagrees with the node scan",
@@ -241,7 +237,8 @@ def degree_sum(L: NormalLattice, k: int, lnode: int, m: int) -> DegreeSumResult:
 
 
 def verify_sct(L: NormalLattice) -> dict:
-    """Check the theory of L: SC1, SC2, integrality, orthogonality plus the
+    """Check the theory of L, in this order: SC1, SC2, integrality,
+    positive_degree, orthogonality, subgroup_decomposition, then the
     oracle-side Schur-ring closure and (abelian only) the direct SC3 sums.
     Returns the report; raises VerificationError naming the first failed
     axiom."""

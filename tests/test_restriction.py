@@ -9,11 +9,13 @@ from latsuper import (
     ArgumentError,
     ConstructionError,
     GroupEmbedding,
+    LatsuperError,
     UnsupportedStructureError,
     build_restriction_context,
     build_theory,
     compute_A_H,
     distributive_analysis,
+    normal_lattice,
     restrict_decompose,
 )
 from latsuper.cli import main
@@ -254,6 +256,41 @@ def test_repeated_antichain_node_is_reported_once(tmp_path, capsys):
         outputs.append(json.loads(capsys.readouterr().out))
     assert [p["label"] for p in outputs[0]["antichain"]] == ["C4"]
     assert outputs[0] == outputs[1]
+
+
+def point_element_2_at_block_c3():
+    """C6 into C12, anchor 1: element 2 of C12 (the image of 1) joins the
+    block of 4, where chi^{1.} reads -2 against 2."""
+    G, H = cyclic_group(12), cyclic_group(6)
+    ctx = build_restriction_context(cyclic_embedding(H, G), normal_lattice(G), normal_lattice(H))
+    block_of = build_theory(ctx.latticeG).partition.block_of
+    block_of[2] = block_of[4]
+    return ctx, ctx.latticeG.bottom
+
+
+def raise_c2_at_its_own_block():
+    """C12 into itself, anchor C2: chi^{C2.} reads one more on the block C2,
+    which lies under cover_join(C2), so the factorization still holds."""
+    L = normal_lattice(cyclic_group(12))
+    ctx = build_restriction_context(identity_embedding(L.group), L, L)
+    c2, theory = node_of_size(L, 2), build_theory(L)
+    theory.rows[c2][theory.nodes.index(c2)] += 1
+    return ctx, c2
+
+
+@pytest.mark.parametrize("tampered, error, check, message, witness", [
+    (point_element_2_at_block_c3, "CompatibilityError", "restriction_constancy",
+     "restricted character is not constant on an H-superclass", {"anchor": 0, "H_block": 3}),
+    (raise_c2_at_its_own_block, "InternalConsistencyError", "restriction_coefficient",
+     "coefficient closed form disagrees with the degree-sum route",
+     {"K": 1, "closed": "1/3", "degree_sum": "1/2"}),
+])
+def test_restrict_decompose_rejects_a_tampered_theory(tampered, error, check, message, witness):
+    ctx, anchor = tampered()
+    with pytest.raises(LatsuperError) as info:
+        restrict_decompose(ctx, anchor)
+    assert (type(info.value).__name__, info.value.check, str(info.value),
+            info.value.witness) == (error, check, message, witness)
 
 
 def test_trivial_restriction_identity():

@@ -297,6 +297,18 @@ def test_degree_sum_all_triples_small():
                     degree_sum(L, k, lnode, mm)  # internal cross-check must not raise
 
 
+def test_degree_sum_rejects_a_tampered_theory():
+    # one more at the degree of the trivial character: the node scan over
+    # N >= 1 with N meet 1 = 1 reads 13, the closed form |G| = 12
+    L = FRESH["C12"]()
+    build_theory(L).rows[L.top][0] += 1
+    with pytest.raises(InternalConsistencyError) as info:
+        degree_sum(L, 0, 0, 0)
+    assert (info.value.check, str(info.value), info.value.witness) == (
+        "degree_sum", "degree-sum closed form disagrees with the node scan",
+        {"K": 0, "L": 0, "M": 0, "closed": "12", "brute": "13"})
+
+
 def test_verify_sct_corpus():
     for name, L in small_corpus():
         report = verify_sct(L)
@@ -666,5 +678,21 @@ def test_an_ambiguous_block_wins_over_an_earlier_mismatch():
     L.up_mask[c4] |= 1 << c2 | 1 << c3 | 1 << c6
     expected = ("AmbiguityError", None, "no unique minimal cover subset for a block",
                 {"M": L.bottom, "block": c4})
+    assert multiplicative_outcome(chi_bullet_multiplicative, L, L.bottom) == expected
+    assert multiplicative_outcome(reference_multiplicative, L, L.bottom) == expected
+
+
+def test_each_block_of_a_shared_key_is_tested_for_ambiguity():
+    """C30 at the bottom: covers C2, C3 and C5, whose joins of the other two
+    are C15, C10 and C6.  Block C5 lies under C15 and C10 only, so S = {C5}
+    and C5 <= join(1, S) holds.  If the order relation also puts the later
+    block C15 under C10, C15 has the same r_O above it as C5 but does not lie
+    under C5: the verdict of C5 must not be reused for it."""
+    L = normal_lattice(cyclic_group(30))
+    c5, c10, c15 = (node_of_size(L, size) for size in (5, 10, 15))
+    assert c5 < c15
+    L.up_mask[c15] |= 1 << c10
+    expected = ("AmbiguityError", None, "no unique minimal cover subset for a block",
+                {"M": L.bottom, "block": c15})
     assert multiplicative_outcome(chi_bullet_multiplicative, L, L.bottom) == expected
     assert multiplicative_outcome(reference_multiplicative, L, L.bottom) == expected

@@ -158,7 +158,9 @@ def test_the_benchmark_tracer_observes_every_layer(tmp_path):
     spec = importlib.util.spec_from_file_location("latbench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    files = {"group": {"kind": "cyclic", "n": 12}, "c4": [0, 3, 6, 9], "c6": [0, 2, 4, 6, 8, 10]}
+    files = {"group": {"kind": "cyclic", "n": 12}, "c4": [0, 3, 6, 9], "c6": [0, 2, 4, 6, 8, 10],
+             "embedding": {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]},
+             "anchor": {"node": [0]}}
     for name, payload in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     tracer = spans.Tracer()
@@ -179,3 +181,18 @@ def test_the_benchmark_tracer_observes_every_layer(tmp_path):
     assert metrics["lattice.nodes"] == metrics["sct.blocks"] == 3 * 6
     assert metrics["oracle.dual_size"] == 12 and metrics["sct.inner_products"] == 1
     assert metrics["products.tensor_calls"] > 0 and metrics["groups.table_entries"] == 3 * 144
+
+    # restrict of C6 into C12 in a tracer of its own, so the totals above stay
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["restrict", "--group", str(tmp_path / "group.json"),
+                         "--embedding", str(tmp_path / "embedding.json"),
+                         "--anchor", str(tmp_path / "anchor.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert [key for key in tracer.counts if key.startswith("unobserved.")] == []
+    # one restrict_decompose, whose projection is one inner product under products
+    assert tracer.metrics()["restriction.calls"] == 1
+    assert tracer.counts["products.inner_product"] == 1
