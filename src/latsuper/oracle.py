@@ -10,8 +10,9 @@ joining cyclic subgroups one at a time; any other lattice has each node
 certified as a subgroup closed under conjugation.
 
 The SC3 check enumerates the dual along a coset walk of a generating
-sequence, as bytes rows when e <= 255 and int tuples above, already sorted
-by their exponents in element order, and checks one X-block at a time.
+sequence, as bytes rows of one byte per exponent (two when e > 255),
+already sorted by their exponents in element order, and checks one X-block
+at a time.
 Its sums are exact (Lyubashevsky, Peikert and Regev, EUROCRYPT 2013, sec. 4):
 write e as the product of its exact prime-power divisors q = p^a.  Then
 Z[zeta_e] is the tensor product of the Z[w_q] and, by the CRT, zeta_e^k is
@@ -32,9 +33,10 @@ partition the counts c_ij(x) sum over i to |K_j|, so the largest is skipped.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, cycle, islice, repeat
+import sys
+from itertools import accumulate, cycle, islice, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mod, mul
+from operator import add, mod, mul
 from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, CapacityError, LatsuperError, VerificationError
@@ -91,12 +93,23 @@ def _representatives(part: "SuperclassPartition") -> tuple[list[int], list[int],
     return nodes, reps, rep_of, is_partition and covered == (1 << order) - 1
 
 
-def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
-    """The exponent e, the walk and the |G| dual characters as rows of
-    exponents over the walk.  Adding generator g with relative order d to the
-    span S appends the cosets S*g^j, 0 < j < d, so the extended row is the old
-    row shifted by j times the value chosen for g, coset after coset: no sort
-    and no per-element index.
+def _add_mod(packed: int, c: int, e: int, ones: int) -> int:
+    """Add c mod e to every 16-bit field, each below e, of packed; ones holds
+    1 in each field.  A field q of packed + c·ones is below 2e, so q + 0x8000
+    − e sets bit 15 exactly when q >= e and, as e <= 0x8000, carries into no
+    other field."""
+    q = packed + c * ones
+    return q - e * ((q + (0x8000 - e) * ones) >> 15 & ones)
+
+
+def _dual_walk(G: GroupTable) -> tuple[int, list[int], list[bytes]]:
+    """The exponent e, the walk and the |G| dual characters as bytes rows of
+    exponents over the walk, one byte each when e <= 255, else two in native
+    order.  Adding generator g with relative order d to the span S appends
+    the cosets S*g^j, 0 < j < d, so the extended row is the old row shifted
+    by j times the value chosen for g, coset after coset: by translates of
+    bytes, or above 255 by doubling with _add_mod (exact as e <= MAX_ORDER =
+    4096), in log2(d) big-int steps; no sort and no per-element index.
 
     Each generator of G is the least element outside the span of the earlier
     ones, so two characters first differ, in element order, at the first
@@ -116,31 +129,37 @@ def _dual_walk(G: GroupTable) -> tuple[int, list[int], list]:
         for _ in range(d - 1):
             walk += map(G.mul[g].__getitem__, walk[-s:])
     e = lcm(*(G.element_order(g) for g, *_ in levels))
-    residues = tuple(range(e)) * 2
+    width = 1 if e <= 255 else 2
     # tables[c] adds c mod e to every byte below e
-    tables = [bytes(residues[c:c + e]) + bytes(256 - e) for c in range(e)] if e <= 255 else None
-    rows: list = [b"\0" if tables else (0,)]
+    tables = ([bytes(range(c, e)) + bytes(range(c)) + bytes(256 - e) for c in range(e)]
+              if width == 1 else None)
+    rows = [bytes(width)]
     for g, d, at, s in levels:
         gg = gcd(d, e)
         step = e // gg
         inverse = pow(d // gg, -1, step)
+        # ones[k] is 1 in each 16-bit field of s << k exponents
+        ones = [((1 << (16 * s << k)) - 1) // 0xFFFF for k in range((d - 1).bit_length())]
         extended = []
         for row in rows:
-            v = row[at]
+            v = int.from_bytes(row[width * at:width * at + width], sys.byteorder)
             if v % gg != 0:
                 raise VerificationError(
                     "no character extension exists (group is not abelian?)",
                     check="dual_group", witness={"generator": g},
                 )
             x0 = (v // gg) * inverse % step
-            for t in range(gg):
-                val = (x0 + t * step) % e
-                shifts = map(mod, range(0, d * val, val), repeat(e)) if val else repeat(0, d)
+            for val in range(x0, e, step):
                 if tables:
+                    shifts = map(mod, range(0, d * val, val), repeat(e)) if val else repeat(0, d)
                     extended.append(b"".join(map(row.translate, map(tables.__getitem__, shifts))))
-                else:
-                    powers = chain.from_iterable(map(repeat, shifts, repeat(s))) if s > 1 else shifts
-                    extended.append(itemgetter(*map(add, row * d, powers))(residues))
+                    continue
+                # copies j < 2^(k+1): those j < 2^k, then them shifted by 2^k val
+                copies = int.from_bytes(row, sys.byteorder)
+                for k, one in enumerate(ones):
+                    copies |= _add_mod(copies, (val << k) % e, e, one) << (16 * s << k)
+                copies &= (1 << 16 * d * s) - 1
+                extended.append(copies.to_bytes(2 * d * s, sys.byteorder))
         rows = extended
     if len(rows) != G.order:
         raise VerificationError(
@@ -160,14 +179,16 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     theory holds no lattice, so L is passed with it; tests pass tampered
     theories).
 
-    The rows of _dual_walk are bytes when the exponent e fits in a byte, so
-    shifts and zero flags are translates, and int tuples above.  Kernels are
-    read over walk positions, where the node masks are moved once.  For each
-    X-block the exponents at each element form a column of its rows; equal
-    columns are sorted, and equal multisets summed, once, each as the sum of
-    the _root_keys of its exponents.  bound is at least |G| and every |v|
-    compared, so by the module docstring two sums are equal exactly when the
-    sums of roots are, and a sum is v exactly when the sum of roots is.
+    The rows of _dual_walk hold one byte per exponent when the exponent e
+    fits in a byte and two above, exact while e <= MAX_ORDER = 4096 (see
+    _add_mod).  Kernels, the exponents with every byte zero, are read by one
+    translate per byte over walk positions, where the node masks are moved
+    once.  For each X-block the exponents at each element form a column of
+    its rows, a strided slice keyed by its bytes; equal columns are sorted,
+    and equal multisets summed, once, each as the sum of the _root_keys of
+    its exponents.  bound is at least |G| and every |v| compared, so by the
+    module docstring two sums are equal exactly when the sums of roots are,
+    and a sum is v exactly when the sum of roots is.
 
     Every element of every superclass is compared: for each X-block, the sums
     must equal the sums at their superclass representatives, and the sums at
@@ -186,14 +207,12 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
         masks.append(int("".join(map(digits.__getitem__, reversed(walk))), 2))
     n_max_of: dict[int, int] = {}        # kernel over positions -> largest node inside
     blocks_of_dual: dict[int, list] = {}
+    width = len(rows[0]) // order      # bytes per exponent
     for row in rows:
-        if e <= 255:
-            kernel = int(row.translate(_ZERO_DIGITS)[::-1], 2)
-        else:  # one step per zero: with e > 255 a kernel is a small share of a row
-            kernel, p = 0, -1
-            for _ in range(row.count(0)):
-                p = row.index(0, p + 1)
-                kernel |= 1 << p
+        # an exponent is zero when each of its bytes is
+        kernel = -1
+        for lane in range(width):
+            kernel &= int(row[lane::width].translate(_ZERO_DIGITS)[::-1], 2)
         if kernel not in n_max_of:
             inside = 0
             for n, mask in enumerate(masks):
@@ -224,16 +243,17 @@ def verify_sc3_abelian(L: "NormalLattice", theory: "SCTheory") -> dict:
     for n, block in blocks_of_dual.items():
         values = theory.rows[n]
         # the exponents of the block at each element: strided slices of its
-        # joined bytes rows, or its tuple rows transposed (no joined copy)
-        if e <= 255:
+        # joined rows, 16-bit ones keyed by their bytes
+        if width == 1:
             columns = list(map(b"".join(block).__getitem__, columns_at))
         else:
-            columns = list(map(list(zip(*block)).__getitem__, position_of))
+            view = memoryview(b"".join(block)).cast("H")
+            columns = [view[at].tobytes() for at in columns_at]
         # each distinct column is sorted once and each distinct multiset summed once
         residue_of: dict[tuple[int, ...], int] = {}
         sum_of = {}
         for column in set(columns):
-            multiset = tuple(sorted(column))
+            multiset = tuple(sorted(column if width == 1 else memoryview(column).cast("H")))
             if multiset not in residue_of:
                 residue_of[multiset] = sum(map(key.__getitem__, multiset))
             sum_of[column] = residue_of[multiset]

@@ -268,11 +268,6 @@ def restrict_decompose(
                 check="restriction_coefficient",
                 witness={"K": k, "closed": str(ncoeff), "degree_sum": str(alt)},
             )
-        if ncoeff == 0:
-            raise InternalConsistencyError(
-                "restriction coefficient vanished", check="restriction_coefficient",
-                witness={"K": k},
-            )
         terms.append(RestrictionTerm(k, ncoeff, ncoeff * degree))
 
     # (4) cross-check against orthogonal projection of the direct restriction

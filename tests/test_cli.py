@@ -1041,6 +1041,7 @@ def test_cover_meet_reports_the_first_failing_pair(monkeypatch, n):
 DIGEST_GROUPS = {
     "c12": {"kind": "cyclic", "n": 12},
     "c30": {"kind": "cyclic", "n": 30},
+    "c260": {"kind": "cyclic", "n": 260},
     "f2^3": {"kind": "vector_space", "q": 2, "dim": 3},
     "f3^2": {"kind": "vector_space", "q": 3, "dim": 2},
     "c2xc6": {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 6}]},
@@ -1054,6 +1055,7 @@ DIGEST_SUBLATTICES = {
     "c12/nodes": {"nodes": [[0], [0, 4, 8], [0, 2, 4, 6, 8, 10], list(range(12))]},
     "c12/non-subgroup-generator": {"generators": [[0, 1]]},
     "c30/full": None,
+    "c260/full": None,
     "c30/generators": {"generators": [[0, 15], [0, 10, 20]]},
     "c30/nodes": {"nodes": [[0], [0, 15], [0, 10, 20], list(range(0, 30, 5)), list(range(30))]},
     "f2^3/full": None,
@@ -1124,6 +1126,12 @@ CLI_DIGESTS = {
     "export-dot c30/nodes": "b24428c4f14877582356316ba2b39e03595c8634995359b1acc469b513df1866",
     "export-json c30/nodes": "8135ff70f57152d1537699550b7c9f8a436cb3cf6ebf801f4565589e9123013a",
     "verify c30/nodes": "646dd583a7dca614797d2d7b19df68212ab6c2dae8faf6c725918f18d9f3a86e",
+    "lattice c260/full": "50c3df34c7e42068ace3215e19ac2e28aec956406804de0f0d7975bac83d88c9",
+    "sct-csv c260/full": "e53c621e8b9eb400a4b7cbc6cd6146184ecca531529dc765c917db602a134aab",
+    "sct-json c260/full": "5ba667168e3a47771f71c526ef8a60dfa2fba63bb8a8f207c54d3e5f53bbaaab",
+    "export-dot c260/full": "093a439c149a03751b5b5b9597a8388a79674ba948592b653e4430d3fd54dc2e",
+    "export-json c260/full": "14b5d821c74e24db6871eb267fc9dfa0a962631135a5d70d5ae30e84a4b7fc89",
+    "verify c260/full": "9199ccedebcdb64e3b3ec9efbdd7a4bdc758a967a526aa9f866285e6b55fb3b9",
     "lattice f2^3/full": "dcf235f5f3d49ebc0bfa7c7424f07a9fbb746468de9431369ee36315c1ea440f",
     "sct-csv f2^3/full": "ad4cfd9a3669c02966140c3fd47c2829df4a3dfda35ef904a51714da846be603",
     "sct-json f2^3/full": "79a238a7952abd2194f17ad55f519229ca4cf12da7dc3e97de2bd11fb92690e3",

@@ -1,6 +1,7 @@
 import cmath
 import json
 import random
+import sys
 import tracemalloc
 from functools import lru_cache
 from math import lcm
@@ -24,6 +25,7 @@ from latsuper import oracle
 from latsuper.groups import _bits, closure_mask, is_normal, mask_of
 from latsuper.lattice import NormalLattice, closed_sublattice
 from latsuper.oracle import (
+    _add_mod,
     _dual_walk,
     _root_keys,
     brute_force_normal_subgroups,
@@ -145,11 +147,18 @@ def test_packed_root_sums_agree_with_the_cyclotomic_residues(exponents):
 # psi(g) the exponent k of the character value zeta_e^k.
 
 
+def decoded(row, e):
+    """The exponents of a row of _dual_walk over the walk: one byte each when
+    e <= 255, else two in native byte order."""
+    width = 1 if e <= 255 else 2
+    return [int.from_bytes(row[i:i + width], sys.byteorder) for i in range(0, len(row), width)]
+
+
 def dual_rows(G):
     """The exponent e and the rows of _dual_walk, each read in element order."""
     e, walk, rows = _dual_walk(G)
     position_of = sorted(range(G.order), key=walk.__getitem__)
-    return e, [tuple(map(row.__getitem__, position_of)) for row in rows]
+    return e, [tuple(map(decoded(row, e).__getitem__, position_of)) for row in rows]
 
 
 def assert_the_sorted_dual(G, e, psis):
@@ -670,10 +679,10 @@ def test_sc3_rejects_kernel_nodes_not_closed_under_join():
 
 
 # ---------------------------------------------------------------------------
-# verify_sc3_abelian stores the dual as bytes rows when the exponent e is at
-# most 255 and as int tuples above.  Groups on both sides of that boundary,
-# beyond the order-256 cap of the drawn lattices: the result or first witness
-# must still be the reference's.
+# verify_sc3_abelian stores the dual as bytes rows of one byte per exponent
+# when the exponent e is at most 255 and of two bytes above.  Groups on both
+# sides of that boundary, beyond the order-256 cap of the drawn lattices: the
+# result or first witness must still be the reference's.
 
 
 def relabelled(G, seed):
@@ -690,8 +699,8 @@ def relabelled(G, seed):
 
 BOUNDARY_GROUPS = {
     "C255": lambda: cyclic_group(255),                 # e = 255, bytes
-    "C256": lambda: cyclic_group(256),                 # e = 256, tuples
-    "C260": lambda: cyclic_group(260),                 # e = 260, tuples
+    "C256": lambda: cyclic_group(256),                 # e = 256, 16-bit
+    "C260": lambda: cyclic_group(260),                 # e = 260, 16-bit
     "C260 relabelled": lambda: relabelled(cyclic_group(260), 7),
     "C2xC130": lambda: make_group(GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(130)])),
     "C2xC130 relabelled": lambda: relabelled(
@@ -750,8 +759,34 @@ def test_dual_walk_rows_are_the_sorted_dual(name):
     G = WALKED_GROUPS[name]()
     e, walk, rows = _dual_walk(G)
     assert sorted(walk) == list(range(G.order))
-    assert {type(row) for row in rows} == {bytes if e <= 255 else tuple}
+    assert {type(row) for row in rows} == {bytes}
+    assert {len(row) for row in rows} == {G.order if e <= 255 else 2 * G.order}
     assert_the_sorted_dual(G, *dual_rows(G))
+
+
+def test_add_mod_at_the_least_headroom():
+    """Every field e - 1 shifted by e - 1 at e = MAX_ORDER: the largest sum,
+    2e - 2, in every field at once."""
+    e = 4096
+    ones = ((1 << 16 * e) - 1) // 0xFFFF
+    assert _add_mod((e - 1) * ones, e - 1, e, ones) == (e - 2) * ones
+    rng = random.Random(4096)
+    fields = [rng.randrange(e) for _ in range(e)]
+    packed = sum(f << 16 * i for i, f in enumerate(fields))
+    for c in (0, 1, e // 2, e - 1):
+        shifted = _add_mod(packed, c, e, ones)
+        assert [shifted >> 16 * i & 0xFFFF for i in range(e)] == [(f + c) % e for f in fields]
+        assert shifted >> 16 * e == 0
+
+
+def test_dual_walk_rows_of_c4096_are_the_closed_form():
+    """Row t of the dual of C4096 maps g to t g mod 4096; rows sampled, the
+    last one included."""
+    G = cyclic_group(4096)
+    e, walk, rows = _dual_walk(G)
+    assert (e, len(rows), walk) == (4096, 4096, list(range(4096)))
+    for t in (0, 1, 2, 3, 255, 256, 2047, 2048, 3001, 4094, 4095):
+        assert decoded(rows[t], e) == [t * g % 4096 for g in range(4096)]
 
 
 @pytest.mark.parametrize("kind", ["full", "closed"])
@@ -802,16 +837,25 @@ def test_sc3_never_builds_the_sorted_dual():
         verify_sc3_abelian(L, theory)
 
 
-def test_sc3_memory_peak_on_a_large_table():
-    """The dual of C20 x C30 as 600 rows of 600 bytes is 0.36 MB; as sorted
-    int tuples it needs 4.4 MB."""
-    L = c20xc30_sublattice()
+def sc3_traced_peak(L):
+    """The traced peak of verify_sc3_abelian on L, after a first call, untraced."""
     theory = build_theory(L)
-    verify_sc3_abelian(L, theory)     # a first call, untraced
+    verify_sc3_abelian(L, theory)
     tracemalloc.start()
     try:
         verify_sc3_abelian(L, theory)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+
+
+def test_sc3_memory_peak_on_a_large_table():
+    """The dual of C20 x C30 (e = 60) as 600 rows of 600 bytes is 0.36 MB; as
+    sorted int tuples it needs 4.4 MB."""
+    assert sc3_traced_peak(c20xc30_sublattice()) < 1.5e6
+
+
+def test_sc3_memory_peak_above_exponent_255():
+    """The dual of C1020 (e = 1020) as 1020 rows of 2040 bytes is 2.1 MB; as
+    int tuples it peaked at about 12 MB."""
+    assert sc3_traced_peak(normal_lattice(cyclic_group(1020))) < 6e6
