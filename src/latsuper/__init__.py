@@ -22,8 +22,8 @@ from .groups import (
     make_group,
 )
 from .lattice import (
-    DistributiveAnalysis,
     NormalLattice,
+    birkhoff_antichain,
     cover_to_irreducible_map,
     distributive_analysis,
     is_general_position,

@@ -347,8 +347,7 @@ def cmd_lattice(args) -> int:
     G = _load_group(args.group)
     L = _load_lattice(G, args.sublattice)
     payload = lattice_to_json(L)
-    analysis = distributive_analysis(L)
-    payload["distributive"] = analysis.is_distributive
+    payload["distributive"] = distributive_analysis(L)
     _emit_json(payload, args.out)
     return EXIT_OK
 

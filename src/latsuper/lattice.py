@@ -1,5 +1,5 @@
 """Lattices of normal subgroups: order structure, covers, irreducibles,
-distributivity and the Birkhoff antichain machinery.
+a yes/no distributivity test and the Birkhoff antichain of one node.
 
 A NormalLattice owns a list of normal subgroups (int bitmasks) of one group,
 closed under join (subgroup product) and meet (intersection), always
@@ -20,11 +20,14 @@ meet-irreducibles M); dually, under product once NP is a node for every P
 with one lower cover (the join-irreducibles J).  The constructor checks
 these m (|M| + |J|) pairs, whoever built the nodes, and closed_sublattice
 adds their meets and joins until none is new.
+
+Nothing Birkhoff-related is cached: distributive_analysis answers yes or no,
+the witness _first_violation is searched only when an operation refuses, and
+birkhoff_antichain computes the antichain of the one node asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count, repeat
 from math import gcd
@@ -66,7 +69,6 @@ class NormalLattice:
         self._index = {s: i for i, s in enumerate(self.nodes)}
         self._validate(check_normal)
         self._build_order()
-        self._distributive: Optional["DistributiveAnalysis"] = None
         self._theory = None
 
     # -- construction checks --------------------------------------------------
@@ -395,43 +397,29 @@ def _subspace_count(q: int, dim: int) -> int:
 # Distributivity and Birkhoff structure.
 
 
-@dataclass
-class DistributiveAnalysis:
-    is_distributive: bool
-    antichain_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    violation: Optional[tuple[int, int, int]] = None
-
-
-def distributive_analysis(L: NormalLattice) -> DistributiveAnalysis:
-    """Check distributivity; on success compute the Birkhoff antichain maps.
+def distributive_analysis(L: NormalLattice) -> bool:
+    """Whether L is distributive.
 
     With J(x) the product (join-) irreducibles below x, L is distributive iff
     J(x v p) = J(x) | J(p) for every node x and product irreducible p, in m |J|
     joins: join-irreducibles of a distributive lattice are join-prime, and the
     identity makes x -> J(x) an embedding into a Boolean lattice (Birkhoff,
     "Rings of sets", 1937).  The witness of a failure is _first_violation."""
-    if L._distributive is not None:
-        return L._distributive
-    m = len(L.nodes)
     irreducible = mask_of(L.join_irreducibles)
     below = [down & irreducible for down in L.down_mask]
-    if any(below[L.join(x, p)] != below[x] | below[p]
-           for x in range(m) for p in L.join_irreducibles):
-        L._distributive = DistributiveAnalysis(is_distributive=False, violation=_first_violation(L))
-        return L._distributive
-    antichain_of: dict[int, tuple[int, ...]] = {}
-    for k in range(m):
-        above = [p for p in L.meet_irreducibles if L.leq(k, p)]
-        minimal = tuple(
-            p for p in above if not any(q != p and L.leq(q, p) for q in above)
-        )
-        if L.meet_all(minimal) != k:
-            raise InternalConsistencyError(
-                f"antichain meet mismatch at node {k}", check="birkhoff"
-            )
-        antichain_of[k] = minimal
-    L._distributive = DistributiveAnalysis(is_distributive=True, antichain_of=antichain_of)
-    return L._distributive
+    return all(below[L.join(x, p)] == below[x] | below[p]
+               for x in range(len(L.nodes)) for p in L.join_irreducibles)
+
+
+def birkhoff_antichain(L: NormalLattice, k: int) -> tuple[int, ...]:
+    """The minimal meet-irreducibles above node k, in L.meet_irreducibles
+    order: on a distributive lattice, the one antichain of meet-irreducibles
+    whose meet is k (Birkhoff).  The meet is checked."""
+    above = L.up_mask[k] & mask_of(L.meet_irreducibles)
+    minimal = tuple(p for p in _bits(above) if L.down_mask[p] & above == 1 << p)
+    if L.meet_all(minimal) != k:
+        raise InternalConsistencyError(f"antichain meet mismatch at node {k}", check="birkhoff")
+    return minimal
 
 
 def _first_violation(L: NormalLattice) -> tuple[int, int, int]:
@@ -455,14 +443,12 @@ def _first_violation(L: NormalLattice) -> tuple[int, int, int]:
     )
 
 
-def _require_distributive(L: NormalLattice) -> DistributiveAnalysis:
-    analysis = distributive_analysis(L)
-    if not analysis.is_distributive:
+def _require_distributive(L: NormalLattice) -> None:
+    if not distributive_analysis(L):
         raise UnsupportedStructureError(
             "operation requires a distributive lattice", check="distributivity",
-            witness=list(analysis.violation or ()),
+            witness=list(_first_violation(L)),
         )
-    return analysis
 
 
 def is_general_position(L: NormalLattice, A: Sequence[int], M: int) -> bool:
@@ -472,8 +458,9 @@ def is_general_position(L: NormalLattice, A: Sequence[int], M: int) -> bool:
     """
     cover_set = set(L.covers_up[M])
     aset = list(dict.fromkeys(A))
-    if any(o not in cover_set for o in aset):
-        raise ArgumentError("general position requires A to be a subset of C(M)")
+    if not cover_set.issuperset(aset):
+        raise ArgumentError("general position requires A to be a subset of C(M)",
+                            check="cover_subset", witness={"M": M, "A": aset})
     total = L.join_all([M, *aset])
     join_cond = True
     meet_cond = True

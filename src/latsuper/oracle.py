@@ -116,7 +116,8 @@ def _dual_walk(G: GroupTable) -> tuple[int, list[int], list[bytes]]:
     generator where they differ.  Rows are extended in order and with
     ascending values, so they come sorted by their exponents in element order."""
     if not G.is_abelian:
-        raise ArgumentError("the dual walk requires an abelian group")
+        raise ArgumentError("the dual walk requires an abelian group", check="abelian",
+                            witness=G.name)
     walk, levels = [0], []
     for g in G.generators:
         position = {x: i for i, x in enumerate(walk)}
@@ -347,7 +348,8 @@ def brute_force_normal_subgroups(G: GroupTable) -> list[int]:
     or normal closures of conjugacy classes through their own index and
     never scan the other subgroups."""
     if G.order > 256:
-        raise CapacityError("brute-force subgroup scan capped at order 256")
+        raise CapacityError("brute-force subgroup scan capped at order 256", check="order_cap",
+                            witness=G.order)
     # each distinct cyclic subgroup with the mask of its generators
     cyclic: dict[int, int] = {}
     for g in range(1, G.order):

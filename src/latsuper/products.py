@@ -28,7 +28,8 @@ def decompose_class_function(theory: SCTheory, f: Sequence) -> dict[int, Fractio
     chi^{N.}(1): chi^{N.} is the sum of psi(1) psi over the irreducible psi whose
     kernel holds N and no larger node.  The reconstruction is re-checked exactly."""
     if len(f) != len(theory.nodes):
-        raise ArgumentError("class function must assign a value to every superclass")
+        raise ArgumentError("class function must assign a value to every superclass",
+                            check="class_function", witness=len(f))
     rows, den = theory.rows, lcm(*(v.denominator for v in f))
     g = [v.numerator * (den // v.denominator) for v in f]  # den f, as ints
     scale = den * len(theory.partition.block_of)

@@ -32,8 +32,8 @@ from .errors import (
 from .groups import GroupTable, _bits, closure_mask, mask_of
 from .lattice import (
     NormalLattice,
+    birkhoff_antichain,
     cover_to_irreducible_map,
-    distributive_analysis,
     _check_antichain,
     _require_distributive,
 )
@@ -114,7 +114,9 @@ def build_restriction_context(
 ) -> RestrictionContext:
     """Compute the intersection map and the favorability flags."""
     if latticeG.group is not embedding.target or latticeH.group is not embedding.source:
-        raise ArgumentError("lattices do not match the embedding's groups")
+        raise ArgumentError("lattices do not match the embedding's groups",
+                            check="embedding_lattices",
+                            witness={"G": latticeG.group.name, "H": latticeH.group.name})
     _require_distributive(latticeG)
     _require_distributive(latticeH)
     H = embedding.source
@@ -156,9 +158,8 @@ def compute_A_H(ctx: RestrictionContext, A: Sequence[int]) -> tuple[int, ...]:
     whose intersection with H does not collapse, take the irreducible assigned
     to the H-cover (O cap H) by the cover-to-irreducible bijection."""
     if not ctx.favorable:
-        raise UnfavorableEmbeddingError(
-            "context is not restriction favorable", witness=ctx.witnesses_json()
-        )
+        raise UnfavorableEmbeddingError("context is not restriction favorable",
+                                        check="favorable", witness=ctx.witnesses_json())
     lg, lh = ctx.latticeG, ctx.latticeH
     _check_antichain(lg, A, lg.meet_irreducibles,
                      "meet irreducible in the G-lattice")
@@ -166,7 +167,7 @@ def compute_A_H(ctx: RestrictionContext, A: Sequence[int]) -> tuple[int, ...]:
     base_h = ctx.intersect[meet_a]
     assert base_h is not None
     # the top of H (no covers) has the empty antichain and the empty bijection
-    bijection = cover_to_irreducible_map(lh, distributive_analysis(lh).antichain_of[base_h])
+    bijection = cover_to_irreducible_map(lh, birkhoff_antichain(lh, base_h))
     chosen = [bijection[ctx.intersect[o]] for o in lg.covers_up[meet_a]
               if ctx.intersect[o] != base_h]
     return tuple(dict.fromkeys(chosen))
@@ -195,12 +196,11 @@ def restrict_decompose(
     """Restrict chi^{meet(A).} to H: verify the factorization, produce the
     closed-form interval coefficients, and cross-check by projection."""
     if not ctx.favorable:
-        raise UnfavorableEmbeddingError(
-            "context is not restriction favorable", witness=ctx.witnesses_json()
-        )
+        raise UnfavorableEmbeddingError("context is not restriction favorable",
+                                        check="favorable", witness=ctx.witnesses_json())
     lg, lh = ctx.latticeG, ctx.latticeH
     if isinstance(A, int):
-        antichain = distributive_analysis(lg).antichain_of[A]
+        antichain = birkhoff_antichain(lg, A)
     else:
         antichain = tuple(dict.fromkeys(A))  # each node once, as meet_all reads A
     a_h = compute_A_H(ctx, antichain)  # checks the antichain before the theories are built
@@ -209,7 +209,8 @@ def restrict_decompose(
     theory_h = build_theory(lh)
     chi = theory_g.rows[meet_a]
     if not any(chi):
-        raise ArgumentError("anchor node has a zero supercharacter")
+        raise ArgumentError("anchor node has a zero supercharacter", check="anchor_character",
+                            witness=meet_a)
     degree = chi[0]
 
     # (1) direct restriction, checked constant on H-superclasses

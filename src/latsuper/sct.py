@@ -74,13 +74,11 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
     ambiguous block raises even after a mismatch at an earlier block."""
     covers = L.covers(m)
     if not covers:
-        raise FormulaInapplicableError(
-            "multiplicative formula needs a nonempty cover set", witness=m
-        )
+        raise FormulaInapplicableError("multiplicative formula needs a nonempty cover set",
+                                       check="cover_set", witness=m)
     if not is_general_position(L, covers, m):
-        raise FormulaInapplicableError(
-            "covers are not in general position", witness=m
-        )
+        raise FormulaInapplicableError("covers are not in general position",
+                                       check="general_position", witness=m)
     theory = build_theory(L)
     top = L.cover_join(m)
     quotient = L.group.order // L.size(top)
@@ -101,9 +99,8 @@ def chi_bullet_multiplicative(L: NormalLattice, m: int) -> list[int]:
             by_key[key] = L.join_all([m, *minimal]), value
         join, value = by_key[key]
         if not up >> join & 1:
-            raise AmbiguityError(
-                "no unique minimal cover subset for a block", witness={"M": m, "block": b}
-            )
+            raise AmbiguityError("no unique minimal cover subset for a block",
+                                 check="ambiguity", witness={"M": m, "block": b})
         row.append(value)
     if row != theory.rows[m]:
         raise InternalConsistencyError(
@@ -187,7 +184,8 @@ def inner_product(theory: SCTheory, fs: Sequence[Sequence[int]]) -> list[list[in
     bound: B = |G| max|f| max(1, max|chi|) bounds each |K_k f_ik| and |G| |<f_i, chi>|,
     and s >= bit_length(B) + 2, so field i of S + H R is |G| <f_i, chi> + H, in [0, 2^s)."""
     if any(len(f) != len(theory.sizes) for f in fs):
-        raise ArgumentError("inner product requires characters on the same partition")
+        raise ArgumentError("inner product requires characters on the same partition",
+                            check="partition", witness=list(map(len, fs)))
     chars = list(map(theory.rows.__getitem__, theory.nonzero))
     bound = len(theory.partition.block_of) * max(map(abs, chain([0], *fs)))
     width = (bound * max(map(abs, chain([1], *chars)))).bit_length() + 9 >> 3  # bytes per field

@@ -1048,7 +1048,9 @@ DIGEST_GROUPS = {
     "s4": {"kind": "table", "mul": [list(row) for row in symmetric_group(4).mul]},
     "d4": {"kind": "table", "mul": [list(row) for row in dihedral_group(4).mul]},
     "q8": {"kind": "table", "mul": [list(row) for row in quaternion_group().mul]},
+    "c360": {"kind": "cyclic", "n": 360},
 }
+DIGEST_GROUPS["q8xc4"] = {"kind": "product", "factors": [DIGEST_GROUPS["q8"], {"kind": "cyclic", "n": 4}]}
 DIGEST_SUBLATTICES = {
     "c12/full": None,
     "c12/generators": {"generators": [[0, 6], [0, 4, 8]]},
@@ -1082,6 +1084,30 @@ DIGEST_SUBLATTICES = {
 DIGEST_COMMANDS = {
     "lattice": ["lattice"], "sct-csv": ["sct"], "sct-json": ["sct", "--format", "json"],
     "export-dot": ["export"], "export-json": ["export", "--format", "json"], "verify": ["verify"],
+}
+# product and restrict read more files than --group and --sublattice: each of
+# these cases names its group, its sublattice (None for the full lattice) and
+# its command, then each further flag with the payload of its file.
+C12_FROM_C6 = ("--embedding", {"source": {"kind": "cyclic", "n": 6}, "map": [0, 2, 4, 6, 8, 10]})
+DIGEST_CASES = {
+    "product c12/identity": ("c12", None, ["product", ("--subgroup", [0, 3, 6, 9]),
+                                            ("--subgroup", [0, 2, 4, 6, 8, 10])]),
+    "product c12/projection": ("c12", None, ["product", ("--subgroup", [0]),
+                                              ("--subgroup", [0, 6])]),
+    "restrict c12/node": ("c12", None, ["restrict", C12_FROM_C6, ("--anchor", {"node": [0, 4, 8]})]),
+    "restrict c12/antichain": ("c12", None, ["restrict", C12_FROM_C6, (
+        "--anchor", {"antichain": [[0, 3, 6, 9], [0, 2, 4, 6, 8, 10]]})]),
+    "restrict c12/repeated-node": ("c12", None, ["restrict", C12_FROM_C6, (
+        "--anchor", {"antichain": [[0, 3, 6, 9], [0, 3, 6, 9]]})]),
+    "restrict c360/c6": ("c360", None, [
+        "restrict", ("--embedding", {"source": {"kind": "cyclic", "n": 60},
+                                     "map": list(range(0, 360, 6))}),
+        ("--anchor", {"node": list(range(0, 360, 60))})]),
+    "restrict c12/unfavorable": ("c12", {"generators": []}, ["restrict", C12_FROM_C6,
+                                                             ("--anchor", {"node": [0]})]),
+    "restrict q8xc4/non-distributive": ("q8xc4", None, [
+        "restrict", ("--embedding", {"source": {"kind": "cyclic", "n": 2}, "map": [0, 2]}),
+        ("--anchor", {"node": [0]})]),
 }
 CLI_DIGESTS = {
     "lattice c12/full": "f46a0e3bf06c2da668a8b7abf3a874692f32236fe09bbb14c62d24e749ca8bea",
@@ -1252,23 +1278,37 @@ CLI_DIGESTS = {
     "export-dot q8/nodes": "5e413381e62056dc26bab90d1d72f402d177797c69522520c59deac8ab67a8dd",
     "export-json q8/nodes": "36025ddecac52aa180781e4acd75c99cf9efded30c3cc759e8955d931ab9f22d",
     "verify q8/nodes": "08ce1efe674744434c707d24b157f9527642e208b581b87fbf6755dccef712de",
+    "product c12/identity": "39310d0b3d39bdb925ec1a6863acaba942620b06d1743d1ea13cbc99598234d6",
+    "product c12/projection": "7fa5d2ceb57d357e5b41e3ba42510fb5c10fbc20a885cb3800a3d438b0ae9828",
+    "restrict c12/node": "f3d739c6d86a6da12b6c6497b20c605f57aae76cb35804c3b03de49a30c50737",
+    "restrict c12/antichain": "84d58c38ffd71431e2a0e6a65e7b4ea0a51802446d1632fa2b58f03fcb3fc1ea",
+    "restrict c12/repeated-node": "a99f692e72d0c8c14decc527fa4e14493ad5e72e847d5e4cf2ab864af0976a69",
+    "restrict c360/c6": "d87ccc25029b26cadfa57c4994aa2962d390a1ae370d63511699b7d610781e45",
+    "restrict c12/unfavorable": "877d0af2ca98f87824607fa9f2bb77d7946c2589ec33073d4c5ac641823c8a4a",
+    "restrict q8xc4/non-distributive": "e0f8d1721b5735c4fcab6b7b0b430e43c406df53ec5822928e565a18a5fbd395",
 }
 
 
 def cli_digest(files, capsys, case: str) -> str:
     """The sha256 of the exit code and stdout of one case, named
-    "command group/sublattice"."""
-    command, sublattice = case.split(" ")
+    "command group/sublattice" or a key of DIGEST_CASES."""
     tmp, write = files
-    argv = [DIGEST_COMMANDS[command][0], "--group",
-            write("group.json", DIGEST_GROUPS[sublattice.split("/")[0]]),
-            *DIGEST_COMMANDS[command][1:]]
-    if DIGEST_SUBLATTICES[sublattice] is not None:
-        argv += ["--sublattice", write("sub.json", DIGEST_SUBLATTICES[sublattice])]
+    if case in DIGEST_CASES:
+        group, sublattice, (command, *flags) = DIGEST_CASES[case]
+    else:
+        command, sublattice = case.split(" ")
+        group, sublattice = sublattice.split("/")[0], DIGEST_SUBLATTICES[sublattice]
+        command, *flags = DIGEST_COMMANDS[command]
+    argv = [command, "--group", write("group.json", DIGEST_GROUPS[group])]
+    for i, flag in enumerate(flags):
+        argv += [flag[0], write(f"flag{i}.json", flag[1])] if isinstance(flag, tuple) else [flag]
+    if sublattice is not None:
+        argv += ["--sublattice", write("sub.json", sublattice)]
     code, out = run(argv, capsys)
     return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", [f"{c} {s}" for s in DIGEST_SUBLATTICES for c in DIGEST_COMMANDS])
+@pytest.mark.parametrize("case", [f"{c} {s}" for s in DIGEST_SUBLATTICES for c in DIGEST_COMMANDS]
+                         + list(DIGEST_CASES))
 def test_cli_output_is_pinned_byte_for_byte(files, capsys, case):
     assert cli_digest(files, capsys, case) == CLI_DIGESTS[case]

@@ -7,6 +7,7 @@ from latsuper import (
     ConstructionError,
     NormalLattice,
     UnsupportedStructureError,
+    birkhoff_antichain,
     cover_to_irreducible_map,
     distributive_analysis,
     is_general_position,
@@ -15,6 +16,7 @@ from latsuper import (
 from latsuper.cli import _lattice_of
 from latsuper.groups import mask_of
 from latsuper.lattice import (
+    _first_violation,
     closed_sublattice,
     lattice_to_dot,
     lattice_to_json,
@@ -129,13 +131,12 @@ def test_meet_join_closure_on_corpus():
 
 def test_distributive_analysis_cyclic12():
     L = cyclic_lattice(12)
-    an = distributive_analysis(L)
-    assert an.is_distributive
+    assert distributive_analysis(L)
     # meet irreducibles: C_m with 12/m a prime power
     labels = sorted(L.size(i) for i in L.meet_irreducibles)
     assert labels == [m for m in divisors(12) if m != 12 and _is_prime_power(12 // m)]
     for k in range(len(L)):
-        ac = an.antichain_of[k]
+        ac = birkhoff_antichain(L, k)
         assert L.meet_all(ac) == k
 
 
@@ -149,26 +150,23 @@ def _is_prime_power(n):
 
 
 def test_subsp_f22_not_distributive():
-    an = distributive_analysis(subsp_lattice(2, 2))
-    assert not an.is_distributive
-    assert an.violation is not None
-    assert an.antichain_of == {}
+    L = subsp_lattice(2, 2)
+    assert not distributive_analysis(L)
+    assert _first_violation(L) is not None
 
 
 def test_basis_lattice_is_subset_lattice():
     for q, dim in ((2, 2), (2, 3), (3, 2)):
         L = basis_lattice(q, dim)
         assert len(L) == 2**dim
-        an = distributive_analysis(L)
-        assert an.is_distributive
+        assert distributive_analysis(L)
         assert len(L.meet_irreducibles) == dim
 
 
 def test_birkhoff_antichain_count():
     # number of nodes equals the number of antichains of the meet-irreducible poset
     for _, L in small_corpus():
-        an = distributive_analysis(L)
-        if not an.is_distributive or len(L.meet_irreducibles) > 12:
+        if not distributive_analysis(L) or len(L.meet_irreducibles) > 12:
             continue
         mi = list(L.meet_irreducibles)
         count = 0
@@ -199,7 +197,7 @@ def test_general_position_examples():
 def test_general_position_on_distributive_covers():
     # distributivity makes every cover set of a node general position
     for _, L in small_corpus():
-        if not distributive_analysis(L).is_distributive:
+        if not distributive_analysis(L):
             continue
         for n in range(len(L)):
             if L.covers(n):
@@ -208,7 +206,7 @@ def test_general_position_on_distributive_covers():
 
 def test_product_to_cover_map():
     L = cyclic_lattice(12)
-    assert distributive_analysis(L).is_distributive
+    assert distributive_analysis(L)
     c4, c3 = node_of_size(L, 4), node_of_size(L, 3)
     assert c4 in L.join_irreducibles and c3 in L.join_irreducibles
     mapping = product_to_cover_map(L, [c4, c3])
@@ -321,4 +319,4 @@ def test_nonabelian_lattices():
     LQ = q8_lattice()
     assert sorted(LD.size(i) for i in range(len(LD))) == [1, 2, 4, 4, 4, 8]
     assert sorted(LQ.size(i) for i in range(len(LQ))) == [1, 2, 4, 4, 4, 8]
-    assert not distributive_analysis(LQ).is_distributive
+    assert not distributive_analysis(LQ)

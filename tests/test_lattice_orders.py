@@ -41,6 +41,7 @@ from latsuper.lattice import (
     _first_violation,
     _join_closure,
     _subspace_count,
+    birkhoff_antichain,
     closed_sublattice,
     distributive_analysis,
 )
@@ -509,10 +510,10 @@ def test_meet_and_join_follow_the_masks(L, data):
 @PROPERTY
 @given(drawn_lattices())
 def test_birkhoff_test_agrees_with_the_cubic_scan(L):
-    analysis = distributive_analysis(L)
     expected = cubic_scan(L)
-    assert analysis.is_distributive is (expected is None)
-    assert analysis.violation == expected
+    assert distributive_analysis(L) is (expected is None)
+    if expected is not None:
+        assert _first_violation(L) == expected
 
 
 def _antichain(L, pool, data):
@@ -532,8 +533,7 @@ def test_birkhoff_maps_are_bijections_onto_the_antichain(L, data):
     of B not below it.  cover_to_irreducible_map: each upper cover of meet(A)
     goes to the one member of A not above it.  Both are onto the antichain;
     a non-distributive lattice is refused."""
-    analysis = distributive_analysis(L)
-    if not analysis.is_distributive:
+    if not distributive_analysis(L):
         for birkhoff_map in (product_to_cover_map, cover_to_irreducible_map):
             with pytest.raises(UnsupportedStructureError):
                 birkhoff_map(L, [])
@@ -565,9 +565,51 @@ def test_birkhoff_maps_are_bijections_onto_the_antichain(L, data):
 def test_distributivity_verdicts_and_witnesses(name, kind, violation):
     L = fresh_lattice(name, kind)
     assert cubic_scan(L) == violation
-    analysis = distributive_analysis(L)
-    assert analysis.is_distributive is (violation is None)
-    assert analysis.violation == violation
+    assert distributive_analysis(L) is (violation is None)
+    if violation is not None:
+        assert _first_violation(L) == violation
+
+
+def reference_antichain(L, k):
+    """The minimal meet-irreducibles above node k, from the masks: a node is
+    meet-irreducible when the nodes strictly containing it have one minimal
+    member."""
+    masks = L.nodes
+
+    def minimal(nodes):
+        return [p for p in nodes if not any(q != p and masks[q] & masks[p] == masks[q]
+                                            for q in nodes)]
+
+    def strictly_above(p):
+        return [q for q in range(len(masks)) if q != p and masks[p] & masks[q] == masks[p]]
+
+    irreducible = [p for p in range(len(masks)) if len(minimal(strictly_above(p))) == 1]
+    return tuple(minimal([p for p in irreducible if masks[k] & masks[p] == masks[k]]))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(drawn_lattices())
+def test_birkhoff_antichain_is_the_minimal_irreducibles_above_the_node(L):
+    if not distributive_analysis(L):
+        return
+    for k in range(len(L)):
+        antichain = birkhoff_antichain(L, k)
+        assert antichain == reference_antichain(L, k), k
+        assert reduce(and_, map(L.nodes.__getitem__, antichain), L.nodes[L.top]) == L.nodes[k]
+        assert L.meet_all(antichain) == k
+
+
+def test_lattice_command_searches_no_witness(tmp_path, capsys, monkeypatch):
+    """The lattice command answers distributivity yes or no: the witness
+    search runs only when an operation refuses."""
+    def searched(L):
+        raise AssertionError("the witness of a violation was searched")
+
+    monkeypatch.setattr(lattice_mod, "_first_violation", searched)
+    spec = GroupSpec.product([quaternion_group().spec, GroupSpec.cyclic(4)]).to_json()
+    (tmp_path / "g.json").write_text(json.dumps(spec))
+    assert main(["lattice", "--group", str(tmp_path / "g.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["distributive"] is False
 
 
 def test_witness_scan_without_a_violation_is_an_internal_error():

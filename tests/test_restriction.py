@@ -11,17 +11,17 @@ from latsuper import (
     GroupEmbedding,
     LatsuperError,
     UnsupportedStructureError,
+    birkhoff_antichain,
     build_restriction_context,
     build_theory,
     compute_A_H,
-    distributive_analysis,
     normal_lattice,
     restrict_decompose,
 )
 from latsuper.cli import main
 from latsuper.errors import UnfavorableEmbeddingError
 from latsuper.groups import _bits
-from latsuper.lattice import closed_sublattice
+from latsuper.lattice import _first_violation, closed_sublattice
 
 from corpus import (
     basis_lattice,
@@ -131,7 +131,8 @@ def test_lattices_of_other_groups_are_refused():
         with pytest.raises(ArgumentError) as info:
             build_restriction_context(embedding, lattice_g, lattice_h)
         assert (info.value.check, str(info.value), info.value.witness) == (
-            None, "lattices do not match the embedding's groups", None)
+            "embedding_lattices", "lattices do not match the embedding's groups",
+            {"G": lattice_g.group.name, "H": lattice_h.group.name})
     assert build_restriction_context(embedding, LG, LH).favorable
 
 
@@ -159,7 +160,7 @@ def test_non_distributive_rejected():
     with pytest.raises(UnsupportedStructureError) as info:
         build_restriction_context(identity_embedding(LQ.group), LQ, LQ)
     assert info.value.check == "distributivity"
-    assert info.value.witness == [2, 3, 4] == list(distributive_analysis(LQ).violation)
+    assert info.value.witness == [2, 3, 4] == list(_first_violation(LQ))
 
 
 def test_unfavorable_r2_witnesses():
@@ -193,7 +194,7 @@ def test_compute_A_H_cyclic():
     ctx = build_restriction_context(cyclic_embedding(H, G), LG, LH)
     for d in (1, 2, 3, 4, 6, 12):
         anchor = node_of_size(LG, d)
-        a_h = compute_A_H(ctx, distributive_analysis(LG).antichain_of[anchor])
+        a_h = compute_A_H(ctx, birkhoff_antichain(LG, anchor))
         assert LH.size(LH.meet_all(a_h)) == gcd(d, 6)
 
 

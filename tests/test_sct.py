@@ -229,7 +229,7 @@ def test_nonzero_chars_have_positive_degree():
         theory = build_theory(L)
         for n in theory.nonzero:
             assert theory.rows[n][0] > 0
-        if distributive_analysis(L).is_distributive:
+        if distributive_analysis(L):
             assert len(theory.nonzero) == len(L.nodes)
             assert len(theory.partition.blocks) == len(L.nodes)
 
@@ -456,7 +456,7 @@ def unskipped_recurrence(L):
 @pytest.mark.parametrize("name", sorted(NOT_DISTRIBUTIVE))
 def test_transform_is_exact_where_the_distributive_recurrence_is_not(name):
     L = normal_lattice(NOT_DISTRIBUTIVE[name]())
-    assert not distributive_analysis(L).is_distributive
+    assert not distributive_analysis(L)
     theory = build_theory(L)
     reference = [[reference_value(L, n, b) for b in theory.nodes] for n in range(len(L.nodes))]
     assert theory.rows == reference, name
@@ -593,9 +593,10 @@ def reference_multiplicative(L, m):
     covers = L.covers(m)
     if not covers:
         raise FormulaInapplicableError("multiplicative formula needs a nonempty cover set",
-                                       witness=m)
+                                       check="cover_set", witness=m)
     if not is_general_position(L, covers, m):
-        raise FormulaInapplicableError("covers are not in general position", witness=m)
+        raise FormulaInapplicableError("covers are not in general position",
+                                       check="general_position", witness=m)
     top_join = L.join_all([m, *covers])
     degree = Fraction(L.group.order, L.size(top_join))
     for o in covers:
@@ -609,7 +610,7 @@ def reference_multiplicative(L, m):
                    if not L.leq(b, L.join_all([m, *(p for p in covers if p != o)]))]
         if not L.leq(b, L.join_all([m, *minimal])):
             raise AmbiguityError("no unique minimal cover subset for a block",
-                                 witness={"M": m, "block": b})
+                                 check="ambiguity", witness={"M": m, "block": b})
         values[b] = degree
         for o in minimal:
             values[b] *= Fraction(1, 1 - Fraction(L.size(o), L.size(m)))
@@ -676,7 +677,7 @@ def test_an_ambiguous_block_wins_over_an_earlier_mismatch():
             f(L, L.bottom)
         assert (info.value.check, info.value.witness) == ("dual_path", {"node": L.bottom})
     L.up_mask[c4] |= 1 << c2 | 1 << c3 | 1 << c6
-    expected = ("AmbiguityError", None, "no unique minimal cover subset for a block",
+    expected = ("AmbiguityError", "ambiguity", "no unique minimal cover subset for a block",
                 {"M": L.bottom, "block": c4})
     assert multiplicative_outcome(chi_bullet_multiplicative, L, L.bottom) == expected
     assert multiplicative_outcome(reference_multiplicative, L, L.bottom) == expected
@@ -692,7 +693,7 @@ def test_each_block_of_a_shared_key_is_tested_for_ambiguity():
     c5, c10, c15 = (node_of_size(L, size) for size in (5, 10, 15))
     assert c5 < c15
     L.up_mask[c15] |= 1 << c10
-    expected = ("AmbiguityError", None, "no unique minimal cover subset for a block",
+    expected = ("AmbiguityError", "ambiguity", "no unique minimal cover subset for a block",
                 {"M": L.bottom, "block": c15})
     assert multiplicative_outcome(chi_bullet_multiplicative, L, L.bottom) == expected
     assert multiplicative_outcome(reference_multiplicative, L, L.bottom) == expected

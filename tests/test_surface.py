@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 import latsuper
+import latsuper.errors
 
 SRC = Path(latsuper.__file__).parent
 SPANS_PY = Path(__file__).resolve().parent.parent / "latbench" / "spans.py"
@@ -120,6 +121,28 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def raises_without_a_check():
+    """module:line of every `raise E(...)` in the package, E a class of
+    latsuper.errors, that passes no check= keyword."""
+    errors = {name for name, value in vars(latsuper.errors).items()
+              if isinstance(value, type) and issubclass(value, latsuper.errors.LatsuperError)}
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in errors and not any(k.arg == "check" for k in node.exc.keywords):
+                    missing.append(f"{path.stem}:{node.lineno}")
+    return missing
+
+
+def test_every_raise_names_its_check():
+    # every error payload carries a category and a check, and a witness where
+    # an object is at hand; a raise without check= drops the check from it
+    assert raises_without_a_check() == []
 
 
 def runtime_package_imports(path):
