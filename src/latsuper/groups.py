@@ -331,8 +331,8 @@ class GroupTable:
 
 
 def _cyclic_table(n: int) -> list[tuple[int, ...]]:
-    base = tuple(range(n))
-    return [base[i:] + base[:i] for i in range(n)]
+    doubled = tuple(range(n)) * 2
+    return [doubled[i:i + n] for i in range(n)]
 
 
 def _pair_table(
@@ -458,44 +458,50 @@ _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _dimino_step(G: GroupTable, elements: list[int], flags: bytearray, gens: list[int],
+                 g: int) -> None:
+    """One step of Dimino's algorithm: grow H, given as its elements (identity
+    first), a flag per element of G and its generators, in place to <H, g>
+    for g not in H, appending g to gens.  <H, g> is the union of the cosets
+    x*H, and every new coset representative is multiplied on the left by every
+    generator, so the step costs about |<H, g>| times the number of generators."""
+    mul = G.mul
+    gens.append(g)
+    size = len(elements)
+    if size == 1:  # H = <g>, walked by powers
+        x = g
+        while not flags[x]:
+            flags[x] = 1
+            elements.append(x)
+            x = mul[x][g]
+        return
+    # row x of the table at the elements of H is the coset x*H, x first
+    coset_of = itemgetter(*elements)
+    rep = 0  # the identity: only g itself leaves H
+    while rep < len(elements):
+        r = elements[rep]
+        for s in gens:
+            x = mul[s][r]
+            if not flags[x]:
+                coset = coset_of(mul[x])
+                elements.extend(coset)
+                for y in coset:
+                    flags[y] = 1
+        rep += size
+
+
 def closure_mask(G: GroupTable, mask: int) -> int:
     """Bitmask of the subgroup generated by the elements of mask, by Dimino's
-    algorithm.  The result H is grown one generator g at a time, skipping
-    elements already in H; <H, g> is the union of the cosets x*H of the old H,
-    and every new coset representative is multiplied on the left by every
-    generator so far, so the work is about |<mask>| times the number of
-    generators."""
-    mul = G.mul
+    algorithm: the trivial subgroup grown by _dimino_step by each element of
+    mask, in ascending order, that it does not yet hold."""
     flags = bytearray(G.order)
     flags[0] = 1
     elements = [0]
     gens: list[int] = []
     # the elements of mask in ascending order, read off its binary digits
     for g in compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)):
-        if flags[g]:
-            continue
-        gens.append(g)
-        size = len(elements)
-        if size == 1:
-            # the first generator: H = <g>, walked by powers
-            while not flags[g]:
-                flags[g] = 1
-                elements.append(g)
-                g = mul[g][gens[0]]
-            continue
-        # row x of the table at the elements of H is the coset x*H, x first
-        coset_of = itemgetter(*elements)
-        rep = 0  # the identity: only g itself leaves H
-        while rep < len(elements):
-            r = elements[rep]
-            for s in gens:
-                x = mul[s][r]
-                if not flags[x]:
-                    coset = coset_of(mul[x])
-                    elements.extend(coset)
-                    for y in coset:
-                        flags[y] = 1
-            rep += size
+        if not flags[g]:
+            _dimino_step(G, elements, flags, gens, g)
     return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 

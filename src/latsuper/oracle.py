@@ -6,8 +6,10 @@ homomorphisms into Z_e, character sums are compared exactly as integers
 packed in the powerful basis of Z[zeta_e], and Schur closure works on raw
 convolution counts.  Normal subgroups are re-derived only for the full
 lattice of a group of order <= 256, from all subgroups, enumerated by
-joining cyclic subgroups one at a time; any other lattice has each node
-certified as a subgroup closed under conjugation.
+joining cyclic subgroups one at a time: each join is one Dimino step from
+the subgroup's stored state, and a join of prime index marks all of its
+elements joined.  Any other lattice has each node certified as a subgroup
+closed under conjugation.
 
 The SC3 check enumerates the dual along a coset walk of a generating
 sequence, as bytes rows of one byte per exponent (two when e > 255),
@@ -40,7 +42,7 @@ from operator import add, mod, mul
 from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, CapacityError, LatsuperError, VerificationError
-from .groups import GroupTable, _bits, closure_mask, is_normal, mask_of
+from .groups import GroupTable, _FLAG_DIGITS, _bits, _dimino_step, closure_mask, is_normal, mask_of
 
 if TYPE_CHECKING:
     from .lattice import NormalLattice
@@ -337,15 +339,21 @@ def schur_closure_check(L: "NormalLattice", theory: "SCTheory") -> dict:
     return {"status": "pass"}
 
 
+_PRIMES = set(range(2, 257)).difference(*(range(p * p, 257, p) for p in range(2, 17)))  # sieve
+
+
 def brute_force_normal_subgroups(G: GroupTable) -> list[int]:
     """Re-derive the normal subgroups by enumerating all subgroups and
     filtering by normality.  The enumeration starts from the trivial subgroup
     and joins each subgroup X found with every distinct cyclic subgroup <g> it
     does not contain; every subgroup is such a chain of joins, so none is
-    missed.  <X, g·x> = <X, g> for x in X, so a cyclic subgroup with a
-    generator in a coset g·X already joined is skipped.  closure_mask is the
-    only code shared with the lattice builders, which join cyclic subgroups
-    or normal closures of conjugacy classes through their own index and
+    missed.  X is stored as the state Dimino's algorithm ends with (elements,
+    flags, generators, as bytes: the order is at most 256), and <X, g> is one
+    _dimino_step from a copy of it.  <X, g·x> = <X, g> for x in X, so a cyclic
+    subgroup with a generator in a coset g·X already joined is skipped.  When
+    |<X, g>:X| is a prime, X < <X, h> <= <X, g> for every h in <X, g> outside
+    X, so <X, h> = <X, g> by Lagrange: all of <X, g> counts as joined.  The
+    Dimino step is the only code shared with the lattice builders, which
     never scan the other subgroups."""
     if G.order > 256:
         raise CapacityError("brute-force subgroup scan capped at order 256", check="order_cap",
@@ -355,22 +363,24 @@ def brute_force_normal_subgroups(G: GroupTable) -> list[int]:
     for g in range(1, G.order):
         c = closure_mask(G, 1 << g)
         cyclic[c] = cyclic.get(c, 0) | 1 << g
-    # each subgroup found with a generating set, as a mask
-    seen = {1: 1}
+    seen = {1: (b"\0", b"\1" + bytes(G.order - 1), b"")}
     frontier = [1]
     while frontier:
         mask = frontier.pop()
-        gens = seen[mask]
-        elements = list(_bits(mask))
+        elements, flags, gens = seen[mask]
         joined = mask  # the cosets g·X joined so far, X itself first
         for generators in cyclic.values():
             if generators & joined:
                 continue
             g = (generators & -generators).bit_length() - 1
             joined |= mask_of(map(G.mul[g].__getitem__, elements))
-            bigger = closure_mask(G, gens | (1 << g))
+            grown, grown_flags, grown_gens = list(elements), bytearray(flags), list(gens)
+            _dimino_step(G, grown, grown_flags, grown_gens, g)
+            bigger = int(grown_flags.translate(_FLAG_DIGITS)[::-1], 2)
+            if len(grown) // len(elements) in _PRIMES:
+                joined |= bigger
             if bigger not in seen:
-                seen[bigger] = gens | (1 << g)
+                seen[bigger] = bytes(grown), bytes(grown_flags), bytes(grown_gens)
                 frontier.append(bigger)
     return [m for m in sorted(seen) if is_normal(G, m)]
 

@@ -153,13 +153,17 @@ def build_restriction_context(
     )
 
 
+def _require_favorable(ctx: RestrictionContext) -> None:
+    if not ctx.favorable:
+        raise UnfavorableEmbeddingError("context is not restriction favorable",
+                                        check="favorable", witness=ctx.witnesses_json())
+
+
 def compute_A_H(ctx: RestrictionContext, A: Sequence[int]) -> tuple[int, ...]:
     """The antichain A_H of H-meet-irreducibles: for each cover O of meet(A)
     whose intersection with H does not collapse, take the irreducible assigned
     to the H-cover (O cap H) by the cover-to-irreducible bijection."""
-    if not ctx.favorable:
-        raise UnfavorableEmbeddingError("context is not restriction favorable",
-                                        check="favorable", witness=ctx.witnesses_json())
+    _require_favorable(ctx)
     lg, lh = ctx.latticeG, ctx.latticeH
     _check_antichain(lg, A, lg.meet_irreducibles,
                      "meet irreducible in the G-lattice")
@@ -195,9 +199,7 @@ def restrict_decompose(
 ) -> RestrictionReport:
     """Restrict chi^{meet(A).} to H: verify the factorization, produce the
     closed-form interval coefficients, and cross-check by projection."""
-    if not ctx.favorable:
-        raise UnfavorableEmbeddingError("context is not restriction favorable",
-                                        check="favorable", witness=ctx.witnesses_json())
+    _require_favorable(ctx)
     lg, lh = ctx.latticeG, ctx.latticeH
     if isinstance(A, int):
         antichain = birkhoff_antichain(lg, A)

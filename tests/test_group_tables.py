@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latsuper import ConstructionError, GroupSpec, make_group
 from latsuper.cli import main
-from latsuper.groups import GroupTable, closure_mask, mask_of
+from latsuper.groups import GroupTable, _dimino_step, closure_mask, mask_of
 
 from corpus import dihedral_group, quaternion_group, symmetric_group
 from test_groups import intercalated_cyclic
@@ -223,6 +223,28 @@ def test_closure_mask_is_the_naive_fixed_point(name, data):
     expected = naive_closure(G, elements)
     assert closure_mask(G, mask_of(elements)) == expected
     assert closure_mask(G, expected) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(CLOSURE_GROUPS)), st.data())
+def test_dimino_step_extends_a_stored_subgroup_by_one_element(name, data):
+    # the state Dimino's algorithm ends with for a drawn H, grown by a drawn
+    # g outside H, as the brute-force oracle grows its stored subgroups
+    G = closure_group(name)
+    elements, flags, gens = [0], bytearray(G.order), []
+    flags[0] = 1
+    for h in data.draw(st.lists(st.integers(1, G.order - 1), max_size=3), label="H"):
+        if not flags[h]:
+            _dimino_step(G, elements, flags, gens, h)
+    H = mask_of(elements)
+    assume(H != (1 << G.order) - 1)
+    g = data.draw(st.sampled_from([x for x in range(G.order) if not flags[x]]), label="g")
+    grown, grown_flags, grown_gens = list(elements), bytearray(flags), list(gens)
+    _dimino_step(G, grown, grown_flags, grown_gens, g)
+    expected = closure_mask(G, H | 1 << g)
+    assert mask_of(grown) == mask_of(i for i, f in enumerate(grown_flags) if f) == expected
+    assert len(grown) == expected.bit_count()
+    assert grown[:len(elements)] == elements and grown_gens == gens + [g]
 
 
 # ---------------------------------------------------------------------------

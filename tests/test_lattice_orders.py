@@ -32,6 +32,7 @@ from latsuper.cli import main
 from latsuper.errors import InternalConsistencyError
 from latsuper.groups import (
     _bits,
+    _dimino_step,
     closure_mask,
     conjugacy_classes,
     mask_of,
@@ -188,14 +189,21 @@ def test_cyclic_normal_lattice_matches_the_oracle(n):
                       key=lambda m: (m.bit_count(), m)))
 
 
-@pytest.mark.parametrize("name", ["Q8xC4", "S4", "D12", "D60", "S5"])
+@pytest.mark.parametrize("name", ["Q8xC4", "S4", "D12", "D60", "S5", "D17", "D24", "S3xC6",
+                                  "C3^4"])
 def test_nonabelian_normal_lattice_matches_the_oracle(name):
+    # D17's joins stop at prime index; C3^4 is abelian, where coset skips
+    # already cover every join of prime index
     groups = {
         "Q8xC4": lambda: _product(quaternion_group(), cyclic_group(4)),
         "S4": lambda: symmetric_group(4),
         "D12": lambda: dihedral_group(12),
         "D60": lambda: dihedral_group(60),
         "S5": lambda: symmetric_group(5),
+        "D17": lambda: dihedral_group(17),
+        "D24": lambda: dihedral_group(24),
+        "S3xC6": lambda: _product(symmetric_group(3), cyclic_group(6)),
+        "C3^4": lambda: make_group(GroupSpec.vector_space(3, 4)),
     }
     G = groups[name]()
     expected = set(brute_force_normal_subgroups(G))
@@ -414,14 +422,27 @@ def test_basis_sublattice_work_is_linear_in_the_irreducibles(monkeypatch):
 
 
 def test_brute_force_oracle_skips_joins_it_has_made(monkeypatch):
-    G = dihedral_group(24)
-    calls = count_closures(monkeypatch, oracle_mod)
-    found = brute_force_normal_subgroups(G)
-    assert len(found) == len(normal_lattice(G))
-    cyclic = {closure_mask(G, 1 << g) for g in range(1, G.order)}
-    subgroups = {1} | {closure_mask(G, m) for m in calls}
-    pairs = sum(c & ~x != 0 for x in subgroups for c in cyclic)
-    assert len(calls) < pairs
+    # each join <X, g> is one _dimino_step from the stored state of X; the
+    # masks X | 1 << g are recorded as they come
+    calls = []
+
+    def step(G, elements, flags, gens, g):
+        calls.append(mask_of(elements) | 1 << g)
+        _dimino_step(G, elements, flags, gens, g)
+
+    monkeypatch.setattr(oracle_mod, "_dimino_step", step)
+    for G, most in ((dihedral_group(24), None), (dihedral_group(17), 40)):
+        calls.clear()
+        found = brute_force_normal_subgroups(G)
+        assert len(found) == len(normal_lattice(G))
+        cyclic = {closure_mask(G, 1 << g) for g in range(1, G.order)}
+        subgroups = {1} | {closure_mask(G, m) for m in calls}
+        pairs = sum(c & ~x != 0 for x in subgroups for c in cyclic)
+        assert len(calls) < pairs
+        if most is not None:
+            # two reflections generate D17, of prime index 17 over either, so
+            # the first such join from a reflection marks all of D17 joined
+            assert len(calls) <= most
 
 
 # ---------------------------------------------------------------------------

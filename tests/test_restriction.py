@@ -206,6 +206,23 @@ def test_compute_A_H_requires_favorable():
         compute_A_H(ctx, (LG.bottom,))
 
 
+def test_both_entry_points_refuse_an_unfavorable_context_alike():
+    # one refusal, raised before the anchor is read: an out-of-range anchor
+    # gets the same payload as a node of the lattice
+    G, H = cyclic_group(12), cyclic_group(6)
+    LG = closed_sublattice(cyclic_group(12), [])
+    ctx = build_restriction_context(cyclic_embedding(H, G), LG, cyclic_lattice(6))
+    payloads = []
+    for call, anchor in ((restrict_decompose, LG.bottom), (restrict_decompose, [LG.bottom]),
+                         (restrict_decompose, 99), (compute_A_H, (LG.bottom,))):
+        with pytest.raises(UnfavorableEmbeddingError) as info:
+            call(ctx, anchor)
+        payloads.append(info.value.payload())
+    assert payloads == [payloads[0]] * 4
+    assert payloads[0]["check"] == "favorable"
+    assert payloads[0]["witness"] == ctx.witnesses_json()
+
+
 def test_comparable_antichain_is_refused():
     """An antichain of meet irreducibles with a comparable pair (C3 < C6 in
     C12) names the pair, in-process and through the CLI; a node that is not
