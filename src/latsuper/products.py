@@ -25,8 +25,8 @@ def decompose_class_function(theory: SCTheory, f: Sequence) -> dict[int, Fractio
     """Coefficients c_N = <f, chi^{N.}> / <chi^{N.}, chi^{N.}> with f = sum of
     c_N chi^{N.}, for a row f of ints or Fractions over the block nodes, from
     one inner_product of den f, den the lcm of f's denominators.  The norm is
-    chi^{N.}(1): chi^{N.} is the sum of psi(1) psi over the irreducible psi whose
-    kernel holds N and no larger node.  The reconstruction is re-checked exactly."""
+    chi^{N.}(1), the diagonal of the identity R D R^T = |G| diag(R[N][0]) that
+    verify_sct proves for the rows.  The reconstruction is re-checked exactly."""
     if len(f) != len(theory.nodes):
         raise ArgumentError("class function must assign a value to every superclass",
                             check="class_function", witness=len(f))

@@ -5,7 +5,7 @@ from math import gcd
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latsuper import (
@@ -44,6 +44,7 @@ from corpus import (
     quaternion_group,
     ramanujan_sum,
     rebuilt_rows,
+    reference_inner_product,
     reference_moebius_row,
     s3_lattice,
     small_corpus,
@@ -254,6 +255,21 @@ def test_orthogonality_small_corpus():
         for i, dots in enumerate(inner_product(theory, chars)):
             assert dots[i] > 0
             assert not any(dots[:i]) and not any(dots[i + 1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices(), st.data())
+def test_the_gram_of_the_rows_is_their_degrees_times_the_order(L, data):
+    """R D R^T = |G| diag(R[n][0]) over the nonzero rows, exactly: the identity
+    that verify_sct's orthogonality proof derives instead of computing it."""
+    theory = build_theory(L)
+    order, rows, nonzero = L.group.order, theory.rows, theory.nonzero
+    assert all(rows[n][0] > 0 for n in nonzero)
+    assert inner_product(theory, [rows[n] for n in nonzero]) == [
+        [order * rows[n][0] if o == n else 0 for o in nonzero] for n in nonzero]
+    pair = st.tuples(st.sampled_from(nonzero), st.sampled_from(nonzero))
+    for n, o in data.draw(st.lists(pair, min_size=1, max_size=3)):
+        assert reference_inner_product(theory, rows[n], rows[o]) == (rows[n][0] if n == o else 0)
 
 
 def test_degree_sum_cases():
@@ -485,6 +501,13 @@ def raise_zero_character(theory):
     zero[-1] += 1
 
 
+def compensating_pair(theory):
+    """Add 1 to the second nonzero character and subtract 1 from the third,
+    both at the last block: the sum over the bottom's up-set stays as it was."""
+    theory.rows[theory.nonzero[1]][-1] += 1
+    theory.rows[theory.nonzero[2]][-1] -= 1
+
+
 def zero_last_character(theory):
     """Zero the last nonzero character; theory.nonzero still lists it."""
     row = theory.rows[theory.nonzero[-1]]
@@ -520,17 +543,18 @@ FRESH = {
     "S4": lambda: normal_lattice(symmetric_group(4)),
     "Q8": lambda: normal_lattice(quaternion_group()),
 }
+ZETA_AT_0 = ("sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0})
 
 
+# A tampered row that keeps its degree positive fails subgroup_decomposition
+# at the first node whose up-set sum it changes: the bottom lies under every
+# row, so that is node 0 unless the changes cancel there, as a compensating
+# pair's do.
 @pytest.mark.parametrize("name, tamper, check, message, witness", [
-    ("C12", raise_value, "orthogonality", "<chi^1, chi^5> = 1/3 != 0",
-     {"nodes": [1, 5], "value": "1/3"}),
-    ("F3^2 basis", raise_value, "orthogonality", "<chi^0, chi^3> = 4/9 != 0",
-     {"nodes": [0, 3], "value": "4/9"}),
-    ("S4", raise_value, "orthogonality", "<chi^2, chi^3> = -1/2 != 0",
-     {"nodes": [2, 3], "value": "-1/2"}),
-    ("Q8", raise_value, "orthogonality", "<chi^2, chi^5> = -1/4 != 0",
-     {"nodes": [2, 5], "value": "-1/4"}),
+    ("C12", raise_value, "subgroup_decomposition", *ZETA_AT_0),
+    ("F3^2 basis", raise_value, "subgroup_decomposition", *ZETA_AT_0),
+    ("S4", raise_value, "subgroup_decomposition", *ZETA_AT_0),
+    ("Q8", raise_value, "subgroup_decomposition", *ZETA_AT_0),
     ("C12", add_a_half, "integrality", "non-integer supercharacter value 3/2 at node 5",
      {"node": 5, "value": "3/2"}),
     ("S4", add_a_half, "integrality", "non-integer supercharacter value 3/2 at node 3",
@@ -541,12 +565,9 @@ FRESH = {
      "sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0}),
     ("F2^2", raise_zero_character, "subgroup_decomposition",
      "sum of chi^{O.} over O >= 0 does not give chi^N", {"node": 0}),
-    ("C12", zero_last_character, "orthogonality", "supercharacter orthogonal to itself",
-     {"node": 5}),
-    ("S4", zero_last_character, "orthogonality", "supercharacter orthogonal to itself",
-     {"node": 3}),
-    ("F2^2", zero_first_character, "orthogonality", "supercharacter orthogonal to itself",
-     {"node": 1}),
+    ("C12", zero_last_character, "subgroup_decomposition", *ZETA_AT_0),
+    ("S4", zero_last_character, "subgroup_decomposition", *ZETA_AT_0),
+    ("F2^2", zero_first_character, "subgroup_decomposition", *ZETA_AT_0),
     ("S4", negate_character, "positive_degree", "nonzero supercharacter with degree -1",
      {"node": 3}),
     ("Q8", negate_character, "positive_degree", "nonzero supercharacter with degree -1",
@@ -557,6 +578,8 @@ FRESH = {
      {"chars": 5, "blocks": 6}),
     ("Q8", drop_a_character, "SC2", "4 nonzero supercharacters vs 5 blocks",
      {"chars": 4, "blocks": 5}),
+    ("C12", compensating_pair, "subgroup_decomposition",
+     "sum of chi^{O.} over O >= 1 does not give chi^N", {"node": 1}),
 ])
 def test_verify_sct_rejects_a_tampered_theory(name, tamper, check, message, witness):
     L = FRESH[name]()
@@ -564,6 +587,36 @@ def test_verify_sct_rejects_a_tampered_theory(name, tamper, check, message, witn
     with pytest.raises(VerificationError) as info:
         verify_sct(L)
     assert (info.value.check, str(info.value), info.value.witness) == (check, message, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_lattices(), st.data())
+def test_verify_sct_rejects_every_perturbed_table(L, data):
+    """1-3 integer perturbations of the rows: one entry moved by d, a
+    compensating pair (+d and -d at one block of two nonzero rows) or a
+    nonzero row zeroed.  Any change to the rows changes zeta R, so it fails
+    one of the exact checks before the orthogonality they imply."""
+    theory = build_theory(L)
+    rows, nonzero, width = theory.rows, theory.nonzero, len(theory.nodes)
+    before = [row[:] for row in rows]
+    delta = st.one_of(st.integers(-5, -1), st.integers(1, 5))
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["entry", "pair", "zero"]))
+        b = data.draw(st.integers(0, width - 1))
+        if kind == "entry":
+            rows[data.draw(st.integers(0, len(rows) - 1))][b] += data.draw(delta)
+        elif kind == "pair":
+            n, o = data.draw(st.lists(st.sampled_from(nonzero), min_size=2, max_size=2,
+                                      unique=True))
+            d = data.draw(delta)
+            rows[n][b] += d
+            rows[o][b] -= d
+        else:
+            rows[data.draw(st.sampled_from(nonzero))][:] = [0] * width
+    assume(rows != before)
+    with pytest.raises(VerificationError) as info:
+        verify_sct(L)
+    assert info.value.check in {"integrality", "positive_degree", "subgroup_decomposition"}
 
 
 def test_dual_path_compares_with_the_built_theory():
